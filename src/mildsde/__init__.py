@@ -5,17 +5,19 @@ noise."""
 __version__ = "0.1.0"
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError, StiffnessWarning
-from .space import (HilbertSpace, Resolvent, SpectralOperator, dirichlet_laplacian,
-                    resolvent_apply, semigroup_apply, yosida_apply)
+from .space import (HilbertSpace, SpectralOperator, dirichlet_laplacian, resolvent_apply,
+                    semigroup_apply, yosida_apply)
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarginReport,
                     MarkSpace, Nonlinearity, check_dissipativity_triplet,
-                    check_shifted_monotonicity, drift_apply, m_norm, q_norm)
+                    check_shifted_monotonicity, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath, coarsen_wiener,
                     ito_integral, jump_cell_counts, poisson_integral, quadratic_mark_sum,
-                    sample_poisson, sample_wiener, step_m_integral, step_q_integral)
+                    sample_noise_batch, sample_poisson, sample_wiener, step_m_integral,
+                    step_q_integral)
 from .solver import (SCHEMES, SchemeConfig, Trajectory, ito_energy_residual, ito_energy_terms,
                      regularized_coupling_identity, solve_exp_euler, solve_linear_data,
-                     solve_resolvent_implicit, solve_scheme, solve_yosida_explicit)
+                     solve_resolvent_implicit, solve_scheme, solve_yosida_explicit,
+                     step_ensemble)
 from .analysis import (FAIL, INCONCLUSIVE, PASS, contraction_experiment,
                        coupling_uniqueness_experiment, fit_order, generalized_solution_cauchy,
                        h2_norm, stability_estimate_experiment, weak_residual_experiment,

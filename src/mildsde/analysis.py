@@ -12,18 +12,18 @@ and missing evidence is never converted into PASS.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, HypothesisError, StiffnessWarning
+from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener, jump_cell_counts,
-                    poisson_integral, quadratic_mark_sum, sample_poisson, sample_wiener,
-                    step_m_integral, step_q_integral)
-from .solver import (Trajectory, ito_energy_residual, regularized_coupling_identity,
-                     solve_exp_euler, solve_scheme, solve_yosida_explicit)
+                    poisson_integral, quadratic_mark_sum, sample_noise_batch, sample_poisson,
+                    sample_wiener, step_m_integral, step_q_integral)
+from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
+                     regularized_coupling_identity, solve_exp_euler, solve_scheme,
+                     solve_yosida_explicit, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
 from .textio import Record, fmt
 
@@ -79,76 +79,22 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
                     paths=None) -> np.ndarray:
     """States for an ensemble of independent paths, shape (members, nodes, dim).
 
-    Member i draws its Wiener path from seed + i and its jump path from
-    seed + POISSON_SEED_OFFSET + i, so results are independent of execution
-    order or batching.  Affine coefficients are stepped for all members at
-    once (one propagator matmul per step); anything else falls back to the
-    per-member solver.  Pass ``paths`` (list of (wiener, poisson)) to reuse
-    realized noise.
+    Noise follows the seeding contract of :func:`sample_noise_batch`.  Pass
+    ``paths`` (list of (wiener, poisson)) to reuse realized noise.
     """
     if paths is None:
-        paths = [
-            (sample_wiener(spec.B.q, grid, seed + i),
-             sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET + i))
-            for i in range(ensemble_size)
-        ]
-    affine = spec.B.base is not None and spec.G.base is not None
-    if not affine:
-        out = np.empty((ensemble_size, grid.steps + 1, spec.A.dim))
-        for i, (wiener, poisson) in enumerate(paths):
-            out[i] = solve_scheme(spec, (wiener, poisson), dt, scheme).states
-        return out
-
-    members = len(paths)
-    steps = grid.steps
-    A = spec.A
-    dW = np.stack([w.increments for w, _ in paths])              # (M, N, d)
+        paths = sample_noise_batch(spec, grid, seed, ensemble_size)
+    dW = np.stack([w.increments for w, _ in paths])                  # (M, N, d)
     counts = np.stack([jump_cell_counts(p, grid) for _, p in paths])  # (M, N, J)
-    if scheme == "exp_euler":
-        prop = (A.eigenvectors * A.semigroup_factors(dt)) @ (A.space.weight * A.eigenvectors.T)
-    elif scheme == "resolvent_implicit":
-        prop = (A.eigenvectors * A.resolvent_factors(dt)) @ (A.space.weight * A.eigenvectors.T)
-    else:
-        raise ConfigurationError(f"ensemble fast path supports exp_euler and "
-                                 f"resolvent_implicit, got {scheme!r}")
+    return step_ensemble(spec, dW, counts, SchemeConfig(scheme, dt))
 
-    fcoeffs = spec.F.coefficients
-    # conservative scalar stiffness bound: |f'(r)| <= sum_p p |c_p| |r|^(p-1)
-    dabs = [p * abs(c) for p, c in enumerate(fcoeffs)][1:]
-    b_base, b_scale = spec.B.base, spec.B.state_scale
-    g_base, g_scale = spec.G.base, spec.G.state_scale
-    mark_w = spec.marks.weight_array
-    g_comp = dt * (g_base @ mark_w)
-    s_comp = dt * float(g_scale @ mark_w)
 
-    U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M)
-    states = np.empty((members, steps + 1, A.dim))
-    states[:, 0, :] = spec.u0
-    warned = False
-    for n in range(steps):
-        if fcoeffs:
-            fu = np.full_like(U, fcoeffs[-1])
-            for c in fcoeffs[-2::-1]:
-                fu = fu * U + c
-            if dabs and not warned:
-                r = float(np.abs(U).max())
-                if dt * sum(c * r**p for p, c in enumerate(dabs)) >= 1.0:
-                    warnings.warn(
-                        f"explicit drift step outside safety region at step {n}",
-                        StiffnessWarning, stacklevel=2)
-                    warned = True
-        else:
-            fu = np.zeros_like(U)
-        inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
-        inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
-        inc -= g_comp[:, None] + s_comp * U
-        U = prop @ (U - dt * fu + inc)
-        if not np.isfinite(U).all():
-            raise BlowUpError(
-                f"{scheme} ensemble produced a non-finite state at step {n + 1}",
-                step=n + 1, time=float(grid.times[n + 1]))
-        states[:, n + 1, :] = U.T
-    return states
+def _grid(T: float, dt: float) -> TimeGrid:
+    """The uniform grid of step dt on [0, T]; dt must divide T."""
+    steps = round(T / dt)
+    if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ConfigurationError(f"dt={dt} does not divide the horizon T={T} evenly")
+    return TimeGrid(T, steps)
 
 
 def _validate_dyadic(dt_list, T: float, minimum: int = 3) -> list:
@@ -159,17 +105,8 @@ def _validate_dyadic(dt_list, T: float, minimum: int = 3) -> list:
         if abs(a / b - 2.0) > 1e-12:
             raise ConfigurationError(f"step sizes must be dyadic, got ratio {a / b} for {a}/{b}")
     for d in dts:
-        steps = round(T / d)
-        if abs(steps * d - T) > 1e-9 * max(T, 1.0):
-            raise ConfigurationError(f"dt={d} does not divide the horizon T={T} evenly")
+        _grid(T, d)
     return dts
-
-
-def _coupled_noise(spec: EquationSpec, seed: int, fine_dt: float):
-    fine_grid = TimeGrid(spec.T, round(spec.T / fine_dt))
-    wiener = sample_wiener(spec.B.q, fine_grid, seed)
-    poisson = sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET)
-    return wiener, poisson
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +154,7 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
     pathwise integrability functional to enter the comparison.
     """
     dts = _validate_dyadic(dt_list, spec.T)
-    wiener_fine, poisson = _coupled_noise(spec, seed, dts[-1])
+    wiener_fine, poisson = sample_noise_batch(spec, _grid(spec.T, dts[-1]), seed, 1)[0]
     gaps, integs = [], []
     space = spec.space
     inconclusive = False
@@ -319,16 +256,12 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
     u0_b = spec.space.element(u0_b)
     spec_a = spec.with_data(u0=u0_a)
     spec_b = spec.with_data(u0=u0_b)
-    steps = round(spec.T / dt)
-    if abs(steps * dt - spec.T) > 1e-9:
-        raise ConfigurationError(f"dt={dt} does not divide T={spec.T} evenly")
-    grid = TimeGrid(spec.T, steps)
+    grid = _grid(spec.T, dt)
+    steps = grid.steps
     space = spec.space
 
     verdict = None
-    paths = [(sample_wiener(spec.B.q, grid, seed + i),
-              sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET + i))
-             for i in range(ensemble_size)]
+    paths = sample_noise_batch(spec, grid, seed, ensemble_size)
     try:
         states_a = _solve_ensemble(spec_a, grid, dt, scheme, seed, ensemble_size, paths)
         states_b = _solve_ensemble(spec_b, grid, dt, scheme, seed, ensemble_size, paths)
@@ -398,24 +331,23 @@ def _require_shared_frame(spec1: EquationSpec, spec2: EquationSpec):
 
 
 def _data_distance_steps(spec1: EquationSpec, spec2: EquationSpec, grid: TimeGrid) -> np.ndarray:
-    """Per-cell integrand of the squared data distance; requires additive noise."""
-    out = np.zeros(grid.steps)
+    """Per-cell integrand of the squared data distance; requires additive noise.
+
+    Additive coefficients depend on neither t nor u, so every cell holds the
+    same value.
+    """
     same_b = spec1.B is spec2.B
     same_g = spec1.G is spec2.G
     if not same_b and not (spec1.B.additive and spec2.B.additive):
         raise ConfigurationError("data-distance comparisons need additive Wiener coefficients")
     if not same_g and not (spec1.G.additive and spec2.G.additive):
         raise ConfigurationError("data-distance comparisons need additive jump coefficients")
-    probe = spec1.u0
-    for n in range(grid.steps):
-        t = grid.times[n]
-        total = 0.0
-        if not same_b:
-            total += q_norm(spec1.B(t, probe) - spec2.B(t, probe), spec1.B.q, spec1.space) ** 2
-        if not same_g:
-            total += m_norm(spec1.G(t, probe) - spec2.G(t, probe), spec1.marks, spec1.space) ** 2
-        out[n] = total
-    return out
+    total = 0.0
+    if not same_b:
+        total += q_norm(spec1.B.base - spec2.B.base, spec1.B.q, spec1.space) ** 2
+    if not same_g:
+        total += m_norm(spec1.G.base - spec2.G.base, spec1.marks, spec1.space) ** 2
+    return np.full(grid.steps, total)
 
 
 def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
@@ -435,17 +367,15 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
     floor.
     """
     _require_shared_frame(spec1, spec2)
-    steps = round(spec1.T / dt)
-    grid = TimeGrid(spec1.T, steps)
+    grid = _grid(spec1.T, dt)
+    steps = grid.steps
     space = spec1.space
 
     den = np.empty(steps + 1)
     den[0] = space.sq_norms(spec1.u0 - spec2.u0)
     den[1:] = den[0] + np.cumsum(grid.dt * _data_distance_steps(spec1, spec2, grid))
 
-    paths = [(sample_wiener(spec1.B.q, grid, seed + i),
-              sample_poisson(spec1.marks, spec1.T, seed + POISSON_SEED_OFFSET + i))
-             for i in range(ensemble_size)]
+    paths = sample_noise_batch(spec1, grid, seed, ensemble_size)
     states_1 = _solve_ensemble(spec1, grid, dt, scheme, seed, ensemble_size, paths)
     states_2 = _solve_ensemble(spec2, grid, dt, scheme, seed, ensemble_size, paths)
     num = space.sq_norms(states_1 - states_2)
@@ -528,8 +458,7 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     """
     if len(data_sequence) < 2:
         raise ConfigurationError("data sequence needs at least two entries")
-    steps = round(spec.T / dt)
-    grid = TimeGrid(spec.T, steps)
+    grid = _grid(spec.T, dt)
     space = spec.space
     specs = [spec.with_data(u0=u0_n, B=b_n, G=g_n) for (u0_n, b_n, g_n) in data_sequence]
 
@@ -544,9 +473,7 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
             f"data distances to the limit must be strictly decreasing, got {limit_dists}")
     data_dists = np.array([total_distance(a, b) for a, b in zip(specs, specs[1:])])
 
-    paths = [(sample_wiener(spec.B.q, grid, seed + i),
-              sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET + i))
-             for i in range(ensemble_size)]
+    paths = sample_noise_batch(spec, grid, seed, ensemble_size)
     all_states = [_solve_ensemble(s, grid, dt, scheme, seed, ensemble_size, paths)
                   for s in specs]
     sol_dists = np.array([
@@ -676,7 +603,7 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              scheme: str = "resolvent_implicit") -> WeakResidualReport:
     """Weak residual decay across dyadic step sizes on one coupled path."""
     dts = _validate_dyadic(dt_list, spec.T)
-    wiener_fine, poisson = _coupled_noise(spec, seed, dts[-1])
+    wiener_fine, poisson = sample_noise_batch(spec, _grid(spec.T, dts[-1]), seed, 1)[0]
     residuals = np.empty((k_max, len(dts)))
     for j, dt in enumerate(dts):
         wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
@@ -728,10 +655,7 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
     PASS requires the sup-norm gap to shrink with fitted slope in [0.9, 1.1].
     """
     epsilons = np.array(sorted((float(e) for e in epsilons), reverse=True))
-    steps = round(spec.T / dt)
-    grid = TimeGrid(spec.T, steps)
-    wiener = sample_wiener(spec.B.q, grid, seed)
-    poisson = sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET)
+    wiener, poisson = sample_noise_batch(spec, _grid(spec.T, dt), seed, 1)[0]
     reference = solve_exp_euler(spec, (wiener, poisson), dt)
     space = spec.space
     gaps = np.empty(epsilons.shape[0])
@@ -759,10 +683,8 @@ def yosida_coupling_bound(spec: EquationSpec, u0_a, u0_b, seed: int, *,
     """
     if not (spec.B.additive and spec.G.additive):
         raise ConfigurationError("the pathwise bound applies to additive noise only")
-    steps = round(spec.T / dt)
-    grid = TimeGrid(spec.T, steps)
-    wiener = sample_wiener(spec.B.q, grid, seed)
-    poisson = sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET)
+    grid = _grid(spec.T, dt)
+    wiener, poisson = sample_noise_batch(spec, grid, seed, 1)[0]
     spec_a = spec.with_data(u0=u0_a)
     spec_b = spec.with_data(u0=u0_b)
     u = solve_exp_euler(spec_a, (wiener, poisson), dt).states
@@ -930,7 +852,7 @@ def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
                                        epsilon: float, tol: float = 1e-9,
                                        amplitude: float = 1.0) -> ExperimentReport:
     """Max residual of the exact regularization identity over random data."""
-    grid = TimeGrid(T, round(T / dt))
+    grid = _grid(T, dt)
     rng = np.random.default_rng(seed)
     q = np.asarray(q, dtype=float)
     n = A.dim

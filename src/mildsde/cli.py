@@ -28,7 +28,7 @@ from .noise import TimeGrid
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import fmt, write_manifest, write_plot_data, write_report
 
-__all__ = ["RunConfig", "parse_config", "run", "emit_plot_data", "main", "EXPERIMENTS"]
+__all__ = ["RunConfig", "parse_config", "run", "main", "EXPERIMENTS"]
 
 
 def _floats(text: str) -> list:
@@ -126,7 +126,7 @@ def _build_equation(eq: dict) -> tuple:
     b_scale = np.array(_floats(eq.get("b_scale", " ".join(["0"] * d))))
     if b_scale.shape != (d,):
         raise ConfigurationError(f"[equation] b_scale: expected {d} values, got {b_scale.shape}")
-    B = DiffusionCoefficient.affine(b_base, b_scale, q)
+    B = DiffusionCoefficient(b_base, b_scale, q)
 
     atoms = _floats(eq.get("z_atoms", "0.0"))
     weights = _floats(eq.get("z_weights", "0.0"))
@@ -138,7 +138,7 @@ def _build_equation(eq: dict) -> tuple:
     g_scale = np.array(_floats(eq.get("g_scale", " ".join(["0"] * j))))
     if g_scale.shape != (j,):
         raise ConfigurationError(f"[equation] g_scale: expected {j} values, got {g_scale.shape}")
-    G = JumpCoefficient.affine(g_base, g_scale, marks)
+    G = JumpCoefficient(g_base, g_scale, marks)
 
     u0_raw = eq.get("u0")
     if u0_raw is None:
@@ -346,7 +346,7 @@ def _stability_pair(cfg: RunConfig, name: str):
     # perturbation pattern: amp times the first eigenvector, first noise column
     delta = np.zeros(spec1.B.base.shape)
     delta[:, 0] = amp * spec1.A.eigenvectors[:, 0]
-    b2 = DiffusionCoefficient.affine(spec1.B.base + delta, spec1.B.state_scale, spec1.B.q)
+    b2 = DiffusionCoefficient(spec1.B.base + delta, spec1.B.state_scale, spec1.B.q)
     return spec1, delta, b2
 
 
@@ -368,8 +368,7 @@ def _exp_cauchy(cfg: RunConfig):
     levels = cfg.opt("cauchy", "levels", 5)
     sequence = []
     for k in range(levels):
-        b_k = DiffusionCoefficient.affine(spec.B.base + 2.0 ** -k * delta,
-                                          spec.B.state_scale, spec.B.q)
+        b_k = DiffusionCoefficient(spec.B.base + 2.0 ** -k * delta, spec.B.state_scale, spec.B.q)
         sequence.append((spec.u0, b_k, spec.G))
     return analysis.generalized_solution_cauchy(
         spec, sequence, cfg.seed,
@@ -406,11 +405,6 @@ EXPERIMENTS = {
 }
 
 
-def emit_plot_data(report, directory) -> list:
-    """Write one (x, y, err) columnar file per report curve."""
-    return write_plot_data(report, directory)
-
-
 def run(config: RunConfig, verbose: bool = False) -> int:
     """Execute the configured experiments and write artifacts.
 
@@ -429,7 +423,7 @@ def run(config: RunConfig, verbose: bool = False) -> int:
             if "report" in config.formats:
                 written.append(write_report(report, outdir / f"{name}.report.txt"))
             if "plotdata" in config.formats:
-                written.extend(emit_plot_data(report, outdir))
+                written.extend(write_plot_data(report, outdir))
             verdicts[name] = report.verdict
             if verbose:
                 print(f"  {name}: {report.verdict}")

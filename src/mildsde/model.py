@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "MarkSpace",
     "EquationSpec",
     "MarginReport",
-    "drift_apply",
     "check_shifted_monotonicity",
     "check_dissipativity_triplet",
     "q_norm",
@@ -65,10 +63,6 @@ class Nonlinearity:
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coefficients)
 
-    @property
-    def degree(self) -> int:
-        return max((p for p, c in enumerate(self.coefficients) if c != 0.0), default=0)
-
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if not self.coefficients:
@@ -95,11 +89,6 @@ class Nonlinearity:
             candidates.extend(r for r in real if lo <= r <= hi)
         fprime = Nonlinearity(dcoeffs)
         return float(min(fprime(np.array(candidates)))) if dcoeffs else 0.0
-
-
-def drift_apply(F: Nonlinearity, u) -> np.ndarray:
-    """Evaluate the componentwise polynomial drift."""
-    return F(u)
 
 
 @dataclass(frozen=True)
@@ -144,125 +133,76 @@ class MarkSpace:
         return MarkSpace(tuple(self.atoms[j] for j in order), tuple(self.weights[j] for j in order))
 
 
-class DiffusionCoefficient:
-    """Wiener coefficient B(t, u): an n x d operator into the state space.
+class _AffineCoefficient:
+    """Noise coefficient that is affine in the state: plain (base, state_scale) data.
 
-    ``q`` holds the covariance weights of the d driving Brownian modes and
-    ``lipschitz`` the declared Lipschitz constant of u -> B(t, u) in the
-    Q-weighted Hilbert-Schmidt norm.  The affine constructor computes the
-    constant exactly; declared constants are certified by sampling in tests,
-    never trusted blindly.
+    Column k of the coefficient at (t, u) is base[:, k] + state_scale[k] * u,
+    so the coefficient is base + u (x) state_scale and does not depend on t.
+    ``weights`` are the column weights (Q for Wiener, m for jumps) and
+    ``lipschitz`` is the exact Lipschitz constant of u -> coefficient in the
+    column-weighted norm sqrt(sum_k weights_k |col_k|_H^2).
     """
 
-    def __init__(self, func: Callable, q, shape, lipschitz: float, *, additive: bool,
-                 base=None, state_scale=None):
+    def __init__(self, base, state_scale, weights, cols: str):
+        base = np.asarray(base, dtype=float).copy()
+        scale = np.asarray(state_scale, dtype=float).copy()
+        if base.ndim != 2 or scale.shape != (base.shape[1],):
+            raise ValueError(f"affine coefficient needs an n x {cols} base and {cols} scales")
+        if base.shape[1] != weights.shape[0]:
+            raise ValueError(f"{base.shape[1]} coefficient columns but {weights.shape[0]} weights")
+        base.setflags(write=False)
+        scale.setflags(write=False)
+        self.base = base
+        self.state_scale = scale
+        self.weights = weights
+        self.shape = base.shape
+        self.lipschitz = float(np.sqrt(np.sum(weights * scale**2)))
+        self.additive = bool(np.all(scale == 0.0))
+
+    def __call__(self, t: float, u) -> np.ndarray:
+        return self.base + np.outer(u, self.state_scale)
+
+
+class DiffusionCoefficient(_AffineCoefficient):
+    """Wiener coefficient B(t, u) = base + u (x) state_scale, an n x d operator.
+
+    ``q`` holds the covariance weights of the d driving Brownian modes; the
+    Lipschitz constant is taken in the Q-weighted Hilbert-Schmidt norm.
+    """
+
+    def __init__(self, base, state_scale, q):
         q = np.asarray(q, dtype=float).copy()
         if q.ndim != 1:
             raise ValueError("q must be a 1-D array of covariance weights")
         if np.any(q < 0.0):
             raise ValueError(f"covariance weights must be nonnegative, got {q}")
-        if shape[1] != q.shape[0]:
-            raise ValueError(f"coefficient has {shape[1]} columns but q has {q.shape[0]} entries")
         q.setflags(write=False)
-        self._func = func
         self.q = q
-        self.shape = tuple(shape)
-        self.lipschitz = float(lipschitz)
-        self.additive = bool(additive)
-        self.base = base
-        self.state_scale = state_scale
-
-    def __call__(self, t: float, u) -> np.ndarray:
-        return self._func(t, u)
+        super().__init__(base, state_scale, q, "d")
 
     @classmethod
     def constant(cls, base, q) -> "DiffusionCoefficient":
-        base = np.asarray(base, dtype=float).copy()
-        if base.ndim != 2:
-            raise ValueError("constant coefficient must be an n x d matrix")
-        base.setflags(write=False)
-        return cls(lambda t, u: base, q, base.shape, 0.0, additive=True,
-                   base=base, state_scale=np.zeros(base.shape[1]))
-
-    @classmethod
-    def affine(cls, base, state_scale, q) -> "DiffusionCoefficient":
-        """B(t, u) with column k equal to base[:, k] + state_scale[k] * u."""
-        base = np.asarray(base, dtype=float).copy()
-        scale = np.asarray(state_scale, dtype=float).copy()
-        if base.ndim != 2 or scale.shape != (base.shape[1],):
-            raise ValueError("affine coefficient needs an n x d base and d state scales")
-        base.setflags(write=False)
-        scale.setflags(write=False)
-        qa = np.asarray(q, dtype=float)
-        lip = float(np.sqrt(np.sum(qa * scale**2)))
-
-        def func(t, u):
-            return base + np.outer(u, scale)
-
-        return cls(func, q, base.shape, lip, additive=bool(np.all(scale == 0.0)),
-                   base=base, state_scale=scale)
-
-    @classmethod
-    def from_function(cls, func, q, shape, lipschitz, additive=False) -> "DiffusionCoefficient":
-        return cls(func, q, shape, lipschitz, additive=additive)
+        return cls(base, np.zeros(np.shape(base)[-1:]), q)
 
     @classmethod
     def zero(cls, n: int, d: int = 1) -> "DiffusionCoefficient":
         return cls.constant(np.zeros((n, d)), np.zeros(d))
 
 
-class JumpCoefficient:
-    """Jump coefficient G(t, u, z) over a finite mark space.
+class JumpCoefficient(_AffineCoefficient):
+    """Jump coefficient G(t, u, z_j) = base[:, j] + state_scale[j] * u.
 
-    Evaluation returns the n x J matrix whose column j is G(t, u, z_j);
-    ``lipschitz`` is the declared constant of u -> G(t, u, .) in the
-    L2(Z, m) norm.
+    Evaluation returns the n x J matrix whose column j is G(t, u, z_j); the
+    Lipschitz constant is taken in the L2(Z, m) norm.
     """
 
-    def __init__(self, func: Callable, marks: MarkSpace, shape, lipschitz: float, *,
-                 additive: bool, base=None, state_scale=None):
-        if shape[1] != marks.atom_count:
-            raise ValueError(f"coefficient has {shape[1]} columns but {marks.atom_count} atoms")
-        self._func = func
+    def __init__(self, base, state_scale, marks: MarkSpace):
         self.marks = marks
-        self.shape = tuple(shape)
-        self.lipschitz = float(lipschitz)
-        self.additive = bool(additive)
-        self.base = base
-        self.state_scale = state_scale
-
-    def __call__(self, t: float, u) -> np.ndarray:
-        return self._func(t, u)
+        super().__init__(base, state_scale, marks.weight_array, "J")
 
     @classmethod
     def constant(cls, base, marks: MarkSpace) -> "JumpCoefficient":
-        base = np.asarray(base, dtype=float).copy()
-        if base.ndim != 2:
-            raise ValueError("constant coefficient must be an n x J matrix")
-        base.setflags(write=False)
-        return cls(lambda t, u: base, marks, base.shape, 0.0, additive=True,
-                   base=base, state_scale=np.zeros(base.shape[1]))
-
-    @classmethod
-    def affine(cls, base, state_scale, marks: MarkSpace) -> "JumpCoefficient":
-        """G(t, u, z_j) = base[:, j] + state_scale[j] * u."""
-        base = np.asarray(base, dtype=float).copy()
-        scale = np.asarray(state_scale, dtype=float).copy()
-        if base.ndim != 2 or scale.shape != (base.shape[1],):
-            raise ValueError("affine coefficient needs an n x J base and J state scales")
-        base.setflags(write=False)
-        scale.setflags(write=False)
-        lip = float(np.sqrt(np.sum(marks.weight_array * scale**2)))
-
-        def func(t, u):
-            return base + np.outer(u, scale)
-
-        return cls(func, marks, base.shape, lip, additive=bool(np.all(scale == 0.0)),
-                   base=base, state_scale=scale)
-
-    @classmethod
-    def from_function(cls, func, marks, shape, lipschitz, additive=False) -> "JumpCoefficient":
-        return cls(func, marks, shape, lipschitz, additive=additive)
+        return cls(base, np.zeros(np.shape(base)[-1:]), marks)
 
     @classmethod
     def zero(cls, n: int, marks: MarkSpace | None = None) -> "JumpCoefficient":
@@ -312,11 +252,8 @@ class EquationSpec:
         if not self.T > 0.0:
             raise ValueError(f"time horizon must be positive, got {self.T}")
         for name, coeff in (("B", self.B), ("G", self.G)):
-            probe = np.asarray(coeff(0.0, u0), dtype=float)
-            if probe.shape != coeff.shape or probe.shape[0] != n:
-                raise ValueError(
-                    f"{name} evaluates to shape {probe.shape}, expected {(n, coeff.shape[1])}"
-                )
+            if coeff.shape[0] != n:
+                raise ValueError(f"{name} has shape {coeff.shape}, expected {(n, coeff.shape[1])}")
         u0.setflags(write=False)
         object.__setattr__(self, "u0", u0)
 
@@ -340,20 +277,15 @@ class EquationSpec:
         )
 
     def fingerprint(self) -> str:
-        """Short stable hash of the numeric payload (callable coefficients hash by name)."""
+        """Short stable hash of the numeric payload."""
         hasher = hashlib.sha256()
         for arr in (self.A.eigenvalues, self.A.eigenvectors, self.u0):
             hasher.update(np.ascontiguousarray(arr).tobytes())
         hasher.update(np.array([self.space.weight, self.T, self.alpha, self.F.shift]).tobytes())
         hasher.update(np.array(self.F.coefficients).tobytes())
         for coeff in (self.B, self.G):
-            hasher.update(np.ascontiguousarray(coeff.q if isinstance(coeff, DiffusionCoefficient)
-                                               else coeff.marks.weight_array).tobytes())
-            if coeff.base is not None:
-                hasher.update(np.ascontiguousarray(coeff.base).tobytes())
-                hasher.update(np.ascontiguousarray(coeff.state_scale).tobytes())
-            else:
-                hasher.update(repr(getattr(coeff._func, "__qualname__", coeff._func)).encode())
+            for arr in (coeff.weights, coeff.base, coeff.state_scale):
+                hasher.update(np.ascontiguousarray(arr).tobytes())
         hasher.update(np.array(self.G.marks.atoms).tobytes())
         return hasher.hexdigest()[:16]
 

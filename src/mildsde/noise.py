@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MarkSpace
+from .model import EquationSpec, MarkSpace
 from .space import HilbertSpace
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "PoissonPath",
     "sample_wiener",
     "sample_poisson",
+    "sample_noise_batch",
     "coarsen_wiener",
     "ito_integral",
     "poisson_integral",
@@ -208,6 +209,18 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     times.setflags(write=False)
     idx.setflags(write=False)
     return PoissonPath(times, idx, float(horizon), marks.atom_count, int(seed))
+
+
+def sample_noise_batch(spec: EquationSpec, grid: TimeGrid, seed: int, members: int) -> list:
+    """(wiener, poisson) path pairs for ``members`` independent ensemble members.
+
+    Member i draws its Wiener path from seed + i and its jump path from
+    seed + POISSON_SEED_OFFSET + i, so a member's noise does not depend on
+    the ensemble size or on the order in which members are solved.
+    """
+    return [(sample_wiener(spec.B.q, grid, seed + i),
+             sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET + i))
+            for i in range(members)]
 
 
 def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:

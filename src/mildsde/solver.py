@@ -1,6 +1,8 @@
 """Time-stepping schemes for the mild (convolution) form of the equation.
 
-Three one-step maps share the noise handling:
+Three one-step maps share one stepper, ``step_ensemble``, which advances
+an ensemble of noise paths at once; a single-path solve is an ensemble of
+one:
 
 * ``exp_euler``: exponential Euler, u_{n+1} = exp(-dt A)[u_n + increments],
   the direct discretization of the variation-of-constants form;
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, StiffnessWarning
-from .model import EquationSpec, MarkSpace
+from .model import EquationSpec, MarkSpace, Nonlinearity
 from .noise import PoissonPath, TimeGrid, WienerPath, jump_cell_counts, quadratic_mark_sum
 from .space import SpectralOperator
 
@@ -35,6 +37,7 @@ __all__ = [
     "solve_resolvent_implicit",
     "solve_yosida_explicit",
     "solve_scheme",
+    "step_ensemble",
     "solve_linear_data",
     "regularized_coupling_identity",
     "ito_energy_residual",
@@ -105,80 +108,116 @@ def _validate_noise(spec: EquationSpec, noise, dt: float):
     return wiener, poisson, grid
 
 
-def _horner(coeffs, u):
-    out = np.full_like(u, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * u + c
-    return out
+def _linear_factors(A: SpectralOperator, scheme: str, dt: float) -> np.ndarray:
+    """Eigenvalue factors of a diagonal one-step map: exp(-dt lam) or 1/(1 + dt lam)."""
+    if scheme == "exp_euler":
+        return A.semigroup_factors(dt)
+    if scheme == "resolvent_implicit":
+        return A.resolvent_factors(dt)
+    raise ConfigurationError(f"diagonal one-step maps exist for exp_euler and "
+                             f"resolvent_implicit, got {scheme!r}")
 
 
-def _solve_loop(spec: EquationSpec, noise, dt: float, config: SchemeConfig, one_step):
-    """Common driver: steps, blow-up policy, stiffness monitor, integrability tally."""
-    wiener, poisson, grid = _validate_noise(spec, noise, dt)
-    counts = jump_cell_counts(poisson, grid)
+def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
+    """Dense matrix of the scheme's linear one-step map in state coordinates."""
+    V, w = A.eigenvectors, A.space.weight
+    if config.scheme != "yosida_explicit":
+        return (V * _linear_factors(A, config.scheme, config.dt)) @ (w * V.T)
+    yos = A.yosida_factors(config.epsilon)
+    cap = config.dt * float(yos.max())
+    if cap >= 2.0:
+        raise ConfigurationError(
+            f"yosida_explicit unstable: dt*lam_max/(1+eps*lam_max) = {cap:.3g} >= 2 "
+            f"(dt={config.dt}, eps={config.epsilon})")
+    return np.eye(A.dim) - config.dt * (V * yos) @ (w * V.T)
+
+
+def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
+                  config: SchemeConfig) -> np.ndarray:
+    """Step M members of the mild form at once; returns states (M, N+1, n).
+
+    ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
+    jump counts (M, N, J) of each member.  The noise increment of a step is
+    B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
+    state, so the jump part is exactly centered.
+
+    Stiffness policy: one StiffnessWarning at the first step where
+    dt * max|f'(u)|, taken over every member and every component, reaches 1
+    (a constant f' is checked once).  yosida_explicit raises
+    ConfigurationError unless dt * lam_max / (1 + eps * lam_max) < 2.  A
+    non-finite state raises BlowUpError.
+    """
+    members, steps = dW.shape[:2]
+    dt = config.dt
+    A = spec.A
+    explicit = config.scheme == "yosida_explicit"
+    prop = _propagator(A, config)
+    F = spec.F
+    fprime = Nonlinearity(F.derivative_coefficients())
+    drift_varies = len(fprime.coefficients) > 1
+    cap = dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0
+    b_base, b_scale = spec.B.base, spec.B.state_scale
+    g_base, g_scale = spec.G.base, spec.G.state_scale
     mark_w = spec.marks.weight_array
-    fcoeffs = spec.F.coefficients
-    dcoeffs = spec.F.derivative_coefficients()
-    drift_varies = len(dcoeffs) > 1
-    flat_cap = dt * abs(dcoeffs[0]) if len(dcoeffs) == 1 else 0.0
-    space = spec.space
-    w = space.weight
-    q = spec.B.q
-    B, G = spec.B, spec.G
-    increments = wiener.increments
-    times = grid.times
+    g_comp = dt * (g_base @ mark_w)
+    s_comp = dt * float(g_scale @ mark_w)
 
-    u = spec.u0.copy()
-    states = np.empty((grid.steps + 1, spec.A.dim))
-    states[0] = u
-    integ = 0.0
-    warned = flat_cap >= 1.0
-    if warned:
-        warnings.warn(
-            f"explicit drift step outside safety region: dt*|f'| = {flat_cap:.3g} >= 1",
-            StiffnessWarning, stacklevel=3)
-    for n in range(grid.steps):
-        t = times[n]
-        fu = _horner(fcoeffs, u) if fcoeffs else np.zeros_like(u)
-        if drift_varies and not warned:
-            cap = dt * float(np.abs(_horner(dcoeffs, u)).max())
+    U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M)
+    states = np.empty((members, steps + 1, A.dim))
+    states[:, 0, :] = spec.u0
+    warned = False
+    for n in range(steps):
+        if not warned:
+            if drift_varies:
+                cap = dt * float(np.abs(fprime(U)).max())
             if cap >= 1.0:
                 warnings.warn(
                     f"explicit drift step outside safety region at step {n}: "
                     f"dt*max|f'(u)| = {cap:.3g} >= 1",
-                    StiffnessWarning,
-                    stacklevel=3,
-                )
+                    StiffnessWarning, stacklevel=2)
                 warned = True
-        b_mat = B(t, u)
-        g_mat = G(t, u)
-        increment = b_mat @ increments[n]
-        increment += g_mat @ counts[n]
-        increment -= dt * (g_mat @ mark_w)
-        integ += dt * (
-            np.sqrt(w * np.dot(fu, fu))
-            + w * ((b_mat * b_mat).sum(axis=0) @ q)
-            + w * ((g_mat * g_mat).sum(axis=0) @ mark_w)
-        )
-        u = one_step(u, fu, increment)
-        if not np.isfinite(u).all():
+        fu = F(U)
+        inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
+        inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
+        inc -= g_comp[:, None] + s_comp * U
+        if explicit:
+            U = prop @ U - dt * fu + inc
+        else:
+            U = prop @ (U - dt * fu + inc)
+        if not np.isfinite(U).all():
+            t = (n + 1) * (spec.T / steps)
             raise BlowUpError(
-                f"{config.scheme} produced a non-finite state at step {n + 1} "
-                f"(t={grid.times[n + 1]:.6g})",
-                step=n + 1,
-                time=float(grid.times[n + 1]),
-            )
-        states[n + 1] = u
+                f"{config.scheme} produced a non-finite state at step {n + 1} (t={t:.6g})",
+                step=n + 1, time=t)
+        states[:, n + 1, :] = U.T
+    return states
+
+
+def _integrability(spec: EquationSpec, states: np.ndarray, dt: float) -> float:
+    """dt * sum over left states of |F(u)| + |B(u)|_Q^2 + |G(u)|_m^2.
+
+    For column weights c_k, sum_k c_k |base_k + s_k u|^2 expands to
+    sum_k c_k |base_k|^2 + 2 <u, base (c s)> + |u|^2 sum_k c_k s_k^2.
+    """
+    u = states[:-1]
+    space = spec.space
+    total = np.sqrt(space.sq_norms(spec.F(u)))
+    for coeff in (spec.B, spec.G):
+        cs = coeff.weights * coeff.state_scale
+        total += space.weight * ((coeff.base * coeff.base).sum(axis=0) @ coeff.weights
+                                 + 2.0 * (u @ (coeff.base @ cs)))
+        total += float(cs @ coeff.state_scale) * space.sq_norms(u)
+    return float(dt * total.sum())
+
+
+def _solve_path(spec: EquationSpec, noise, config: SchemeConfig) -> Trajectory:
+    """One noise path as an ensemble of one."""
+    wiener, poisson, grid = _validate_noise(spec, noise, config.dt)
+    counts = jump_cell_counts(poisson, grid)
+    states = step_ensemble(spec, wiener.increments[None], counts[None], config)[0]
     states.setflags(write=False)
-    return Trajectory(
-        grid=grid,
-        states=states,
-        spec_fingerprint=spec.fingerprint(),
-        wiener_seed=wiener.seed,
-        poisson_seed=poisson.seed,
-        scheme=config,
-        integrability=float(integ),
-    )
+    return Trajectory(grid, states, spec.fingerprint(), wiener.seed, poisson.seed, config,
+                      _integrability(spec, states, config.dt))
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
@@ -187,26 +226,12 @@ def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
     Exact for the pure semigroup flow (F = B = G = 0) and the order-one
     discretization of the convolution form otherwise.
     """
-    config = SchemeConfig("exp_euler", dt)
-    A = spec.A
-    prop = (A.eigenvectors * A.semigroup_factors(dt)) @ (A.space.weight * A.eigenvectors.T)
-
-    def one_step(u, fu, increment):
-        return prop @ (u - dt * fu + increment)
-
-    return _solve_loop(spec, noise, dt, config, one_step)
+    return _solve_path(spec, noise, SchemeConfig("exp_euler", dt))
 
 
 def solve_resolvent_implicit(spec: EquationSpec, noise, dt: float) -> Trajectory:
     """Backward-Euler resolvent step; the linear part is unconditionally stable."""
-    config = SchemeConfig("resolvent_implicit", dt)
-    A = spec.A
-    prop = (A.eigenvectors * A.resolvent_factors(dt)) @ (A.space.weight * A.eigenvectors.T)
-
-    def one_step(u, fu, increment):
-        return prop @ (u - dt * fu + increment)
-
-    return _solve_loop(spec, noise, dt, config, one_step)
+    return _solve_path(spec, noise, SchemeConfig("resolvent_implicit", dt))
 
 
 def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) -> Trajectory:
@@ -214,21 +239,7 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
 
     Requires dt * lam_max / (1 + eps * lam_max) < 2, checked before stepping.
     """
-    config = SchemeConfig("yosida_explicit", dt, epsilon)
-    A = spec.A
-    yos = A.yosida_factors(epsilon)
-    cap = dt * float(yos.max())
-    if cap >= 2.0:
-        raise ConfigurationError(
-            f"yosida_explicit unstable: dt*lam_max/(1+eps*lam_max) = {cap:.3g} >= 2 "
-            f"(dt={dt}, eps={epsilon})"
-        )
-    prop = np.eye(A.dim) - dt * (A.eigenvectors * yos) @ (A.space.weight * A.eigenvectors.T)
-
-    def one_step(u, fu, increment):
-        return prop @ u - dt * fu + increment
-
-    return _solve_loop(spec, noise, dt, config, one_step)
+    return _solve_path(spec, noise, SchemeConfig("yosida_explicit", dt, epsilon))
 
 
 def solve_scheme(spec: EquationSpec, noise, dt: float, scheme: str,
@@ -279,13 +290,7 @@ def solve_linear_data(A: SpectralOperator, g, C, D, wiener: WienerPath,
     g, C, D = _as_linear_data(A, g, C, D, grid, marks)
     if C.shape[2] != wiener.modes:
         raise ValueError(f"C has {C.shape[2]} columns but the path has {wiener.modes} modes")
-    if scheme == "exp_euler":
-        factors = A.semigroup_factors(grid.dt)
-    elif scheme == "resolvent_implicit":
-        factors = A.resolvent_factors(grid.dt)
-    else:
-        raise ConfigurationError(f"linear-data solves support exp_euler and "
-                                 f"resolvent_implicit, got {scheme!r}")
+    factors = _linear_factors(A, scheme, grid.dt)
     counts = jump_cell_counts(poisson, grid)
     mark_w = marks.weight_array
     dt = grid.dt

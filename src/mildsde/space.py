@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "HilbertSpace",
     "SpectralOperator",
-    "Resolvent",
     "dirichlet_laplacian",
     "resolvent_apply",
     "yosida_apply",
@@ -221,24 +220,6 @@ def semigroup_apply(A: SpectralOperator, t: float, x) -> np.ndarray:
     if not t >= 0.0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     return A.synthesize(A.semigroup_factors(t) * A.coords(x))
-
-
-@dataclass(frozen=True)
-class Resolvent:
-    """(I + eps A)^(-1) bound to a fixed operator and parameter."""
-
-    parent: SpectralOperator
-    epsilon: float
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-
-    @cached_property
-    def factors(self) -> np.ndarray:
-        return self.parent.resolvent_factors(self.epsilon)
-
-    def apply(self, x) -> np.ndarray:
-        return self.parent.synthesize(self.factors * self.parent.coords(x))
 
 
 def dirichlet_laplacian(n: int) -> SpectralOperator:

@@ -21,11 +21,11 @@ def make_cubic_spec(n=15, T=0.25, multiplicative=True, alpha=0.0,
     b1 = eigen_profile(A, 0.12 * decay**k)
     b2 = eigen_profile(A, 0.08 * decay**k * np.cos(k))
     b_scale = [0.05, 0.0] if multiplicative else [0.0, 0.0]
-    B = DiffusionCoefficient.affine(np.column_stack([b1, b2]), b_scale, q)
+    B = DiffusionCoefficient(np.column_stack([b1, b2]), b_scale, q)
     marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
     g1 = eigen_profile(A, 0.03 * decay**k)
     g_scale = [0.02, 0.02] if multiplicative else [0.0, 0.0]
-    G = JumpCoefficient.affine(np.column_stack([g1, -g1]), g_scale, marks)
+    G = JumpCoefficient(np.column_stack([g1, -g1]), g_scale, marks)
     F = Nonlinearity(f_coeffs, eta)
     return EquationSpec(A=A, F=F, B=B, G=G, u0=u0, T=T, alpha=alpha)
 

@@ -195,8 +195,7 @@ class TestStabilityExperiment:
         # different state-dependent coefficients have no well-defined
         # deterministic data distance
         spec1 = make_cubic_spec(n=9, multiplicative=True)
-        other_b = DiffusionCoefficient.affine(1.1 * spec1.B.base, spec1.B.state_scale,
-                                              spec1.B.q)
+        other_b = DiffusionCoefficient(1.1 * spec1.B.base, spec1.B.state_scale, spec1.B.q)
         spec2 = spec1.with_data(B=other_b)
         with pytest.raises(ConfigurationError):
             stability_estimate_experiment(spec1, spec2, 10, 1, dt=2.0**-6)
@@ -287,6 +286,22 @@ class TestH2Norm:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             h2_norm([], HilbertSpace(2))
+
+
+class TestEnsembleSeeding:
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit"])
+    def test_member_matches_single_path_solve(self, scheme):
+        # member i uses the Wiener seed seed + i and the jump seed seed + 2**31 + i
+        spec = make_cubic_spec(n=7, multiplicative=True)
+        assert not spec.B.additive and not spec.G.additive
+        dt, seed, members = 2.0**-5, 41, 4
+        grid = TimeGrid(spec.T, round(spec.T / dt))
+        states = _solve_ensemble(spec, grid, dt, scheme, seed, members)
+        for i in range(members):
+            noise = (sample_wiener(spec.B.q, grid, seed + i),
+                     sample_poisson(spec.marks, spec.T, seed + 2**31 + i))
+            single = solve_scheme(spec, noise, dt, scheme).states
+            assert np.abs(states[i] - single).max() <= 1e-12
 
 
 class TestWeakResidual:

@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mildsde.cli import emit_plot_data, main, parse_config, run
+from mildsde.cli import main, parse_config, run
 from mildsde.errors import ConfigurationError
 from mildsde.noise import TimeGrid, sample_poisson, sample_wiener
 from mildsde.model import MarkSpace
 from mildsde.solver import solve_exp_euler
-from mildsde.textio import (atomic_write_text, read_columns, write_poisson_path,
-                            write_trajectory, write_wiener_path)
+from mildsde.textio import (atomic_write_text, read_columns, write_plot_data,
+                            write_poisson_path, write_trajectory, write_wiener_path)
 
 from conftest import make_cubic_spec
 
@@ -182,7 +182,7 @@ class TestEmitPlotData:
     def test_coupling_curve_rows_and_slope(self, tmp_path):
         spec = make_cubic_spec(n=7)
         report = self.make_coupling_report(spec)
-        paths = emit_plot_data(report, tmp_path)
+        paths = write_plot_data(report, tmp_path)
         data = read_columns([p for p in paths if "gap_vs_dt" in p.name][0])
         assert data.shape[0] == 4
         assert np.all(np.diff(data[:, 0]) > 0)  # monotone first column
@@ -196,7 +196,7 @@ class TestEmitPlotData:
                                alpha=0.8)
         u0_b = spec.u0 + 0.2 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, spec.u0, u0_b, 30, 3, dt=2.0**-6)
-        paths = emit_plot_data(report, tmp_path)
+        paths = write_plot_data(report, tmp_path)
         data = read_columns([p for p in paths if "log_gap_vs_t" in p.name][0])
         expected = np.log(spec.space.sq_norms(spec.u0 - u0_b))
         assert data[0, 1] == expected
@@ -227,6 +227,17 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as status:
             main([str(tmp_path / "missing.cfg")])
         assert status.value.code == 2
+
+    def test_step_that_does_not_divide_the_horizon_exits_2(self, tmp_path, capsys):
+        for name in ("stability", "cauchy"):
+            text = MINIMAL.replace("experiments =", f"experiments = {name}")
+            text += f"\n[experiment.{name}]\ndt = 0.3\nensemble = 4\n"
+            cfg_path = write_cfg(tmp_path, text)
+            with pytest.raises(SystemExit) as status:
+                main([str(cfg_path), "--output-dir", str(tmp_path / "out")])
+            assert status.value.code == 2
+            err = capsys.readouterr().err
+            assert "does not divide" in err and "Traceback" not in err
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "mildsde.cli", "--help"],

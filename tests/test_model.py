@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity, check_dissipativity_triplet,
-                           check_shifted_monotonicity, drift_apply, m_norm, q_norm)
+                           check_shifted_monotonicity, m_norm, q_norm)
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 
 from conftest import make_cubic_spec
@@ -13,12 +13,12 @@ from conftest import make_cubic_spec
 class TestNonlinearity:
     def test_cubic_evaluation(self):
         F = Nonlinearity((0.0, 0.0, 0.0, 1.0))
-        assert np.allclose(drift_apply(F, [1.0, -2.0]), [1.0, -8.0])
+        assert np.allclose(F([1.0, -2.0]), [1.0, -8.0])
 
     def test_identity_polynomial(self):
         F = Nonlinearity((0.0, 1.0))
         u = np.linspace(-3, 3, 11)
-        assert np.array_equal(drift_apply(F, u), u)
+        assert np.array_equal(F(u), u)
 
     def test_zero_polynomial(self):
         assert np.array_equal(Nonlinearity.zero()(np.ones(4)), np.zeros(4))
@@ -71,7 +71,7 @@ class TestShiftedMonotonicity:
 
 def scalar_multiplicative_spec(alpha):
     A = SpectralOperator.diagonal([0.0])
-    B = DiffusionCoefficient.affine(np.zeros((1, 1)), [1.0], np.array([1.0]))
+    B = DiffusionCoefficient(np.zeros((1, 1)), [1.0], np.array([1.0]))
     G = JumpCoefficient.zero(1)
     return EquationSpec(A=A, F=Nonlinearity.zero(), B=B, G=G,
                         u0=np.zeros(1), T=1.0, alpha=alpha)
@@ -96,10 +96,10 @@ class TestDissipativityTriplet:
         A = dirichlet_laplacian(n)
         q = np.array([1.0, 0.5])
         scale_b = np.array([0.2, 0.1])
-        B = DiffusionCoefficient.affine(np.zeros((n, 2)), scale_b, q)
+        B = DiffusionCoefficient(np.zeros((n, 2)), scale_b, q)
         marks = MarkSpace((-1.0, 2.0), (1.5, 0.5))
         scale_g = np.array([0.15, 0.1])
-        G = JumpCoefficient.affine(np.zeros((n, 2)), scale_g, marks)
+        G = JumpCoefficient(np.zeros((n, 2)), scale_g, marks)
         spec = EquationSpec(A=A, F=Nonlinearity((0.0, lam, 0.0, 1.0)), B=B, G=G,
                             u0=np.zeros(n), T=1.0, alpha=0.0)
         bound = 2 * lam - B.lipschitz**2 - G.lipschitz**2
@@ -116,10 +116,10 @@ class TestDissipativityTriplet:
         spec1 = EquationSpec(
             A=A, F=Nonlinearity((0.0, 0.0, 0.0, 1.0)),
             B=DiffusionCoefficient.zero(n, 1),
-            G=JumpCoefficient.affine(base, scale, marks),
+            G=JumpCoefficient(base, scale, marks),
             u0=np.zeros(n), T=1.0, alpha=0.0)
         spec2 = spec1.with_data(
-            G=JumpCoefficient.affine(base[:, order], scale[order], marks.permuted(order)))
+            G=JumpCoefficient(base[:, order], scale[order], marks.permuted(order)))
         m1 = check_dissipativity_triplet(spec1, 2000, seed=9).margin
         m2 = check_dissipativity_triplet(spec2, 2000, seed=9).margin
         assert m1 == pytest.approx(m2, abs=1e-12)
@@ -149,9 +149,9 @@ class TestNorms:
         rng = np.random.default_rng(12)
         space = HilbertSpace(6, 1.0 / 7.0)
         q = np.array([1.0, 0.5])
-        B = DiffusionCoefficient.affine(rng.standard_normal((6, 2)), [0.3, 0.1], q)
+        B = DiffusionCoefficient(rng.standard_normal((6, 2)), [0.3, 0.1], q)
         marks = MarkSpace((-1.0, 1.0), (1.0, 2.0))
-        G = JumpCoefficient.affine(rng.standard_normal((6, 2)), [0.2, 0.05], marks)
+        G = JumpCoefficient(rng.standard_normal((6, 2)), [0.2, 0.05], marks)
         for _ in range(200):
             u, v = rng.standard_normal((2, 6))
             gap = space.norm(u - v)
@@ -173,13 +173,13 @@ class TestCoefficientsAndSpec:
         with pytest.raises(ValueError):
             DiffusionCoefficient.constant(np.zeros((3, 2)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
-            DiffusionCoefficient.affine(np.zeros((3, 2)), [0.1], np.array([1.0, 1.0]))
+            DiffusionCoefficient(np.zeros((3, 2)), [0.1], np.array([1.0, 1.0]))
         assert DiffusionCoefficient.constant(np.zeros((3, 2)), np.array([1.0, 0.0])).additive
 
     def test_additive_flag_tracks_state_scale(self):
         q = np.array([1.0])
-        assert DiffusionCoefficient.affine(np.ones((2, 1)), [0.0], q).additive
-        assert not DiffusionCoefficient.affine(np.ones((2, 1)), [0.5], q).additive
+        assert DiffusionCoefficient(np.ones((2, 1)), [0.0], q).additive
+        assert not DiffusionCoefficient(np.ones((2, 1)), [0.5], q).additive
 
     def test_spec_validation(self):
         A = dirichlet_laplacian(4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener,
 from mildsde.solver import (SchemeConfig, ito_energy_residual, ito_energy_terms,
                             regularized_coupling_identity, solve_exp_euler,
                             solve_linear_data, solve_resolvent_implicit, solve_scheme,
-                            solve_yosida_explicit)
+                            solve_yosida_explicit, step_ensemble)
 from mildsde.space import SpectralOperator, dirichlet_laplacian, resolvent_apply, semigroup_apply
 
 from conftest import make_cubic_spec, make_linear_spec
@@ -196,6 +198,15 @@ class TestTrajectoryContracts:
         with pytest.warns(StiffnessWarning):
             solve_exp_euler(spec, noise_for(spec, 0.125), 0.125)
 
+    def test_integrability_closed_form_on_additive_noise(self):
+        # F = 0 and state-free B, G: every cell adds dt * w * (|B|_Q^2 + |G|_m^2)
+        spec = make_linear_spec(n=7, jump_amp=0.3)
+        traj = solve_exp_euler(spec, noise_for(spec, 2.0**-6, seed=4), 2.0**-6)
+        col_b = (spec.B.base**2).sum(axis=0) @ spec.B.q
+        col_g = (spec.G.base**2).sum(axis=0) @ spec.marks.weight_array
+        expected = spec.T * spec.space.weight * (col_b + col_g)
+        assert traj.integrability == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_noise_validation(self):
         spec = make_cubic_spec(n=9)
         wiener, poisson = noise_for(spec, 2.0**-5)
@@ -359,6 +370,41 @@ class TestItoEnergyIdentity:
         noise = (sample_wiener(self.q, grid, 0), sample_poisson(self.marks, 1.0, 1))
         with pytest.raises(ConfigurationError):
             ito_energy_residual(A, g, C, D, noise, self.marks)
+
+
+class TestStiffnessPolicy:
+    """One StiffnessWarning when dt * max|f'(u)| over all members and components reaches 1."""
+
+    def spec(self):
+        # f = u^3 - 3u: from u0 = 1 the path climbs towards sqrt(3), where
+        # dt * f'(u) = 0.1 * 6 stays below 1 (the exact maximum is 0.599)
+        return EquationSpec(A=SpectralOperator.diagonal([0.0]),
+                            F=Nonlinearity((0.0, -3.0, 0.0, 1.0)),
+                            B=DiffusionCoefficient.constant(np.ones((1, 1)), np.array([1.0])),
+                            G=JumpCoefficient.zero(1), u0=np.array([1.0]), T=1.0)
+
+    def test_no_warning_inside_the_safety_region(self):
+        from mildsde.analysis import _solve_ensemble
+        spec = self.spec().with_data(B=DiffusionCoefficient.zero(1))
+        grid = TimeGrid(1.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StiffnessWarning)
+            solve_exp_euler(spec, noise_for(spec, 0.1), 0.1)
+            _solve_ensemble(spec, grid, 0.1, "exp_euler", 3, 4)
+
+    def test_one_member_crossing_warns(self):
+        # member 1 is kicked to u = 2.7 at its first step, where
+        # dt * f'(u) = 1.89; member 0 alone never leaves the safe region
+        dW = np.zeros((2, 10, 1))
+        dW[1, 0, 0] = 1.5
+        counts = np.zeros((2, 10, 1))
+        config = SchemeConfig("exp_euler", 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StiffnessWarning)
+            step_ensemble(self.spec(), dW[:1], counts[:1], config)
+        with pytest.warns(StiffnessWarning, match="at step 1"):
+            states = step_ensemble(self.spec(), dW, counts, config)
+        assert states[1, 1, 0] == pytest.approx(2.7)
 
 
 class TestSchemeDispatch:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mildsde.space import (HilbertSpace, Resolvent, SpectralOperator, dirichlet_laplacian,
-                           resolvent_apply, semigroup_apply, yosida_apply)
+from mildsde.space import (HilbertSpace, SpectralOperator, dirichlet_laplacian, resolvent_apply,
+                           semigroup_apply, yosida_apply)
 
 RNG = np.random.default_rng(20260809)
 
@@ -136,11 +136,10 @@ class TestResolvent:
             eps = 10.0 ** RNG.uniform(-3, 1)
             assert A.space.norm(resolvent_apply(A, eps, x)) <= A.space.norm(x) + 1e-12
 
-    def test_bound_object(self):
+    def test_matches_resolvent_matrix(self):
         A = dirichlet_laplacian(4)
-        J = Resolvent(A, 0.2)
         x = RNG.standard_normal(4)
-        assert np.allclose(J.apply(x), resolvent_apply(A, 0.2, x), atol=1e-15)
+        assert np.allclose(A.resolvent_matrix(0.2) @ x, resolvent_apply(A, 0.2, x), atol=1e-15)
 
     def test_rejects_bad_arguments(self):
         A = dirichlet_laplacian(3)
@@ -151,7 +150,7 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_apply(A, 0.5, np.zeros(4))
         with pytest.raises(ValueError):
-            Resolvent(A, -0.1)
+            A.resolvent_matrix(-0.1)
 
 
 class TestYosida:
