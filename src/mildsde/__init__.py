@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .errors import BlowUpError, ConfigurationError, HypothesisError, StiffnessWarning
 from .space import (HilbertSpace, SpectralOperator, dirichlet_laplacian, resolvent_apply,
                     semigroup_apply, yosida_apply)
-from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarginReport,
-                    MarkSpace, Nonlinearity, check_dissipativity_triplet,
-                    check_shifted_monotonicity, m_norm, q_norm)
+from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
+                    Nonlinearity, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath, coarsen_wiener,
                     ito_integral, jump_cell_counts, poisson_integral, quadratic_mark_sum,
                     sample_noise_batch, sample_poisson, sample_wiener, step_m_integral,

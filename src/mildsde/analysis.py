@@ -234,23 +234,21 @@ def _within_envelope(mean: float, se: float, envelope: float) -> bool:
 
 
 def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, seed: int,
-                           *, dt: float, scheme: str = "exp_euler",
-                           margin_samples: int = 2000,
-                           margin_radius: float = 3.0) -> ContractionReport:
+                           *, dt: float, scheme: str = "exp_euler") -> ContractionReport:
     """Synchronously coupled decay test under a certified dissipativity margin.
 
     Each ensemble member drives two solutions, started from u0_a and u0_b,
     with the identical noise path.  PASS requires the empirical mean squared
     gap to sit below exp(-2 alpha t) |u0_a - u0_b|^2 up to three standard
     errors at every grid time.  Refuses to run (HypothesisError) if the
-    sampled triplet margin for the declared alpha is negative.
+    exact triplet margin for the declared alpha is negative.
     """
     if ensemble_size < 1:
         raise ConfigurationError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    margin = check_dissipativity_triplet(spec, margin_samples, seed, radius=margin_radius)
-    if margin.margin < 0.0:
+    margin = check_dissipativity_triplet(spec)
+    if margin < 0.0:
         raise HypothesisError(
-            f"dissipativity hypothesis unmet: sampled margin {margin.margin:.3e} < 0 "
+            f"dissipativity hypothesis unmet: margin {margin:.3e} < 0 "
             f"for declared alpha={spec.alpha}")
     u0_a = spec.space.element(u0_a)
     u0_b = spec.space.element(u0_b)
@@ -279,7 +277,7 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
         ok = all(_within_envelope(m, s, e) for m, s, e in zip(mean, se, envelope))
         verdict = PASS if ok else FAIL
     return ContractionReport("contraction", grid.times.copy(), mean, se, envelope,
-                             spec.alpha, margin.margin, verdict, seed)
+                             spec.alpha, margin, verdict, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +312,15 @@ class StabilityReport:
         if not np.any(keep):
             return {}
         return {"n_vs_t": (self.times[keep], self.n_values[keep], self.n_stderr[keep])}
+
+
+def _finite_raw_margin(spec: EquationSpec) -> float:
+    """Raw margin (alpha = 0) for the Gronwall envelopes, which need it finite."""
+    margin = check_dissipativity_triplet(spec, alpha=0.0)
+    if margin == -np.inf:
+        raise HypothesisError("dissipativity hypothesis unmet: f' is unbounded below, "
+                              "so the raw margin is -inf")
+    return margin
 
 
 def _require_shared_frame(spec1: EquationSpec, spec2: EquationSpec):
@@ -354,8 +361,7 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
                                   ensemble_size: int, seed: int, *, dt: float,
                                   scheme: str = "exp_euler",
                                   noise_floor: float = 1e-14,
-                                  continuity_factor: float = 5.0,
-                                  margin_samples: int = 2000) -> StabilityReport:
+                                  continuity_factor: float = 5.0) -> StabilityReport:
     """Estimate N(t) = E|u1(t) - u2(t)|^2 / (data distance up to t).
 
     The two specifications must share the operator, drift, horizon and noise
@@ -364,9 +370,10 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
     ``continuity_factor`` between adjacent grid times, and sit below the
     margin-derived envelope exp(2 |margin| t) up to three standard errors.
     Returns INCONCLUSIVE when the data distance never exceeds the noise
-    floor.
+    floor.  Refuses to run (HypothesisError) when the raw margin is -inf.
     """
     _require_shared_frame(spec1, spec2)
+    margin_raw = _finite_raw_margin(spec1)
     grid = _grid(spec1.T, dt)
     steps = grid.steps
     space = spec1.space
@@ -391,7 +398,6 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
         elif den[k] > noise_floor:
             n_vals[k] = num_mean[k] / den[k]
             n_se[k] = num_se[k] / den[k]
-    margin_raw = check_dissipativity_triplet(spec1, margin_samples, seed, alpha=0.0).margin
     envelope = np.exp(2.0 * abs(margin_raw) * grid.times)
 
     if not np.any(den > noise_floor):
@@ -445,8 +451,7 @@ class CauchyReport:
 def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
                                 ensemble_size: int, dt: float,
                                 scheme: str = "exp_euler",
-                                n_bound: float | None = None,
-                                margin_samples: int = 2000) -> CauchyReport:
+                                n_bound: float | None = None) -> CauchyReport:
     """Solve along a data sequence converging to the spec's data.
 
     data_sequence is a list of (u0_n, B_n, G_n) whose distance to the limit
@@ -454,11 +459,13 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     the sup-in-time mean-square norm; PASS requires each solution distance
     to be controlled linearly by the matching data distance, with constant
     ``n_bound`` (defaulting to the margin-derived Gronwall envelope at the
-    horizon).
+    horizon, which refuses (HypothesisError) a raw margin of -inf).
     """
     if len(data_sequence) < 2:
         raise ConfigurationError("data sequence needs at least two entries")
     grid = _grid(spec.T, dt)
+    if n_bound is None:
+        n_bound = float(np.exp(2.0 * abs(_finite_raw_margin(spec)) * spec.T))
     space = spec.space
     specs = [spec.with_data(u0=u0_n, B=b_n, G=g_n) for (u0_n, b_n, g_n) in data_sequence]
 
@@ -486,9 +493,6 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
                        for i in range(len(sol_dists) - 1)
                        if positive[i] and positive[i + 1]])
     mean_ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else 0.0
-    if n_bound is None:
-        margin_raw = check_dissipativity_triplet(spec, margin_samples, seed, alpha=0.0).margin
-        n_bound = float(np.exp(2.0 * abs(margin_raw) * spec.T))
     controlled = np.all(sol_dists <= n_bound * data_dists)
     verdict = PASS if controlled else FAIL
     return CauchyReport("cauchy", data_dists, sol_dists, ratios, mean_ratio,
@@ -542,16 +546,11 @@ def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
     dt = grid.dt
     u = traj.states
     A = spec.A
-    counts = jump_cell_counts(poisson, grid)
-    mark_w = spec.marks.weight_array
-
-    wiener_total = np.zeros(A.dim)
-    jump_total = np.zeros(A.dim)
-    for n in range(grid.steps):
-        t = grid.times[n]
-        wiener_total += spec.B(t, u[n]) @ wiener.increments[n]
-        g_mat = spec.G(t, u[n])
-        jump_total += g_mat @ counts[n] - dt * (g_mat @ mark_w)
+    dW = wiener.increments
+    dN = jump_cell_counts(poisson, grid) - dt * spec.marks.weight_array
+    # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
+    wiener_total = spec.B.base @ dW.sum(axis=0) + u[:-1].T @ (dW @ spec.B.state_scale)
+    jump_total = spec.G.base @ dN.sum(axis=0) + u[:-1].T @ (dN @ spec.G.state_scale)
 
     coords_u = A.coords(u)                      # (N+1, n) eigen-coordinates
     coords_f = A.coords(spec.F(u[:-1]))

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from . import analysis
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
-                    MarginReport, Nonlinearity, check_dissipativity_triplet)
+                    Nonlinearity, check_dissipativity_triplet)
 from .noise import TimeGrid
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import fmt, write_manifest, write_plot_data, write_report
@@ -62,7 +62,7 @@ class RunConfig:
     ensemble_paths: int
     output_dir: Path
     formats: tuple
-    margin: MarginReport
+    margin: float
     config_sha256: str
     sections: dict = field(repr=False, default_factory=dict)
 
@@ -76,10 +76,12 @@ class RunConfig:
             return default
         if isinstance(default, bool):
             return raw.strip().lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        if isinstance(default, (int, float)):
+            try:
+                return type(default)(raw)
+            except ValueError:
+                raise ConfigurationError(f"[experiment.{experiment}] {key}: expected "
+                                         f"{type(default).__name__}, got {raw!r}") from None
         if isinstance(default, (tuple, list)):
             return tuple(_floats(raw))
         return raw.strip()
@@ -160,7 +162,7 @@ def parse_config(path) -> RunConfig:
 
     Structural invariants are checked here (nonnegative covariance and mark
     weights, dyadic step list, known experiment names, explicit seed) and the
-    dissipativity margin of the configured equation is sampled and recorded.
+    exact dissipativity margin of the configured equation is recorded.
     """
     path = Path(path)
     if not path.exists():
@@ -204,9 +206,6 @@ def parse_config(path) -> RunConfig:
         if fmt_name not in ("report", "plotdata"):
             raise ConfigurationError(f"[output] formats: unknown format {fmt_name!r}")
 
-    margin_samples = int(exp.get("margin_samples", "2000"))
-    margin = check_dissipativity_triplet(spec, margin_samples, seed)
-
     return RunConfig(
         equation=spec,
         eta=eta,
@@ -218,7 +217,7 @@ def parse_config(path) -> RunConfig:
         ensemble_paths=ensemble_paths,
         output_dir=output_dir,
         formats=formats,
-        margin=margin,
+        margin=check_dissipativity_triplet(spec),
         config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
         sections=sections,
     )
@@ -432,8 +431,7 @@ def run(config: RunConfig, verbose: bool = False) -> int:
             "config_sha256": config.config_sha256,
             "seed": config.seed,
             "experiments": " ".join(config.experiments) if config.experiments else "-",
-            "dissipativity_margin": fmt(config.margin.margin),
-            "margin_samples": config.margin.samples,
+            "dissipativity_margin": fmt(config.margin),
         }
         for name in config.experiments:
             entries[f"verdict.{name}"] = verdicts[name]
@@ -492,11 +490,13 @@ def main(argv=None) -> None:
             from dataclasses import replace
             config = replace(config, **replacements)
         if args.verbose:
-            print(f"sampled dissipativity margin: {config.margin.margin:.6g} "
-                  f"({config.margin.samples} samples)")
+            print(f"dissipativity margin: {config.margin:.6g}")
         status = run(config, verbose=args.verbose)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except HypothesisError as exc:
+        print(f"hypothesis error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(status)
 

@@ -17,7 +17,7 @@ class BlowUpError(RuntimeError):
 
 
 class HypothesisError(ValueError):
-    """A structural hypothesis an experiment relies on failed its sampled check."""
+    """A structural hypothesis an experiment relies on is not met by the configured data."""
 
 
 class StiffnessWarning(UserWarning):

@@ -1,11 +1,22 @@
-"""Equation data and structural hypothesis checks.
+"""Equation data and the exact dissipativity margin.
 
 Holds the drift nonlinearity, the Wiener and jump noise coefficients, the
-assembled equation data, and randomized checkers for the two structural
-hypotheses everything downstream rests on: shifted monotonicity of the
-drift, and the dissipativity inequality coupling drift gain against
-noise-coefficient differences.  Checkers report sampled margins; they never
-silently assume a hypothesis holds.
+assembled equation data, and the one structural hypothesis everything
+downstream rests on: the dissipativity inequality coupling drift gain
+against noise-coefficient differences.
+
+Margin convention: the margin of (F, B, G) for a declared alpha is the
+exact infimum over u != v of
+
+    [2 <F(u) - F(v), u - v> - |B(u) - B(v)|_Q^2 - |G(u) - G(v)|_m^2] / |u - v|^2 - alpha.
+
+B and G are affine with state scales b_k and g_j, so the noise terms equal
+L_B^2 |u - v|^2 and L_G^2 |u - v|^2 with L_B^2 = sum_k q_k b_k^2 and
+L_G^2 = sum_j m_j g_j^2.  F acts componentwise, so the drift term is a
+weighted mean of difference quotients of f, at least 2 inf f' and
+approaching it as u -> v at the argmin of f'.  The margin is therefore
+2 inf f' - L_B^2 - L_G^2 - alpha.  A nonnegative margin certifies the
+hypothesis for the configured data; it is -inf when f' is unbounded below.
 """
 
 from __future__ import annotations
@@ -24,14 +35,10 @@ __all__ = [
     "JumpCoefficient",
     "MarkSpace",
     "EquationSpec",
-    "MarginReport",
-    "check_shifted_monotonicity",
     "check_dissipativity_triplet",
     "q_norm",
     "m_norm",
 ]
-
-_DEGENERATE_PAIR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,9 @@ class Nonlinearity:
 
     ``shift`` is the constant eta for which r -> f(r) + eta*r is expected to
     be monotone.  Reaction-diffusion drifts have odd top degree with positive
-    leading coefficient, but nothing here enforces that; the checkers below
-    certify hypotheses by sampling instead.
+    leading coefficient, but nothing here enforces that; the margin of
+    :func:`check_dissipativity_triplet` is -inf for any other drift of
+    degree two or more.
     """
 
     coefficients: tuple = ()
@@ -78,17 +86,23 @@ class Nonlinearity:
     def derivative(self, u):
         return Nonlinearity(self.derivative_coefficients())(u)
 
-    def min_derivative(self, lo: float, hi: float) -> float:
-        """Exact minimum of f' on [lo, hi] via the critical points of f'."""
-        dcoeffs = self.derivative_coefficients()
-        candidates = [lo, hi]
-        if len(dcoeffs) >= 3:
-            ddcoeffs = tuple((p + 1) * c for p, c in enumerate(dcoeffs[1:]))
-            roots = np.polynomial.polynomial.polyroots(ddcoeffs)
-            real = roots[np.abs(roots.imag) < 1e-12].real
-            candidates.extend(r for r in real if lo <= r <= hi)
-        fprime = Nonlinearity(dcoeffs)
-        return float(min(fprime(np.array(candidates)))) if dcoeffs else 0.0
+    def min_derivative(self) -> float:
+        """Exact infimum of f' over the real line; -inf when f' is unbounded below.
+
+        f' is bounded below iff it is constant or has even degree with a
+        positive leading coefficient; then the minimum sits at a real
+        critical point of f'.  Evaluating f' at the real part of every
+        critical point never undershoots that minimum and needs no tolerance
+        for deciding which roots are real.
+        """
+        dcoeffs = np.trim_zeros(np.array(self.derivative_coefficients()), "b")
+        if dcoeffs.size <= 1:
+            return float(dcoeffs[0]) if dcoeffs.size else 0.0
+        if dcoeffs.size % 2 == 0 or dcoeffs[-1] < 0.0:
+            return -np.inf
+        ddcoeffs = dcoeffs[1:] * np.arange(1, dcoeffs.size)
+        roots = np.roots(ddcoeffs[::-1])
+        return float(self.derivative(roots.real).min())
 
 
 @dataclass(frozen=True)
@@ -229,9 +243,9 @@ class EquationSpec:
     """Full data of the evolution equation du + Au dt + F(u) dt = B dW + G dmu_bar.
 
     ``alpha`` is the declared dissipativity margin of the (F, B, G) triplet;
-    it is certified (on samples) by :func:`check_dissipativity_triplet`, and
-    experiments that rely on it refuse to run when the sampled margin is
-    negative.
+    :func:`check_dissipativity_triplet` computes the exact margin left over
+    after alpha, and experiments that rely on alpha refuse to run when that
+    margin is negative.
     """
 
     A: SpectralOperator
@@ -290,76 +304,11 @@ class EquationSpec:
         return hasher.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    """Result of a randomized hypothesis check: the minimal sampled margin."""
+def check_dissipativity_triplet(spec: EquationSpec, alpha: float | None = None) -> float:
+    """Exact dissipativity margin 2 inf f' - L_B^2 - L_G^2 - alpha (module docstring).
 
-    margin: float
-    samples: int
-    skipped: int
-    seed: int
-
-    @property
-    def certified(self) -> bool:
-        return self.margin >= 0.0
-
-
-def check_shifted_monotonicity(F: Nonlinearity, eta: float, sample_count: int, seed: int,
-                               *, dim: int = 8, radius: float = 5.0) -> MarginReport:
-    """Sample the Rayleigh margin of u -> F(u) + eta u over random pairs.
-
-    Returns min over pairs of [<Fu - Fv, u - v> + eta |u - v|^2] / |u - v|^2.
-    The inner-product weight cancels in the ratio, so sampling is
-    weight-free.  A nonnegative result certifies the hypothesis on the
-    sample; pairs closer than 1e-14 are skipped as degenerate.
+    ``alpha`` defaults to the spec's declared margin; pass ``alpha=0.0`` for
+    the raw margin.  Returns -inf when f' is unbounded below.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-radius, radius, size=(sample_count, dim))
-    v = rng.uniform(-radius, radius, size=(sample_count, dim))
-    diff = u - v
-    den = np.einsum("ij,ij->i", diff, diff)
-    keep = den > _DEGENERATE_PAIR
-    num = np.einsum("ij,ij->i", F(u) - F(v), diff) + eta * den
-    ratios = num[keep] / den[keep]
-    margin = float(ratios.min()) if ratios.size else np.inf
-    return MarginReport(margin, int(keep.sum()), int((~keep).sum()), seed)
-
-
-def check_dissipativity_triplet(spec: EquationSpec, sample_count: int, seed: int,
-                                *, radius: float = 3.0,
-                                alpha: float | None = None) -> MarginReport:
-    """Sample the dissipativity inequality of the (F, B, G) triplet.
-
-    For random (s, u, v) computes
-    [2 <Fu - Fv, u - v> - |B(s,u) - B(s,v)|_Q^2 - |G(s,u,.) - G(s,v,.)|_m^2
-     - alpha |u - v|^2] / |u - v|^2
-    and returns the sampled minimum.  ``alpha`` defaults to the spec's
-    declared margin; pass ``alpha=0.0`` for the raw margin.
-    """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     alpha = spec.alpha if alpha is None else float(alpha)
-    rng = np.random.default_rng(seed)
-    n = spec.A.dim
-    w = spec.space.weight
-    s_vals = rng.uniform(0.0, spec.T, size=sample_count)
-    u = rng.uniform(-radius, radius, size=(sample_count, n))
-    v = rng.uniform(-radius, radius, size=(sample_count, n))
-    diff = u - v
-    den = w * np.einsum("ij,ij->i", diff, diff)
-    drift_gain = 2.0 * w * np.einsum("ij,ij->i", spec.F(u) - spec.F(v), diff)
-    margin = np.inf
-    used = skipped = 0
-    for i in range(sample_count):
-        if den[i] <= _DEGENERATE_PAIR:
-            skipped += 1
-            continue
-        db = spec.B(s_vals[i], u[i]) - spec.B(s_vals[i], v[i])
-        dg = spec.G(s_vals[i], u[i]) - spec.G(s_vals[i], v[i])
-        lhs = drift_gain[i] - q_norm(db, spec.B.q, spec.space) ** 2 \
-            - m_norm(dg, spec.marks, spec.space) ** 2
-        margin = min(margin, (lhs - alpha * den[i]) / den[i])
-        used += 1
-    return MarginReport(float(margin), used, skipped, seed)
+    return 2.0 * spec.F.min_derivative() - spec.B.lipschitz ** 2 - spec.G.lipschitz ** 2 - alpha

@@ -12,7 +12,7 @@ from mildsde.analysis import (INCONCLUSIVE, PASS, _solve_ensemble, compensator_e
                               yosida_convergence_experiment, yosida_coupling_bound)
 from mildsde.errors import ConfigurationError, HypothesisError
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
-                           Nonlinearity)
+                           Nonlinearity, check_dissipativity_triplet)
 from mildsde.noise import POISSON_SEED_OFFSET, TimeGrid, sample_poisson, sample_wiener
 from mildsde.solver import solve_resolvent_implicit, solve_scheme
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
@@ -117,11 +117,19 @@ class TestContractionExperiment:
         assert report.margin >= 0.0
 
     def test_refuses_unmet_hypothesis(self):
-        # anti-monotone linear drift: the sampled ratio is exactly -2 for
-        # every pair, below any nonnegative declared margin
+        # anti-monotone linear drift: the raw margin is exactly -2, below
+        # any nonnegative declared margin
         spec = linear_contraction_spec(slope=-1.0, alpha=0.0)
         with pytest.raises(HypothesisError):
             contraction_experiment(spec, spec.u0, spec.u0, 10, 1, dt=2.0**-6)
+
+    def test_zero_margin_is_certified(self):
+        # A = 0, slope 1, additive noise, alpha = 2: the margin 2 * 1 - 2 is
+        # exactly 0, the boundary case, so the experiment must run
+        spec = linear_contraction_spec(slope=1.0, alpha=2.0)
+        assert check_dissipativity_triplet(spec) == 0.0
+        report = contraction_experiment(spec, spec.u0, spec.u0 + 0.1, 10, 1, dt=2.0**-6)
+        assert report.margin == 0.0
 
     def test_gap_scaling_is_exactly_linear(self):
         # pathwise linearity of the synchronous gap for a linear drift
@@ -183,6 +191,18 @@ class TestStabilityExperiment:
         want = exact_n[1:]
         se = report.n_stderr[1:]
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
+
+    def test_refuses_unbounded_drift_derivative(self):
+        # f = r^2 has f' unbounded below: the Gronwall envelope would be
+        # exp(inf * 0) = nan at t = 0, so the experiment refuses to run
+        spec1, spec2, _ = additive_pair()
+        quadratic = Nonlinearity((0.0, 0.0, 1.0))
+        spec1, spec2 = spec1.with_data(F=quadratic), spec2.with_data(F=quadratic)
+        with pytest.raises(HypothesisError, match="-inf"):
+            stability_estimate_experiment(spec1, spec2, 10, 1, dt=2.0**-6)
+        seq = [(spec1.u0, spec1.B, spec1.G)] * 3
+        with pytest.raises(HypothesisError, match="-inf"):
+            generalized_solution_cauchy(spec1, seq, 1, ensemble_size=10, dt=2.0**-6)
 
     def test_rejects_mismatched_frames(self):
         spec1 = make_cubic_spec(n=9, multiplicative=False)

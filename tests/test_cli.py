@@ -8,7 +8,7 @@ import pytest
 from mildsde.cli import main, parse_config, run
 from mildsde.errors import ConfigurationError
 from mildsde.noise import TimeGrid, sample_poisson, sample_wiener
-from mildsde.model import MarkSpace
+from mildsde.model import MarkSpace, check_dissipativity_triplet
 from mildsde.solver import solve_exp_euler
 from mildsde.textio import (atomic_write_text, read_columns, write_plot_data,
                             write_poisson_path, write_trajectory, write_wiener_path)
@@ -58,7 +58,19 @@ class TestParseConfig:
         assert cfg.output_dir == Path("out")
         assert cfg.formats == ("report", "plotdata")
         assert cfg.equation.A.dim == 3
-        assert np.isfinite(cfg.margin.margin)
+        # f = r, additive noise, alpha = 0: the margin is 2 inf f' = 2
+        assert cfg.margin == 2.0
+
+    def test_shipped_margins_are_exact(self):
+        # f = r^3 - r: 2 * (-1) - L_B^2 - L_G^2 with L_B^2 = 0.05^2 and
+        # L_G^2 = 2 * 2 * 0.02^2; the overrides use f = r^3 + r/2
+        cfg = parse_config(CONFIG_DIR / "cubic-rd.cfg")
+        assert cfg.margin == pytest.approx(-2.0041, abs=1e-12)
+        contraction = cfg.equation_for("contraction")
+        assert check_dissipativity_triplet(contraction) == pytest.approx(0.0959, abs=1e-12)
+        stability = cfg.equation_for("stability")
+        assert check_dissipativity_triplet(stability, alpha=0.0) == 1.0
+        assert parse_config(CONFIG_DIR / "acceptance.cfg").margin == cfg.margin
 
     def test_negative_covariance_names_the_key(self, tmp_path):
         bad = MINIMAL.replace("q = 1.0", "q = -1.0")
@@ -222,6 +234,43 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as status:
             main([str(cfg_path), "--only", "nope"])
         assert status.value.code == 2
+
+    def test_seed_override_records_the_config_seed_margin(self, tmp_path):
+        # the margin is a function of the equation alone, so --seed 7 and a
+        # config that says seed = 7 write the same manifest margin
+        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
+        margins = []
+        for sub, cfg_text, extra in (("flag", text, ["--seed", "7"]),
+                                     ("file", text.replace("seed = 20260809", "seed = 7"), [])):
+            out = tmp_path / sub
+            with pytest.raises(SystemExit) as status:
+                main([str(write_cfg(tmp_path, cfg_text, f"{sub}.cfg")), "--only", "",
+                      "--output-dir", str(out)] + extra)
+            assert status.value.code == 0
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert "seed = 7" in manifest
+            margins.append([line for line in manifest if line.startswith("dissipativity_margin")])
+        assert margins[0] == margins[1] == ["dissipativity_margin = -2.0040999999999998"]
+
+    def test_unmet_hypothesis_exits_2(self, tmp_path, capsys):
+        # alpha = 5 leaves the exact margin 1 - 0.0041 - 5 < 0
+        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
+        text = text.replace("alpha = 0.9", "alpha = 5")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "contraction",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "dissipativity hypothesis unmet" in err and "Traceback" not in err
+
+    def test_bad_option_type_exits_2(self, tmp_path, capsys):
+        text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
+        text += "\n[experiment.resolvent_algebra]\ntrials = 1.5\n"
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "[experiment.resolvent_algebra] trials" in err and "Traceback" not in err
 
     def test_config_error_exit_code(self, tmp_path):
         with pytest.raises(SystemExit) as status:

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
-                           Nonlinearity, check_dissipativity_triplet,
-                           check_shifted_monotonicity, m_norm, q_norm)
+                           Nonlinearity, check_dissipativity_triplet, m_norm, q_norm)
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 
 from conftest import make_cubic_spec
@@ -30,43 +29,14 @@ class TestNonlinearity:
         assert np.allclose(F.derivative(r), 3 * r**2 - 3.0)
 
     def test_min_derivative_exact(self):
-        # f = r^3 - 3r, f' = 3r^2 - 3, min on [-5, 5] is -3 at r = 0
+        # f = r^3 - 3r, f' = 3r^2 - 3, infimum -3 at r = 0
         F = Nonlinearity((0.0, -3.0, 0.0, 1.0))
-        assert F.min_derivative(-5.0, 5.0) == pytest.approx(-3.0, abs=1e-12)
-        # boundary minimum for a convex derivative range
-        assert Nonlinearity((0.0, 2.0)).min_derivative(-1.0, 1.0) == pytest.approx(2.0)
-
-
-class TestShiftedMonotonicity:
-    def test_monotone_cubic(self):
-        report = check_shifted_monotonicity(Nonlinearity((0.0, 0.0, 0.0, 1.0)), 0.0,
-                                            10_000, seed=1)
-        assert report.margin >= 0.0
-        assert report.certified
-
-    def test_linear_case_exact_margin(self):
-        # f = -r: the sampled ratio is eta - 1 for every pair
-        F = Nonlinearity((0.0, -1.0))
-        assert check_shifted_monotonicity(F, 1.0, 500, seed=2).margin == pytest.approx(0.0, abs=1e-12)
-        report = check_shifted_monotonicity(F, 0.5, 500, seed=2)
-        assert report.margin == pytest.approx(-0.5, abs=1e-12)
-        assert not report.certified
-
-    def test_double_well_needs_its_shift(self):
-        # min f' = -3 for f = r^3 - 3r, so eta = 3 certifies on any sample
-        F = Nonlinearity((0.0, -3.0, 0.0, 1.0))
-        report = check_shifted_monotonicity(F, 3.0, 100_000, seed=3, radius=5.0)
-        assert report.margin >= 0.0
-        assert report.samples + report.skipped == 100_000
-
-    def test_benchmark_drift_with_unit_shift(self):
-        # f = r^3 - r: (a^3-b^3)(a-b) >= 0 makes eta = 1 sufficient
-        F = Nonlinearity((0.0, -1.0, 0.0, 1.0))
-        assert check_shifted_monotonicity(F, 1.0, 10_000, seed=4).margin >= 0.0
-
-    def test_rejects_empty_sample(self):
-        with pytest.raises(ValueError):
-            check_shifted_monotonicity(Nonlinearity.zero(), 0.0, 0, seed=0)
+        assert F.min_derivative() == -3.0
+        assert Nonlinearity((0.0, 2.0)).min_derivative() == 2.0
+        assert Nonlinearity.zero().min_derivative() == 0.0
+        # f = r^7 + r^4: f' = 7r^6 + 4r^3 is least at r^3 = -2/7, value -4/7
+        F = Nonlinearity((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
+        assert F.min_derivative() == pytest.approx(-4.0 / 7.0, abs=1e-14)
 
 
 def scalar_multiplicative_spec(alpha):
@@ -79,18 +49,19 @@ def scalar_multiplicative_spec(alpha):
 
 class TestDissipativityTriplet:
     def test_additive_noise_with_monotone_drift(self):
+        # f = r^3: inf f' = 0 at r = 0 and additive noise has no Lipschitz cost
         spec = make_cubic_spec(n=9, multiplicative=False,
                                f_coeffs=(0.0, 0.0, 0.0, 1.0), eta=0.0)
-        assert check_dissipativity_triplet(spec, 2000, seed=5).margin >= 0.0
+        assert check_dissipativity_triplet(spec) == 0.0
 
     def test_scalar_multiplicative_margin_is_zero(self):
-        # F = 0, B(t, u) = u, alpha = -1: the ratio vanishes identically
-        report = check_dissipativity_triplet(scalar_multiplicative_spec(-1.0), 1000, seed=6)
-        assert report.margin == pytest.approx(0.0, abs=1e-12)
+        # F = 0, B(t, u) = u, alpha = -1: 2 * 0 - 1 - 0 + 1 = 0
+        assert check_dissipativity_triplet(scalar_multiplicative_spec(-1.0)) == 0.0
+        assert check_dissipativity_triplet(scalar_multiplicative_spec(-1.0), alpha=0.0) == -1.0
 
     def test_lipschitz_lower_bound(self):
-        # f = r^3 + lam r gives 2<dF, y> >= 2 lam |y|^2, so the raw margin is
-        # at least 2 lam - L_B^2 - L_G^2
+        # f = r^3 + lam r gives 2<dF, y> >= 2 lam |y|^2 with equality as
+        # u -> v -> 0, so the raw margin is exactly 2 lam - L_B^2 - L_G^2
         lam = 0.7
         n = 9
         A = dirichlet_laplacian(n)
@@ -102,9 +73,9 @@ class TestDissipativityTriplet:
         G = JumpCoefficient(np.zeros((n, 2)), scale_g, marks)
         spec = EquationSpec(A=A, F=Nonlinearity((0.0, lam, 0.0, 1.0)), B=B, G=G,
                             u0=np.zeros(n), T=1.0, alpha=0.0)
-        bound = 2 * lam - B.lipschitz**2 - G.lipschitz**2
-        report = check_dissipativity_triplet(spec, 20_000, seed=7)
-        assert report.margin >= bound - 1e-10
+        assert check_dissipativity_triplet(spec) == 2 * lam - B.lipschitz**2 - G.lipschitz**2
+        assert check_dissipativity_triplet(spec, alpha=0.25) == \
+            2 * lam - B.lipschitz**2 - G.lipschitz**2 - 0.25
 
     def test_invariant_under_atom_relabeling(self):
         n = 6
@@ -120,9 +91,15 @@ class TestDissipativityTriplet:
             u0=np.zeros(n), T=1.0, alpha=0.0)
         spec2 = spec1.with_data(
             G=JumpCoefficient(base[:, order], scale[order], marks.permuted(order)))
-        m1 = check_dissipativity_triplet(spec1, 2000, seed=9).margin
-        m2 = check_dissipativity_triplet(spec2, 2000, seed=9).margin
-        assert m1 == pytest.approx(m2, abs=1e-12)
+        assert check_dissipativity_triplet(spec1) == check_dissipativity_triplet(spec2)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0, -40.0), (0.0, 0.0, 1.0),
+                                        (0.0, 0.0, 0.0, 0.0, -1.0)])
+    def test_unbounded_drift_derivative_gives_minus_inf(self, coeffs):
+        # f' of odd degree, or of even degree with a negative leading coefficient
+        spec = make_cubic_spec(n=5, f_coeffs=coeffs)
+        assert check_dissipativity_triplet(spec) == -np.inf
+        assert check_dissipativity_triplet(spec, alpha=-100.0) == -np.inf
 
 
 class TestNorms:
