@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
-from .noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener, jump_cell_counts,
-                    poisson_integral, quadratic_mark_sum, sample_noise_batch, sample_poisson,
-                    sample_wiener, step_m_integral, step_q_integral)
+from .noise import (POISSON_SEED_OFFSET, TimeGrid, WienerPath, coarsen_wiener,
+                    jump_cell_counts, poisson_integral, quadratic_mark_sum, sample_noise_batch,
+                    sample_poisson, sample_wiener, step_m_integral, step_q_integral)
 from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
                      regularized_coupling_identity, solve_exp_euler, solve_scheme,
                      solve_yosida_explicit, step_ensemble)
@@ -85,7 +85,7 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
     if paths is None:
         paths = sample_noise_batch(spec, grid, seed, ensemble_size)
     dW = np.stack([w.increments for w, _ in paths])                  # (M, N, d)
-    counts = np.stack([jump_cell_counts(p, grid) for _, p in paths])  # (M, N, J)
+    counts = jump_cell_counts([p for _, p in paths], grid)           # (M, N, J)
     return step_ensemble(spec, dW, counts, SchemeConfig(scheme, dt))
 
 
@@ -791,6 +791,19 @@ def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, see
                             summary={"relative_error": rel})
 
 
+# Monte Carlo jump paths are sampled and reduced this many at a time, which
+# bounds the (jumps x n) temporaries of a reduction.
+_JUMP_BLOCK = 500
+
+
+def _jump_path_blocks(marks: MarkSpace, horizon: float, seed: int, paths: int):
+    """(slice, jump paths) for consecutive blocks of members; member i uses seed + 2**31 + i."""
+    for start in range(0, paths, _JUMP_BLOCK):
+        block = slice(start, min(start + _JUMP_BLOCK, paths))
+        yield block, [sample_poisson(marks, horizon, seed + POISSON_SEED_OFFSET + i)
+                      for i in range(block.start, block.stop)]
+
+
 def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
                                 paths: int, seed: int, space: HilbertSpace,
                                 rel_tol: float = 0.05) -> ExperimentReport:
@@ -801,9 +814,8 @@ def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
     """
     g = np.asarray(g, dtype=float)
     values = np.empty((paths, g.shape[1]))
-    for i in range(paths):
-        path = sample_poisson(marks, grid.horizon, seed + POISSON_SEED_OFFSET + i)
-        values[i] = poisson_integral(g, path, marks, grid, t, compensated=True)
+    for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
+        values[block] = poisson_integral(g, jump_paths, marks, grid, t, compensated=True)
     sq = space.sq_norms(values)
     est = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(paths))
@@ -831,10 +843,9 @@ def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, t: float, paths:
     """Paired test that the realized jump sum of |D|^2 matches its compensator."""
     D = np.asarray(D, dtype=float)
     diffs = np.empty(paths)
-    for i in range(paths):
-        path = sample_poisson(marks, grid.horizon, seed + POISSON_SEED_OFFSET + i)
-        jump_sq, comp = quadratic_mark_sum(D, path, marks, grid, t, space)
-        diffs[i] = jump_sq - comp
+    for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
+        jump_sq, comp = quadratic_mark_sum(D, jump_paths, marks, grid, t, space)
+        diffs[block] = jump_sq - comp
     mean = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(paths))
     ok = abs(mean) <= 3.0 * se if se > 0 else abs(mean) <= 1e-12
@@ -882,7 +893,8 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
 
     The step data is drawn once on the coarsest grid and refined exactly (a
     step function is resolution-independent); paths are coupled across
-    resolutions by coarsening one fine realization.
+    resolutions by coarsening one fine realization, and all paths are
+    stepped together, one batched call per step size.
     """
     dts = _validate_dyadic(dt_list, T)
     q = np.asarray(q, dtype=float)
@@ -893,18 +905,17 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     c0 = c_amp * rng.standard_normal((coarse_steps, n, q.shape[0]))
     d0 = d_amp * rng.standard_normal((coarse_steps, n, marks.atom_count))
     fine_grid = TimeGrid(T, round(T / dts[-1]))
+    wiener_fine = WienerPath(fine_grid, q, np.stack(
+        [sample_wiener(q, fine_grid, seed + i).increments for i in range(paths)]), seed)
+    poissons = [sample_poisson(marks, T, seed + POISSON_SEED_OFFSET + i) for i in range(paths)]
     residuals = np.empty((len(dts), paths))
-    for i in range(paths):
-        wiener_fine = sample_wiener(q, fine_grid, seed + i)
-        poisson = sample_poisson(marks, T, seed + POISSON_SEED_OFFSET + i)
-        for j, dt in enumerate(dts):
-            rep = round(dt / dts[-1])
-            wiener = coarsen_wiener(wiener_fine, rep)
-            expand = round(dts[0] / dt)
-            g = np.repeat(g0, expand, axis=0)
-            C = np.repeat(c0, expand, axis=0)
-            D = np.repeat(d0, expand, axis=0)
-            residuals[j, i] = ito_energy_residual(A, g, C, D, (wiener, poisson), marks)
+    for j, dt in enumerate(dts):
+        wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
+        expand = round(dts[0] / dt)
+        g = np.repeat(g0, expand, axis=0)
+        C = np.repeat(c0, expand, axis=0)
+        D = np.repeat(d0, expand, axis=0)
+        residuals[j] = ito_energy_residual(A, g, C, D, (wiener, poissons), marks)
     mean_res = residuals.mean(axis=1)
     se_res = residuals.std(axis=1, ddof=1) / math.sqrt(paths) if paths > 1 else 0 * mean_res
     order = fit_order(np.array(dts), mean_res)

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from . import analysis
-from .errors import ConfigurationError, HypothesisError
+from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet)
 from .noise import TimeGrid
 from .space import SpectralOperator, dirichlet_laplacian
-from .textio import fmt, write_manifest, write_plot_data, write_report
+from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "EXPERIMENTS"]
 
@@ -167,7 +167,10 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    raw_bytes = path.read_bytes()
+    try:
+        raw_bytes = path.read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_string(raw_bytes.decode())
@@ -404,12 +407,21 @@ EXPERIMENTS = {
 }
 
 
+def _blowup_report(name: str, exc: BlowUpError) -> analysis.ExperimentReport:
+    """INCONCLUSIVE report of an experiment whose solver blew up, recording where."""
+    row = Record("blow_up", f"step={exc.step}", exc.time, 0.0, analysis.INCONCLUSIVE)
+    return analysis.ExperimentReport(name, analysis.INCONCLUSIVE, (row,))
+
+
 def run(config: RunConfig, verbose: bool = False) -> int:
     """Execute the configured experiments and write artifacts.
 
     One report file per experiment plus a manifest; exit status is nonzero
-    iff any experiment FAILED (INCONCLUSIVE exits zero with a warning).
-    Partially written artifacts are removed when a run aborts.
+    iff any experiment FAILED (INCONCLUSIVE exits zero with a warning).  A
+    solver blow-up makes its experiment INCONCLUSIVE, with the step and time
+    recorded, and the run goes on.  Partially written artifacts are removed
+    when a run aborts; an i/o failure is reported on one stderr line and
+    re-raised.
     """
     outdir = config.output_dir
     written = []
@@ -418,7 +430,11 @@ def run(config: RunConfig, verbose: bool = False) -> int:
         for name in config.experiments:
             if verbose:
                 print(f"running {name} ...", flush=True)
-            report = EXPERIMENTS[name](config)
+            try:
+                report = EXPERIMENTS[name](config)
+            except BlowUpError as exc:
+                print(f"warning: {name}: {exc}", file=sys.stderr)
+                report = _blowup_report(name, exc)
             if "report" in config.formats:
                 written.append(write_report(report, outdir / f"{name}.report.txt"))
             if "plotdata" in config.formats:
@@ -498,6 +514,8 @@ def main(argv=None) -> None:
     except HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except OSError:
+        sys.exit(2)  # run has printed the one-line i/o error
     sys.exit(status)
 
 

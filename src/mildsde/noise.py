@@ -12,6 +12,11 @@ generator per path object, so every path is a pure function of its integer
 seed and numpy's stream-compatibility policy pins the bits.  Coupled
 multi-resolution experiments generate the finest path once and coarsen it by
 summation, never by resampling.
+
+Monte Carlo work is batched without touching the seeding: a WienerPath may
+stack M paths, and the jump reductions (``jump_cell_counts``,
+``poisson_integral``, ``quadratic_mark_sum``) take one PoissonPath or a list
+of them, reducing a list in one pass over all its jumps.
 """
 
 from __future__ import annotations
@@ -94,7 +99,9 @@ class TimeGrid:
 class WienerPath:
     """Realized increments of a Q-Wiener process on a grid.
 
-    increments[n, k] ~ Normal(0, dt * q_k), independent across n and k.
+    increments[n, k] ~ Normal(0, dt * q_k), independent across n and k.  A
+    batch of M paths on one grid stacks them as increments[i, n, k]; member i
+    was drawn from seed + i.
     """
 
     grid: TimeGrid
@@ -103,7 +110,8 @@ class WienerPath:
     seed: int
 
     def __post_init__(self):
-        if self.increments.shape != (self.grid.steps, self.q.shape[0]):
+        if (self.increments.ndim not in (2, 3)
+                or self.increments.shape[-2:] != (self.grid.steps, self.q.shape[0])):
             raise ValueError(
                 f"increments shape {self.increments.shape} does not match "
                 f"{self.grid.steps} steps x {self.q.shape[0]} modes"
@@ -114,9 +122,10 @@ class WienerPath:
         return self.q.shape[0]
 
     def cumulative(self) -> np.ndarray:
-        """W at the grid nodes, shape (steps + 1, d), starting at zero."""
-        w = np.zeros((self.grid.steps + 1, self.modes))
-        np.cumsum(self.increments, axis=0, out=w[1:])
+        """W at the grid nodes, shape ([M,] steps + 1, d), starting at zero."""
+        lead = self.increments.shape[:-2]
+        w = np.zeros(lead + (self.grid.steps + 1, self.modes))
+        np.cumsum(self.increments, axis=-2, out=w[..., 1:, :])
         return w
 
 
@@ -139,12 +148,13 @@ def coarsen_wiener(path: WienerPath, factor: int) -> WienerPath:
     """Aggregate increments onto a grid coarsened by ``factor``.
 
     The coarse path is the same realization: increments sum exactly, so
-    coupled-resolution experiments share one underlying path.  The parent
-    seed is retained.
+    coupled-resolution experiments share one underlying path.  A batch is
+    coarsened in one reshape-sum.  The parent seed is retained.
     """
     factor = int(factor)
     coarse = path.grid.coarsen(factor)
-    inc = path.increments.reshape(coarse.steps, factor, path.modes).sum(axis=1)
+    lead = path.increments.shape[:-2]
+    inc = path.increments.reshape(lead + (coarse.steps, factor, path.modes)).sum(axis=-2)
     inc.setflags(write=False)
     return WienerPath(coarse, path.q, inc, path.seed)
 
@@ -169,19 +179,18 @@ class PoissonPath:
 
 
 def _resolve_time_ties(times: np.ndarray, rng, horizon: float) -> np.ndarray:
-    """Re-draw duplicated jump times until all are distinct.
+    """Sort the jump times, re-drawing duplicates until all are distinct.
 
-    Ties have probability zero but must not crash the pipeline; the re-draw
-    consumes the generator in a deterministic order.
+    Ties have probability zero but must not crash the pipeline.  Each round
+    re-draws every time equal to its sorted predecessor, so the generator is
+    consumed in a deterministic order, and a path without ties draws nothing.
     """
-    while times.size:
-        _, first = np.unique(times, return_index=True)
-        dup = np.ones(times.size, dtype=bool)
-        dup[first] = False
-        if not dup.any():
-            break
-        times = times.copy()
-        times[dup] = horizon * (1.0 - rng.random(int(dup.sum())))
+    times = np.sort(times)
+    dup = times[1:] == times[:-1]
+    while dup.any():
+        times[1:][dup] = horizon * (1.0 - rng.random(int(dup.sum())))
+        times.sort()
+        dup = times[1:] == times[:-1]
     return times
 
 
@@ -189,7 +198,7 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     """Exact compound-Poisson sampling on [0, horizon] x atoms.
 
     Count ~ Poisson(horizon * total_mass); times i.i.d. Uniform(0, horizon],
-    de-tied and sorted; atom indices i.i.d. with probabilities m_j / mass.
+    sorted and de-tied; atom indices i.i.d. with probabilities m_j / mass.
     Draw order (count, times incl. re-draws, marks) is fixed for
     reproducibility.
     """
@@ -200,8 +209,6 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     count = int(rng.poisson(horizon * mass)) if mass > 0.0 else 0
     times = horizon * (1.0 - rng.random(count))
     times = _resolve_time_ties(times, rng, horizon)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
     if count and mass > 0.0:
         idx = rng.choice(marks.atom_count, size=count, p=marks.weight_array / mass)
     else:
@@ -223,13 +230,36 @@ def sample_noise_batch(spec: EquationSpec, grid: TimeGrid, seed: int, members: i
             for i in range(members)]
 
 
-def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
-    """Per-cell, per-atom jump counts; a jump at s lands in the cell (t_n, t_{n+1}] containing s."""
-    counts = np.zeros((grid.steps, path.atom_count))
-    if path.count:
-        cells = np.searchsorted(grid.times, path.times, side="left") - 1
-        np.add.at(counts, (cells, path.marks), 1.0)
-    return counts
+def _path_list(path) -> tuple:
+    """(list of paths, single): one PoissonPath is a batch of one."""
+    if isinstance(path, PoissonPath):
+        return [path], True
+    return list(path), False
+
+
+def _completed_jumps(paths: list, grid: TimeGrid, k: int) -> tuple:
+    """(owner, cell, atom) of every jump completed by node k, path by path in time order.
+
+    ``owner`` indexes ``paths``.  A jump at s lands in the cell (t_n, t_{n+1}]
+    containing s, and node k has completed the cells n < k.
+    """
+    times = np.concatenate([p.times for p in paths])
+    cells = np.searchsorted(grid.times[1:-1], times, side="left")
+    owner = np.repeat(np.arange(len(paths)), [p.count for p in paths])
+    atoms = np.concatenate([p.marks for p in paths]).astype(np.intp, copy=False)
+    active = cells < k
+    return owner[active], cells[active], atoms[active]
+
+
+def jump_cell_counts(path, grid: TimeGrid) -> np.ndarray:
+    """Per-cell, per-atom jump counts (steps, J); a jump at s lands in the cell (t_n, t_{n+1}] containing s.
+
+    For a list of M paths the counts are stacked to (M, steps, J).
+    """
+    paths, single = _path_list(path)
+    counts = np.zeros((len(paths), grid.steps, paths[0].atom_count))
+    np.add.at(counts, _completed_jumps(paths, grid, grid.steps), 1.0)
+    return counts[0] if single else counts
 
 
 def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = None) -> np.ndarray:
@@ -255,50 +285,48 @@ def ito_integral(phi, path: WienerPath, t: float) -> np.ndarray:
     return np.einsum("mnd,md->n", phi[:k], path.increments[:k])
 
 
-def poisson_integral(g, path: PoissonPath, marks: MarkSpace, grid: TimeGrid, t: float,
+def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
                      compensated: bool = True) -> np.ndarray:
     """Integral of a mark-indexed step process against the jump measure up to node t.
 
     The uncompensated value sums g over realized jumps (cell index, atom
-    index); with ``compensated=True`` the exact cellwise compensator
-    dt * sum_j m_j g[cell, :, j] is subtracted, which is error-free for step
-    integrands.
+    index) in time order; with ``compensated=True`` the exact cellwise
+    compensator dt * sum_j m_j g[cell, :, j] is subtracted, which is
+    error-free for step integrands.  ``path`` is one PoissonPath, or a list
+    of M paths whose values are returned as the rows of an (M, n) array.
     """
     g = _check_step_process(g, grid, "g", marks.atom_count)
-    if path.atom_count != marks.atom_count:
+    paths, single = _path_list(path)
+    if any(p.atom_count != marks.atom_count for p in paths):
         raise ValueError("path was sampled from a different mark space")
     k = grid.node_index(t)
-    out = np.zeros(g.shape[1])
-    if path.count:
-        cells = np.searchsorted(grid.times, path.times, side="left") - 1
-        active = cells < k
-        for c, j in zip(cells[active], path.marks[active]):
-            out += g[c, :, j]
+    owner, cells, atoms = _completed_jumps(paths, grid, k)
+    out = np.zeros((len(paths), g.shape[1]))
+    np.add.at(out, owner, g[cells, :, atoms])
     if compensated and k > 0:
         out -= grid.dt * np.einsum("mnj,j->n", g[:k], marks.weight_array)
-    return out
+    return out[0] if single else out
 
 
-def quadratic_mark_sum(D, path: PoissonPath, marks: MarkSpace, grid: TimeGrid, t: float,
+def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
                        space: HilbertSpace) -> tuple:
     """Realized jump sum of |D|^2 and its exact compensator up to node t.
 
     Returns (sum over jumps of |D(cell, z_j)|_H^2,
              integral of |D(s, .)|_m^2 ds over completed cells); the two have
     equal expectation because the deterministic measure dt x m compensates
-    the jump measure.
+    the jump measure.  For a list of M paths the jump sum is an array of M
+    values; the compensator does not depend on the path.
     """
     D = _check_step_process(D, grid, "D", marks.atom_count)
+    paths, single = _path_list(path)
     k = grid.node_index(t)
-    jump_sq = 0.0
-    if path.count:
-        cells = np.searchsorted(grid.times, path.times, side="left") - 1
-        active = cells < k
-        for c, j in zip(cells[active], path.marks[active]):
-            col = D[c, :, j]
-            jump_sq += space.weight * float(np.dot(col, col))
+    owner, cells, atoms = _completed_jumps(paths, grid, k)
+    cols = D[cells, :, atoms]
+    jump_sq = np.zeros(len(paths))
+    np.add.at(jump_sq, owner, space.weight * np.einsum("jn,jn->j", cols, cols))
     comp = step_m_integral(D, marks, grid, t, space)
-    return jump_sq, comp
+    return (float(jump_sq[0]) if single else jump_sq), comp
 
 
 def step_q_integral(phi, q, grid: TimeGrid, t: float, space: HilbertSpace) -> float:

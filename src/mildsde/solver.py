@@ -95,6 +95,8 @@ class Trajectory:
 def _validate_noise(spec: EquationSpec, noise, dt: float):
     wiener, poisson = noise
     grid = wiener.grid
+    if wiener.increments.ndim != 2:
+        raise ConfigurationError("a solve takes one wiener path, not a batch")
     if abs(grid.dt - dt) > _REL_TOL * max(dt, 1.0):
         raise ConfigurationError(f"wiener grid dt={grid.dt} does not match requested dt={dt}")
     if abs(grid.horizon - spec.T) > _REL_TOL * max(spec.T, 1.0):
@@ -340,6 +342,11 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     and the realized jump sum); the deterministic forms |C|_Q^2 dt and the
     jump compensator agree with these only in expectation, which is the
     isometry/compensator identity tested elsewhere.
+
+    ``noise`` is one (WienerPath, PoissonPath) pair, or a batch of M paths
+    sharing the data (g, C, D): a WienerPath with increments (M, steps, d)
+    and a list of M PoissonPaths.  All members are stepped together and
+    every term of a batch is an array of M values.
     """
     wiener, poisson = noise
     grid = wiener.grid
@@ -349,42 +356,47 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     if cap >= 2.0:
         raise ConfigurationError(
             f"explicit Euler unstable for the energy identity: dt*lam_max = {cap:.3g} >= 2")
-    counts = jump_cell_counts(poisson, grid)
-    mark_w = marks.weight_array
-    space = A.space
-    w = space.weight
-
-    y = np.zeros(A.dim)
-    quad_drift = 0.0       # 2 sum <A y_n + 0, y_n> dt and <g_n, y_n> dt pieces
-    drift_g = 0.0
-    mart_wiener = 0.0
-    mart_jump = 0.0
-    bracket_wiener = 0.0
+    single = isinstance(poisson, PoissonPath)
+    poissons = [poisson] if single else list(poisson)
+    dW = wiener.increments.reshape(-1, grid.steps, wiener.modes)         # (M, N, d)
+    if dW.shape[0] != len(poissons):
+        raise ValueError(f"{dW.shape[0]} wiener paths but {len(poissons)} jump paths")
+    counts = jump_cell_counts(poissons, grid)                            # (M, N, J)
+    wiener_inc = np.einsum("nij,mnj->mni", C, dW)
+    jump_inc = np.einsum("nij,mnj->mni", D, counts) - dt * (D @ marks.weight_array)
+    drive = wiener_inc + jump_inc - dt * g
+    Amat = A.matrix
+    y = np.zeros((len(poissons), grid.steps + 1, A.dim))                # y_0 = 0
+    Ay = np.empty_like(drive)
     for n in range(grid.steps):
-        wiener_inc = C[n] @ wiener.increments[n]
-        jump_inc = D[n] @ counts[n]
-        comp_inc = dt * (D[n] @ mark_w)
-        quad_drift += 2.0 * dt * w * float(np.dot(A.apply(y), y))
-        drift_g += 2.0 * dt * w * float(np.dot(g[n], y))
-        mart_wiener += 2.0 * w * float(np.dot(y, wiener_inc))
-        mart_jump += 2.0 * w * (float(np.dot(y, jump_inc)) - float(np.dot(y, comp_inc)))
-        bracket_wiener += w * float(np.dot(wiener_inc, wiener_inc))
-        y = y - dt * (A.apply(y) + g[n]) + wiener_inc + jump_inc - comp_inc
-    jump_sq, _ = quadratic_mark_sum(D, poisson, marks, grid, grid.horizon, space)
-    lhs = w * float(np.dot(y, y)) + quad_drift + drift_g
-    rhs = mart_wiener + mart_jump + bracket_wiener + jump_sq
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
+        Ay[:, n] = y[:, n] @ Amat.T
+        y[:, n + 1] = y[:, n] - dt * Ay[:, n] + drive[:, n]
+    left, final = y[:, :-1], y[:, -1]
+    w = A.space.weight
+    drift = 2.0 * dt * w * (np.einsum("mni,mni->m", Ay, left) + np.einsum("ni,mni->m", g, left))
+    mart_wiener = 2.0 * w * np.einsum("mni,mni->m", left, wiener_inc)
+    mart_jump = 2.0 * w * np.einsum("mni,mni->m", left, jump_inc)
+    bracket_wiener = w * np.einsum("mni,mni->m", wiener_inc, wiener_inc)
+    jump_sq, _ = quadratic_mark_sum(D, poissons, marks, grid, grid.horizon, A.space)
+    final_sq = w * np.einsum("mi,mi->m", final, final)
+    terms = {
+        "lhs": final_sq + drift,
+        "rhs": mart_wiener + mart_jump + bracket_wiener + jump_sq,
         "martingale_wiener": mart_wiener,
         "martingale_jump": mart_jump,
         "bracket_wiener": bracket_wiener,
         "jump_square_sum": jump_sq,
-        "final_sq_norm": w * float(np.dot(y, y)),
+        "final_sq_norm": final_sq,
     }
+    if single:
+        return {key: float(value[0]) for key, value in terms.items()}
+    return terms
 
 
-def ito_energy_residual(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> float:
-    """Absolute discrepancy of the discrete energy identity at the horizon."""
+def ito_energy_residual(A: SpectralOperator, g, C, D, noise, marks: MarkSpace):
+    """Absolute discrepancy of the discrete energy identity at the horizon.
+
+    A float for one path, an array of M values for a batch (see ito_energy_terms).
+    """
     terms = ito_energy_terms(A, g, C, D, noise, marks)
     return abs(terms["lhs"] - terms["rhs"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from mildsde.analysis import (INCONCLUSIVE, PASS, _solve_ensemble, compensator_e
 from mildsde.errors import ConfigurationError, HypothesisError
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity, check_dissipativity_triplet)
-from mildsde.noise import POISSON_SEED_OFFSET, TimeGrid, sample_poisson, sample_wiener
+from mildsde.cli import EXPERIMENTS, parse_config
+from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, poisson_integral, quadratic_mark_sum,
+                           sample_poisson, sample_wiener)
 from mildsde.solver import solve_resolvent_implicit, solve_scheme
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 
 from conftest import make_cubic_spec, make_linear_spec
 
 DTS = [2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10]
+ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
 
 class TestFitOrder:
@@ -450,6 +454,42 @@ class TestCheckExperiments:
         assert r1.verdict == PASS
         r2 = compensator_experiment(g, marks, grid, 1.0, 4000, 5, space)
         assert r2.verdict == PASS
+
+    def test_blocked_jump_checks_equal_per_path_loops(self):
+        # 1234 paths: two full blocks and a partial one
+        space = HilbertSpace(5, 1.0 / 6.0)
+        grid = TimeGrid(1.0, 8)
+        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+        g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
+        paths = [sample_poisson(marks, 1.0, 5 + POISSON_SEED_OFFSET + i) for i in range(1234)]
+        values = np.array([poisson_integral(g, p, marks, grid, 0.75) for p in paths])
+        diffs = np.array([np.subtract(*quadratic_mark_sum(g, p, marks, grid, 0.75, space))
+                          for p in paths])
+        r1 = poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space)
+        assert r1.records()[0].value == space.sq_norms(values).mean()
+        assert r1.records()[3].value == values.sum(axis=1).mean()
+        r2 = compensator_experiment(g, marks, grid, 0.75, 1234, 5, space)
+        assert r2.records()[0].value == pytest.approx(diffs.mean(), rel=1e-14, abs=0.0)
+
+    def test_acceptance_values_are_pinned(self):
+        # configs/acceptance.cfg at its seed, as computed by per-path loops;
+        # batching moves them by float reassociation only
+        config = parse_config(ACCEPTANCE)
+        energy = {(r.label, r.params): r.value
+                  for r in EXPERIMENTS["energy_identity"](config).records()}
+        expected = {("residual", "dt=0.0078125"): 0.10556700672391059,
+                    ("residual", "dt=0.00390625"): 0.038116433678555967,
+                    ("residual", "dt=0.001953125"): 0.017572670643388747,
+                    ("residual", "dt=0.0009765625"): 0.0084230767209181236,
+                    ("order", "-"): 1.2060083367412033}
+        assert energy.keys() == expected.keys()
+        for key, value in expected.items():
+            assert energy[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        compensator = EXPERIMENTS["compensator"](config).records()[0]
+        assert compensator.value == pytest.approx(0.0020247214670304999, rel=1e-12, abs=0.0)
+        isometry = EXPERIMENTS["poisson_isometry"](config).records()
+        assert isometry[0].value == pytest.approx(0.9617596853428062, rel=1e-12, abs=0.0)
+        assert isometry[3].value == pytest.approx(0.00047439017699545333, rel=1e-12, abs=0.0)
 
     def test_regularization_identity(self):
         A = dirichlet_laplacian(8)

@@ -288,6 +288,43 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert "does not divide" in err and "Traceback" not in err
 
+    def test_blow_up_is_inconclusive_and_keeps_earlier_reports(self, tmp_path, capsys):
+        # dt * f'(u) = 0.0078125 * 3000 u^2 drives the stability ensemble to overflow
+        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
+        head, sep, tail = text.partition("[experiment.stability]")
+        tail = tail.replace("f_coeffs = 0 0.5 0 1", "f_coeffs = 0 0.5 0 1000", 1)
+        out = tmp_path / "out"
+        with pytest.warns(Warning), pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, head + sep + tail)), "--only", "coupling,stability",
+                  "--output-dir", str(out)])
+        assert status.value.code == 0
+        err = capsys.readouterr().err
+        assert "warning: stability:" in err and "non-finite" in err and "Traceback" not in err
+        assert (out / "coupling.report.txt").exists()
+        report = (out / "stability.report.txt").read_text()
+        assert "# verdict: INCONCLUSIVE" in report
+        assert "stability\tblow_up\tstep=" in report
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "verdict.coupling = PASS" in manifest
+        assert "verdict.stability = INCONCLUSIVE" in manifest
+
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
+        text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(blocker / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "i/o failure" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as status:
+            main([str(tmp_path)])
+        assert status.value.code == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "mildsde.cli", "--help"],
                               capture_output=True, text=True)

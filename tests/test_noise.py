@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mildsde.model import MarkSpace
-from mildsde.noise import (PoissonPath, TimeGrid, _resolve_time_ties,
+from mildsde.noise import (PoissonPath, TimeGrid, WienerPath, _resolve_time_ties,
                            coarsen_wiener, ito_integral, jump_cell_counts, poisson_integral,
                            quadratic_mark_sum, sample_poisson, sample_wiener, step_m_integral,
                            step_q_integral)
@@ -83,6 +85,16 @@ class TestWienerSampling:
         with pytest.raises(ValueError):
             coarsen_wiener(fine, 5)
 
+    def test_batch_coarsens_and_accumulates_like_its_members(self):
+        grid = TimeGrid(1.0, 32)
+        members = [sample_wiener(np.array([1.0, 0.5]), grid, seed=s) for s in (5, 6, 7)]
+        batch = WienerPath(grid, members[0].q, np.stack([w.increments for w in members]), 5)
+        coarse = coarsen_wiener(batch, 4)
+        assert coarse.increments.shape == (3, 8, 2)
+        for i, w in enumerate(members):
+            assert np.array_equal(coarse.increments[i], coarsen_wiener(w, 4).increments)
+            assert np.array_equal(batch.cumulative()[i], w.cumulative())
+
 
 @pytest.fixture(scope="module")
 def poisson_ensemble():
@@ -135,6 +147,45 @@ class TestPoissonSampling:
         assert len(np.unique(resolved)) == len(resolved)
         # first occurrences keep their values
         assert 0.25 in resolved and 0.5 in resolved and 0.75 in resolved
+
+    def test_tie_redraws_consume_the_generator_as_the_first_occurrence_rule(self):
+        # reference: re-draw every non-first occurrence (np.unique) until distinct
+        def reference(times, rng, horizon):
+            while True:
+                _, first = np.unique(times, return_index=True)
+                dup = np.ones(times.size, dtype=bool)
+                dup[first] = False
+                if not dup.any():
+                    return np.sort(times)
+                times = times.copy()
+                times[dup] = horizon * (1.0 - rng.random(int(dup.sum())))
+
+        times = np.array([0.5, 0.25, 0.5, 0.75, 0.25, 0.5])
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        resolved = _resolve_time_ties(times, rng_a, 1.0)
+        assert np.all(np.diff(resolved) > 0)
+        assert np.array_equal(resolved, reference(times, rng_b, 1.0))
+        assert rng_a.random() == rng_b.random()
+
+    def test_draws_match_the_reference_sampler(self):
+        # count, times (re-drawn on ties, then sorted), marks: the draw order
+        # fixes every path bit for bit
+        marks = MarkSpace((-1.0, 0.0, 1.0), (2.0, 0.5, 1.5))
+        digest = hashlib.sha256()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            count = int(rng.poisson(2.0 * marks.total_mass))
+            times = np.sort(2.0 * (1.0 - rng.random(count)))
+            assert np.unique(times).size == count
+            idx = rng.choice(3, size=count, p=marks.weight_array / marks.total_mass)
+            path = sample_poisson(marks, 2.0, seed)
+            assert np.array_equal(path.times, times)
+            assert np.array_equal(path.marks, idx if count else np.zeros(0, dtype=np.int64))
+            digest.update(path.times.tobytes())
+            digest.update(path.marks.astype(np.int64).tobytes())
+        # the same 300 paths as drawn by the np.unique-based tie rule
+        assert digest.hexdigest() == (
+            "aa63c3c41e3af5ea4993b4af8996fc5847d7c9ee6438a1332d90cdcfab30490e")
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -254,6 +305,33 @@ class TestPoissonIntegral:
         path = sample_poisson(other, 1.0, seed=4)
         with pytest.raises(ValueError):
             poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid, 1.0)
+        with pytest.raises(ValueError):
+            poisson_integral(np.zeros((8, 4, 2)), [sample_poisson(self.marks, 1.0, seed=4), path],
+                             self.marks, self.grid, 1.0)
+
+    def test_matches_a_per_jump_reference(self):
+        g = np.random.default_rng(5).standard_normal((8, 4, 2))
+        path = sample_poisson(self.marks, 1.0, seed=6)
+        assert path.count > 2
+        for t in (0.375, 1.0):
+            expected = np.zeros(4)
+            for s, j in zip(path.times, path.marks):
+                if s <= t:
+                    expected += g[int(np.ceil(s / 0.125)) - 1, :, j]
+            got = poisson_integral(g, path, self.marks, self.grid, t, compensated=False)
+            assert np.array_equal(got, expected)
+
+    def test_batch_equals_single_paths_exactly(self):
+        g = np.random.default_rng(4).standard_normal((8, 4, 2))
+        empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
+        paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
+        for t in (0.5, 1.0):
+            for compensated in (True, False):
+                batch = poisson_integral(g, paths, self.marks, self.grid, t, compensated)
+                assert batch.shape == (21, 4)
+                for row, path in zip(batch, paths):
+                    single = poisson_integral(g, path, self.marks, self.grid, t, compensated)
+                    assert np.array_equal(row, single)
 
 
 class TestQuadraticMarkSum:
@@ -276,6 +354,24 @@ class TestQuadraticMarkSum:
         path = sample_poisson(self.marks, 1.0, seed=1)
         _, comp = quadratic_mark_sum(D, path, self.marks, self.grid, 0.5, self.space)
         assert comp == pytest.approx(self.marks.total_mass * 0.5, rel=1e-12)
+
+    def test_batch_matches_a_per_jump_reference(self):
+        D = np.random.default_rng(3).standard_normal((8, 3, 2))
+        empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
+        paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
+        for t in (0.5, 1.0):
+            batch, comp = quadratic_mark_sum(D, paths, self.marks, self.grid, t, self.space)
+            assert batch.shape == (21,) and batch[-1] == 0.0
+            for value, path in zip(batch, paths):
+                expected = 0.0
+                for s, j in zip(path.times, path.marks):
+                    if s <= t:
+                        col = D[int(np.ceil(s / 0.125)) - 1, :, j]
+                        expected += self.space.weight * float(np.dot(col, col))
+                assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+                single, single_comp = quadratic_mark_sum(D, path, self.marks, self.grid, t,
+                                                         self.space)
+                assert single == value and single_comp == comp
 
     def test_expectation_identity(self):
         D = 0.6 * np.random.default_rng(2).standard_normal((8, 3, 2))
@@ -303,3 +399,10 @@ class TestJumpBinning:
         path = sample_poisson(marks, 1.0, seed=3)
         counts = jump_cell_counts(path, TimeGrid(1.0, 16))
         assert counts.sum() == path.count
+
+    def test_batch_stacks_member_counts(self):
+        marks = MarkSpace((0.0, 1.0), (3.0, 1.0))
+        grid = TimeGrid(1.0, 16)
+        paths = [sample_poisson(marks, 1.0, seed=s) for s in range(5)]
+        expected = np.stack([jump_cell_counts(p, grid) for p in paths])
+        assert np.array_equal(jump_cell_counts(paths, grid), expected)

@@ -6,8 +6,8 @@ import pytest
 from mildsde.errors import BlowUpError, ConfigurationError, StiffnessWarning
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity)
-from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener,
-                           quadratic_mark_sum, sample_poisson, sample_wiener)
+from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
+                           coarsen_wiener, quadratic_mark_sum, sample_poisson, sample_wiener)
 from mildsde.solver import (SchemeConfig, ito_energy_residual, ito_energy_terms,
                             regularized_coupling_identity, solve_exp_euler,
                             solve_linear_data, solve_resolvent_implicit, solve_scheme,
@@ -218,6 +218,9 @@ class TestTrajectoryContracts:
         short = sample_poisson(spec.marks, 2 * spec.T, 0)
         with pytest.raises(ConfigurationError):
             solve_exp_euler(spec, (wiener, short), 2.0**-5)
+        batch = WienerPath(wiener.grid, wiener.q, wiener.increments[None], wiener.seed)
+        with pytest.raises(ConfigurationError):
+            solve_exp_euler(spec, (batch, poisson), 2.0**-5)
 
     def test_cross_scheme_gap_shrinks_linearly(self):
         # window chosen so dt*lam stays below one for the loaded modes; the
@@ -359,6 +362,65 @@ class TestItoEnergyIdentity:
         jump_sq, _ = quadratic_mark_sum(D, noise[1], self.marks, noise[0].grid, 0.5,
                                         self.A.space)
         assert terms["jump_square_sum"] == jump_sq
+
+    def _reference_terms(self, g, C, D, wiener, poisson):
+        # per-path, per-step accumulation of every term of the identity
+        A, w = self.A, self.A.space.weight
+        grid = wiener.grid
+        dt = grid.dt
+        counts = np.zeros((grid.steps, 2))
+        for s, j in zip(poisson.times, poisson.marks):
+            counts[int(np.ceil(s / dt - 1e-9)) - 1, j] += 1.0
+        y = np.zeros(A.dim)
+        lhs_drift = mart_w = mart_j = bracket = 0.0
+        for n in range(grid.steps):
+            w_inc = C[n] @ wiener.increments[n]
+            j_inc = D[n] @ counts[n] - dt * (D[n] @ self.marks.weight_array)
+            lhs_drift += 2.0 * dt * w * (float(A.apply(y) @ y) + float(g[n] @ y))
+            mart_w += 2.0 * w * float(y @ w_inc)
+            mart_j += 2.0 * w * float(y @ j_inc)
+            bracket += w * float(w_inc @ w_inc)
+            y = y - dt * (A.apply(y) + g[n]) + w_inc + j_inc
+        jump_sq = sum(w * float(D[int(np.ceil(s / dt - 1e-9)) - 1, :, j]
+                                @ D[int(np.ceil(s / dt - 1e-9)) - 1, :, j])
+                      for s, j in zip(poisson.times, poisson.marks))
+        final = w * float(y @ y)
+        return {"lhs": final + lhs_drift, "rhs": mart_w + mart_j + bracket + jump_sq,
+                "martingale_wiener": mart_w, "martingale_jump": mart_j,
+                "bracket_wiener": bracket, "jump_square_sum": jump_sq, "final_sq_norm": final}
+
+    def test_batch_matches_per_path_reference(self):
+        steps = 64
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((steps, 5))
+        C = 0.4 * rng.standard_normal((steps, 5, 2))
+        D = 0.4 * rng.standard_normal((steps, 5, 2))
+        grid = TimeGrid(0.5, steps)
+        wieners = [sample_wiener(self.q, grid, s) for s in (1, 2, 3)]
+        poissons = [sample_poisson(self.marks, 0.5, s + POISSON_SEED_OFFSET) for s in (1, 2)]
+        poissons.append(PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 0.5, 2, seed=0))
+        assert min(p.count for p in poissons[:2]) > 0
+        batch = WienerPath(grid, wieners[0].q, np.stack([w.increments for w in wieners]), 1)
+        terms = ito_energy_terms(self.A, g, C, D, (batch, poissons), self.marks)
+        for i, (wiener, poisson) in enumerate(zip(wieners, poissons)):
+            expected = self._reference_terms(g, C, D, wiener, poisson)
+            single = ito_energy_terms(self.A, g, C, D, (wiener, poisson), self.marks)
+            assert single.keys() == expected.keys() == terms.keys()
+            for key, value in expected.items():
+                assert terms[key][i] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                assert single[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        assert terms["jump_square_sum"][2] == 0.0
+        residuals = ito_energy_residual(self.A, g, C, D, (batch, poissons), self.marks)
+        assert np.array_equal(residuals, np.abs(terms["lhs"] - terms["rhs"]))
+
+    def test_batch_needs_one_jump_path_per_member(self):
+        grid = TimeGrid(0.5, 16)
+        w = sample_wiener(self.q, grid, 1)
+        batch = WienerPath(grid, w.q, np.stack([w.increments, w.increments]), 1)
+        zeros = np.zeros((16, 5, 2))
+        with pytest.raises(ValueError):
+            ito_energy_terms(self.A, np.zeros((16, 5)), zeros, zeros,
+                             (batch, [sample_poisson(self.marks, 0.5, 2)]), self.marks)
 
     def test_explicit_stability_guard(self):
         A = dirichlet_laplacian(31)
