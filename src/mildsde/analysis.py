@@ -89,6 +89,58 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
     return step_ensemble(spec, dW, counts, SchemeConfig(scheme, dt))
 
 
+def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
+    if not (np.array_equal(frame.A.eigenvalues, spec.A.eigenvalues)
+            and np.array_equal(frame.A.eigenvectors, spec.A.eigenvectors)):
+        raise ConfigurationError("coupled solutions require a shared operator")
+    if frame.F.coefficients != spec.F.coefficients or frame.F.shift != spec.F.shift:
+        raise ConfigurationError("coupled solutions require a shared drift")
+    if frame.T != spec.T:
+        raise ConfigurationError("coupled solutions require a shared horizon")
+    if not np.array_equal(frame.B.q, spec.B.q):
+        raise ConfigurationError("coupled solutions require shared covariance weights")
+    if frame.marks.atoms != spec.marks.atoms or frame.marks.weights != spec.marks.weights:
+        raise ConfigurationError("coupled solutions require a shared mark space")
+
+
+def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, scheme: str,
+                     seed: int, members: int):
+    """Squared gaps |u_p - u_{p+1}|^2, shape (members, nodes), of consecutive specs.
+
+    Every spec must share ``frame``'s operator, drift, horizon, covariance
+    weights and mark space, so that the specs differ only in their data (u0,
+    B, G).  This and ``members >= 1`` are checked at the call; nothing is
+    sampled until the returned iterator is consumed.  It draws one batch of
+    ``members`` paths with ``frame``, solves each spec on it, and yields each
+    gap as soon as its second solution exists, so at most two ensembles are
+    alive at once, whatever the number of specs.
+    """
+    if members < 1:
+        raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
+    for spec in specs:
+        _require_shared_frame(frame, spec)
+
+    def gaps():
+        paths = sample_noise_batch(frame, grid, seed, members)
+        prev = _solve_ensemble(specs[0], grid, dt, scheme, seed, members, paths)
+        for spec in specs[1:]:
+            cur = _solve_ensemble(spec, grid, dt, scheme, seed, members, paths)
+            prev -= cur                     # in place: no third ensemble-sized array
+            yield frame.space.sq_norms(prev)
+            prev = cur
+
+    return gaps()
+
+
+def _mean_stderr(samples: np.ndarray, axis: int = 0):
+    """Sample mean along ``axis`` and its standard error (0 for a single sample)."""
+    count = samples.shape[axis]
+    mean = samples.mean(axis=axis)
+    if count < 2:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=axis, ddof=1) / math.sqrt(count)
+
+
 def _grid(T: float, dt: float) -> TimeGrid:
     """The uniform grid of step dt on [0, T]; dt must divide T."""
     steps = round(T / dt)
@@ -241,10 +293,9 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
     with the identical noise path.  PASS requires the empirical mean squared
     gap to sit below exp(-2 alpha t) |u0_a - u0_b|^2 up to three standard
     errors at every grid time.  Refuses to run (HypothesisError) if the
-    exact triplet margin for the declared alpha is negative.
+    exact triplet margin for the declared alpha is negative; a solver
+    blow-up propagates as BlowUpError.
     """
-    if ensemble_size < 1:
-        raise ConfigurationError(f"ensemble_size must be >= 1, got {ensemble_size}")
     margin = check_dissipativity_triplet(spec)
     if margin < 0.0:
         raise HypothesisError(
@@ -252,30 +303,13 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
             f"for declared alpha={spec.alpha}")
     u0_a = spec.space.element(u0_a)
     u0_b = spec.space.element(u0_b)
-    spec_a = spec.with_data(u0=u0_a)
-    spec_b = spec.with_data(u0=u0_b)
     grid = _grid(spec.T, dt)
-    steps = grid.steps
-    space = spec.space
-
-    verdict = None
-    paths = sample_noise_batch(spec, grid, seed, ensemble_size)
-    try:
-        states_a = _solve_ensemble(spec_a, grid, dt, scheme, seed, ensemble_size, paths)
-        states_b = _solve_ensemble(spec_b, grid, dt, scheme, seed, ensemble_size, paths)
-        gap_sq = space.sq_norms(states_a - states_b)
-    except BlowUpError:
-        verdict = INCONCLUSIVE
-        gap_sq = np.zeros((0, steps + 1))
-    mean = gap_sq.mean(axis=0) if gap_sq.size else np.full(steps + 1, np.nan)
-    if gap_sq.shape[0] > 1:
-        se = gap_sq.std(axis=0, ddof=1) / math.sqrt(gap_sq.shape[0])
-    else:
-        se = np.zeros(steps + 1)
-    envelope = np.exp(-2.0 * spec.alpha * grid.times) * space.sq_norms(u0_a - u0_b)
-    if verdict is None:
-        ok = all(_within_envelope(m, s, e) for m, s, e in zip(mean, se, envelope))
-        verdict = PASS if ok else FAIL
+    gap_sq, = _coupled_sq_gaps(spec, [spec.with_data(u0=u0_a), spec.with_data(u0=u0_b)],
+                               grid, dt, scheme, seed, ensemble_size)
+    mean, se = _mean_stderr(gap_sq)
+    envelope = np.exp(-2.0 * spec.alpha * grid.times) * spec.space.sq_norms(u0_a - u0_b)
+    ok = all(_within_envelope(m, s, e) for m, s, e in zip(mean, se, envelope))
+    verdict = PASS if ok else FAIL
     return ContractionReport("contraction", grid.times.copy(), mean, se, envelope,
                              spec.alpha, margin, verdict, seed)
 
@@ -323,20 +357,6 @@ def _finite_raw_margin(spec: EquationSpec) -> float:
     return margin
 
 
-def _require_shared_frame(spec1: EquationSpec, spec2: EquationSpec):
-    if not (np.array_equal(spec1.A.eigenvalues, spec2.A.eigenvalues)
-            and np.array_equal(spec1.A.eigenvectors, spec2.A.eigenvectors)):
-        raise ConfigurationError("stability comparison requires a shared operator")
-    if spec1.F.coefficients != spec2.F.coefficients or spec1.F.shift != spec2.F.shift:
-        raise ConfigurationError("stability comparison requires a shared drift")
-    if spec1.T != spec2.T:
-        raise ConfigurationError("stability comparison requires a shared horizon")
-    if not np.array_equal(spec1.B.q, spec2.B.q):
-        raise ConfigurationError("stability comparison requires shared covariance weights")
-    if spec1.marks.atoms != spec2.marks.atoms or spec1.marks.weights != spec2.marks.weights:
-        raise ConfigurationError("stability comparison requires a shared mark space")
-
-
 def _data_distance_steps(spec1: EquationSpec, spec2: EquationSpec, grid: TimeGrid) -> np.ndarray:
     """Per-cell integrand of the squared data distance; requires additive noise.
 
@@ -372,24 +392,17 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
     Returns INCONCLUSIVE when the data distance never exceeds the noise
     floor.  Refuses to run (HypothesisError) when the raw margin is -inf.
     """
-    _require_shared_frame(spec1, spec2)
     margin_raw = _finite_raw_margin(spec1)
     grid = _grid(spec1.T, dt)
     steps = grid.steps
-    space = spec1.space
+    gaps = _coupled_sq_gaps(spec1, [spec1, spec2], grid, dt, scheme, seed, ensemble_size)
 
     den = np.empty(steps + 1)
-    den[0] = space.sq_norms(spec1.u0 - spec2.u0)
+    den[0] = spec1.space.sq_norms(spec1.u0 - spec2.u0)
     den[1:] = den[0] + np.cumsum(grid.dt * _data_distance_steps(spec1, spec2, grid))
 
-    paths = sample_noise_batch(spec1, grid, seed, ensemble_size)
-    states_1 = _solve_ensemble(spec1, grid, dt, scheme, seed, ensemble_size, paths)
-    states_2 = _solve_ensemble(spec2, grid, dt, scheme, seed, ensemble_size, paths)
-    num = space.sq_norms(states_1 - states_2)
-    num_mean = num.mean(axis=0)
-    num_se = (num.std(axis=0, ddof=1) / math.sqrt(ensemble_size)
-              if ensemble_size > 1 else np.zeros(steps + 1))
-
+    num, = gaps
+    num_mean, num_se = _mean_stderr(num)
     n_vals = np.full(steps + 1, np.nan)
     n_se = np.zeros(steps + 1)
     for k in range(steps + 1):
@@ -466,11 +479,11 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     grid = _grid(spec.T, dt)
     if n_bound is None:
         n_bound = float(np.exp(2.0 * abs(_finite_raw_margin(spec)) * spec.T))
-    space = spec.space
     specs = [spec.with_data(u0=u0_n, B=b_n, G=g_n) for (u0_n, b_n, g_n) in data_sequence]
+    gaps = _coupled_sq_gaps(spec, specs, grid, dt, scheme, seed, ensemble_size)
 
     def total_distance(sa, sb):
-        base = space.sq_norms(sa.u0 - sb.u0)
+        base = spec.space.sq_norms(sa.u0 - sb.u0)
         return float(base + grid.dt * _data_distance_steps(sa, sb, grid).sum())
 
     limit_dists = [total_distance(s, spec) for s in specs]
@@ -479,14 +492,7 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
         raise ConfigurationError(
             f"data distances to the limit must be strictly decreasing, got {limit_dists}")
     data_dists = np.array([total_distance(a, b) for a, b in zip(specs, specs[1:])])
-
-    paths = sample_noise_batch(spec, grid, seed, ensemble_size)
-    all_states = [_solve_ensemble(s, grid, dt, scheme, seed, ensemble_size, paths)
-                  for s in specs]
-    sol_dists = np.array([
-        space.sq_norms(all_states[p] - all_states[p + 1]).mean(axis=0).max()
-        for p in range(len(specs) - 1)
-    ])
+    sol_dists = np.array([gap.mean(axis=0).max() for gap in gaps])
 
     positive = sol_dists > _ZERO_FLOOR
     ratios = np.array([sol_dists[i + 1] / sol_dists[i]
@@ -776,9 +782,7 @@ def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, see
     for i in range(paths):
         stacked[i] = sample_wiener(q, grid, seed + i).increments[:k]
     values = np.einsum("mnd,pmd->pn", phi[:k], stacked)
-    sq = space.sq_norms(values)
-    est = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(paths))
+    est, se = map(float, _mean_stderr(space.sq_norms(values)))
     exact = step_q_integral(phi, q, grid, t, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)
     verdict = PASS if rel <= rel_tol else FAIL
@@ -816,16 +820,12 @@ def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
     values = np.empty((paths, g.shape[1]))
     for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
         values[block] = poisson_integral(g, jump_paths, marks, grid, t, compensated=True)
-    sq = space.sq_norms(values)
-    est = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(paths))
+    est, se = map(float, _mean_stderr(space.sq_norms(values)))
     exact = step_m_integral(g, marks, grid, t, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)
     # martingale check on one scalar functional (the component sum), a single
     # three-standard-error test rather than a multiplicity-inflated family
-    proj = values.sum(axis=1)
-    proj_mean = float(proj.mean())
-    proj_se = float(proj.std(ddof=1) / math.sqrt(paths))
+    proj_mean, proj_se = map(float, _mean_stderr(values.sum(axis=1)))
     zero_ok = abs(proj_mean) <= (3.0 * proj_se if proj_se > 0 else 1e-12)
     verdict = PASS if (rel <= rel_tol and zero_ok) else FAIL
     rows = (
@@ -846,8 +846,7 @@ def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, t: float, paths:
     for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
         jump_sq, comp = quadratic_mark_sum(D, jump_paths, marks, grid, t, space)
         diffs[block] = jump_sq - comp
-    mean = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(paths))
+    mean, se = map(float, _mean_stderr(diffs))
     ok = abs(mean) <= 3.0 * se if se > 0 else abs(mean) <= 1e-12
     verdict = PASS if ok else FAIL
     rows = (
@@ -916,8 +915,7 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
         C = np.repeat(c0, expand, axis=0)
         D = np.repeat(d0, expand, axis=0)
         residuals[j] = ito_energy_residual(A, g, C, D, (wiener, poissons), marks)
-    mean_res = residuals.mean(axis=1)
-    se_res = residuals.std(axis=1, ddof=1) / math.sqrt(paths) if paths > 1 else 0 * mean_res
+    mean_res, se_res = _mean_stderr(residuals, axis=1)
     order = fit_order(np.array(dts), mean_res)
     verdict = PASS if order >= 0.9 else FAIL
     rows = [Record("residual", f"dt={fmt(d)}", r, s)

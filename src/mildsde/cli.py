@@ -53,7 +53,6 @@ class RunConfig:
     """Validated configuration: the equation, the experiment plan, the output plan."""
 
     equation: EquationSpec
-    eta: float
     experiments: tuple
     seed: int
     dt_list: tuple
@@ -65,9 +64,6 @@ class RunConfig:
     margin: float
     config_sha256: str
     sections: dict = field(repr=False, default_factory=dict)
-
-    def section(self, name: str) -> dict:
-        return dict(self.sections.get(name, {}))
 
     def opt(self, experiment: str, key: str, default):
         """Typed per-experiment option with fallback to a default."""
@@ -94,11 +90,10 @@ class RunConfig:
                     "z_atoms", "z_weights", "g_base", "g_scale"):
             if key.lower() in overrides:
                 merged[key.lower()] = overrides[key.lower()]
-        spec, _ = _build_equation(merged)
-        return spec
+        return _build_equation(merged)
 
 
-def _build_equation(eq: dict) -> tuple:
+def _build_equation(eq: dict) -> EquationSpec:
     try:
         n = int(eq["n"])
     except KeyError:
@@ -116,9 +111,8 @@ def _build_equation(eq: dict) -> tuple:
     else:
         raise ConfigurationError(f"[equation] operator: unknown choice {operator!r}")
 
-    eta = float(eq.get("eta", "0.0"))
     f_coeffs = tuple(_floats(eq.get("f_coeffs", "")))
-    F = Nonlinearity(f_coeffs, eta)
+    F = Nonlinearity(f_coeffs, float(eq.get("eta", "0.0")))
 
     q = np.array(_floats(eq.get("q", "1.0")))
     if np.any(q < 0.0):
@@ -151,10 +145,9 @@ def _build_equation(eq: dict) -> tuple:
     T = float(eq.get("t", eq.get("T", "1.0")))
     alpha = float(eq.get("alpha", "0.0"))
     try:
-        spec = EquationSpec(A=A, F=F, B=B, G=G, u0=u0, T=T, alpha=alpha)
+        return EquationSpec(A=A, F=F, B=B, G=G, u0=u0, T=T, alpha=alpha)
     except ValueError as exc:
         raise ConfigurationError(f"[equation] {exc}") from None
-    return spec, eta
 
 
 def parse_config(path) -> RunConfig:
@@ -184,7 +177,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigurationError("[experiment] seed is required (no wall-clock seeding)")
     seed = int(exp["seed"])
 
-    spec, eta = _build_equation(sections["equation"])
+    spec = _build_equation(sections["equation"])
 
     names = tuple(exp.get("experiments", "").split())
     unknown = [name for name in names if name not in EXPERIMENTS]
@@ -211,7 +204,6 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(
         equation=spec,
-        eta=eta,
         experiments=names,
         seed=seed,
         dt_list=dt_list,

@@ -168,30 +168,32 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     states = np.empty((members, steps + 1, A.dim))
     states[:, 0, :] = spec.u0
     warned = False
-    for n in range(steps):
-        if not warned:
-            if drift_varies:
-                cap = dt * float(np.abs(fprime(U)).max())
-            if cap >= 1.0:
-                warnings.warn(
-                    f"explicit drift step outside safety region at step {n}: "
-                    f"dt*max|f'(u)| = {cap:.3g} >= 1",
-                    StiffnessWarning, stacklevel=2)
-                warned = True
-        fu = F(U)
-        inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
-        inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
-        inc -= g_comp[:, None] + s_comp * U
-        if explicit:
-            U = prop @ U - dt * fu + inc
-        else:
-            U = prop @ (U - dt * fu + inc)
-        if not np.isfinite(U).all():
-            t = (n + 1) * (spec.T / steps)
-            raise BlowUpError(
-                f"{config.scheme} produced a non-finite state at step {n + 1} (t={t:.6g})",
-                step=n + 1, time=t)
-        states[:, n + 1, :] = U.T
+    # an overflowing state is reported as BlowUpError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            if not warned:
+                if drift_varies:
+                    cap = dt * float(np.abs(fprime(U)).max())
+                if cap >= 1.0:
+                    warnings.warn(
+                        f"explicit drift step outside safety region at step {n}: "
+                        f"dt*max|f'(u)| = {cap:.3g} >= 1",
+                        StiffnessWarning, stacklevel=2)
+                    warned = True
+            fu = F(U)
+            inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
+            inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
+            inc -= g_comp[:, None] + s_comp * U
+            if explicit:
+                U = prop @ U - dt * fu + inc
+            else:
+                U = prop @ (U - dt * fu + inc)
+            if not np.isfinite(U).all():
+                t = (n + 1) * (spec.T / steps)
+                raise BlowUpError(
+                    f"{config.scheme} produced a non-finite state at step {n + 1} (t={t:.6g})",
+                    step=n + 1, time=t)
+            states[:, n + 1, :] = U.T
     return states
 
 

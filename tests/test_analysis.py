@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mildsde import analysis
 from mildsde.analysis import (INCONCLUSIVE, PASS, _solve_ensemble, compensator_experiment,
                               contraction_experiment, coupling_uniqueness_experiment, fit_order,
                               generalized_solution_cauchy, h2_norm, poisson_isometry_experiment,
@@ -213,6 +215,16 @@ class TestStabilityExperiment:
         spec2 = make_cubic_spec(n=9, multiplicative=False, f_coeffs=(0.0, 1.0))
         with pytest.raises(ConfigurationError):
             stability_estimate_experiment(spec1, spec2, 10, 1, dt=2.0**-6)
+        # a Cauchy entry must share the limit's covariance weights and mark space
+        spec1, _, _ = additive_pair()
+        other_q = DiffusionCoefficient.constant(spec1.B.base, np.array([100.0, 100.0]))
+        three_atoms = JumpCoefficient.constant(np.zeros((9, 3)),
+                                               MarkSpace((-1.0, 0.0, 1.0), (1.0, 1.0, 1.0)))
+        for seq in ([(spec1.u0, spec1.B, spec1.G), (spec1.u0, other_q, spec1.G)],
+                    [(spec1.u0, other_q, spec1.G), (spec1.u0, other_q, spec1.G)],
+                    [(spec1.u0, spec1.B, spec1.G), (spec1.u0, spec1.B, three_atoms)]):
+            with pytest.raises(ConfigurationError):
+                generalized_solution_cauchy(spec1, seq, 1, ensemble_size=10, dt=2.0**-6)
 
     def test_rejects_distinct_multiplicative_noise(self):
         # identical coefficient objects cancel exactly and are fine; two
@@ -264,6 +276,69 @@ class TestCauchyExperiment:
         seq = [(spec1.u0, better, spec1.G), (spec1.u0, worse, spec1.G)]
         with pytest.raises(ConfigurationError):
             generalized_solution_cauchy(spec1, seq, 1, ensemble_size=5, dt=2.0**-6)
+
+
+class TestCoupledEnsembles:
+    def test_small_ensembles_are_pinned(self):
+        # exact values: sharing one noise batch and one solve order must not move them
+        spec = make_cubic_spec(n=5, T=0.25, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
+        u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
+        report = contraction_experiment(spec, spec.u0, u0_b, 6, 17, dt=2.0**-4)
+        assert report.mean_sq.tolist() == [0.010000000000000002, 9.405502979089324e-05,
+                                           2.0956337011382744e-06, 3.472600196531088e-07,
+                                           9.721593593604015e-08]
+        assert report.stderr.tolist() == [0.0, 8.590420515156977e-07, 4.657214532284441e-08,
+                                          1.4394992474417491e-08, 4.645134756116092e-09]
+        spec1, spec2, delta = additive_pair(n=5)
+        spec1, spec2 = spec1.with_data(T=0.25), spec2.with_data(T=0.25)
+        report = stability_estimate_experiment(spec1, spec2, 6, 17, dt=2.0**-4)
+        assert report.n_values.tolist() == [0.0, 0.1870648605387872, 0.209807601722755,
+                                            0.18730038553575207, 0.10025275209992388]
+        seq = [(spec1.u0, DiffusionCoefficient.constant(spec1.B.base + 2.0**-k * delta,
+                                                         spec1.B.q), spec1.G)
+               for k in range(3)]
+        report = generalized_solution_cauchy(spec1, seq, 17, ensemble_size=6, dt=2.0**-4)
+        assert report.solution_dists.tolist() == [2.194928211379987e-05, 5.487314024797833e-06]
+
+    def test_bad_data_is_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("noise sampled before the data were checked")
+
+        monkeypatch.setattr(analysis, "sample_noise_batch", no_sampling)
+        spec1, spec2, delta = additive_pair()
+        multiplicative = DiffusionCoefficient(spec1.B.base, [0.05, 0.0], spec1.B.q)
+        with pytest.raises(ConfigurationError, match="additive"):
+            stability_estimate_experiment(spec1, spec1.with_data(B=multiplicative), 10, 1,
+                                          dt=2.0**-6)
+        with pytest.raises(ConfigurationError, match="ensemble size"):
+            stability_estimate_experiment(spec1, spec2, 0, 1, dt=2.0**-6)
+        worse = DiffusionCoefficient.constant(spec1.B.base + delta, spec1.B.q)
+        better = DiffusionCoefficient.constant(spec1.B.base + 0.5 * delta, spec1.B.q)
+        seq = [(spec1.u0, better, spec1.G), (spec1.u0, worse, spec1.G)]
+        with pytest.raises(ConfigurationError, match="strictly decreasing"):
+            generalized_solution_cauchy(spec1, seq, 1, ensemble_size=5, dt=2.0**-6)
+        spec = make_cubic_spec(n=5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
+        with pytest.raises(ConfigurationError, match="ensemble size"):
+            contraction_experiment(spec, spec.u0, spec.u0, 0, 1, dt=2.0**-4)
+
+    def test_cauchy_peak_memory_does_not_grow_with_levels(self):
+        # consecutive solutions are compared as they are solved, so at most
+        # two ensembles are alive whatever the number of levels
+        spec1, _, delta = additive_pair(n=9)
+
+        def peak(levels):
+            seq = [(spec1.u0, DiffusionCoefficient.constant(spec1.B.base + 2.0**-k * delta,
+                                                            spec1.B.q), spec1.G)
+                   for k in range(levels)]
+            tracemalloc.start()
+            try:
+                generalized_solution_cauchy(spec1, seq, 5, ensemble_size=200, dt=2.0**-6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # leaves out one-time allocations of a first call
+        assert peak(6) <= 1.1 * peak(2)
 
 
 class TestH2Norm:
@@ -454,6 +529,19 @@ class TestCheckExperiments:
         assert r1.verdict == PASS
         r2 = compensator_experiment(g, marks, grid, 1.0, 4000, 5, space)
         assert r2.verdict == PASS
+
+    def test_single_sample_has_zero_stderr(self):
+        spec = make_cubic_spec(n=5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
+        report = contraction_experiment(spec, spec.u0, 0.5 * spec.u0, 1, 3, dt=2.0**-4)
+        assert np.all(report.stderr == 0.0)
+        space = HilbertSpace(5, 1.0 / 6.0)
+        grid = TimeGrid(1.0, 8)
+        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+        g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
+        report = compensator_experiment(g, marks, grid, 1.0, 1, 5, space)
+        assert report.summary["stderr"] == 0.0
+        report = wiener_isometry_experiment(g, np.array([1.0, 0.25]), grid, 1.0, 1, 5, space)
+        assert report.records()[0].stderr == 0.0
 
     def test_blocked_jump_checks_equal_per_path_loops(self):
         # 1234 paths: two full blocks and a partial one

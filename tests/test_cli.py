@@ -289,24 +289,44 @@ class TestMainEntry:
             assert "does not divide" in err and "Traceback" not in err
 
     def test_blow_up_is_inconclusive_and_keeps_earlier_reports(self, tmp_path, capsys):
-        # dt * f'(u) = 0.0078125 * 3000 u^2 drives the stability ensemble to overflow
+        self._check_blow_up(tmp_path, capsys, "stability")
+
+    def test_contraction_blow_up_is_inconclusive_and_keeps_earlier_reports(
+            self, tmp_path, capsys):
+        self._check_blow_up(tmp_path, capsys, "contraction")
+
+    @staticmethod
+    def _check_blow_up(tmp_path, capsys, name):
+        # dt * f'(u) = 0.0078125 * 3000 u^2 drives the coupled ensemble to overflow
         text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
-        head, sep, tail = text.partition("[experiment.stability]")
+        head, sep, tail = text.partition(f"[experiment.{name}]")
         tail = tail.replace("f_coeffs = 0 0.5 0 1", "f_coeffs = 0 0.5 0 1000", 1)
         out = tmp_path / "out"
-        with pytest.warns(Warning), pytest.raises(SystemExit) as status:
-            main([str(write_cfg(tmp_path, head + sep + tail)), "--only", "coupling,stability",
+        with pytest.warns(Warning) as recorded, pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, head + sep + tail)), "--only", f"coupling,{name}",
                   "--output-dir", str(out)])
         assert status.value.code == 0
+        assert not [w for w in recorded if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert "warning: stability:" in err and "non-finite" in err and "Traceback" not in err
+        assert f"warning: {name}:" in err and "non-finite" in err and "Traceback" not in err
         assert (out / "coupling.report.txt").exists()
-        report = (out / "stability.report.txt").read_text()
+        report = (out / f"{name}.report.txt").read_text()
         assert "# verdict: INCONCLUSIVE" in report
-        assert "stability\tblow_up\tstep=" in report
+        assert f"{name}\tblow_up\tstep=7\t" in report
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert "verdict.coupling = PASS" in manifest
-        assert "verdict.stability = INCONCLUSIVE" in manifest
+        assert f"verdict.{name} = INCONCLUSIVE" in manifest
+
+    @pytest.mark.parametrize("name", ["stability", "cauchy", "contraction"])
+    def test_empty_ensemble_exits_2(self, tmp_path, capsys, name):
+        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
+        text = text.replace(f"[experiment.{name}]\n", f"[experiment.{name}]\nensemble = 0\n", 1)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", name,
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "ensemble size must be >= 1" in err and "Traceback" not in err
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
