@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
-from .noise import (POISSON_SEED_OFFSET, TimeGrid, WienerPath, coarsen_wiener,
-                    jump_cell_counts, poisson_integral, quadratic_mark_sum, sample_noise_batch,
+from .noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, coarsen_wiener, jump_cell_counts,
+                    poisson_integral, quadratic_mark_sum, sample_jump_table, sample_noise_batch,
                     sample_poisson, sample_wiener, step_m_integral, step_q_integral)
 from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
                      regularized_coupling_identity, solve_exp_euler, solve_scheme,
@@ -76,17 +76,16 @@ def fit_order(x, y, floor: float = 1e-15) -> float:
 
 def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
                     seed: int, ensemble_size: int,
-                    paths=None) -> np.ndarray:
+                    paths: NoiseBatch | None = None) -> np.ndarray:
     """States for an ensemble of independent paths, shape (members, nodes, dim).
 
     Noise follows the seeding contract of :func:`sample_noise_batch`.  Pass
-    ``paths`` (list of (wiener, poisson)) to reuse realized noise.
+    ``paths`` (a NoiseBatch) to reuse realized noise.
     """
     if paths is None:
-        paths = sample_noise_batch(spec, grid, seed, ensemble_size)
-    dW = np.stack([w.increments for w, _ in paths])                  # (M, N, d)
-    counts = jump_cell_counts([p for _, p in paths], grid)           # (M, N, J)
-    return step_ensemble(spec, dW, counts, SchemeConfig(scheme, dt))
+        paths = sample_noise_batch(spec.B.q, spec.marks, grid, seed, ensemble_size)
+    counts = jump_cell_counts(paths.jumps, grid)                     # (M, N, J)
+    return step_ensemble(spec, paths.wiener.increments, counts, SchemeConfig(scheme, dt))
 
 
 def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
@@ -121,7 +120,7 @@ def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, sche
         _require_shared_frame(frame, spec)
 
     def gaps():
-        paths = sample_noise_batch(frame, grid, seed, members)
+        paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
         prev = _solve_ensemble(specs[0], grid, dt, scheme, seed, members, paths)
         for spec in specs[1:]:
             cur = _solve_ensemble(spec, grid, dt, scheme, seed, members, paths)
@@ -139,6 +138,12 @@ def _mean_stderr(samples: np.ndarray, axis: int = 0):
     if count < 2:
         return mean, np.zeros_like(mean)
     return mean, samples.std(axis=axis, ddof=1) / math.sqrt(count)
+
+
+def _single_path(spec: EquationSpec, grid: TimeGrid, seed: int) -> tuple:
+    """The (wiener, poisson) pair of ensemble member 0, drawn afresh."""
+    return (sample_wiener(spec.B.q, grid, seed),
+            sample_poisson(spec.marks, grid.horizon, seed + POISSON_SEED_OFFSET))
 
 
 def _grid(T: float, dt: float) -> TimeGrid:
@@ -206,7 +211,7 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
     pathwise integrability functional to enter the comparison.
     """
     dts = _validate_dyadic(dt_list, spec.T)
-    wiener_fine, poisson = sample_noise_batch(spec, _grid(spec.T, dts[-1]), seed, 1)[0]
+    wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
     gaps, integs = [], []
     space = spec.space
     inconclusive = False
@@ -216,19 +221,13 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
         try:
             t1 = solve_scheme(spec, (wiener, poisson), dt, scheme_pair[0], epsilon)
             t2 = solve_scheme(spec, (wiener, poisson), dt, scheme_pair[1], epsilon)
+            finite = np.isfinite(t1.integrability) and np.isfinite(t2.integrability)
         except BlowUpError:
-            inconclusive = True
-            gaps.append(np.nan)
-            integs.append(np.nan)
-            continue
-        if not (np.isfinite(t1.integrability) and np.isfinite(t2.integrability)):
-            inconclusive = True
-            gaps.append(np.nan)
-            integs.append(np.nan)
-            continue
-        gap = float(np.sqrt(space.sq_norms(t1.states - t2.states)).max())
-        gaps.append(gap)
-        integs.append(max(t1.integrability, t2.integrability))
+            finite = False
+        inconclusive |= not finite
+        gaps.append(float(np.sqrt(space.sq_norms(t1.states - t2.states)).max())
+                    if finite else np.nan)
+        integs.append(max(t1.integrability, t2.integrability) if finite else np.nan)
     gaps = np.array(gaps)
     order = fit_order(np.array(dts), gaps) if not inconclusive else math.nan
     if inconclusive:
@@ -608,7 +607,7 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              scheme: str = "resolvent_implicit") -> WeakResidualReport:
     """Weak residual decay across dyadic step sizes on one coupled path."""
     dts = _validate_dyadic(dt_list, spec.T)
-    wiener_fine, poisson = sample_noise_batch(spec, _grid(spec.T, dts[-1]), seed, 1)[0]
+    wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
     residuals = np.empty((k_max, len(dts)))
     for j, dt in enumerate(dts):
         wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
@@ -660,7 +659,7 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
     PASS requires the sup-norm gap to shrink with fitted slope in [0.9, 1.1].
     """
     epsilons = np.array(sorted((float(e) for e in epsilons), reverse=True))
-    wiener, poisson = sample_noise_batch(spec, _grid(spec.T, dt), seed, 1)[0]
+    wiener, poisson = _single_path(spec, _grid(spec.T, dt), seed)
     reference = solve_exp_euler(spec, (wiener, poisson), dt)
     space = spec.space
     gaps = np.empty(epsilons.shape[0])
@@ -689,7 +688,7 @@ def yosida_coupling_bound(spec: EquationSpec, u0_a, u0_b, seed: int, *,
     if not (spec.B.additive and spec.G.additive):
         raise ConfigurationError("the pathwise bound applies to additive noise only")
     grid = _grid(spec.T, dt)
-    wiener, poisson = sample_noise_batch(spec, grid, seed, 1)[0]
+    wiener, poisson = _single_path(spec, grid, seed)
     spec_a = spec.with_data(u0=u0_a)
     spec_b = spec.with_data(u0=u0_b)
     u = solve_exp_euler(spec_a, (wiener, poisson), dt).states
@@ -795,17 +794,17 @@ def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, see
                             summary={"relative_error": rel})
 
 
-# Monte Carlo jump paths are sampled and reduced this many at a time, which
-# bounds the (jumps x n) temporaries of a reduction.
+# Monte Carlo jump paths are reduced this many at a time, which bounds the
+# (jumps x n) temporaries of a reduction.
 _JUMP_BLOCK = 500
 
 
 def _jump_path_blocks(marks: MarkSpace, horizon: float, seed: int, paths: int):
-    """(slice, jump paths) for consecutive blocks of members; member i uses seed + 2**31 + i."""
+    """(slice, table) for consecutive blocks of members of one jump table."""
+    table = sample_jump_table(marks, horizon, seed, paths)
     for start in range(0, paths, _JUMP_BLOCK):
         block = slice(start, min(start + _JUMP_BLOCK, paths))
-        yield block, [sample_poisson(marks, horizon, seed + POISSON_SEED_OFFSET + i)
-                      for i in range(block.start, block.stop)]
+        yield block, table.rows(block.start, block.stop)
 
 
 def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
@@ -903,18 +902,15 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     g0 = g_amp * rng.standard_normal((coarse_steps, n))
     c0 = c_amp * rng.standard_normal((coarse_steps, n, q.shape[0]))
     d0 = d_amp * rng.standard_normal((coarse_steps, n, marks.atom_count))
-    fine_grid = TimeGrid(T, round(T / dts[-1]))
-    wiener_fine = WienerPath(fine_grid, q, np.stack(
-        [sample_wiener(q, fine_grid, seed + i).increments for i in range(paths)]), seed)
-    poissons = [sample_poisson(marks, T, seed + POISSON_SEED_OFFSET + i) for i in range(paths)]
+    noise = sample_noise_batch(q, marks, TimeGrid(T, round(T / dts[-1])), seed, paths)
     residuals = np.empty((len(dts), paths))
     for j, dt in enumerate(dts):
-        wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
+        wiener = coarsen_wiener(noise.wiener, round(dt / dts[-1]))
         expand = round(dts[0] / dt)
         g = np.repeat(g0, expand, axis=0)
         C = np.repeat(c0, expand, axis=0)
         D = np.repeat(d0, expand, axis=0)
-        residuals[j] = ito_energy_residual(A, g, C, D, (wiener, poissons), marks)
+        residuals[j] = ito_energy_residual(A, g, C, D, (wiener, noise.jumps), marks)
     mean_res, se_res = _mean_stderr(residuals, axis=1)
     order = fit_order(np.array(dts), mean_res)
     verdict = PASS if order >= 0.9 else FAIL

@@ -24,7 +24,7 @@ from . import analysis
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet)
-from .noise import TimeGrid
+from .noise import TimeGrid, shared_draws
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 
@@ -36,6 +36,18 @@ def _floats(text: str) -> list:
         return [float(tok) for tok in text.split()]
     except ValueError as exc:
         raise ConfigurationError(f"expected numbers, got {text!r}: {exc}") from None
+
+
+def _number(section: dict, name: str, key: str, kind, default=None, minimum=None):
+    """``key`` of section [name] as ``kind``; configparser stores keys in lower case."""
+    raw = section.get(key.lower(), default)
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigurationError(f"[{name}] {key}: expected {kind.__name__}, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"[{name}] {key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _matrix(text: str, rows: int, cols: int, key: str) -> np.ndarray:
@@ -73,11 +85,7 @@ class RunConfig:
         if isinstance(default, bool):
             return raw.strip().lower() in ("1", "true", "yes")
         if isinstance(default, (int, float)):
-            try:
-                return type(default)(raw)
-            except ValueError:
-                raise ConfigurationError(f"[experiment.{experiment}] {key}: expected "
-                                         f"{type(default).__name__}, got {raw!r}") from None
+            return _number({key: raw}, f"experiment.{experiment}", key, type(default))
         if isinstance(default, (tuple, list)):
             return tuple(_floats(raw))
         return raw.strip()
@@ -90,64 +98,62 @@ class RunConfig:
                     "z_atoms", "z_weights", "g_base", "g_scale"):
             if key.lower() in overrides:
                 merged[key.lower()] = overrides[key.lower()]
-        return _build_equation(merged)
+        return _build_equation(merged, f"experiment.{experiment}")
 
 
-def _build_equation(eq: dict) -> EquationSpec:
-    try:
-        n = int(eq["n"])
-    except KeyError:
-        raise ConfigurationError("[equation] n is required") from None
-    if n < 1:
-        raise ConfigurationError(f"[equation] n must be >= 1, got {n}")
+def _build_equation(eq: dict, name: str = "equation") -> EquationSpec:
+    """The equation of the keys in ``eq``; messages name the keys as in section [name]."""
+    if "n" not in eq:
+        raise ConfigurationError(f"[{name}] n is required")
+    n = _number(eq, name, "n", int, minimum=1)
     operator = eq.get("operator", "dirichlet_laplacian").strip()
     if operator == "dirichlet_laplacian":
         A = dirichlet_laplacian(n)
     elif operator == "diagonal":
         lam = _floats(eq.get("eigenvalues", ""))
         if len(lam) != n:
-            raise ConfigurationError(f"[equation] eigenvalues: expected {n} values, got {len(lam)}")
-        A = SpectralOperator.diagonal(lam, float(eq.get("weight", "1.0")))
+            raise ConfigurationError(f"[{name}] eigenvalues: expected {n} values, got {len(lam)}")
+        A = SpectralOperator.diagonal(lam, _number(eq, name, "weight", float, "1.0"))
     else:
-        raise ConfigurationError(f"[equation] operator: unknown choice {operator!r}")
+        raise ConfigurationError(f"[{name}] operator: unknown choice {operator!r}")
 
     f_coeffs = tuple(_floats(eq.get("f_coeffs", "")))
-    F = Nonlinearity(f_coeffs, float(eq.get("eta", "0.0")))
+    F = Nonlinearity(f_coeffs, _number(eq, name, "eta", float, "0.0"))
 
     q = np.array(_floats(eq.get("q", "1.0")))
     if np.any(q < 0.0):
-        raise ConfigurationError(f"[equation] q: covariance weights must be nonnegative, got {q.tolist()}")
+        raise ConfigurationError(f"[{name}] q: covariance weights must be nonnegative, got {q.tolist()}")
     d = q.shape[0]
-    b_base = _matrix(eq.get("b_base", "zeros"), n, d, "[equation] b_base")
+    b_base = _matrix(eq.get("b_base", "zeros"), n, d, f"[{name}] b_base")
     b_scale = np.array(_floats(eq.get("b_scale", " ".join(["0"] * d))))
     if b_scale.shape != (d,):
-        raise ConfigurationError(f"[equation] b_scale: expected {d} values, got {b_scale.shape}")
+        raise ConfigurationError(f"[{name}] b_scale: expected {d} values, got {b_scale.shape}")
     B = DiffusionCoefficient(b_base, b_scale, q)
 
     atoms = _floats(eq.get("z_atoms", "0.0"))
     weights = _floats(eq.get("z_weights", "0.0"))
     if any(m < 0.0 for m in weights):
-        raise ConfigurationError(f"[equation] z_weights: weights must be nonnegative, got {weights}")
+        raise ConfigurationError(f"[{name}] z_weights: weights must be nonnegative, got {weights}")
     marks = MarkSpace(tuple(atoms), tuple(weights))
     j = marks.atom_count
-    g_base = _matrix(eq.get("g_base", "zeros"), n, j, "[equation] g_base")
+    g_base = _matrix(eq.get("g_base", "zeros"), n, j, f"[{name}] g_base")
     g_scale = np.array(_floats(eq.get("g_scale", " ".join(["0"] * j))))
     if g_scale.shape != (j,):
-        raise ConfigurationError(f"[equation] g_scale: expected {j} values, got {g_scale.shape}")
+        raise ConfigurationError(f"[{name}] g_scale: expected {j} values, got {g_scale.shape}")
     G = JumpCoefficient(g_base, g_scale, marks)
 
     u0_raw = eq.get("u0")
     if u0_raw is None:
-        raise ConfigurationError("[equation] u0 is required")
+        raise ConfigurationError(f"[{name}] u0 is required")
     u0 = np.array(_floats(u0_raw))
     if u0.shape != (n,):
-        raise ConfigurationError(f"[equation] u0: expected {n} values, got {u0.shape[0]}")
-    T = float(eq.get("t", eq.get("T", "1.0")))
-    alpha = float(eq.get("alpha", "0.0"))
+        raise ConfigurationError(f"[{name}] u0: expected {n} values, got {u0.shape[0]}")
+    T = _number(eq, name, "T", float, "1.0")
+    alpha = _number(eq, name, "alpha", float, "0.0")
     try:
         return EquationSpec(A=A, F=F, B=B, G=G, u0=u0, T=T, alpha=alpha)
     except ValueError as exc:
-        raise ConfigurationError(f"[equation] {exc}") from None
+        raise ConfigurationError(f"[{name}] {exc}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -175,7 +181,7 @@ def parse_config(path) -> RunConfig:
     exp = sections.get("experiment", {})
     if "seed" not in exp:
         raise ConfigurationError("[experiment] seed is required (no wall-clock seeding)")
-    seed = int(exp["seed"])
+    seed = _number(exp, "experiment", "seed", int)
 
     spec = _build_equation(sections["equation"])
 
@@ -192,8 +198,12 @@ def parse_config(path) -> RunConfig:
             if abs(a / b - 2.0) > 1e-12:
                 raise ConfigurationError(f"[experiment] dt_list must be dyadic, got {dt_list}")
     epsilons = tuple(_floats(exp.get("epsilons", ""))) or ()
-    ensemble_coupled = int(exp.get("ensemble_coupled", "1000"))
-    ensemble_paths = int(exp.get("ensemble_paths", "10000"))
+    ensemble_coupled = _number(exp, "experiment", "ensemble_coupled", int, "1000", minimum=1)
+    ensemble_paths = _number(exp, "experiment", "ensemble_paths", int, "10000", minimum=1)
+    for name, section in sections.items():
+        for key in ("paths", "ensemble", "instances"):
+            if name.startswith("experiment.") and key in section:
+                _number(section, name, key, int, minimum=1)
 
     out = sections.get("output", {})
     output_dir = Path(out.get("directory", "out"))
@@ -411,29 +421,31 @@ def run(config: RunConfig, verbose: bool = False) -> int:
     One report file per experiment plus a manifest; exit status is nonzero
     iff any experiment FAILED (INCONCLUSIVE exits zero with a warning).  A
     solver blow-up makes its experiment INCONCLUSIVE, with the step and time
-    recorded, and the run goes on.  Partially written artifacts are removed
-    when a run aborts; an i/o failure is reported on one stderr line and
-    re-raised.
+    recorded, and the run goes on.  The experiments share their noise draws
+    (``noise.shared_draws``), which are dropped when the run ends.  Partially
+    written artifacts are removed when a run aborts; an i/o failure is
+    reported on one stderr line and re-raised.
     """
     outdir = config.output_dir
     written = []
     verdicts = {}
     try:
-        for name in config.experiments:
-            if verbose:
-                print(f"running {name} ...", flush=True)
-            try:
-                report = EXPERIMENTS[name](config)
-            except BlowUpError as exc:
-                print(f"warning: {name}: {exc}", file=sys.stderr)
-                report = _blowup_report(name, exc)
-            if "report" in config.formats:
-                written.append(write_report(report, outdir / f"{name}.report.txt"))
-            if "plotdata" in config.formats:
-                written.extend(write_plot_data(report, outdir))
-            verdicts[name] = report.verdict
-            if verbose:
-                print(f"  {name}: {report.verdict}")
+        with shared_draws():
+            for name in config.experiments:
+                if verbose:
+                    print(f"running {name} ...", flush=True)
+                try:
+                    report = EXPERIMENTS[name](config)
+                except BlowUpError as exc:
+                    print(f"warning: {name}: {exc}", file=sys.stderr)
+                    report = _blowup_report(name, exc)
+                if "report" in config.formats:
+                    written.append(write_report(report, outdir / f"{name}.report.txt"))
+                if "plotdata" in config.formats:
+                    written.extend(write_plot_data(report, outdir))
+                verdicts[name] = report.verdict
+                if verbose:
+                    print(f"  {name}: {report.verdict}")
         entries = {
             "version": __version__,
             "config_sha256": config.config_sha256,
@@ -447,20 +459,14 @@ def run(config: RunConfig, verbose: bool = False) -> int:
         inconclusive = [n for n, v in verdicts.items() if v == analysis.INCONCLUSIVE]
         entries["exit_status"] = 1 if failed else 0
         written.append(write_manifest(entries, outdir / "manifest.txt"))
-    except OSError as exc:
+    except Exception as exc:
         for path in written:
             try:
                 path.unlink()
             except OSError:
                 pass
-        print(f"error: i/o failure while writing artifacts: {exc}", file=sys.stderr)
-        raise
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        if isinstance(exc, OSError):
+            print(f"error: i/o failure while writing artifacts: {exc}", file=sys.stderr)
         raise
     if inconclusive:
         print(f"warning: inconclusive experiments: {', '.join(inconclusive)}", file=sys.stderr)

@@ -67,10 +67,6 @@ class Nonlinearity:
     def linear(cls, slope: float, shift: float = 0.0) -> "Nonlinearity":
         return cls((0.0, float(slope)), shift)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients)
-
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if not self.coefficients:
@@ -142,9 +138,13 @@ class MarkSpace:
     def total_mass(self) -> float:
         return float(sum(self.weights))
 
-    def permuted(self, order) -> "MarkSpace":
-        order = list(order)
-        return MarkSpace(tuple(self.atoms[j] for j in order), tuple(self.weights[j] for j in order))
+    @cached_property
+    def atom_cdf(self) -> np.ndarray:
+        """Cumulative atom probabilities, normalized as ``Generator.choice`` does."""
+        cdf = (self.weight_array / self.total_mass).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
 
 
 class _AffineCoefficient:

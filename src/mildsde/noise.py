@@ -14,30 +14,39 @@ multi-resolution experiments generate the finest path once and coarsen it by
 summation, never by resampling.
 
 Monte Carlo work is batched without touching the seeding: a WienerPath may
-stack M paths, and the jump reductions (``jump_cell_counts``,
-``poisson_integral``, ``quadratic_mark_sum``) take one PoissonPath or a list
-of them, reducing a list in one pass over all its jumps.
+stack M paths, a PoissonPath may hold the jumps of M paths in one flat
+table, and the jump reductions (``jump_cell_counts``, ``poisson_integral``,
+``quadratic_mark_sum``) reduce a table in one pass over all its jumps.
+
+Inside ``shared_draws()``, entered once by ``cli.run``, ``sample_noise_batch``
+and ``sample_jump_table`` draw each member at most once: they keep their
+draws keyed on (kind, q or marks, grid or horizon, seed), serve a smaller
+request by a prefix and draw only what a larger one lacks.  Outside it every
+call draws afresh; the seeding contract is the same either way.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .model import EquationSpec, MarkSpace
+from .model import MarkSpace
 from .space import HilbertSpace
 
 __all__ = [
     "TimeGrid",
     "WienerPath",
     "PoissonPath",
+    "NoiseBatch",
     "sample_wiener",
     "sample_poisson",
+    "sample_jump_table",
     "sample_noise_batch",
+    "shared_draws",
     "coarsen_wiener",
-    "ito_integral",
     "poisson_integral",
     "quadratic_mark_sum",
     "jump_cell_counts",
@@ -89,11 +98,6 @@ class TimeGrid:
             raise ValueError(f"cannot coarsen {self.steps} steps by factor {factor}")
         return TimeGrid(self.horizon, self.steps // factor)
 
-    def refine(self, factor: int) -> "TimeGrid":
-        if factor < 1:
-            raise ValueError(f"refinement factor must be >= 1, got {factor}")
-        return TimeGrid(self.horizon, self.steps * factor)
-
 
 @dataclass(frozen=True, eq=False)
 class WienerPath:
@@ -120,13 +124,6 @@ class WienerPath:
     @property
     def modes(self) -> int:
         return self.q.shape[0]
-
-    def cumulative(self) -> np.ndarray:
-        """W at the grid nodes, shape ([M,] steps + 1, d), starting at zero."""
-        lead = self.increments.shape[:-2]
-        w = np.zeros(lead + (self.grid.steps + 1, self.modes))
-        np.cumsum(self.increments, axis=-2, out=w[..., 1:, :])
-        return w
 
 
 def sample_wiener(q, grid: TimeGrid, seed: int) -> WienerPath:
@@ -161,13 +158,19 @@ def coarsen_wiener(path: WienerPath, factor: int) -> WienerPath:
 
 @dataclass(frozen=True, eq=False)
 class PoissonPath:
-    """Jump times in (0, horizon] with atom indices into a finite mark space."""
+    """Jump times in (0, horizon] with atom indices into a finite mark space.
+
+    A table of M paths holds all their jumps in the same flat arrays: path i's
+    jumps, in time order, are entries offsets[i]:offsets[i + 1], and path i
+    was drawn from seed + i.  A single path has no offsets.
+    """
 
     times: np.ndarray
     marks: np.ndarray
     horizon: float
     atom_count: int
     seed: int
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         if self.times.shape != self.marks.shape:
@@ -176,6 +179,33 @@ class PoissonPath:
     @property
     def count(self) -> int:
         return int(self.times.shape[0])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of jumps of each path."""
+        return np.array([self.count]) if self.offsets is None else np.diff(self.offsets)
+
+    @property
+    def members(self) -> int:
+        return 1 if self.offsets is None else self.offsets.shape[0] - 1
+
+    def rows(self, start: int, stop: int) -> "PoissonPath":
+        """The table of paths start..stop-1, sharing this table's arrays."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return PoissonPath(self.times[lo:hi], self.marks[lo:hi], self.horizon, self.atom_count,
+                           self.seed + start, self.offsets[start:stop + 1] - lo)
+
+    @classmethod
+    def stack(cls, paths) -> "PoissonPath":
+        """One table of the given paths and tables, in order."""
+        first = paths[0]
+        if any((p.horizon, p.atom_count) != (first.horizon, first.atom_count) for p in paths):
+            raise ValueError("a table holds paths of one horizon and one mark space")
+        offsets = np.concatenate(([0], np.cumsum(np.concatenate([p.sizes for p in paths]))))
+        arrays = [np.concatenate([getattr(p, name) for p in paths]) for name in ("times", "marks")]
+        for arr in (*arrays, offsets):
+            arr.setflags(write=False)
+        return cls(*arrays, first.horizon, first.atom_count, first.seed, offsets)
 
 
 def _resolve_time_ties(times: np.ndarray, rng, horizon: float) -> np.ndarray:
@@ -209,8 +239,10 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     count = int(rng.poisson(horizon * mass)) if mass > 0.0 else 0
     times = horizon * (1.0 - rng.random(count))
     times = _resolve_time_ties(times, rng, horizon)
-    if count and mass > 0.0:
-        idx = rng.choice(marks.atom_count, size=count, p=marks.weight_array / mass)
+    if count:
+        # Generator.choice(p=...) draws exactly this: the same atoms, and the
+        # generator left in the same state, without its per-call checks of p
+        idx = np.searchsorted(marks.atom_cdf, rng.random(count), side="right")
     else:
         idx = np.zeros(0, dtype=np.int64)
     times.setflags(write=False)
@@ -218,48 +250,93 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     return PoissonPath(times, idx, float(horizon), marks.atom_count, int(seed))
 
 
-def sample_noise_batch(spec: EquationSpec, grid: TimeGrid, seed: int, members: int) -> list:
-    """(wiener, poisson) path pairs for ``members`` independent ensemble members.
+_drawn = None  # the run's memo of batch draws, open inside shared_draws()
+
+
+@contextmanager
+def shared_draws():
+    """Within the block, each batch member is drawn at most once (see the module notes)."""
+    global _drawn
+    outer, _drawn = _drawn, {}
+    try:
+        yield
+    finally:
+        _drawn = outer
+
+
+def _wiener_rows(q: np.ndarray, grid: TimeGrid, seed: int, members: int) -> np.ndarray:
+    """Stacked increments (members, steps, d) of the paths seed + i."""
+    key = ("wiener", q.tobytes(), grid.horizon, grid.steps, seed)
+    held = None if _drawn is None else _drawn.get(key)
+    have = 0 if held is None else held.shape[0]
+    if have < members:
+        rows = [sample_wiener(q, grid, seed + i).increments for i in range(have, members)]
+        held = np.stack(rows if held is None else [*held, *rows])
+        held.setflags(write=False)
+        if _drawn is not None:
+            _drawn[key] = held
+    return held[:members]
+
+
+def sample_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int) -> PoissonPath:
+    """The table of the jump paths seed + POISSON_SEED_OFFSET + i, i < members."""
+    if members < 1:
+        raise ValueError(f"a batch needs at least one member, got {members}")
+    key = ("poisson", marks.atoms, marks.weights, float(horizon), seed)
+    held = None if _drawn is None else _drawn.get(key)
+    have = 0 if held is None else held.members
+    if have < members:
+        rows = [sample_poisson(marks, horizon, seed + POISSON_SEED_OFFSET + i)
+                for i in range(have, members)]
+        held = PoissonPath.stack(rows if held is None else [held, *rows])
+        if _drawn is not None:
+            _drawn[key] = held
+    return held.rows(0, members)
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseBatch:
+    """The noise of ``len(batch)`` members: stacked Wiener increments and one jump table."""
+
+    wiener: WienerPath
+    jumps: PoissonPath
+
+    def __len__(self) -> int:
+        return self.jumps.members
+
+
+def sample_noise_batch(q, marks: MarkSpace, grid: TimeGrid, seed: int, members: int) -> NoiseBatch:
+    """The noise of ``members`` independent ensemble members on ``grid``.
 
     Member i draws its Wiener path from seed + i and its jump path from
     seed + POISSON_SEED_OFFSET + i, so a member's noise does not depend on
     the ensemble size or on the order in which members are solved.
     """
-    return [(sample_wiener(spec.B.q, grid, seed + i),
-             sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET + i))
-            for i in range(members)]
+    jumps = sample_jump_table(marks, grid.horizon, seed, members)
+    q = np.asarray(q, dtype=float)
+    return NoiseBatch(WienerPath(grid, q, _wiener_rows(q, grid, seed, members), seed), jumps)
 
 
-def _path_list(path) -> tuple:
-    """(list of paths, single): one PoissonPath is a batch of one."""
-    if isinstance(path, PoissonPath):
-        return [path], True
-    return list(path), False
+def _completed_jumps(path: PoissonPath, grid: TimeGrid, k: int) -> tuple:
+    """(member, cell, atom) of every jump completed by node k, member by member in time order.
 
-
-def _completed_jumps(paths: list, grid: TimeGrid, k: int) -> tuple:
-    """(owner, cell, atom) of every jump completed by node k, path by path in time order.
-
-    ``owner`` indexes ``paths``.  A jump at s lands in the cell (t_n, t_{n+1}]
-    containing s, and node k has completed the cells n < k.
+    A jump at s lands in the cell (t_n, t_{n+1}] containing s, and node k
+    has completed the cells n < k.
     """
-    times = np.concatenate([p.times for p in paths])
-    cells = np.searchsorted(grid.times[1:-1], times, side="left")
-    owner = np.repeat(np.arange(len(paths)), [p.count for p in paths])
-    atoms = np.concatenate([p.marks for p in paths]).astype(np.intp, copy=False)
+    cells = np.searchsorted(grid.times[1:-1], path.times, side="left")
+    owner = np.repeat(np.arange(path.members), path.sizes)
     active = cells < k
-    return owner[active], cells[active], atoms[active]
+    return owner[active], cells[active], path.marks[active].astype(np.intp, copy=False)
 
 
-def jump_cell_counts(path, grid: TimeGrid) -> np.ndarray:
+def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
     """Per-cell, per-atom jump counts (steps, J); a jump at s lands in the cell (t_n, t_{n+1}] containing s.
 
-    For a list of M paths the counts are stacked to (M, steps, J).
+    For a table of M paths the counts are stacked to (M, steps, J).
     """
-    paths, single = _path_list(path)
-    counts = np.zeros((len(paths), grid.steps, paths[0].atom_count))
-    np.add.at(counts, _completed_jumps(paths, grid, grid.steps), 1.0)
-    return counts[0] if single else counts
+    counts = np.zeros((path.members, grid.steps, path.atom_count))
+    np.add.at(counts, _completed_jumps(path, grid, grid.steps), 1.0)
+    return counts[0] if path.offsets is None else counts
 
 
 def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = None) -> np.ndarray:
@@ -271,20 +348,6 @@ def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = No
     return arr
 
 
-def ito_integral(phi, path: WienerPath, t: float) -> np.ndarray:
-    """Integral of a grid step process against the Wiener increments up to node t.
-
-    phi has shape (steps, n, d); the value is sum over completed cells of
-    phi[n] @ dW[n].  t must be a grid node.
-    """
-    grid = path.grid
-    phi = _check_step_process(phi, grid, "phi", path.modes)
-    k = grid.node_index(t)
-    if k == 0:
-        return np.zeros(phi.shape[1])
-    return np.einsum("mnd,md->n", phi[:k], path.increments[:k])
-
-
 def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
                      compensated: bool = True) -> np.ndarray:
     """Integral of a mark-indexed step process against the jump measure up to node t.
@@ -292,20 +355,19 @@ def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
     The uncompensated value sums g over realized jumps (cell index, atom
     index) in time order; with ``compensated=True`` the exact cellwise
     compensator dt * sum_j m_j g[cell, :, j] is subtracted, which is
-    error-free for step integrands.  ``path`` is one PoissonPath, or a list
-    of M paths whose values are returned as the rows of an (M, n) array.
+    error-free for step integrands.  For a table of M paths the values are
+    returned as the rows of an (M, n) array.
     """
     g = _check_step_process(g, grid, "g", marks.atom_count)
-    paths, single = _path_list(path)
-    if any(p.atom_count != marks.atom_count for p in paths):
+    if path.atom_count != marks.atom_count:
         raise ValueError("path was sampled from a different mark space")
     k = grid.node_index(t)
-    owner, cells, atoms = _completed_jumps(paths, grid, k)
-    out = np.zeros((len(paths), g.shape[1]))
+    owner, cells, atoms = _completed_jumps(path, grid, k)
+    out = np.zeros((path.members, g.shape[1]))
     np.add.at(out, owner, g[cells, :, atoms])
     if compensated and k > 0:
         out -= grid.dt * np.einsum("mnj,j->n", g[:k], marks.weight_array)
-    return out[0] if single else out
+    return out[0] if path.offsets is None else out
 
 
 def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
@@ -315,18 +377,17 @@ def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
     Returns (sum over jumps of |D(cell, z_j)|_H^2,
              integral of |D(s, .)|_m^2 ds over completed cells); the two have
     equal expectation because the deterministic measure dt x m compensates
-    the jump measure.  For a list of M paths the jump sum is an array of M
+    the jump measure.  For a table of M paths the jump sum is an array of M
     values; the compensator does not depend on the path.
     """
     D = _check_step_process(D, grid, "D", marks.atom_count)
-    paths, single = _path_list(path)
     k = grid.node_index(t)
-    owner, cells, atoms = _completed_jumps(paths, grid, k)
+    owner, cells, atoms = _completed_jumps(path, grid, k)
     cols = D[cells, :, atoms]
-    jump_sq = np.zeros(len(paths))
+    jump_sq = np.zeros(path.members)
     np.add.at(jump_sq, owner, space.weight * np.einsum("jn,jn->j", cols, cols))
     comp = step_m_integral(D, marks, grid, t, space)
-    return (float(jump_sq[0]) if single else jump_sq), comp
+    return (float(jump_sq[0]) if path.offsets is None else jump_sq), comp
 
 
 def step_q_integral(phi, q, grid: TimeGrid, t: float, space: HilbertSpace) -> float:

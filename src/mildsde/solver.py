@@ -68,7 +68,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States on a grid plus the metadata needed to reproduce them.
+    """States on a grid, tagged with the fingerprint of the equation that produced them.
 
     ``integrability`` is the a posteriori pathwise integral of
     |F(u)| + |B(t, u)|_Q^2 + |G(t, u, .)|_m^2 over [0, T]; uniqueness
@@ -78,9 +78,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray
     spec_fingerprint: str
-    wiener_seed: int
-    poisson_seed: int
-    scheme: SchemeConfig
     integrability: float
 
     def __post_init__(self):
@@ -220,8 +217,7 @@ def _solve_path(spec: EquationSpec, noise, config: SchemeConfig) -> Trajectory:
     counts = jump_cell_counts(poisson, grid)
     states = step_ensemble(spec, wiener.increments[None], counts[None], config)[0]
     states.setflags(write=False)
-    return Trajectory(grid, states, spec.fingerprint(), wiener.seed, poisson.seed, config,
-                      _integrability(spec, states, config.dt))
+    return Trajectory(grid, states, spec.fingerprint(), _integrability(spec, states, config.dt))
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
@@ -347,8 +343,8 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
 
     ``noise`` is one (WienerPath, PoissonPath) pair, or a batch of M paths
     sharing the data (g, C, D): a WienerPath with increments (M, steps, d)
-    and a list of M PoissonPaths.  All members are stepped together and
-    every term of a batch is an array of M values.
+    and a PoissonPath table of M paths.  All members are stepped together
+    and every term of a batch is an array of M values.
     """
     wiener, poisson = noise
     grid = wiener.grid
@@ -358,17 +354,17 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     if cap >= 2.0:
         raise ConfigurationError(
             f"explicit Euler unstable for the energy identity: dt*lam_max = {cap:.3g} >= 2")
-    single = isinstance(poisson, PoissonPath)
-    poissons = [poisson] if single else list(poisson)
+    single = poisson.offsets is None
+    jumps = PoissonPath.stack([poisson]) if single else poisson
     dW = wiener.increments.reshape(-1, grid.steps, wiener.modes)         # (M, N, d)
-    if dW.shape[0] != len(poissons):
-        raise ValueError(f"{dW.shape[0]} wiener paths but {len(poissons)} jump paths")
-    counts = jump_cell_counts(poissons, grid)                            # (M, N, J)
+    if dW.shape[0] != jumps.members:
+        raise ValueError(f"{dW.shape[0]} wiener paths but {jumps.members} jump paths")
+    counts = jump_cell_counts(jumps, grid)                               # (M, N, J)
     wiener_inc = np.einsum("nij,mnj->mni", C, dW)
     jump_inc = np.einsum("nij,mnj->mni", D, counts) - dt * (D @ marks.weight_array)
     drive = wiener_inc + jump_inc - dt * g
     Amat = A.matrix
-    y = np.zeros((len(poissons), grid.steps + 1, A.dim))                # y_0 = 0
+    y = np.zeros((jumps.members, grid.steps + 1, A.dim))                # y_0 = 0
     Ay = np.empty_like(drive)
     for n in range(grid.steps):
         Ay[:, n] = y[:, n] @ Amat.T
@@ -379,7 +375,7 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     mart_wiener = 2.0 * w * np.einsum("mni,mni->m", left, wiener_inc)
     mart_jump = 2.0 * w * np.einsum("mni,mni->m", left, jump_inc)
     bracket_wiener = w * np.einsum("mni,mni->m", wiener_inc, wiener_inc)
-    jump_sq, _ = quadratic_mark_sum(D, poissons, marks, grid, grid.horizon, A.space)
+    jump_sq, _ = quadratic_mark_sum(D, jumps, marks, grid, grid.horizon, A.space)
     final_sq = w * np.einsum("mi,mi->m", final, final)
     terms = {
         "lhs": final_sq + drift,

@@ -1,4 +1,4 @@
-"""Columnar text formats for paths, trajectories, reports and plot data.
+"""Columnar text formats for reports, plot data and manifests.
 
 All numbers are printed with 17 significant digits so identical runs produce
 byte-identical files; nothing time- or host-dependent is ever written.
@@ -14,19 +14,13 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "Record",
     "fmt",
     "atomic_write_text",
-    "write_wiener_path",
-    "write_poisson_path",
-    "write_trajectory",
     "write_report",
     "write_plot_data",
     "write_manifest",
-    "read_columns",
 ]
 
 
@@ -60,58 +54,6 @@ def atomic_write_text(text: str, path) -> Path:
             os.unlink(tmp)
         raise
     return path
-
-
-def write_wiener_path(path_obj, destination) -> Path:
-    lines = [
-        "# mildsde wiener path v1",
-        f"# seed = {path_obj.seed}",
-        f"# horizon = {fmt(path_obj.grid.horizon)}",
-        f"# steps = {path_obj.grid.steps}",
-        "# q = " + " ".join(fmt(v) for v in path_obj.q),
-        "# columns: t_left t_right dW...",
-    ]
-    times = path_obj.grid.times
-    for n in range(path_obj.grid.steps):
-        row = [fmt(times[n]), fmt(times[n + 1])]
-        row.extend(fmt(v) for v in path_obj.increments[n])
-        lines.append(" ".join(row))
-    return atomic_write_text("\n".join(lines) + "\n", destination)
-
-
-def write_poisson_path(path_obj, destination) -> Path:
-    lines = [
-        "# mildsde poisson path v1",
-        f"# seed = {path_obj.seed}",
-        f"# horizon = {fmt(path_obj.horizon)}",
-        f"# atoms = {path_obj.atom_count}",
-        "# columns: time mark_index",
-    ]
-    for t, j in zip(path_obj.times, path_obj.marks):
-        lines.append(f"{fmt(t)} {int(j)}")
-    return atomic_write_text("\n".join(lines) + "\n", destination)
-
-
-def write_trajectory(traj, destination) -> Path:
-    cfg = traj.scheme
-    eps = "-" if cfg.epsilon is None else fmt(cfg.epsilon)
-    lines = [
-        "# mildsde trajectory v1",
-        f"# fingerprint = {traj.spec_fingerprint}",
-        f"# scheme = {cfg.scheme}",
-        f"# dt = {fmt(cfg.dt)}",
-        f"# epsilon = {eps}",
-        f"# wiener_seed = {traj.wiener_seed}",
-        f"# poisson_seed = {traj.poisson_seed}",
-        f"# integrability = {fmt(traj.integrability)}",
-        "# columns: t u...",
-    ]
-    times = traj.grid.times
-    for n in range(traj.grid.steps + 1):
-        row = [fmt(times[n])]
-        row.extend(fmt(v) for v in traj.states[n])
-        lines.append(" ".join(row))
-    return atomic_write_text("\n".join(lines) + "\n", destination)
 
 
 def write_report(report, destination) -> Path:
@@ -160,15 +102,3 @@ def write_manifest(entries: dict, destination) -> Path:
     for key, value in entries.items():
         lines.append(f"{key} = {value}")
     return atomic_write_text("\n".join(lines) + "\n", destination)
-
-
-def read_columns(path) -> np.ndarray:
-    """Parse a whitespace-separated numeric file written by this module."""
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    return np.array(rows)

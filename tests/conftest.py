@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mildsde import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
-                     Nonlinearity, dirichlet_laplacian)
+                     Nonlinearity, dirichlet_laplacian, noise)
 
 
 def eigen_profile(A, amplitudes):
@@ -51,3 +51,19 @@ def cubic_spec():
 @pytest.fixture(scope="session")
 def linear_spec():
     return make_linear_spec()
+
+
+@pytest.fixture
+def draw_counts(monkeypatch):
+    """Counts of the single-path draws the batch samplers make, by kind."""
+    calls = {"wiener": 0, "poisson": 0}
+
+    def counted(kind, draw):
+        def wrapper(*args):
+            calls[kind] += 1
+            return draw(*args)
+        return wrapper
+
+    monkeypatch.setattr(noise, "sample_wiener", counted("wiener", noise.sample_wiener))
+    monkeypatch.setattr(noise, "sample_poisson", counted("poisson", noise.sample_poisson))
+    return calls

@@ -18,7 +18,7 @@ from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, 
                            Nonlinearity, check_dissipativity_triplet)
 from mildsde.cli import EXPERIMENTS, parse_config
 from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, poisson_integral, quadratic_mark_sum,
-                           sample_poisson, sample_wiener)
+                           sample_jump_table, sample_poisson, sample_wiener, shared_draws)
 from mildsde.solver import solve_resolvent_implicit, solve_scheme
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 
@@ -558,6 +558,17 @@ class TestCheckExperiments:
         assert r1.records()[3].value == values.sum(axis=1).mean()
         r2 = compensator_experiment(g, marks, grid, 0.75, 1234, 5, space)
         assert r2.records()[0].value == pytest.approx(diffs.mean(), rel=1e-14, abs=0.0)
+        # the blocks are slices of one table: on the whole table, and inside a
+        # run where compensator reads poisson_isometry's table, nothing moves
+        table = sample_jump_table(marks, 1.0, 5, 1234)
+        assert np.array_equal(poisson_integral(g, table, marks, grid, 0.75), values)
+        jump_sq, comp = quadratic_mark_sum(g, table, marks, grid, 0.75, space)
+        assert np.array_equal(jump_sq - comp, diffs)
+        with shared_draws():
+            shared = (poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space),
+                      compensator_experiment(g, marks, grid, 0.75, 1234, 5, space))
+        for fresh, served in zip((r1, r2), shared):
+            assert [r.value for r in served.records()] == [r.value for r in fresh.records()]
 
     def test_acceptance_values_are_pinned(self):
         # configs/acceptance.cfg at its seed, as computed by per-path loops;

@@ -1,17 +1,18 @@
+import hashlib
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mildsde import noise
 from mildsde.cli import main, parse_config, run
 from mildsde.errors import ConfigurationError
-from mildsde.noise import TimeGrid, sample_poisson, sample_wiener
-from mildsde.model import MarkSpace, check_dissipativity_triplet
-from mildsde.solver import solve_exp_euler
-from mildsde.textio import (atomic_write_text, read_columns, write_plot_data,
-                            write_poisson_path, write_trajectory, write_wiener_path)
+from mildsde.model import check_dissipativity_triplet
+from mildsde.textio import atomic_write_text, write_plot_data
 
 from conftest import make_cubic_spec
 
@@ -46,6 +47,17 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def set_key(text, section, key, value):
+    """The config text with ``key = value`` in [section], replacing the key's line if present."""
+    head, sep, tail = text.partition(f"[{section}]\n")
+    assert sep, section
+    body, nxt, rest = tail.partition("\n[")
+    body, found = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", body, count=1)
+    if not found:
+        body = f"{key} = {value}\n" + body
+    return head + sep + body + nxt + rest
 
 
 class TestParseConfig:
@@ -185,6 +197,35 @@ class TestRun:
         assert outs[0].keys() == outs[1].keys()
         assert outs[0] == outs[1]
 
+    def test_shipped_cubic_artifacts_match_the_recorded_digests(self, tmp_path):
+        # tests/cubic-rd.sha256 pins every artifact of the shipped config at its
+        # seed; a change that moves these bytes on purpose updates the list
+        recorded = dict(line.split()[::-1] for line in
+                        (Path(__file__).parent / "cubic-rd.sha256").read_text().splitlines())
+        cfg = replace(parse_config(CONFIG_DIR / "cubic-rd.cfg"), output_dir=tmp_path)
+        assert cfg.seed == 20260809
+        assert run(cfg) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == recorded
+
+    def test_coupled_experiments_draw_one_batch(self, tmp_path, draw_counts):
+        text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment",
+                       "ensemble_coupled", "40")
+        cfg = replace(parse_config(write_cfg(tmp_path, text)), output_dir=tmp_path / "out",
+                      experiments=("contraction", "stability", "cauchy"))
+        run(cfg)
+        assert draw_counts == {"wiener": 40, "poisson": 40}
+        assert noise._drawn is None
+
+    def test_compensator_reuses_the_isometry_jump_paths(self, tmp_path, draw_counts):
+        text = (CONFIG_DIR / "acceptance.cfg").read_text()
+        for name in ("poisson_isometry", "compensator"):
+            text = set_key(text, f"experiment.{name}", "paths", "300")
+        cfg = replace(parse_config(write_cfg(tmp_path, text)), output_dir=tmp_path / "out",
+                      experiments=("poisson_isometry", "compensator"))
+        run(cfg)
+        assert draw_counts == {"wiener": 0, "poisson": 300}
+
 
 class TestEmitPlotData:
     def make_coupling_report(self, spec):
@@ -195,7 +236,7 @@ class TestEmitPlotData:
         spec = make_cubic_spec(n=7)
         report = self.make_coupling_report(spec)
         paths = write_plot_data(report, tmp_path)
-        data = read_columns([p for p in paths if "gap_vs_dt" in p.name][0])
+        data = np.loadtxt([p for p in paths if "gap_vs_dt" in p.name][0])
         assert data.shape[0] == 4
         assert np.all(np.diff(data[:, 0]) > 0)  # monotone first column
         # independent least-squares oracle on the emitted points
@@ -209,7 +250,7 @@ class TestEmitPlotData:
         u0_b = spec.u0 + 0.2 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, spec.u0, u0_b, 30, 3, dt=2.0**-6)
         paths = write_plot_data(report, tmp_path)
-        data = read_columns([p for p in paths if "log_gap_vs_t" in p.name][0])
+        data = np.loadtxt([p for p in paths if "log_gap_vs_t" in p.name][0])
         expected = np.log(spec.space.sq_norms(spec.u0 - u0_b))
         assert data[0, 1] == expected
 
@@ -317,16 +358,49 @@ class TestMainEntry:
         assert "verdict.coupling = PASS" in manifest
         assert f"verdict.{name} = INCONCLUSIVE" in manifest
 
-    @pytest.mark.parametrize("name", ["stability", "cauchy", "contraction"])
-    def test_empty_ensemble_exits_2(self, tmp_path, capsys, name):
-        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
-        text = text.replace(f"[experiment.{name}]\n", f"[experiment.{name}]\nensemble = 0\n", 1)
+    @pytest.mark.parametrize("section, key", [
+        pytest.param("experiment.stability", "ensemble", id="stability"),
+        pytest.param("experiment.cauchy", "ensemble", id="cauchy"),
+        pytest.param("experiment.contraction", "ensemble", id="contraction"),
+        pytest.param("experiment.wiener_isometry", "paths", id="wiener_isometry"),
+        pytest.param("experiment.poisson_isometry", "paths", id="poisson_isometry"),
+        pytest.param("experiment.compensator", "paths", id="compensator"),
+        pytest.param("experiment.regularization_identity", "instances",
+                     id="regularization_identity"),
+        pytest.param("experiment", "ensemble_paths", id="ensemble_paths"),
+        pytest.param("experiment", "ensemble_coupled", id="ensemble_coupled"),
+    ])
+    def test_empty_ensemble_exits_2(self, tmp_path, capsys, section, key):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), section, key, "0")
+        name = section.partition(".")[2] or "resolvent_algebra"
         with pytest.raises(SystemExit) as status:
             main([str(write_cfg(tmp_path, text)), "--only", name,
                   "--output-dir", str(tmp_path / "out")])
         assert status.value.code == 2
         err = capsys.readouterr().err
-        assert "ensemble size must be >= 1" in err and "Traceback" not in err
+        assert f"[{section}] {key} must be >= 1, got 0" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "seed", "abc"),
+        ("experiment", "ensemble_coupled", "1.5"),
+        ("experiment", "ensemble_paths", "many"),
+        ("equation", "n", "31.0"),
+        ("equation", "T", "one"),
+        ("equation", "eta", "1,0"),
+        ("equation", "alpha", "-"),
+        ("experiment.contraction", "T", "1 s"),
+    ])
+    def test_bad_number_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "contraction",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}: expected" in err and repr(value) in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
@@ -353,35 +427,6 @@ class TestMainEntry:
 
 
 class TestTextIO:
-    def test_path_exports_round_trip(self, tmp_path):
-        grid = TimeGrid(1.0, 8)
-        wiener = sample_wiener(np.array([1.0, 0.5]), grid, 3)
-        wpath = write_wiener_path(wiener, tmp_path / "w.dat")
-        data = read_columns(wpath)
-        assert data.shape == (8, 4)
-        assert np.allclose(data[:, 2:], wiener.increments)
-        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
-        poisson = sample_poisson(marks, 1.0, 5)
-        ppath = write_poisson_path(poisson, tmp_path / "p.dat")
-        pdata = read_columns(ppath)
-        assert pdata.shape[0] == poisson.count
-        assert np.allclose(pdata[:, 0], poisson.times)
-
-    def test_trajectory_export_headers_and_values(self, tmp_path):
-        spec = make_cubic_spec(n=5)
-        dt = 2.0**-5
-        grid = TimeGrid(spec.T, round(spec.T / dt))
-        wiener = sample_wiener(spec.B.q, grid, 1)
-        from mildsde.noise import POISSON_SEED_OFFSET
-        poisson = sample_poisson(spec.marks, spec.T, 1 + POISSON_SEED_OFFSET)
-        traj = solve_exp_euler(spec, (wiener, poisson), dt)
-        path = write_trajectory(traj, tmp_path / "traj.dat")
-        text = path.read_text()
-        assert f"fingerprint = {spec.fingerprint()}" in text
-        assert "scheme = exp_euler" in text
-        data = read_columns(path)
-        assert np.allclose(data[:, 1:], traj.states)
-
     def test_atomic_write_replaces_not_appends(self, tmp_path):
         target = tmp_path / "deep" / "file.txt"
         atomic_write_text("first\n", target)

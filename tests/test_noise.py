@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from mildsde.model import MarkSpace
-from mildsde.noise import (PoissonPath, TimeGrid, WienerPath, _resolve_time_ties,
-                           coarsen_wiener, ito_integral, jump_cell_counts, poisson_integral,
-                           quadratic_mark_sum, sample_poisson, sample_wiener, step_m_integral,
-                           step_q_integral)
-from mildsde.space import HilbertSpace, dirichlet_laplacian
+from mildsde import noise
+from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
+                           _resolve_time_ties, coarsen_wiener, jump_cell_counts,
+                           poisson_integral, quadratic_mark_sum, sample_jump_table,
+                           sample_noise_batch, sample_poisson, sample_wiener, shared_draws,
+                           step_m_integral, step_q_integral)
+from mildsde.space import HilbertSpace
 
 
 class TestTimeGrid:
@@ -31,7 +33,6 @@ class TestTimeGrid:
     def test_coarsen_refine(self):
         grid = TimeGrid(2.0, 8)
         assert grid.coarsen(4).steps == 2
-        assert grid.refine(2).steps == 16
         with pytest.raises(ValueError):
             grid.coarsen(3)
         with pytest.raises(ValueError):
@@ -71,11 +72,6 @@ class TestWienerSampling:
         with pytest.raises(ValueError):
             sample_wiener(np.array([1.0, -0.1]), TimeGrid(1.0, 4), seed=0)
 
-    def test_cumulative_telescopes(self):
-        path = sample_wiener(np.array([1.0]), TimeGrid(1.0, 16), seed=3)
-        w = path.cumulative()
-        assert np.allclose(np.diff(w, axis=0), path.increments)
-
     def test_coarsen_sums_increments(self):
         fine = sample_wiener(np.array([1.0, 0.5]), TimeGrid(1.0, 32), seed=5)
         coarse = coarsen_wiener(fine, 4)
@@ -93,7 +89,6 @@ class TestWienerSampling:
         assert coarse.increments.shape == (3, 8, 2)
         for i, w in enumerate(members):
             assert np.array_equal(coarse.increments[i], coarsen_wiener(w, 4).increments)
-            assert np.array_equal(batch.cumulative()[i], w.cumulative())
 
 
 @pytest.fixture(scope="module")
@@ -192,20 +187,18 @@ class TestPoissonSampling:
             sample_poisson(MarkSpace((0.0,), (1.0,)), 0.0, seed=0)
 
 
+def _wiener_integral(phi, path: WienerPath, k: int) -> np.ndarray:
+    """Integral of a grid step process against the increments up to node k."""
+    return np.einsum("mnd,md->n", phi[:k], path.increments[:k])
+
+
 class TestItoIntegral:
     def test_zero_integrand(self):
         grid = TimeGrid(1.0, 8)
-        path = sample_wiener(np.array([1.0, 1.0]), grid, seed=1)
-        out = ito_integral(np.zeros((8, 3, 2)), path, 1.0)
-        assert np.all(out == 0.0)
-
-    def test_identity_integrand_telescopes(self):
-        grid = TimeGrid(1.0, 16)
-        path = sample_wiener(np.ones(4), grid, seed=2)
-        phi = np.broadcast_to(np.eye(4), (16, 4, 4)).copy()
-        for k in (4, 16):
-            t = grid.times[k]
-            assert np.allclose(ito_integral(phi, path, t), path.cumulative()[k], atol=1e-14)
+        q = np.array([1.0, 1.0])
+        space = HilbertSpace(3, 1.0)
+        for t in (0.0, 0.5, 1.0):
+            assert step_q_integral(np.zeros((8, 3, 2)), q, grid, t, space) == 0.0
 
     def test_isometry(self):
         # Monte Carlo oracle over 1e4 paths for a deterministic step integrand
@@ -216,37 +209,14 @@ class TestItoIntegral:
         sq = np.empty(10_000)
         for s in range(10_000):
             path = sample_wiener(q, grid, seed=s)
-            sq[s] = space.sq_norms(ito_integral(phi, path, 1.0))
+            sq[s] = space.sq_norms(_wiener_integral(phi, path, 8))
         exact = step_q_integral(phi, q, grid, 1.0, space)
         assert abs(sq.mean() - exact) / exact < 0.05
 
     def test_rejects_off_grid_time(self):
         grid = TimeGrid(1.0, 8)
-        path = sample_wiener(np.array([1.0]), grid, seed=4)
         with pytest.raises(ValueError):
-            ito_integral(np.zeros((8, 2, 1)), path, 0.3)
-
-    def test_mollified_integrand_commutes(self):
-        # resolvent-mollified integrands: the integral of J_eps(phi) equals
-        # J_eps of the integral exactly, so pathwise convergence as the
-        # mollification vanishes is immediate from linearity
-        A = dirichlet_laplacian(6)
-        grid = TimeGrid(1.0, 8)
-        q = np.array([1.0, 0.5])
-        path = sample_wiener(q, grid, seed=5)
-        phi = np.random.default_rng(6).standard_normal((8, 6, 2))
-        base = ito_integral(phi, path, 1.0)
-        errors = []
-        for k in (1, 2, 4, 8, 16):
-            eps = 1.0 / k
-            J = A.resolvent_matrix(eps)
-            phi_eps = np.einsum("ij,mjd->mid", J, phi)
-            out = ito_integral(phi_eps, path, 1.0)
-            assert np.allclose(out, J @ base, atol=1e-12)
-            err = A.space.norm(out - base)
-            assert err <= eps * A.lambda_max * A.space.norm(base) + 1e-12
-            errors.append(err)
-        assert np.all(np.diff(errors) < 0.0)
+            step_q_integral(np.zeros((8, 2, 1)), np.array([1.0]), grid, 0.3, HilbertSpace(2, 1.0))
 
     def test_refinement_consistency(self):
         # a coarse-cell step integrand integrates identically on the refined
@@ -256,8 +226,8 @@ class TestItoIntegral:
         coarse = coarsen_wiener(fine, 4)
         phi_coarse = np.random.default_rng(8).standard_normal((8, 3, 2))
         phi_fine = np.repeat(phi_coarse, 4, axis=0)
-        a = ito_integral(phi_fine, fine, 1.0)
-        b = ito_integral(phi_coarse, coarse, 1.0)
+        a = _wiener_integral(phi_fine, fine, 32)
+        b = _wiener_integral(phi_coarse, coarse, 8)
         assert np.allclose(a, b, atol=1e-13)
 
 
@@ -306,8 +276,10 @@ class TestPoissonIntegral:
         with pytest.raises(ValueError):
             poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid, 1.0)
         with pytest.raises(ValueError):
-            poisson_integral(np.zeros((8, 4, 2)), [sample_poisson(self.marks, 1.0, seed=4), path],
+            poisson_integral(np.zeros((8, 4, 2)), PoissonPath.stack([path, path]),
                              self.marks, self.grid, 1.0)
+        with pytest.raises(ValueError):
+            PoissonPath.stack([sample_poisson(self.marks, 1.0, seed=4), path])
 
     def test_matches_a_per_jump_reference(self):
         g = np.random.default_rng(5).standard_normal((8, 4, 2))
@@ -327,7 +299,8 @@ class TestPoissonIntegral:
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
         for t in (0.5, 1.0):
             for compensated in (True, False):
-                batch = poisson_integral(g, paths, self.marks, self.grid, t, compensated)
+                batch = poisson_integral(g, PoissonPath.stack(paths), self.marks, self.grid, t,
+                                         compensated)
                 assert batch.shape == (21, 4)
                 for row, path in zip(batch, paths):
                     single = poisson_integral(g, path, self.marks, self.grid, t, compensated)
@@ -360,7 +333,8 @@ class TestQuadraticMarkSum:
         empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
         for t in (0.5, 1.0):
-            batch, comp = quadratic_mark_sum(D, paths, self.marks, self.grid, t, self.space)
+            batch, comp = quadratic_mark_sum(D, PoissonPath.stack(paths), self.marks, self.grid, t,
+                                             self.space)
             assert batch.shape == (21,) and batch[-1] == 0.0
             for value, path in zip(batch, paths):
                 expected = 0.0
@@ -405,4 +379,72 @@ class TestJumpBinning:
         grid = TimeGrid(1.0, 16)
         paths = [sample_poisson(marks, 1.0, seed=s) for s in range(5)]
         expected = np.stack([jump_cell_counts(p, grid) for p in paths])
-        assert np.array_equal(jump_cell_counts(paths, grid), expected)
+        assert np.array_equal(jump_cell_counts(PoissonPath.stack(paths), grid), expected)
+
+
+class TestSharedDraws:
+    marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+    q = np.array([1.0, 0.25])
+    grid = TimeGrid(1.0, 16)
+
+    @staticmethod
+    def _same_table(a, b):
+        return (a.members == b.members and a.seed == b.seed
+                and all(np.array_equal(getattr(a, name), getattr(b, name))
+                        for name in ("times", "marks", "offsets")))
+
+    def test_table_prefix_is_a_smaller_draw_and_the_member_paths(self):
+        table = sample_jump_table(self.marks, 1.0, 11, 40)
+        assert self._same_table(table.rows(0, 25), sample_jump_table(self.marks, 1.0, 11, 25))
+        paths = [sample_poisson(self.marks, 1.0, 11 + POISSON_SEED_OFFSET + i) for i in range(40)]
+        assert table.count == sum(p.count for p in paths) and min(p.count for p in paths) == 0
+        for i, path in enumerate(paths):
+            row = table.rows(i, i + 1)
+            assert row.seed == path.seed
+            assert np.array_equal(row.times, path.times) and np.array_equal(row.marks, path.marks)
+        assert self._same_table(PoissonPath.stack(paths), table)
+        assert self._same_table(PoissonPath.stack([table.rows(0, 17), table.rows(17, 40)]), table)
+
+    def test_batch_members_follow_the_seeding_contract(self):
+        batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 6)
+        assert len(batch) == 6 and batch.wiener.increments.shape == (6, 16, 2)
+        for i in range(6):
+            wiener = sample_wiener(self.q, self.grid, 3 + i)
+            assert np.array_equal(batch.wiener.increments[i], wiener.increments)
+        assert self._same_table(batch.jumps, sample_jump_table(self.marks, 1.0, 3, 6))
+        with pytest.raises(ValueError):
+            sample_noise_batch(self.q, self.marks, self.grid, 3, 0)
+
+    def test_outside_a_run_every_call_draws(self, draw_counts):
+        calls = draw_counts
+        for _ in range(2):
+            sample_noise_batch(self.q, self.marks, self.grid, 3, 5)
+            sample_jump_table(self.marks, 1.0, 3, 4)
+        assert calls == {"wiener": 10, "poisson": 18}
+
+    def test_inside_a_run_each_member_is_drawn_once(self, draw_counts):
+        fresh = sample_noise_batch(self.q, self.marks, self.grid, 3, 8)
+        calls = draw_counts
+        calls.update(wiener=0, poisson=0)
+        with shared_draws():
+            sample_noise_batch(self.q, self.marks, self.grid, 3, 5)
+            assert calls == {"wiener": 5, "poisson": 5}
+            smaller = sample_noise_batch(self.q, self.marks, self.grid, 3, 3)
+            assert calls == {"wiener": 5, "poisson": 5}
+            larger = sample_noise_batch(self.q, self.marks, self.grid, 3, 8)
+            assert calls == {"wiener": 8, "poisson": 8}
+            # the jump paths depend on the horizon only, the Wiener paths on the grid
+            sample_jump_table(self.marks, 1.0, 3, 8)
+            sample_noise_batch(self.q, self.marks, TimeGrid(1.0, 32), 3, 8)
+            assert calls == {"wiener": 16, "poisson": 8}
+            sample_jump_table(self.marks, 0.5, 3, 2)
+            sample_jump_table(self.marks, 1.0, 4, 2)
+            assert calls["poisson"] == 12
+        assert noise._drawn is None
+        assert np.array_equal(larger.wiener.increments, fresh.wiener.increments)
+        assert np.array_equal(smaller.wiener.increments, fresh.wiener.increments[:3])
+        assert self._same_table(larger.jumps, fresh.jumps)
+        assert self._same_table(smaller.jumps, fresh.jumps.rows(0, 3))
+        assert not larger.wiener.increments.flags.writeable
+        sample_noise_batch(self.q, self.marks, self.grid, 3, 5)
+        assert calls == {"wiener": 21, "poisson": 17}

@@ -50,7 +50,8 @@ class TestExpEuler:
                             G=JumpCoefficient.zero(1), u0=np.array([0.7]), T=1.0)
         wiener, poisson = noise_for(spec, 2.0**-6, seed=11)
         traj = solve_exp_euler(spec, (wiener, poisson), 2.0**-6)
-        assert np.allclose(traj.states[:, 0], 0.7 + wiener.cumulative()[:, 0], atol=1e-14)
+        w = np.concatenate(([0.0], np.cumsum(wiener.increments[:, 0])))
+        assert np.allclose(traj.states[:, 0], 0.7 + w, atol=1e-14)
 
     def test_strong_order_on_linear_equation(self):
         # oracle: the exact discrete convolution of the same fine path.  The
@@ -401,7 +402,8 @@ class TestItoEnergyIdentity:
         poissons.append(PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 0.5, 2, seed=0))
         assert min(p.count for p in poissons[:2]) > 0
         batch = WienerPath(grid, wieners[0].q, np.stack([w.increments for w in wieners]), 1)
-        terms = ito_energy_terms(self.A, g, C, D, (batch, poissons), self.marks)
+        table = PoissonPath.stack(poissons)
+        terms = ito_energy_terms(self.A, g, C, D, (batch, table), self.marks)
         for i, (wiener, poisson) in enumerate(zip(wieners, poissons)):
             expected = self._reference_terms(g, C, D, wiener, poisson)
             single = ito_energy_terms(self.A, g, C, D, (wiener, poisson), self.marks)
@@ -410,7 +412,7 @@ class TestItoEnergyIdentity:
                 assert terms[key][i] == pytest.approx(value, rel=1e-12, abs=0.0), key
                 assert single[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
         assert terms["jump_square_sum"][2] == 0.0
-        residuals = ito_energy_residual(self.A, g, C, D, (batch, poissons), self.marks)
+        residuals = ito_energy_residual(self.A, g, C, D, (batch, table), self.marks)
         assert np.array_equal(residuals, np.abs(terms["lhs"] - terms["rhs"]))
 
     def test_batch_needs_one_jump_path_per_member(self):
@@ -420,7 +422,8 @@ class TestItoEnergyIdentity:
         zeros = np.zeros((16, 5, 2))
         with pytest.raises(ValueError):
             ito_energy_terms(self.A, np.zeros((16, 5)), zeros, zeros,
-                             (batch, [sample_poisson(self.marks, 0.5, 2)]), self.marks)
+                             (batch, PoissonPath.stack([sample_poisson(self.marks, 0.5, 2)])),
+                             self.marks)
 
     def test_explicit_stability_guard(self):
         A = dirichlet_laplacian(31)
