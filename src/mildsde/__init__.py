@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError, StiffnessWarning
 from .space import (HilbertSpace, SpectralOperator, dirichlet_laplacian, resolvent_apply,
-                    semigroup_apply, yosida_apply)
+                    yosida_apply)
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, WienerPath,
@@ -19,6 +19,6 @@ from .solver import (SCHEMES, SchemeConfig, Trajectory, ito_energy_residual, ito
                      step_ensemble)
 from .analysis import (FAIL, INCONCLUSIVE, PASS, contraction_experiment,
                        coupling_uniqueness_experiment, fit_order, generalized_solution_cauchy,
-                       h2_norm, stability_estimate_experiment, weak_residual_experiment,
+                       stability_estimate_experiment, weak_residual_experiment,
                        weak_solution_residual, yosida_convergence_experiment,
                        yosida_coupling_bound)

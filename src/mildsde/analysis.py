@@ -36,7 +36,6 @@ __all__ = [
     "contraction_experiment",
     "stability_estimate_experiment",
     "generalized_solution_cauchy",
-    "h2_norm",
     "weak_solution_residual",
     "weak_residual_experiment",
     "yosida_convergence_experiment",
@@ -84,8 +83,8 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
     """
     if paths is None:
         paths = sample_noise_batch(spec.B.q, spec.marks, grid, seed, ensemble_size)
-    counts = jump_cell_counts(paths.jumps, grid)                     # (M, N, J)
-    return step_ensemble(spec, paths.wiener.increments, counts, SchemeConfig(scheme, dt))
+    return step_ensemble(spec, paths.wiener.increments, paths.cell_counts,
+                         SchemeConfig(scheme, dt))
 
 
 def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
@@ -502,25 +501,6 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     verdict = PASS if controlled else FAIL
     return CauchyReport("cauchy", data_dists, sol_dists, ratios, mean_ratio,
                         float(n_bound), verdict, seed)
-
-
-def h2_norm(ensemble, space: HilbertSpace) -> float:
-    """sup over grid times of the ensemble mean of the squared weighted norm.
-
-    Accepts a nonempty list of trajectories on a common grid, or a raw state
-    array of shape (members, nodes, dim).
-    """
-    if isinstance(ensemble, np.ndarray):
-        states = ensemble
-    else:
-        trajectories = list(ensemble)
-        if not trajectories:
-            raise ValueError("ensemble must be nonempty")
-        grid = trajectories[0].grid
-        if any(t.grid != grid for t in trajectories):
-            raise ValueError("ensemble trajectories must share one grid")
-        states = np.stack([t.states for t in trajectories])
-    return float(space.sq_norms(states).mean(axis=0).max())
 
 
 # ---------------------------------------------------------------------------

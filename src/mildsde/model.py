@@ -69,11 +69,14 @@ class Nonlinearity:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if not self.coefficients:
-            return np.zeros_like(u)
-        out = np.full_like(u, self.coefficients[-1])
-        for c in self.coefficients[-2::-1]:
-            out = out * u + c
+        coeffs = self.coefficients
+        if len(coeffs) < 2:
+            return np.full_like(u, coeffs[0] if coeffs else 0.0)
+        out = u * coeffs[-1]            # Horner's rule in place
+        out += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            out *= u
+            out += c
         return out
 
     def derivative_coefficients(self) -> tuple:

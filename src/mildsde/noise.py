@@ -304,6 +304,13 @@ class NoiseBatch:
     def __len__(self) -> int:
         return self.jumps.members
 
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """Per-cell jump counts (M, steps, J) on the batch's grid, binned once per batch."""
+        counts = jump_cell_counts(self.jumps, self.wiener.grid)
+        counts.setflags(write=False)
+        return counts
+
 
 def sample_noise_batch(q, marks: MarkSpace, grid: TimeGrid, seed: int, members: int) -> NoiseBatch:
     """The noise of ``members`` independent ensemble members on ``grid``.

@@ -20,7 +20,6 @@ __all__ = [
     "dirichlet_laplacian",
     "resolvent_apply",
     "yosida_apply",
-    "semigroup_apply",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -118,24 +117,6 @@ class SpectralOperator:
         vecs = np.eye(n) / np.sqrt(weight)
         return cls(lam, vecs, HilbertSpace(n, weight))
 
-    @classmethod
-    def from_matrix(cls, matrix, space: HilbertSpace) -> "SpectralOperator":
-        """Eigendecompose a symmetric positive-semidefinite matrix.
-
-        The matrix acts on coordinate vectors; with a uniform weight its
-        symmetry in the Euclidean sense coincides with self-adjointness in
-        the weighted product, so ``numpy.linalg.eigh`` applies directly.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix must be {space.dim}x{space.dim}, got {matrix.shape}")
-        if np.abs(matrix - matrix.T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
-            raise ValueError("matrix is not symmetric")
-        lam, vecs = np.linalg.eigh(matrix)
-        if lam.min() < _EIG_FLOOR * max(1.0, abs(lam.max())):
-            raise ValueError(f"matrix is not positive semidefinite: eigenvalue {lam.min()}")
-        return cls(np.clip(lam, 0.0, None), vecs / np.sqrt(space.weight), space)
-
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -212,14 +193,6 @@ def yosida_apply(A: SpectralOperator, epsilon: float, x) -> np.ndarray:
     """
     epsilon = _check_epsilon(epsilon)
     return A.synthesize(A.yosida_factors(epsilon) * A.coords(x))
-
-
-def semigroup_apply(A: SpectralOperator, t: float, x) -> np.ndarray:
-    """Apply exp(-t A) for t >= 0; a contraction with exp(0) = identity."""
-    t = float(t)
-    if not t >= 0.0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return A.synthesize(A.semigroup_factors(t) * A.coords(x))
 
 
 def dirichlet_laplacian(n: int) -> SpectralOperator:

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mildsde import analysis
+from mildsde import analysis, noise
 from mildsde.analysis import (INCONCLUSIVE, PASS, _solve_ensemble, compensator_experiment,
                               contraction_experiment, coupling_uniqueness_experiment, fit_order,
-                              generalized_solution_cauchy, h2_norm, poisson_isometry_experiment,
+                              generalized_solution_cauchy, poisson_isometry_experiment,
                               regularization_identity_experiment, resolvent_algebra_check,
                               stability_estimate_experiment, weak_residual_experiment,
                               weak_solution_residual, wiener_isometry_experiment,
@@ -300,6 +300,22 @@ class TestCoupledEnsembles:
         report = generalized_solution_cauchy(spec1, seq, 17, ensemble_size=6, dt=2.0**-4)
         assert report.solution_dists.tolist() == [2.194928211379987e-05, 5.487314024797833e-06]
 
+    def test_one_binning_per_noise_batch(self, monkeypatch):
+        binned = []
+        bin_jumps = noise.jump_cell_counts
+
+        def counted(*args):
+            binned.append(args)
+            return bin_jumps(*args)
+
+        monkeypatch.setattr(noise, "jump_cell_counts", counted)
+        spec1, spec2, delta = additive_pair(n=5)
+        seq = [(spec1.u0, DiffusionCoefficient.constant(spec1.B.base + 2.0**-k * delta,
+                                                         spec1.B.q), spec1.G)
+               for k in range(4)]
+        generalized_solution_cauchy(spec1, seq, 17, ensemble_size=6, dt=2.0**-4)
+        assert len(binned) == 1
+
     def test_bad_data_is_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("noise sampled before the data were checked")
@@ -342,24 +358,7 @@ class TestCoupledEnsembles:
 
 
 class TestH2Norm:
-    def test_zero_and_constant(self):
-        space = HilbertSpace(3, 0.25)
-        zeros = np.zeros((4, 5, 3))
-        assert h2_norm(zeros, space) == 0.0
-        const = np.ones((4, 5, 3))
-        assert h2_norm(const, space) == pytest.approx(0.75)
-
-    def test_trajectory_list_interface(self):
-        spec = make_linear_spec(n=5)
-        dt = 2.0**-5
-        grid = TimeGrid(spec.T, round(spec.T / dt))
-        trajs = []
-        for s in range(3):
-            wiener = sample_wiener(spec.B.q, grid, s)
-            poisson = sample_poisson(spec.marks, spec.T, s + POISSON_SEED_OFFSET)
-            trajs.append(solve_scheme(spec, (wiener, poisson), dt, "exp_euler"))
-        direct = h2_norm(np.stack([t.states for t in trajs]), spec.space)
-        assert h2_norm(trajs, spec.space) == direct
+    """The H^2 norm sup_t E|u(t)|^2 of an ensemble, as the ensemble mean of |u|^2."""
 
     def test_ornstein_uhlenbeck_moment(self):
         # discrete OU closed form: the scheme's second moment has an exact
@@ -377,14 +376,10 @@ class TestH2Norm:
         for _ in range(steps):
             second.append(decay**2 * (second[-1] + sigma**2 * dt))
         exact_sup = max(second)
-        got = h2_norm(states, spec.space)
         sq = spec.space.sq_norms(states)
+        got = sq.mean(axis=0).max()
         se = sq.std(axis=0, ddof=1).max() / np.sqrt(4000)
         assert abs(got - exact_sup) <= 3 * se
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            h2_norm([], HilbertSpace(2))
 
 
 class TestEnsembleSeeding:

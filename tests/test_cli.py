@@ -17,6 +17,7 @@ from mildsde.textio import atomic_write_text, write_plot_data
 from conftest import make_cubic_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 MINIMAL = """
 [equation]
@@ -134,6 +135,18 @@ class TestParseConfig:
         assert cfg.opt("coupling", "missing", 3) == 3
 
 
+def assert_recorded_digests(config_path, digests_name, output_dir):
+    """Run a config at its seed into ``output_dir``; every artifact's SHA-256 must equal
+    the list recorded in ``tests/<digests_name>`` (sha256sum format)."""
+    recorded = dict(line.split()[::-1] for line in
+                    (Path(__file__).parent / digests_name).read_text().splitlines())
+    cfg = replace(parse_config(config_path), output_dir=output_dir)
+    assert cfg.seed == 20260809
+    assert run(cfg) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in output_dir.iterdir()}
+    assert written == recorded
+
+
 class TestRun:
     def test_empty_experiment_list_writes_manifest_only(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
@@ -200,13 +213,12 @@ class TestRun:
     def test_shipped_cubic_artifacts_match_the_recorded_digests(self, tmp_path):
         # tests/cubic-rd.sha256 pins every artifact of the shipped config at its
         # seed; a change that moves these bytes on purpose updates the list
-        recorded = dict(line.split()[::-1] for line in
-                        (Path(__file__).parent / "cubic-rd.sha256").read_text().splitlines())
-        cfg = replace(parse_config(CONFIG_DIR / "cubic-rd.cfg"), output_dir=tmp_path)
-        assert cfg.seed == 20260809
-        assert run(cfg) == 0
-        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert written == recorded
+        assert_recorded_digests(CONFIG_DIR / "cubic-rd.cfg", "cubic-rd.sha256", tmp_path)
+
+    def test_fine_path_artifacts_match_the_recorded_digests(self, tmp_path):
+        # the benchmark's single-path workload (dt down to 2^-14) pins the
+        # scalar steppers' bytes; the config is only read, output goes to tmp_path
+        assert_recorded_digests(BENCH_DIR / "fine-path.cfg", "fine-path.sha256", tmp_path)
 
     def test_coupled_experiments_draw_one_batch(self, tmp_path, draw_counts):
         text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment",

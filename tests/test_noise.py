@@ -381,6 +381,14 @@ class TestJumpBinning:
         expected = np.stack([jump_cell_counts(p, grid) for p in paths])
         assert np.array_equal(jump_cell_counts(PoissonPath.stack(paths), grid), expected)
 
+    def test_batch_bins_its_table_once(self):
+        batch = sample_noise_batch(np.array([1.0]), MarkSpace((0.0, 1.0), (3.0, 1.0)),
+                                   TimeGrid(1.0, 16), 5, 4)
+        counts = batch.cell_counts
+        assert np.array_equal(counts, jump_cell_counts(batch.jumps, TimeGrid(1.0, 16)))
+        assert counts.shape == (4, 16, 2) and not counts.flags.writeable
+        assert batch.cell_counts is counts
+
 
 class TestSharedDraws:
     marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))

@@ -2,17 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mildsde.errors import BlowUpError, ConfigurationError, StiffnessWarning
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity)
 from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
                            coarsen_wiener, quadratic_mark_sum, sample_poisson, sample_wiener)
-from mildsde.solver import (SchemeConfig, ito_energy_residual, ito_energy_terms,
-                            regularized_coupling_identity, solve_exp_euler,
+from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, _propagator, ito_energy_residual,
+                            ito_energy_terms, regularized_coupling_identity, solve_exp_euler,
                             solve_linear_data, solve_resolvent_implicit, solve_scheme,
                             solve_yosida_explicit, step_ensemble)
-from mildsde.space import SpectralOperator, dirichlet_laplacian, resolvent_apply, semigroup_apply
+from mildsde.space import SpectralOperator, dirichlet_laplacian, resolvent_apply
 
 from conftest import make_cubic_spec, make_linear_spec
 
@@ -32,6 +33,157 @@ def noise_for(spec, dt, seed=0):
     return wiener, poisson
 
 
+# ---------------------------------------------------------------------------
+# Reference stepper: the plain loop step_ensemble must reproduce bit for bit.
+# It projects the noise factors every step, evaluates dt * max|f'(u)| every
+# step until it warns, checks isfinite for blow-up, and evaluates f by
+# Horner's rule on fresh arrays.
+# ---------------------------------------------------------------------------
+
+
+def reference_polynomial(coefficients, u):
+    u = np.asarray(u, dtype=float)
+    if not coefficients:
+        return np.zeros_like(u)
+    out = np.full_like(u, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out = out * u + c
+    return out
+
+
+def reference_step_ensemble(spec, dW, counts, config):
+    members, steps = dW.shape[:2]
+    dt = config.dt
+    explicit = config.scheme == "yosida_explicit"
+    prop = _propagator(spec.A, config)
+    f = spec.F.coefficients
+    fprime = spec.F.derivative_coefficients()
+    drift_varies = len(fprime) > 1
+    cap = dt * abs(fprime[0]) if len(fprime) == 1 else 0.0
+    b_base, b_scale = spec.B.base, spec.B.state_scale
+    g_base, g_scale = spec.G.base, spec.G.state_scale
+    mark_w = spec.marks.weight_array
+    g_comp = dt * (g_base @ mark_w)
+    s_comp = dt * float(g_scale @ mark_w)
+    U = np.repeat(spec.u0[:, None], members, axis=1)
+    states = np.empty((members, steps + 1, spec.A.dim))
+    states[:, 0, :] = spec.u0
+    warned = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            if not warned:
+                if drift_varies:
+                    cap = dt * float(np.abs(reference_polynomial(fprime, U)).max())
+                if cap >= 1.0:
+                    warnings.warn(
+                        f"explicit drift step outside safety region at step {n}: "
+                        f"dt*max|f'(u)| = {cap:.3g} >= 1",
+                        StiffnessWarning, stacklevel=2)
+                    warned = True
+            fu = reference_polynomial(f, U)
+            inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
+            inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
+            inc -= g_comp[:, None] + s_comp * U
+            if explicit:
+                U = prop @ U - dt * fu + inc
+            else:
+                U = prop @ (U - dt * fu + inc)
+            if not np.isfinite(U).all():
+                t = (n + 1) * (spec.T / steps)
+                raise BlowUpError(
+                    f"{config.scheme} produced a non-finite state at step {n + 1} (t={t:.6g})",
+                    step=n + 1, time=t)
+            states[:, n + 1, :] = U.T
+    return states
+
+
+def stepper_outcome(stepper, spec, dW, counts, config):
+    """(states or the BlowUpError's (step, time, text), [(category, text) of each warning])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = stepper(spec, dW, counts, config)
+        except BlowUpError as err:
+            result = (err.step, err.time, str(err))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(spec, dW, counts, config):
+    """step_ensemble and the reference agree bit for bit; returns the outcome."""
+    got, got_warnings = stepper_outcome(step_ensemble, spec, dW, counts, config)
+    want, want_warnings = stepper_outcome(reference_step_ensemble, spec, dW, counts, config)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return want, want_warnings
+
+
+def stepper_case(f_coeffs, n, members, steps, seed=0, dt=2.0**-12):
+    """A spec with state-dependent B and G on the Laplacian, and noise with jumps present."""
+    rng = np.random.default_rng(seed)
+    A = dirichlet_laplacian(n)
+    q = np.array([1.0, 0.25])
+    B = DiffusionCoefficient(0.3 * rng.standard_normal((n, 2)), [0.05, -0.02], q)
+    marks = MarkSpace((-1.0, 1.0), (40.0, 20.0))
+    G = JumpCoefficient(0.1 * rng.standard_normal((n, 2)), [0.02, 0.03], marks)
+    spec = EquationSpec(A=A, F=Nonlinearity(f_coeffs), B=B, G=G,
+                        u0=0.5 * rng.standard_normal(n), T=steps * dt)
+    dW = np.sqrt(dt * q) * rng.standard_normal((members, steps, 2))
+    counts = rng.poisson(dt * marks.weight_array, (members, steps, 2)).astype(float)
+    assert counts.sum() > 0
+    return spec, dW, counts
+
+
+def scheme_config(scheme, dt=2.0**-12):
+    # epsilon = 8 dt keeps dt * lam_eps below 1/8 for every operator
+    return SchemeConfig(scheme, dt, 8 * dt if scheme == "yosida_explicit" else None)
+
+
+CUBIC = (0.0, -1.0, 0.0, 1.0)
+
+
+class TestStepperBitIdentity:
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("members,n", [(1, 31), (3, 31), (700, 7)])
+    def test_matches_reference_across_a_block_boundary(self, scheme, members, n):
+        steps = _BLOCK_VALUES // (members * n) + 6
+        spec, dW, counts = stepper_case(CUBIC, n, members, steps, seed=members)
+        states, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert states.shape == (members, steps + 1, n) and not caught
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("f_coeffs", [(), (0.7,), (0.0, -2.0), CUBIC],
+                             ids=["zero", "constant", "linear", "cubic"])
+    def test_matches_reference_for_each_drift(self, scheme, f_coeffs):
+        spec, dW, counts = stepper_case(f_coeffs, 9, 3, 40, seed=len(f_coeffs))
+        assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_blow_up_matches_reference(self, scheme):
+        spec, dW, counts = stepper_case((0.0, 0.0, 0.0, -40.0), 5, 3, 12, dt=2.0**-3)
+        spec = spec.with_data(u0=np.full(5, 3.0))
+        outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme, 2.0**-3))
+        assert isinstance(outcome, tuple) and outcome[0] >= 1
+        assert [category for category, _ in caught] == [StiffnessWarning]
+
+    @pytest.mark.parametrize("coefficients", [(), (-0.0,), (2.5,), (0.0, -1.0), (-0.0, 1.5, -0.0),
+                                              (0.0, -1.0, 0.0, 1.0), (1e-3, -0.0, 2.0, -0.0, -4.0)])
+    def test_polynomial_matches_reference_horner(self, coefficients):
+        u = np.concatenate(([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, np.inf],
+                            np.random.default_rng(3).standard_normal(17))).reshape(4, 6)
+        f = Nonlinearity(coefficients)
+        for x in (u, -u, u[0, 1], np.float64(-0.0)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = f(x), reference_polynomial(f.coefficients, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if len(coefficients) == 1:
+            assert np.array_equal(f(u), np.full(u.shape, coefficients[0]))
+
+
 class TestExpEuler:
     def test_pure_semigroup_flow(self):
         A = dirichlet_laplacian(9)
@@ -40,7 +192,8 @@ class TestExpEuler:
         traj = solve_exp_euler(spec, noise_for(spec, 2.0**-5), 2.0**-5)
         for k in (0, 4, 16):
             t = traj.grid.times[k]
-            assert np.allclose(traj.states[k], semigroup_apply(A, t, u0), atol=1e-12)
+            exact = A.synthesize(A.semigroup_factors(t) * A.coords(u0))
+            assert np.allclose(traj.states[k], exact, atol=1e-12)
 
     def test_scalar_brownian_shift(self):
         # A = 0, F = 0, B = 1: u(t_n) = u0 + W(t_n)
@@ -470,6 +623,48 @@ class TestStiffnessPolicy:
         with pytest.warns(StiffnessWarning, match="at step 1"):
             states = step_ensemble(self.spec(), dW, counts, config)
         assert states[1, 1, 0] == pytest.approx(2.7)
+
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+           st.integers(2, 7), st.integers(0, 2), st.integers(0, 9), st.floats(-3.0, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_screened_warning_matches_the_reference(self, coeffs, log_steps, member, at, kick):
+        # f of degree <= 5, dt = 2**-log_steps, one member kicked at one step
+        dt = 2.0**-log_steps
+        spec = EquationSpec(A=SpectralOperator.diagonal([0.0, 1.0]), F=Nonlinearity(coeffs),
+                            B=DiffusionCoefficient.constant(np.eye(2), np.ones(2)),
+                            G=JumpCoefficient.zero(2), u0=np.array([0.5, -0.25]), T=10 * dt)
+        dW = np.zeros((3, 10, 2))
+        dW[member, at] = kick
+        assert_same_outcome(spec, dW, np.zeros((3, 10, 1)), SchemeConfig("exp_euler", dt))
+
+    @pytest.mark.parametrize("f_coeffs", [(0.0, 8.0), (0.0, 0.0, 4.0)], ids=["linear", "quadratic"])
+    def test_warns_exactly_at_one(self, f_coeffs):
+        # dt * max|f'(u0)| = 0.125 * 8 * 1 is exactly 1; a slope one ulp
+        # smaller gives nextafter(1, 0) and no warning
+        spec = EquationSpec(A=SpectralOperator.diagonal([0.0]), F=Nonlinearity(f_coeffs),
+                            B=DiffusionCoefficient.zero(1), G=JumpCoefficient.zero(1),
+                            u0=np.array([1.0]), T=1.0)
+        config = SchemeConfig("exp_euler", 0.125)
+        dW, counts = np.zeros((1, 8, 1)), np.zeros((1, 8, 1))
+        _, caught = assert_same_outcome(spec, dW, counts, config)
+        assert caught == [(StiffnessWarning, "explicit drift step outside safety region at "
+                                             "step 0: dt*max|f'(u)| = 1 >= 1")]
+        below = Nonlinearity(tuple(np.nextafter(c, 0.0) for c in f_coeffs))
+        assert 0.125 * below.derivative_coefficients()[-1] == np.nextafter(1.0, 0.0)
+        _, caught = assert_same_outcome(spec.with_data(F=below), dW, counts, config)
+        assert caught == []
+
+    def test_overflowing_bound_is_not_an_error(self):
+        # r**4 overflows a Python float for r = 1e120; the screen reads that as inf
+        spec = EquationSpec(A=SpectralOperator.diagonal([0.0]),
+                            F=Nonlinearity((0.0, -1.0, 0.0, 0.0, 0.0, 1.0)),
+                            B=DiffusionCoefficient.zero(1), G=JumpCoefficient.zero(1),
+                            u0=np.array([1e120]), T=1.0)
+        outcome, caught = assert_same_outcome(spec, np.zeros((1, 4, 1)), np.zeros((1, 4, 1)),
+                                              SchemeConfig("exp_euler", 0.25))
+        assert outcome[0] == 1
+        assert caught == [(StiffnessWarning, "explicit drift step outside safety region at "
+                                             "step 0: dt*max|f'(u)| = inf >= 1")]
 
 
 class TestSchemeDispatch:
