@@ -12,7 +12,7 @@ from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpa
 from .noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, WienerPath,
                     coarsen_wiener, jump_cell_counts, poisson_integral, quadratic_mark_sum,
                     sample_jump_table, sample_noise_batch, sample_poisson, sample_wiener,
-                    shared_draws, step_m_integral, step_q_integral)
+                    sample_wiener_rows, shared_draws, step_m_integral, step_q_integral)
 from .solver import (SCHEMES, SchemeConfig, Trajectory, ito_energy_residual, ito_energy_terms,
                      regularized_coupling_identity, solve_exp_euler, solve_linear_data,
                      solve_resolvent_implicit, solve_scheme, solve_yosida_explicit,

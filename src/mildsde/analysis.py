@@ -20,7 +20,8 @@ from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, coarsen_wiener, jump_cell_counts,
                     poisson_integral, quadratic_mark_sum, sample_jump_table, sample_noise_batch,
-                    sample_poisson, sample_wiener, step_m_integral, step_q_integral)
+                    sample_poisson, sample_wiener, sample_wiener_rows, step_m_integral,
+                    step_q_integral)
 from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
                      regularized_coupling_identity, solve_exp_euler, solve_scheme,
                      solve_yosida_explicit, step_ensemble)
@@ -757,10 +758,8 @@ def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, see
     """Monte Carlo second moment of a Wiener integral against its closed form."""
     phi = np.asarray(phi, dtype=float)
     k = grid.node_index(t)
-    stacked = np.empty((paths, k, phi.shape[2]))
-    for i in range(paths):
-        stacked[i] = sample_wiener(q, grid, seed + i).increments[:k]
-    values = np.einsum("mnd,pmd->pn", phi[:k], stacked)
+    increments = sample_wiener_rows(q, grid, seed, paths)[:, :k]
+    values = np.einsum("mnd,pmd->pn", phi[:k], increments)
     est, se = map(float, _mean_stderr(space.sq_norms(values)))
     exact = step_q_integral(phi, q, grid, t, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)

@@ -50,6 +50,17 @@ def _number(section: dict, name: str, key: str, kind, default=None, minimum=None
     return value
 
 
+def _seed(value: int, source: str = "") -> int:
+    """``value`` if it is a run seed in [0, 2**64).
+
+    Member seeds up to seed + 2**31 + members then stay in the [0, 2**128)
+    that ``noise`` hashes.
+    """
+    if not 0 <= value < 2**64:
+        raise ConfigurationError(f"{source}[experiment] seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def _matrix(text: str, rows: int, cols: int, key: str) -> np.ndarray:
     if text.strip() == "zeros":
         return np.zeros((rows, cols))
@@ -160,8 +171,9 @@ def parse_config(path) -> RunConfig:
     """Parse and eagerly validate a run configuration.
 
     Structural invariants are checked here (nonnegative covariance and mark
-    weights, dyadic step list, known experiment names, explicit seed) and the
-    exact dissipativity margin of the configured equation is recorded.
+    weights, dyadic step list, known experiment names, explicit seed in
+    [0, 2**64)) and the exact dissipativity margin of the configured equation
+    is recorded.
     """
     path = Path(path)
     if not path.exists():
@@ -181,7 +193,7 @@ def parse_config(path) -> RunConfig:
     exp = sections.get("experiment", {})
     if "seed" not in exp:
         raise ConfigurationError("[experiment] seed is required (no wall-clock seeding)")
-    seed = _number(exp, "experiment", "seed", int)
+    seed = _seed(_number(exp, "experiment", "seed", int))
 
     spec = _build_equation(sections["equation"])
 
@@ -493,7 +505,7 @@ def main(argv=None) -> None:
         if args.output_dir is not None:
             replacements["output_dir"] = Path(args.output_dir)
         if args.seed is not None:
-            replacements["seed"] = args.seed
+            replacements["seed"] = _seed(args.seed, "--seed: ")
         if args.only is not None:
             wanted = tuple(name for name in args.only.split(",") if name)
             unknown = [n for n in wanted if n not in EXPERIMENTS]

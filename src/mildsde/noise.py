@@ -7,11 +7,16 @@ measurable integrands are deliberately out of scope and this restriction is
 part of the contract.  Adaptedness of an integrand array is the caller's
 responsibility.
 
-Random number generation uses numpy's ``default_rng`` (PCG64) with one
-generator per path object, so every path is a pure function of its integer
-seed and numpy's stream-compatibility policy pins the bits.  Coupled
-multi-resolution experiments generate the finest path once and coarsen it by
-summation, never by resampling.
+Random number generation uses numpy's PCG64: a single path draws from
+``default_rng(seed)``, and a batch positions one reused generator at each
+member's ``default_rng(seed + i)`` start state, hashed for all members at once
+in numpy arithmetic that reproduces ``SeedSequence`` and PCG64 seeding.  Either
+way a path is a pure function of its integer seed, with the same bits, and
+numpy's stream-compatibility policy pins them.  The hasher takes seeds in
+[0, 2**128); the runner keeps run seeds in [0, 2**64) (``seed = N`` is checked
+by ``cli.parse_config``, ``--seed N`` by ``cli.main``), so every member seed
+stays inside it.  Coupled multi-resolution experiments generate the finest
+path once and coarsen it by summation, never by resampling.
 
 Monte Carlo work is batched without touching the seeding: a WienerPath may
 stack M paths, a PoissonPath may hold the jumps of M paths in one flat
@@ -43,6 +48,7 @@ __all__ = [
     "NoiseBatch",
     "sample_wiener",
     "sample_poisson",
+    "sample_wiener_rows",
     "sample_jump_table",
     "sample_noise_batch",
     "shared_draws",
@@ -126,13 +132,18 @@ class WienerPath:
         return self.q.shape[0]
 
 
-def sample_wiener(q, grid: TimeGrid, seed: int) -> WienerPath:
-    """Draw a Q-Wiener increment path; deterministic in (q, grid, seed)."""
-    q = np.asarray(q, dtype=float).copy()
+def _covariance(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("q must be a 1-D array of covariance weights")
     if np.any(q < 0.0):
         raise ValueError(f"covariance weights must be nonnegative, got {q}")
+    return q
+
+
+def sample_wiener(q, grid: TimeGrid, seed: int) -> WienerPath:
+    """Draw a Q-Wiener increment path; deterministic in (q, grid, seed)."""
+    q = _covariance(q).copy()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((grid.steps, q.shape[0]))
     increments = z * np.sqrt(grid.dt * q)
@@ -250,6 +261,128 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
     return PoissonPath(times, idx, float(horizon), marks.atom_count, int(seed))
 
 
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding, for many
+# seeds at once: _MIX_CONSTS are the hash constants of SeedSequence's entropy
+# mixing, _STATE_CONSTS those of generate_state, _PCG_MULT PCG64's multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_CHUNK = 1024  # seeds hashed per pass, which keeps the lists of 128-bit ints small
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """init * mult**k mod 2**32 for k = 0..count, as uint32 scalars."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in consts]
+
+
+_MIX_CONSTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_CONSTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hashmix(value: np.ndarray, consts: list, k: int) -> np.ndarray:
+    """SeedSequence's k-th hashmix of a uint32 array (wrapping uint32 arithmetic)."""
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _pcg64_start_states(seeds) -> list:
+    """The (state, inc) that ``np.random.PCG64(s)`` starts from, for each seed s in [0, 2**128)."""
+    if len(seeds) and not (min(seeds) >= 0 and max(seeds) <= _MASK128):
+        raise ValueError(f"seeds must lie in [0, 2**128), got {min(seeds)}..{max(seeds)}")
+    lo = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+    hi = np.array([s >> 64 for s in seeds], dtype=np.uint64)
+    # the seed's uint32 words, least significant first; a shorter seed is
+    # zero-padded to the pool size, which hashes as SeedSequence does
+    words = [(w & _MASK32).astype(np.uint32) for w in (lo, lo >> 32, hi, hi >> 32)]
+    pool = [_hashmix(w, _MIX_CONSTS, k) for k, w in enumerate(words)]
+    k = len(pool)
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _MIX_CONSTS, k)
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+                k += 1
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    out = [_hashmix(pool[i % 4], _STATE_CONSTS, i).astype(np.uint64) for i in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = ((out[2 * j] | out[2 * j + 1] << 32).tolist()
+                                          for j in range(4))
+    states = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        # pcg64_set_seed: inc = 2 * initseq + 1, two LCG steps around += initstate
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _member_generators(seeds: range):
+    """One generator per seed, positioned where ``np.random.default_rng(seed)`` starts.
+
+    The same generator is re-positioned for each seed, so a caller finishes
+    with one member before it takes the next.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for start in range(0, len(seeds), _SEED_CHUNK):
+        for state, inc in _pcg64_start_states(seeds[start:start + _SEED_CHUNK]):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+def sample_wiener_rows(q, grid: TimeGrid, seed: int, members: int) -> np.ndarray:
+    """Stacked increments (members, steps, d) of the paths seed + i, drawn afresh.
+
+    Row i equals ``sample_wiener(q, grid, seed + i).increments``.  Unlike the
+    batch samplers it never keeps its draw in ``shared_draws``.
+    """
+    q = _covariance(q)
+    rows = np.empty((members, grid.steps, q.shape[0]))
+    for row, rng in zip(rows, _member_generators(range(seed, seed + members))):
+        rng.standard_normal(out=row)
+    rows *= np.sqrt(grid.dt * q)
+    return rows
+
+
+def _draw_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int) -> PoissonPath:
+    """The table of ``sample_poisson(marks, horizon, seed + i)``, i < members, in one pass.
+
+    Each member draws its count, then 2 * count uniforms: the times, then the
+    atoms, the stream of ``sample_poisson`` when its times are distinct.  A
+    member with a time tie is drawn again by ``sample_poisson`` itself.
+    """
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    counts = np.zeros(members, dtype=np.int64)
+    uniforms = [np.zeros(0)]
+    if marks.total_mass > 0.0:
+        rate = horizon * marks.total_mass
+        for i, rng in enumerate(_member_generators(range(seed, seed + members))):
+            counts[i] = rng.poisson(rate)
+            uniforms.append(rng.random(2 * counts[i]))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    owner = np.repeat(np.arange(members), counts)
+    flat = np.concatenate(uniforms)
+    # jump j of the table is uniform j + offsets[owner] and its atom uniform j + offsets[owner + 1]
+    jump = np.arange(offsets[-1])
+    times = horizon * (1.0 - flat[jump + offsets[owner]])
+    times = times[np.lexsort((times, owner))]
+    if jump.size:
+        atoms = np.searchsorted(marks.atom_cdf, flat[jump + offsets[owner + 1]], side="right")
+    else:
+        atoms = np.zeros(0, dtype=np.int64)
+    for i in np.unique(owner[1:][(times[1:] == times[:-1]) & (owner[1:] == owner[:-1])]):
+        path = sample_poisson(marks, horizon, seed + int(i))
+        times[offsets[i]:offsets[i + 1]] = path.times
+        atoms[offsets[i]:offsets[i + 1]] = path.marks
+    for arr in (times, atoms, offsets):
+        arr.setflags(write=False)
+    return PoissonPath(times, atoms, float(horizon), marks.atom_count, int(seed), offsets)
+
+
 _drawn = None  # the run's memo of batch draws, open inside shared_draws()
 
 
@@ -270,8 +403,8 @@ def _wiener_rows(q: np.ndarray, grid: TimeGrid, seed: int, members: int) -> np.n
     held = None if _drawn is None else _drawn.get(key)
     have = 0 if held is None else held.shape[0]
     if have < members:
-        rows = [sample_wiener(q, grid, seed + i).increments for i in range(have, members)]
-        held = np.stack(rows if held is None else [*held, *rows])
+        rows = sample_wiener_rows(q, grid, seed + have, members - have)
+        held = rows if held is None else np.concatenate((held, rows))
         held.setflags(write=False)
         if _drawn is not None:
             _drawn[key] = held
@@ -286,9 +419,8 @@ def sample_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int)
     held = None if _drawn is None else _drawn.get(key)
     have = 0 if held is None else held.members
     if have < members:
-        rows = [sample_poisson(marks, horizon, seed + POISSON_SEED_OFFSET + i)
-                for i in range(have, members)]
-        held = PoissonPath.stack(rows if held is None else [held, *rows])
+        rows = _draw_jump_table(marks, horizon, seed + POISSON_SEED_OFFSET + have, members - have)
+        held = rows if held is None else PoissonPath.stack([held, rows])
         if _drawn is not None:
             _drawn[key] = held
     return held.rows(0, members)

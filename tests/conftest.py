@@ -55,15 +55,19 @@ def linear_spec():
 
 @pytest.fixture
 def draw_counts(monkeypatch):
-    """Counts of the single-path draws the batch samplers make, by kind."""
+    """Counts of the per-member draws the batch samplers make, by kind.
+
+    Every batch member is seeded at ``noise._member_generators``; a member
+    seeded from ``POISSON_SEED_OFFSET`` or above counts as a jump path.
+    """
     calls = {"wiener": 0, "poisson": 0}
+    seeded = noise._member_generators
 
-    def counted(kind, draw):
-        def wrapper(*args):
+    def counted(seeds):
+        kind = "poisson" if seeds.start >= noise.POISSON_SEED_OFFSET else "wiener"
+        for rng in seeded(seeds):
             calls[kind] += 1
-            return draw(*args)
-        return wrapper
+            yield rng
 
-    monkeypatch.setattr(noise, "sample_wiener", counted("wiener", noise.sample_wiener))
-    monkeypatch.setattr(noise, "sample_poisson", counted("poisson", noise.sample_poisson))
+    monkeypatch.setattr(noise, "_member_generators", counted)
     return calls

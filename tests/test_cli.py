@@ -414,6 +414,35 @@ class TestMainEntry:
         assert f"[{section}] {key}: expected" in err and repr(value) in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("config_seed, flag", [
+        ("-1", None), (str(2**64), None), ("20260809", "-1"), ("20260809", str(2**64)),
+    ])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, config_seed, flag):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment", "seed",
+                       config_seed)
+        extra = [] if flag is None else ["--seed", flag]
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "wiener_isometry",
+                  "--output-dir", str(tmp_path / "out"), *extra])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "[experiment] seed must be in [0, 2**64)" in err
+        assert ("--seed: " in err) == (flag is not None)
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        # its jump members draw from seeds up to 2**64 + 2**31 + paths
+        text = (CONFIG_DIR / "acceptance.cfg").read_text()
+        for name in ("wiener_isometry", "poisson_isometry"):
+            text = set_key(text, f"experiment.{name}", "paths", "500")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--seed", str(2**64 - 1),
+                  "--only", "wiener_isometry,poisson_isometry",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 0
+        assert "seed = 18446744073709551615" in (tmp_path / "out" / "manifest.txt").read_text()
+
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
         blocker = tmp_path / "file"

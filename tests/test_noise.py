@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from mildsde import noise
 from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
                            _resolve_time_ties, coarsen_wiener, jump_cell_counts,
                            poisson_integral, quadratic_mark_sum, sample_jump_table,
-                           sample_noise_batch, sample_poisson, sample_wiener, shared_draws,
-                           step_m_integral, step_q_integral)
+                           sample_noise_batch, sample_poisson, sample_wiener,
+                           sample_wiener_rows, shared_draws, step_m_integral, step_q_integral)
 from mildsde.space import HilbertSpace
 
 
@@ -456,3 +457,94 @@ class TestSharedDraws:
         assert not larger.wiener.increments.flags.writeable
         sample_noise_batch(self.q, self.marks, self.grid, 3, 5)
         assert calls == {"wiener": 21, "poisson": 17}
+
+
+def _same_bits(a: PoissonPath, b: PoissonPath) -> bool:
+    return ((a.members, a.seed, a.horizon, a.atom_count) == (b.members, b.seed, b.horizon, b.atom_count)
+            and all(getattr(a, name).dtype == getattr(b, name).dtype
+                    and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                    for name in ("times", "marks", "offsets")))
+
+
+class CoarseUniforms(np.random.Generator):
+    """Uniforms rounded down to multiples of 1/8 one by one, so jump times often tie.
+
+    The rounding is elementwise, so a stream split into calls differently
+    still yields the same values.
+    """
+
+    def random(self, size=None):
+        return np.floor(super().random(size) * 8.0) / 8.0
+
+
+class TestBatchSeeding:
+    q = np.array([1.0, 0.0, 0.25])
+    grid = TimeGrid(0.5, 8)
+
+    def test_hashed_states_equal_pcg64_seeding(self):
+        run = 20260809 + POISSON_SEED_OFFSET
+        seeds = [*range(3000), 2**32 - 1, 2**32, 2**64 - 1, 2**127, 2**128 - 1,
+                 *range(run, run + 1100)]
+        states = noise._pcg64_start_states(seeds)
+        assert len(states) == len(seeds)
+        for seed, (state, inc) in zip(seeds, states):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+
+    @pytest.mark.parametrize("seeds", [[-1], [2**128], range(-1, 3), [0, 2**128]])
+    def test_hasher_rejects_seeds_outside_its_domain(self, seeds):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            noise._pcg64_start_states(seeds)
+
+    def test_member_generators_start_where_default_rng_starts(self):
+        # across a hashing chunk, and with a buffered half-word left behind by
+        # each member, which must not leak into the next
+        seeds = range(2**40 - 5, 2**40 + noise._SEED_CHUNK + 5)
+        for seed, rng in zip(seeds, noise._member_generators(seeds), strict=True):
+            drawn = rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            assert np.array_equal(drawn, np.random.default_rng(seed).integers(
+                0, 2**32, size=3, dtype=np.uint32)), seed
+
+    def test_wiener_rows_equal_single_paths(self):
+        rows = sample_wiener_rows(self.q, self.grid, 17, 6)
+        single = np.stack([sample_wiener(self.q, self.grid, 17 + i).increments for i in range(6)])
+        assert rows.shape == (6, 8, 3) and rows.tobytes() == single.tobytes()
+        with pytest.raises(ValueError):
+            sample_wiener_rows(-self.q, self.grid, 17, 2)
+
+    @pytest.mark.parametrize("marks", [
+        pytest.param(MarkSpace((0.5,), (3.0,)), id="one_atom"),
+        pytest.param(MarkSpace((-1.0, 0.0, 1.0), (2.0, 0.0, 1.5)), id="zero_weight_atom"),
+        pytest.param(MarkSpace((0.0,), (0.0,)), id="zero_mass"),
+    ])
+    def test_jump_table_equals_single_paths(self, marks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = sample_jump_table(marks, 0.75, 5, 300)
+            paths = [sample_poisson(marks, 0.75, 5 + POISSON_SEED_OFFSET + i) for i in range(300)]
+        assert _same_bits(table, PoissonPath.stack(paths))
+        assert not (table.times.flags.writeable or table.marks.flags.writeable)
+        assert (table.count == 0) == (marks.total_mass == 0.0)
+        if marks.total_mass:
+            assert np.all(marks.weight_array[table.marks] > 0.0)
+
+    def test_time_tie_is_redrawn_by_sample_poisson(self, monkeypatch):
+        marks = MarkSpace((-1.0, 1.0), (0.5, 1.5))
+        monkeypatch.setattr(np.random, "Generator", CoarseUniforms)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CoarseUniforms(np.random.PCG64(seed)))
+        redrawn = []
+
+        def counted(marks, horizon, seed):
+            redrawn.append(seed)
+            return sample_poisson(marks, horizon, seed)
+
+        monkeypatch.setattr(noise, "sample_poisson", counted)
+        table = sample_jump_table(marks, 1.0, 3, 40)
+        paths = [sample_poisson(marks, 1.0, 3 + POISSON_SEED_OFFSET + i) for i in range(40)]
+        assert redrawn and set(redrawn) < {path.seed for path in paths}
+        for seed in redrawn:
+            # the first draw of a redrawn member does tie
+            rng = np.random.default_rng(seed)
+            times = np.sort(rng.random(int(rng.poisson(marks.total_mass))))
+            assert np.any(times[1:] == times[:-1])
+        assert _same_bits(table, PoissonPath.stack(paths))
