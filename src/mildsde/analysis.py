@@ -147,7 +147,9 @@ def _single_path(spec: EquationSpec, grid: TimeGrid, seed: int) -> tuple:
 
 
 def _grid(T: float, dt: float) -> TimeGrid:
-    """The uniform grid of step dt on [0, T]; dt must divide T."""
+    """The uniform grid of step dt on [0, T]; dt must be finite, positive and divide T."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"step size dt must be finite and > 0, got {dt}")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigurationError(f"dt={dt} does not divide the horizon T={T} evenly")
@@ -158,11 +160,11 @@ def _validate_dyadic(dt_list, T: float, minimum: int = 3) -> list:
     dts = sorted((float(d) for d in dt_list), reverse=True)
     if len(dts) < minimum:
         raise ConfigurationError(f"need at least {minimum} dyadic step sizes, got {len(dts)}")
+    for d in dts:
+        _grid(T, d)
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ConfigurationError(f"step sizes must be dyadic, got ratio {a / b} for {a}/{b}")
-    for d in dts:
-        _grid(T, d)
     return dts
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,11 +32,11 @@ from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 __all__ = ["RunConfig", "parse_config", "run", "main", "EXPERIMENTS"]
 
 
-def _floats(text: str) -> list:
+def _floats(text: str, label: str = "") -> list:
     try:
         return [float(tok) for tok in text.split()]
     except ValueError as exc:
-        raise ConfigurationError(f"expected numbers, got {text!r}: {exc}") from None
+        raise ConfigurationError(f"{label}expected numbers, got {text!r}: {exc}") from None
 
 
 def _number(section: dict, name: str, key: str, kind, default=None, minimum=None):
@@ -48,6 +49,16 @@ def _number(section: dict, name: str, key: str, kind, default=None, minimum=None
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"[{name}] {key} must be >= {minimum}, got {value}")
     return value
+
+
+def _step_sizes(section: dict, name: str, key: str) -> tuple:
+    """The step sizes listed under ``key`` of section [name]; each must be finite and > 0."""
+    values = tuple(_floats(section.get(key, ""), f"[{name}] {key}: "))
+    for value in values:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"[{name}] {key}: step sizes must be finite and > 0, "
+                                     f"got {value}")
+    return values
 
 
 def _seed(value: int, source: str = "") -> int:
@@ -171,9 +182,9 @@ def parse_config(path) -> RunConfig:
     """Parse and eagerly validate a run configuration.
 
     Structural invariants are checked here (nonnegative covariance and mark
-    weights, dyadic step list, known experiment names, explicit seed in
-    [0, 2**64)) and the exact dissipativity margin of the configured equation
-    is recorded.
+    weights, finite positive step sizes, dyadic step list, known experiment
+    names and sections, explicit seed in [0, 2**64)) and the exact
+    dissipativity margin of the configured equation is recorded.
     """
     path = Path(path)
     if not path.exists():
@@ -202,8 +213,20 @@ def parse_config(path) -> RunConfig:
     if unknown:
         raise ConfigurationError(
             f"[experiment] experiments: unknown names {unknown}; known: {sorted(EXPERIMENTS)}")
+    for name, section in sections.items():
+        if not name.startswith("experiment."):
+            continue
+        if name[len("experiment."):] not in EXPERIMENTS:
+            raise ConfigurationError(
+                f"[{name}]: unknown experiment section; known: {sorted(EXPERIMENTS)}")
+        for key in ("paths", "ensemble", "instances"):
+            if key in section:
+                _number(section, name, key, int, minimum=1)
+        if "dt" in section and len(_step_sizes(section, name, "dt")) != 1:
+            raise ConfigurationError(f"[{name}] dt: expected one number, got {section['dt']!r}")
+        _step_sizes(section, name, "dts")
 
-    dt_list = tuple(_floats(exp.get("dt_list", ""))) or ()
+    dt_list = _step_sizes(exp, "experiment", "dt_list")
     if dt_list:
         dts = sorted(dt_list, reverse=True)
         for a, b in zip(dts, dts[1:]):
@@ -212,10 +235,6 @@ def parse_config(path) -> RunConfig:
     epsilons = tuple(_floats(exp.get("epsilons", ""))) or ()
     ensemble_coupled = _number(exp, "experiment", "ensemble_coupled", int, "1000", minimum=1)
     ensemble_paths = _number(exp, "experiment", "ensemble_paths", int, "10000", minimum=1)
-    for name, section in sections.items():
-        for key in ("paths", "ensemble", "instances"):
-            if name.startswith("experiment.") and key in section:
-                _number(section, name, key, int, minimum=1)
 
     out = sections.get("output", {})
     output_dir = Path(out.get("directory", "out"))

@@ -135,11 +135,14 @@ def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
 
 
 def _derivative_bound(abs_coeffs: tuple, r: float) -> float:
-    """sum_p |a_p| r**p, a bound on |f'(u)| for |u| <= r; inf when a power overflows."""
-    try:
-        return sum(c * r**p for p, c in enumerate(abs_coeffs))
-    except OverflowError:
-        return math.inf
+    """sum_p |a_p| r**p by Horner's rule, a bound on |f'(u)| for |u| <= r.
+
+    Python float products overflow to inf, which the screen reads as unbounded.
+    """
+    bound = 0.0
+    for c in reversed(abs_coeffs):
+        bound = bound * r + c
+    return bound
 
 
 def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
@@ -152,6 +155,10 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     state, so the jump part is exactly centered.  Its state-free factors
     (B.base dW, G.base counts, dW . b_scale and counts . g_scale) are
     projected for a block of steps at a time, about 2**16 values per array.
+    When B and G are both additive (state_scale zero) the whole increment is
+    state-free and is formed once per block, B.base dW + G.base counts -
+    dt G.base m, in place on the projections.  The step loop runs in place
+    on two (n, M) buffers, the state and the product with the propagator.
 
     Stiffness policy: one StiffnessWarning at the first step where
     dt * max|f'(u)|, taken over every member and every component, reaches 1
@@ -173,6 +180,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     drift_varies = len(fprime.coefficients) > 1
     cap = dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0
     fprime_abs = tuple(abs(c) for c in fprime.coefficients)
+    additive = spec.B.additive and spec.G.additive
     b_base, b_scale = spec.B.base, spec.B.state_scale
     g_base, g_scale = spec.G.base, spec.G.state_scale
     mark_w = spec.marks.weight_array
@@ -181,6 +189,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     block = max(1, _BLOCK_VALUES // (members * A.dim))
 
     U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M)
+    W = np.empty_like(U)                                          # the product with prop
     states = np.empty((members, steps + 1, A.dim))
     states[:, 0, :] = spec.u0
     r = float(np.abs(U).max())
@@ -191,7 +200,11 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
             dW_k = dW[:, first:first + block].transpose(1, 2, 0)      # (K, d, M)
             counts_k = counts[:, first:first + block].transpose(1, 2, 0)
             b_dW, g_counts = np.matmul(b_base, dW_k), np.matmul(g_base, counts_k)
-            s_b, s_g = np.matmul(b_scale, dW_k), np.matmul(g_scale, counts_k)
+            if additive:
+                b_dW += g_counts                                      # the increments
+                b_dW -= g_comp
+            else:
+                s_b, s_g = np.matmul(b_scale, dW_k), np.matmul(g_scale, counts_k)
             for k in range(b_dW.shape[0]):
                 n = first + k
                 if not warned:
@@ -205,18 +218,27 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                             f"dt*max|f'(u)| = {cap:.3g} >= 1",
                             StiffnessWarning, stacklevel=2)
                         warned = True
-                inc = b_dW[k] + U * s_b[k]
-                inc += g_counts[k] + U * s_g[k]
-                inc -= g_comp + s_comp * U
+                if additive:
+                    inc = b_dW[k]
+                else:
+                    inc = b_dW[k] + U * s_b[k]
+                    inc += g_counts[k] + U * s_g[k]
+                    inc -= g_comp + s_comp * U
                 if explicit:
-                    moved = prop @ U
+                    np.matmul(prop, U, out=W)
                     if F.coefficients:
-                        moved = moved - dt * F(U)
-                    U = moved + inc
+                        fu = F(U)
+                        fu *= dt
+                        W -= fu
+                    W += inc
                 else:
                     if F.coefficients:
-                        U = U - dt * F(U)
-                    U = prop @ (U + inc)
+                        fu = F(U)
+                        fu *= dt
+                        U -= fu
+                    U += inc
+                    np.matmul(prop, U, out=W)
+                U, W = W, U
                 r = float(np.abs(U).max())
                 if not math.isfinite(r):
                     t = (n + 1) * (spec.T / steps)

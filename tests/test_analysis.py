@@ -74,6 +74,12 @@ class TestCouplingExperiment:
         with pytest.raises(ConfigurationError):
             coupling_uniqueness_experiment(cubic_spec, 1, [0.25, 0.1, 0.05])
 
+    @pytest.mark.parametrize("dts", [[0.0, 0.0, 0.0], [0.25, 0.125, -0.0625],
+                                     [0.25, 0.125, math.nan]])
+    def test_nonpositive_or_nonfinite_steps_are_a_configuration_error(self, cubic_spec, dts):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            coupling_uniqueness_experiment(cubic_spec, 1, dts)
+
     def test_report_is_reproducible(self, cubic_spec):
         a = coupling_uniqueness_experiment(cubic_spec, 11, DTS)
         b = coupling_uniqueness_experiment(cubic_spec, 11, DTS)
@@ -93,6 +99,12 @@ def linear_contraction_spec(slope=1.0, alpha=None):
 
 
 class TestContractionExperiment:
+    @pytest.mark.parametrize("dt", [0.0, -2.0**-7, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_dt_is_a_configuration_error(self, dt):
+        spec = linear_contraction_spec()
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            contraction_experiment(spec, spec.u0, -spec.u0, 4, 3, dt=dt)
+
     def test_equal_starts_give_zero_gap(self, cubic_spec):
         spec = cubic_spec.with_data(F=Nonlinearity((0.0, 0.5, 0.0, 1.0)), alpha=0.9)
         report = contraction_experiment(spec, spec.u0, spec.u0, 50, 3, dt=2.0**-6)

@@ -215,6 +215,11 @@ class TestRun:
         # seed; a change that moves these bytes on purpose updates the list
         assert_recorded_digests(CONFIG_DIR / "cubic-rd.cfg", "cubic-rd.sha256", tmp_path)
 
+    def test_shipped_acceptance_artifacts_match_the_recorded_digests(self, tmp_path):
+        # tests/acceptance.sha256 pins all 27 artifacts of the shipped acceptance
+        # config at its seed, every experiment included
+        assert_recorded_digests(CONFIG_DIR / "acceptance.cfg", "acceptance.sha256", tmp_path)
+
     def test_fine_path_artifacts_match_the_recorded_digests(self, tmp_path):
         # the benchmark's single-path workload (dt down to 2^-14) pins the
         # scalar steppers' bytes; the config is only read, output goes to tmp_path
@@ -394,6 +399,51 @@ class TestMainEntry:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, only", [
+        ("experiment", "dt_list", "0 0", "coupling"),
+        ("experiment.coupling", "dts", "0 0 0", "coupling"),
+        ("experiment.contraction", "dt", "0", "contraction"),
+        ("experiment.contraction", "dt", "-0.0078125", "contraction"),
+        ("experiment.contraction", "dt", "nan", "contraction"),
+        ("experiment.stability", "dt", "inf", "stability"),
+        ("experiment.weak_residual", "dts", "0.0625 -inf", "weak_residual"),
+    ])
+    def test_nonpositive_or_nonfinite_step_exits_2(self, tmp_path, capsys, section, key,
+                                                   value, only):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", only,
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}: step sizes must be finite and > 0" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_step_list_as_dt_exits_2(self, tmp_path, capsys):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment.contraction",
+                       "dt", "0.0078125 0.00390625")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "contraction",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "[experiment.contraction] dt: expected one number" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_misspelt_experiment_section_exits_2(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "acceptance.cfg").read_text()
+        text += "\n[experiment.weak_residul]\nepsilon = 0.5\n"
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "weak_residual",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "[experiment.weak_residul]: unknown experiment section" in err
+        assert "'weak_residual'" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("experiment", "seed", "abc"),
         ("experiment", "ensemble_coupled", "1.5"),
@@ -403,6 +453,8 @@ class TestMainEntry:
         ("equation", "eta", "1,0"),
         ("equation", "alpha", "-"),
         ("experiment.contraction", "T", "1 s"),
+        ("experiment.contraction", "dt", "fast"),
+        ("experiment", "dt_list", "0.25 x"),
     ])
     def test_bad_number_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
         text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), section, key, value)

@@ -121,14 +121,16 @@ def assert_same_outcome(spec, dW, counts, config):
     return want, want_warnings
 
 
-def stepper_case(f_coeffs, n, members, steps, seed=0, dt=2.0**-12):
-    """A spec with state-dependent B and G on the Laplacian, and noise with jumps present."""
+def stepper_case(f_coeffs, n, members, steps, seed=0, dt=2.0**-12,
+                 b_scale=(0.05, -0.02), g_scale=(0.02, 0.03)):
+    """A spec with (by default state-dependent) B and G on the Laplacian, and noise with
+    jumps present."""
     rng = np.random.default_rng(seed)
     A = dirichlet_laplacian(n)
     q = np.array([1.0, 0.25])
-    B = DiffusionCoefficient(0.3 * rng.standard_normal((n, 2)), [0.05, -0.02], q)
+    B = DiffusionCoefficient(0.3 * rng.standard_normal((n, 2)), b_scale, q)
     marks = MarkSpace((-1.0, 1.0), (40.0, 20.0))
-    G = JumpCoefficient(0.1 * rng.standard_normal((n, 2)), [0.02, 0.03], marks)
+    G = JumpCoefficient(0.1 * rng.standard_normal((n, 2)), g_scale, marks)
     spec = EquationSpec(A=A, F=Nonlinearity(f_coeffs), B=B, G=G,
                         u0=0.5 * rng.standard_normal(n), T=steps * dt)
     dW = np.sqrt(dt * q) * rng.standard_normal((members, steps, 2))
@@ -164,6 +166,39 @@ class TestStepperBitIdentity:
     @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
     def test_blow_up_matches_reference(self, scheme):
         spec, dW, counts = stepper_case((0.0, 0.0, 0.0, -40.0), 5, 3, 12, dt=2.0**-3)
+        spec = spec.with_data(u0=np.full(5, 3.0))
+        outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme, 2.0**-3))
+        assert isinstance(outcome, tuple) and outcome[0] >= 1
+        assert [category for category, _ in caught] == [StiffnessWarning]
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("members,n", [(1, 31), (3, 31), (700, 7)])
+    @pytest.mark.parametrize("f_coeffs", [(), CUBIC], ids=["zero", "cubic"])
+    def test_additive_noise_matches_reference_across_a_block_boundary(self, scheme, members,
+                                                                      n, f_coeffs):
+        # both state scales zero: the increments are formed once per block
+        steps = _BLOCK_VALUES // (members * n) + 6
+        spec, dW, counts = stepper_case(f_coeffs, n, members, steps, seed=members,
+                                        b_scale=(0.0, 0.0), g_scale=(0.0, 0.0))
+        assert spec.B.additive and spec.G.additive
+        states, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert states.shape == (members, steps + 1, n) and not caught
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("b_scale,g_scale", [((0.0, 0.0), (0.02, 0.03)),
+                                                 ((0.05, -0.02), (0.0, 0.0))],
+                             ids=["b_additive", "g_additive"])
+    def test_one_additive_coefficient_matches_reference(self, scheme, b_scale, g_scale):
+        # one zero scale is not enough for the state-free increment
+        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40, seed=5, b_scale=b_scale,
+                                        g_scale=g_scale)
+        assert spec.B.additive != spec.G.additive
+        assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_additive_blow_up_matches_reference(self, scheme):
+        spec, dW, counts = stepper_case((0.0, 0.0, 0.0, -40.0), 5, 3, 12, dt=2.0**-3,
+                                        b_scale=(0.0, 0.0), g_scale=(0.0, 0.0))
         spec = spec.with_data(u0=np.full(5, 3.0))
         outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme, 2.0**-3))
         assert isinstance(outcome, tuple) and outcome[0] >= 1
