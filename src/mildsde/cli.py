@@ -51,12 +51,12 @@ def _number(section: dict, name: str, key: str, kind, default=None, minimum=None
     return value
 
 
-def _step_sizes(section: dict, name: str, key: str) -> tuple:
-    """The step sizes listed under ``key`` of section [name]; each must be finite and > 0."""
+def _positives(section: dict, name: str, key: str, noun: str = "step sizes") -> tuple:
+    """The ``noun`` listed under ``key`` of section [name]; each must be finite and > 0."""
     values = tuple(_floats(section.get(key, ""), f"[{name}] {key}: "))
     for value in values:
         if not (math.isfinite(value) and value > 0.0):
-            raise ConfigurationError(f"[{name}] {key}: step sizes must be finite and > 0, "
+            raise ConfigurationError(f"[{name}] {key}: {noun} must be finite and > 0, "
                                      f"got {value}")
     return values
 
@@ -182,9 +182,10 @@ def parse_config(path) -> RunConfig:
     """Parse and eagerly validate a run configuration.
 
     Structural invariants are checked here (nonnegative covariance and mark
-    weights, finite positive step sizes, dyadic step list, known experiment
-    names and sections, explicit seed in [0, 2**64)) and the exact
-    dissipativity margin of the configured equation is recorded.
+    weights, finite positive step sizes and regularization parameters,
+    dyadic step list, known experiment names and sections, explicit seed in
+    [0, 2**64)) and the exact dissipativity margin of the configured
+    equation is recorded.
     """
     path = Path(path)
     if not path.exists():
@@ -222,17 +223,20 @@ def parse_config(path) -> RunConfig:
         for key in ("paths", "ensemble", "instances"):
             if key in section:
                 _number(section, name, key, int, minimum=1)
-        if "dt" in section and len(_step_sizes(section, name, "dt")) != 1:
-            raise ConfigurationError(f"[{name}] dt: expected one number, got {section['dt']!r}")
-        _step_sizes(section, name, "dts")
+        for key, noun in (("dt", "step sizes"), ("epsilon", "regularization parameters")):
+            if key in section and len(_positives(section, name, key, noun)) != 1:
+                raise ConfigurationError(f"[{name}] {key}: expected one number, "
+                                         f"got {section[key]!r}")
+        _positives(section, name, "dts")
+        _positives(section, name, "epsilons", "regularization parameters")
 
-    dt_list = _step_sizes(exp, "experiment", "dt_list")
+    dt_list = _positives(exp, "experiment", "dt_list")
     if dt_list:
         dts = sorted(dt_list, reverse=True)
         for a, b in zip(dts, dts[1:]):
             if abs(a / b - 2.0) > 1e-12:
                 raise ConfigurationError(f"[experiment] dt_list must be dyadic, got {dt_list}")
-    epsilons = tuple(_floats(exp.get("epsilons", ""))) or ()
+    epsilons = _positives(exp, "experiment", "epsilons", "regularization parameters")
     ensemble_coupled = _number(exp, "experiment", "ensemble_coupled", int, "1000", minimum=1)
     ensemble_paths = _number(exp, "experiment", "ensemble_paths", int, "10000", minimum=1)
 

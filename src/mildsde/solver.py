@@ -48,8 +48,8 @@ __all__ = [
 SCHEMES = ("exp_euler", "resolvent_implicit", "yosida_explicit")
 
 _REL_TOL = 1e-12
-# values held per array of block-projected noise factors in step_ensemble
-_BLOCK_VALUES = 1 << 16
+# values held per (K, n, M) block array (noise projections, new states) in step_ensemble
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not self.dt > 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.scheme == "yosida_explicit" and not (self.epsilon or 0.0) > 0.0:
-            raise ConfigurationError("yosida_explicit requires epsilon > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
+        if self.scheme == "yosida_explicit" and not 0.0 < (self.epsilon or 0.0) < math.inf:
+            raise ConfigurationError(
+                f"yosida_explicit requires a finite epsilon > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,23 +153,26 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
-    state, so the jump part is exactly centered.  Its state-free factors
-    (B.base dW, G.base counts, dW . b_scale and counts . g_scale) are
-    projected for a block of steps at a time, about 2**16 values per array.
-    When B and G are both additive (state_scale zero) the whole increment is
-    state-free and is formed once per block, B.base dW + G.base counts -
-    dt G.base m, in place on the projections.  The step loop runs in place
-    on two (n, M) buffers, the state and the product with the propagator.
+    state, so the jump part is exactly centered.  Steps run in blocks of K,
+    about 2**15 values per (K, n, M) array.  A block projects the state-free
+    factors (B.base dW, G.base counts, dW . b_scale, counts . g_scale) at
+    once, and forms the whole increment in place on them when B and G are
+    both additive (state_scale zero).  Its new states go into one of two
+    (K, n, M) buffers, used in turn; the implicit schemes form
+    u - dt F(u) + increment in an (n, M) scratch array, so no stored state
+    changes, and the block is copied into the result at once.
 
-    Stiffness policy: one StiffnessWarning at the first step where
-    dt * max|f'(u)|, taken over every member and every component, reaches 1
-    (a constant f' is checked once).  One reduction per step, r = max|u|,
-    serves two ends: a non-finite r (it propagates nan and inf) raises
-    BlowUpError, and |f'(u)| <= sum_p |a_p| r**p screens the stiffness
-    check, so dt * max|f'(u)| is evaluated only where dt times that bound
-    reaches 1/2; the factor 2 absorbs rounding, so the warning comes at the
-    same step as an unscreened check.  yosida_explicit raises
-    ConfigurationError unless dt * lam_max / (1 + eps * lam_max) < 2.
+    Checks run once per block, on r = max|u| of each new state from one
+    reduction.  A non-finite r (it propagates nan and inf) raises
+    BlowUpError at its step.  Stiffness policy: one StiffnessWarning at the
+    first step where dt * max|f'(u)|, over every member and component,
+    reaches 1 (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p
+    grows with r, so a block whose largest r keeps dt times that bound below
+    1/2 is clean; any other block is checked step by step, exactly on the
+    stored state where the bound reaches 1/2 (the factor 2 absorbs
+    rounding).  The warning is issued only for a step before a blow-up, and
+    before BlowUpError.  yosida_explicit raises ConfigurationError unless
+    dt * lam_max / (1 + eps * lam_max) < 2.
     """
     members, steps = dW.shape[:2]
     dt = config.dt
@@ -179,6 +183,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     fprime = Nonlinearity(F.derivative_coefficients())
     drift_varies = len(fprime.coefficients) > 1
     cap = dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0
+    checking = drift_varies or cap >= 1.0                       # until the warning is issued
     fprime_abs = tuple(abs(c) for c in fprime.coefficients)
     additive = spec.B.additive and spec.G.additive
     b_base, b_scale = spec.B.base, spec.B.state_scale
@@ -188,12 +193,13 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     s_comp = dt * float(g_scale @ mark_w)
     block = max(1, _BLOCK_VALUES // (members * A.dim))
 
-    U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M)
-    W = np.empty_like(U)                                          # the product with prop
+    U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M), the left state
+    S = np.empty_like(U)                                          # U - dt F(U) + inc
+    bufs = np.empty((2, block, A.dim, members))                   # new states, in turn
+    r = np.empty(block + 1)                       # r[k]: max|u| before step first + k
+    r[0] = np.abs(U).max()
     states = np.empty((members, steps + 1, A.dim))
     states[:, 0, :] = spec.u0
-    r = float(np.abs(U).max())
-    warned = False
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
@@ -205,19 +211,9 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                 b_dW -= g_comp
             else:
                 s_b, s_g = np.matmul(b_scale, dW_k), np.matmul(g_scale, counts_k)
-            for k in range(b_dW.shape[0]):
-                n = first + k
-                if not warned:
-                    if drift_varies:
-                        cap = dt * _derivative_bound(fprime_abs, r)
-                        if not cap < 0.5:
-                            cap = dt * float(np.abs(fprime(U)).max())
-                    if cap >= 1.0:
-                        warnings.warn(
-                            f"explicit drift step outside safety region at step {n}: "
-                            f"dt*max|f'(u)| = {cap:.3g} >= 1",
-                            StiffnessWarning, stacklevel=2)
-                        warned = True
+            K = b_dW.shape[0]
+            buf, start = bufs[(first // block) % 2, :K], U
+            for k, V in enumerate(buf):
                 if additive:
                     inc = b_dW[k]
                 else:
@@ -225,27 +221,47 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                     inc += g_counts[k] + U * s_g[k]
                     inc -= g_comp + s_comp * U
                 if explicit:
-                    np.matmul(prop, U, out=W)
+                    np.matmul(prop, U, out=V)
                     if F.coefficients:
                         fu = F(U)
                         fu *= dt
-                        W -= fu
-                    W += inc
+                        V -= fu
+                    V += inc
                 else:
                     if F.coefficients:
                         fu = F(U)
                         fu *= dt
-                        U -= fu
-                    U += inc
-                    np.matmul(prop, U, out=W)
-                U, W = W, U
-                r = float(np.abs(U).max())
-                if not math.isfinite(r):
-                    t = (n + 1) * (spec.T / steps)
-                    raise BlowUpError(
-                        f"{config.scheme} produced a non-finite state at step {n + 1} (t={t:.6g})",
-                        step=n + 1, time=t)
-                states[:, n + 1, :] = U.T
+                        np.subtract(U, fu, out=S)
+                        S += inc
+                    else:
+                        np.add(U, inc, out=S)
+                    np.matmul(prop, S, out=V)
+                U = V
+            np.abs(buf).max(axis=(1, 2), out=r[1:K + 1])
+            blown = not math.isfinite(r[1:K + 1].max())
+            # the steps whose left state may be checked: those before a blow-up
+            checked = int(np.isfinite(r[1:K + 1]).argmin()) + 1 if blown else K
+            if checking and drift_varies:
+                cap = dt * _derivative_bound(fprime_abs, float(r[:checked].max()))
+            for k in range(checked if checking and not cap < 0.5 else 0):
+                if drift_varies:
+                    cap = dt * _derivative_bound(fprime_abs, float(r[k]))
+                    if not cap < 0.5:
+                        cap = dt * float(np.abs(fprime(buf[k - 1] if k else start)).max())
+                if cap >= 1.0:
+                    warnings.warn(
+                        f"explicit drift step outside safety region at step {first + k}: "
+                        f"dt*max|f'(u)| = {cap:.3g} >= 1",
+                        StiffnessWarning, stacklevel=2)
+                    checking = False
+                    break
+            if blown:
+                t = (first + checked) * (spec.T / steps)
+                raise BlowUpError(
+                    f"{config.scheme} produced a non-finite state at step {first + checked} "
+                    f"(t={t:.6g})", step=first + checked, time=t)
+            states[:, first + 1:first + K + 1, :] = buf.transpose(2, 0, 1)
+            r[0] = r[K]
     return states
 
 

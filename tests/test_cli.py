@@ -420,6 +420,38 @@ class TestMainEntry:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, only", [
+        ("experiment.weak_residual", "epsilon", "0", "trotter_kato,weak_residual"),
+        ("experiment.trotter_kato", "epsilons", "0.5 0.25 0", "resolvent_algebra"),
+        ("experiment", "epsilons", "0.5 inf", "resolvent_algebra"),
+        ("experiment.regularization_identity", "epsilon", "nan", "regularization_identity"),
+        ("experiment.weak_residual", "epsilons", "-0.1", "weak_residual"),
+    ])
+    def test_nonpositive_or_nonfinite_regularization_exits_2(self, tmp_path, capsys, section,
+                                                             key, value, only):
+        # refused at parse time, also where the experiment reading the key does not run
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", only,
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}: regularization parameters must be finite and > 0" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_epsilon_list_exits_2(self, tmp_path, capsys):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment.weak_residual",
+                       "epsilon", "0.1 0.05")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "weak_residual",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert "[experiment.weak_residual] epsilon: expected one number" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_step_list_as_dt_exits_2(self, tmp_path, capsys):
         text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment.contraction",
                        "dt", "0.0078125 0.00390625")

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +206,70 @@ class TestStepperBitIdentity:
         assert isinstance(outcome, tuple) and outcome[0] >= 1
         assert [category for category, _ in caught] == [StiffnessWarning]
 
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("edge", [0, -1, 1], ids=["first_step", "last_of_block",
+                                                      "first_of_block"])
+    def test_blow_up_at_a_block_edge_matches_reference(self, scheme, members, edge):
+        # an infinite increment at step `at` makes state at + 1 non-finite at once:
+        # on the very first step, on the last step of the first block or on the
+        # first step of the second
+        block = _BLOCK_VALUES // (members * 31)
+        at = {0: 0, -1: block - 1, 1: block}[edge]
+        spec, dW, counts = stepper_case(CUBIC, 31, members, 2 * block + 6, seed=members)
+        dW[members - 1, at] = np.inf
+        outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert outcome[0] == at + 1 and not caught
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("offset", [-1, 40])
+    def test_warning_first_fired_in_a_later_block_matches_reference(self, scheme, offset):
+        # a kick at step block + offset lifts dt*max|f'(u)| past 1 at the next
+        # step: the first step of the second block, or one inside it
+        block = _BLOCK_VALUES // 31
+        spec, dW, counts = stepper_case(CUBIC, 31, 1, 2 * block + 6)
+        dW[0, block + offset] = 60.0
+        states, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert states.shape == (1, 2 * block + 7, 31)
+        [(category, text)] = caught
+        assert category is StiffnessWarning and f"at step {block + offset + 1}:" in text
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_warning_and_blow_up_in_one_block_match_reference(self, scheme):
+        # a larger kick warns at step block + 41 and then overflows the cubic
+        # drift a few steps later, within the same block
+        block = _BLOCK_VALUES // 31
+        spec, dW, counts = stepper_case(CUBIC, 31, 1, 2 * block + 6)
+        dW[0, block + 40] = 200.0
+        outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert block + 41 < outcome[0] <= 2 * block
+        [(category, text)] = caught
+        assert category is StiffnessWarning and f"at step {block + 41}:" in text
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_nonfinite_initial_state_matches_reference(self, scheme, bad):
+        # EquationSpec refuses a non-finite u0, so it is set past that check:
+        # the stepper still steps once, warns only where f'(u0) is infinite
+        # and reports the blow-up at step 1
+        spec, dW, counts = stepper_case(CUBIC, 31, 1, 200)
+        u0 = spec.u0.copy()
+        u0[3] = bad
+        object.__setattr__(spec, "u0", u0)
+        outcome, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert outcome[0] == 1
+        assert [category for category, _ in caught] == ([StiffnessWarning] if bad > 0 else [])
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_stiff_constant_derivative_warns_once_over_many_blocks(self, scheme):
+        # f = 1.5/dt * u: dt*|f'| = 1.5 at every step, and u - dt f(u) = -u/2 stays bounded
+        block = _BLOCK_VALUES // 31
+        spec, dW, counts = stepper_case((0.0, 1.5 * 2.0**12), 31, 1, 3 * block + 5)
+        states, caught = assert_same_outcome(spec, dW, counts, scheme_config(scheme))
+        assert states.shape == (1, 3 * block + 6, 31)
+        assert caught == [(StiffnessWarning, "explicit drift step outside safety region at "
+                                             "step 0: dt*max|f'(u)| = 1.5 >= 1")]
+
     @pytest.mark.parametrize("coefficients", [(), (-0.0,), (2.5,), (0.0, -1.0), (-0.0, 1.5, -0.0),
                                               (0.0, -1.0, 0.0, 1.0), (1e-3, -0.0, 2.0, -0.0, -4.0)])
     def test_polynomial_matches_reference_horner(self, coefficients):
@@ -217,6 +283,22 @@ class TestStepperBitIdentity:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         if len(coefficients) == 1:
             assert np.array_equal(f(u), np.full(u.shape, coefficients[0]))
+
+
+@pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
+                                             ((0.0, 0.0), (0.0, 0.0))],
+                         ids=["multiplicative", "additive"])
+def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
+    # beyond the returned states, stepping 1000 members of dimension 31 over
+    # 128 steps holds at most 2.9 MiB
+    spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
+    tracemalloc.start()
+    try:
+        states = step_ensemble(spec, dW, counts, scheme_config("exp_euler"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - states.nbytes <= 2.9 * 2**20
 
 
 class TestExpEuler:
@@ -336,6 +418,15 @@ class TestYosidaExplicit:
         spec = noise_free_spec(A, np.zeros(31), T=1.0)
         with pytest.raises(ConfigurationError):
             solve_yosida_explicit(spec, noise_for(spec, 2.0**-3), 2.0**-3, epsilon=1e-6)
+
+    @pytest.mark.parametrize("scheme,dt,epsilon", [
+        ("exp_euler", math.inf, None), ("resolvent_implicit", math.nan, None),
+        ("exp_euler", 0.0, None), ("yosida_explicit", math.inf, 0.1),
+        ("yosida_explicit", 2.0**-6, math.inf), ("yosida_explicit", 2.0**-6, math.nan),
+        ("yosida_explicit", 2.0**-6, -0.1)])
+    def test_scheme_config_requires_finite_positive_parameters(self, scheme, dt, epsilon):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SchemeConfig(scheme, dt, epsilon)
 
     def test_requires_epsilon(self):
         with pytest.raises(ConfigurationError):
