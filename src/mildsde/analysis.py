@@ -146,26 +146,30 @@ def _single_path(spec: EquationSpec, grid: TimeGrid, seed: int) -> tuple:
             sample_poisson(spec.marks, grid.horizon, seed + POISSON_SEED_OFFSET))
 
 
-def _grid(T: float, dt: float) -> TimeGrid:
-    """The uniform grid of step dt on [0, T]; dt must be finite, positive and divide T."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigurationError(f"step size dt must be finite and > 0, got {dt}")
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigurationError(f"dt={dt} does not divide the horizon T={T} evenly")
-    return TimeGrid(T, steps)
-
-
-def _validate_dyadic(dt_list, T: float, minimum: int = 3) -> list:
-    dts = sorted((float(d) for d in dt_list), reverse=True)
+def step_sizes(dts, T: float | None = None, minimum: int = 1) -> list:
+    """``dts`` in decreasing order; ConfigurationError unless each is finite, > 0
+    and divides ``T`` (if given), there are ``minimum`` at least, and each halves
+    the one before.  The config reader and the experiments check steps with it."""
+    for d in dts:
+        if not (math.isfinite(d) and d > 0.0):
+            raise ConfigurationError(f"step sizes must be finite and > 0, got {d}")
     if len(dts) < minimum:
         raise ConfigurationError(f"need at least {minimum} dyadic step sizes, got {len(dts)}")
-    for d in dts:
-        _grid(T, d)
+    dts = sorted((float(d) for d in dts), reverse=True)
+    for d in dts if T is not None else ():
+        steps = round(T / d) if T / d < 2**53 else 0
+        if steps < 1 or abs(steps * d - T) > 1e-9 * max(T, 1.0):
+            raise ConfigurationError(f"dt={d} does not divide the horizon T={T} evenly")
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ConfigurationError(f"step sizes must be dyadic, got ratio {a / b} for {a}/{b}")
     return dts
+
+
+def _grid(T: float, dt: float) -> TimeGrid:
+    """The uniform grid of step dt on [0, T]; dt must be finite, positive and divide T."""
+    dt, = step_sizes([dt], T)
+    return TimeGrid(T, round(T / dt))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,7 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
     the experiment INCONCLUSIVE.  Both trajectories must carry a finite
     pathwise integrability functional to enter the comparison.
     """
-    dts = _validate_dyadic(dt_list, spec.T)
+    dts = step_sizes(dt_list, spec.T, minimum=3)
     wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
     gaps, integs = [], []
     space = spec.space
@@ -589,7 +593,7 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              epsilon: float = 0.1, k_max: int = 8,
                              scheme: str = "resolvent_implicit") -> WeakResidualReport:
     """Weak residual decay across dyadic step sizes on one coupled path."""
-    dts = _validate_dyadic(dt_list, spec.T)
+    dts = step_sizes(dt_list, spec.T, minimum=3)
     wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
     residuals = np.empty((k_max, len(dts)))
     for j, dt in enumerate(dts):
@@ -723,6 +727,8 @@ def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
     the resolvent identity, the resolvent contraction, and the monotonicity
     of the regularized operator.
     """
+    if trials < 1:
+        raise ConfigurationError(f"resolvent algebra check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     space = A.space
     dev_yosida = dev_resolvent = dev_contraction = 0.0
@@ -875,7 +881,7 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     resolutions by coarsening one fine realization, and all paths are
     stepped together, one batched call per step size.
     """
-    dts = _validate_dyadic(dt_list, T)
+    dts = step_sizes(dt_list, T, minimum=3)
     q = np.asarray(q, dtype=float)
     coarse_steps = round(T / dts[0])
     rng = np.random.default_rng(seed)

@@ -2,8 +2,8 @@
 
 Configs are flat INI-style key-value trees with three fixed sections
 (equation, experiment, output) plus optional per-experiment override
-sections named ``experiment.<name>``.  Values hold numbers only, with
-matrices listed row by row separated by ';'; no expressions.  Seeds are
+sections named ``experiment.<name>``; ``OPTIONS`` declares every key.  Values
+hold numbers only, with matrices listed row by row separated by ';'.  Seeds are
 explicit, every output byte is a pure function of (config, seeds), and the
 manifest alone suffices to re-run and reproduce any artifact.
 """
@@ -15,7 +15,7 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,163 +29,382 @@ from .noise import TimeGrid, shared_draws
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 
-__all__ = ["RunConfig", "parse_config", "run", "main", "EXPERIMENTS"]
+__all__ = ["RunConfig", "parse_config", "run", "main", "EXPERIMENTS", "OPTIONS", "OVERRIDES"]
 
 
-def _floats(text: str, label: str = "") -> list:
+# Value kinds.  Each reads the text of one key, given the values already read in
+# its section (table order puts n, q, z_atoms and the horizons first), and raises
+# ValueError saying what is wrong; the reader adds "[section] key".
+
+
+def _numbers(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{label}expected numbers, got {text!r}: {exc}") from None
-
-
-def _number(section: dict, name: str, key: str, kind, default=None, minimum=None):
-    """``key`` of section [name] as ``kind``; configparser stores keys in lower case."""
-    raw = section.get(key.lower(), default)
-    try:
-        value = kind(raw)
+        return list(map(float, text.split()))
     except ValueError:
-        raise ConfigurationError(f"[{name}] {key}: expected {kind.__name__}, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"[{name}] {key} must be >= {minimum}, got {value}")
-    return value
+        raise ValueError(f"expected numbers, got {text!r}") from None
 
 
-def _positives(section: dict, name: str, key: str, noun: str = "step sizes") -> tuple:
-    """The ``noun`` listed under ``key`` of section [name]; each must be finite and > 0."""
-    values = tuple(_floats(section.get(key, ""), f"[{name}] {key}: "))
-    for value in values:
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigurationError(f"[{name}] {key}: {noun} must be finite and > 0, "
-                                     f"got {value}")
-    return values
+def _number(kind=float, low=None, high: str = ""):
+    """An int, or a finite float; >= low for an int and > low for a float, and
+    <= the value of key ``high`` if named."""
+    def parse(text, values):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"expected {noun}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if low is not None and (value < low if kind is int else value <= low):
+            raise ValueError(f"must be {'>=' if kind is int else '>'} {low}, got {value}")
+        if high and value > values[high]:
+            raise ValueError(f"must be <= {high} = {values[high]}, got {value}")
+        return value
+    return parse
 
 
-def _seed(value: int, source: str = "") -> int:
-    """``value`` if it is a run seed in [0, 2**64).
+def _size(values: dict, dim: str):
+    """n, d = len(q) or J = len(z_atoms) of the values read so far; None before."""
+    key = {"n": "n", "d": "q", "J": "z_atoms"}[dim]
+    return None if key not in values else values["n"] if dim == "n" else len(values[key])
 
-    Member seeds up to seed + 2**31 + members then stay in the [0, 2**128)
-    that ``noise`` hashes.
-    """
+
+def _vector(dim: str = "", nonnegative: bool = False):
+    """Finite numbers; with ``dim``, n, d or J of them, or the word zeros.  The key
+    that fixes d or J (read before it is known) needs one value at least."""
+    def parse(text, values):
+        size = _size(values, dim) if dim else None
+        if size is not None and text.strip() == "zeros":
+            return (0.0,) * size
+        numbers = _numbers(text)
+        if size is not None and len(numbers) != size:
+            raise ValueError(f"expected {size} values, got {len(numbers)}")
+        if dim and not numbers:
+            raise ValueError("expected at least one value")
+        if not all(map(math.isfinite, numbers)) or (nonnegative and min(numbers, default=0) < 0):
+            raise ValueError(f"must be finite{' and >= 0' if nonnegative else ''}, got {numbers}")
+        return tuple(numbers)
+    return parse
+
+
+def _matrix(dim: str):
+    """An n x d or n x J matrix listed row by row, rows separated by ';', or zeros."""
+    def parse(text, values):
+        shape = (values["n"], _size(values, dim))
+        if text.strip() == "zeros":
+            return np.zeros(shape)
+        rows = [_numbers(row) for row in text.split(";")]
+        if (len(rows), *{len(row) for row in rows}) != shape:
+            raise ValueError(f"expected a {shape[0]}x{shape[1]} matrix, got {len(rows)} rows "
+                             f"of {sorted({len(row) for row in rows})} values")
+        matrix = np.array(rows)
+        if not np.isfinite(matrix).all():
+            raise ValueError("must be finite")
+        return matrix
+    return parse
+
+
+def _positives(one: bool = False, steps: bool = False, horizon: str = "", minimum: int = 0):
+    """Numbers, each finite and > 0, exactly one if ``one``; step sizes checked by
+    ``analysis.step_sizes`` (``minimum``, dyadic, dividing key ``horizon`` if named)."""
+    def parse(text, values):
+        numbers = _numbers(text)
+        if one and len(numbers) != 1:
+            raise ValueError(f"expected one number, got {text!r}")
+        if steps:
+            analysis.step_sizes(numbers, values[horizon] if horizon else None, minimum)
+        elif not all(math.isfinite(e) and e > 0.0 for e in numbers):
+            raise ValueError(f"regularization parameters must be finite and > 0, got {numbers}")
+        return numbers[0] if one else tuple(numbers)
+    return parse
+
+
+def _choice(*options, many: bool = False):
+    """One of ``options``, or a list of them if ``many``."""
+    def parse(text, values):
+        words = text.split()
+        unknown = [w for w in words if w not in options] if many or len(words) == 1 else [text]
+        if unknown:
+            raise ValueError(f"unknown choice {unknown[0]!r}; known: {sorted(options)}")
+        return tuple(words) if many else words[0]
+    return parse
+
+
+def _eigenvalues(text, values):
+    """The n eigenvalues, each >= 0, of operator = diagonal; the Laplacian has its own."""
+    return _vector("n" if values["operator"] == "diagonal" else "", True)(text, values)
+
+
+def _seed(text, values=None) -> int:
+    """A run seed in [0, 2**64): member seeds up to seed + 2**31 + members then
+    stay in the [0, 2**128) that ``noise`` hashes."""
+    value = _number(int)(text, values)
     if not 0 <= value < 2**64:
-        raise ConfigurationError(f"{source}[experiment] seed must be in [0, 2**64), got {value}")
+        raise ValueError(f"must be in [0, 2**64), got {value}")
     return value
-
-
-def _matrix(text: str, rows: int, cols: int, key: str) -> np.ndarray:
-    if text.strip() == "zeros":
-        return np.zeros((rows, cols))
-    parsed = [_floats(row) for row in text.split(";")]
-    arr = np.array(parsed, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ConfigurationError(f"{key}: expected a {rows}x{cols} matrix, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated configuration: the equation, the experiment plan, the output plan."""
+    """Validated configuration: the equation, the experiment plan, the output plan.
+
+    ``options`` maps each experiment that runs or has a section to the typed
+    value of every key of its section (``OPTIONS``), [equation] keys included
+    under an override section."""
 
     equation: EquationSpec
     experiments: tuple
     seed: int
-    dt_list: tuple
-    epsilons: tuple
-    ensemble_coupled: int
-    ensemble_paths: int
     output_dir: Path
     formats: tuple
     margin: float
     config_sha256: str
-    sections: dict = field(repr=False, default_factory=dict)
-
-    def opt(self, experiment: str, key: str, default):
-        """Typed per-experiment option with fallback to a default."""
-        raw = self.sections.get(f"experiment.{experiment}", {}).get(key)
-        if raw is None:
-            return default
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes")
-        if isinstance(default, (int, float)):
-            return _number({key: raw}, f"experiment.{experiment}", key, type(default))
-        if isinstance(default, (tuple, list)):
-            return tuple(_floats(raw))
-        return raw.strip()
+    options: dict = field(repr=False)
 
     def equation_for(self, experiment: str) -> EquationSpec:
-        """Equation with the per-experiment override keys applied."""
-        overrides = self.sections.get(f"experiment.{experiment}", {})
-        merged = dict(self.sections["equation"])
-        for key in ("f_coeffs", "eta", "alpha", "u0", "T", "q", "b_base", "b_scale",
-                    "z_atoms", "z_weights", "g_base", "g_scale"):
-            if key.lower() in overrides:
-                merged[key.lower()] = overrides[key.lower()]
-        return _build_equation(merged, f"experiment.{experiment}")
+        """Equation with the keys of section [experiment.<experiment>] applied."""
+        return _equation(self.options[experiment], self.equation.A)
 
 
-def _build_equation(eq: dict, name: str = "equation") -> EquationSpec:
-    """The equation of the keys in ``eq``; messages name the keys as in section [name]."""
-    if "n" not in eq:
-        raise ConfigurationError(f"[{name}] n is required")
-    n = _number(eq, name, "n", int, minimum=1)
-    operator = eq.get("operator", "dirichlet_laplacian").strip()
-    if operator == "dirichlet_laplacian":
-        A = dirichlet_laplacian(n)
-    elif operator == "diagonal":
-        lam = _floats(eq.get("eigenvalues", ""))
-        if len(lam) != n:
-            raise ConfigurationError(f"[{name}] eigenvalues: expected {n} values, got {len(lam)}")
-        A = SpectralOperator.diagonal(lam, _number(eq, name, "weight", float, "1.0"))
-    else:
-        raise ConfigurationError(f"[{name}] operator: unknown choice {operator!r}")
-
-    f_coeffs = tuple(_floats(eq.get("f_coeffs", "")))
-    F = Nonlinearity(f_coeffs, _number(eq, name, "eta", float, "0.0"))
-
-    q = np.array(_floats(eq.get("q", "1.0")))
-    if np.any(q < 0.0):
-        raise ConfigurationError(f"[{name}] q: covariance weights must be nonnegative, got {q.tolist()}")
-    d = q.shape[0]
-    b_base = _matrix(eq.get("b_base", "zeros"), n, d, f"[{name}] b_base")
-    b_scale = np.array(_floats(eq.get("b_scale", " ".join(["0"] * d))))
-    if b_scale.shape != (d,):
-        raise ConfigurationError(f"[{name}] b_scale: expected {d} values, got {b_scale.shape}")
-    B = DiffusionCoefficient(b_base, b_scale, q)
-
-    atoms = _floats(eq.get("z_atoms", "0.0"))
-    weights = _floats(eq.get("z_weights", "0.0"))
-    if any(m < 0.0 for m in weights):
-        raise ConfigurationError(f"[{name}] z_weights: weights must be nonnegative, got {weights}")
-    marks = MarkSpace(tuple(atoms), tuple(weights))
-    j = marks.atom_count
-    g_base = _matrix(eq.get("g_base", "zeros"), n, j, f"[{name}] g_base")
-    g_scale = np.array(_floats(eq.get("g_scale", " ".join(["0"] * j))))
-    if g_scale.shape != (j,):
-        raise ConfigurationError(f"[{name}] g_scale: expected {j} values, got {g_scale.shape}")
-    G = JumpCoefficient(g_base, g_scale, marks)
-
-    u0_raw = eq.get("u0")
-    if u0_raw is None:
-        raise ConfigurationError(f"[{name}] u0 is required")
-    u0 = np.array(_floats(u0_raw))
-    if u0.shape != (n,):
-        raise ConfigurationError(f"[{name}] u0: expected {n} values, got {u0.shape[0]}")
-    T = _number(eq, name, "T", float, "1.0")
-    alpha = _number(eq, name, "alpha", float, "0.0")
-    try:
-        return EquationSpec(A=A, F=F, B=B, G=G, u0=u0, T=T, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{name}] {exc}") from None
+def _equation(values: dict, A: SpectralOperator) -> EquationSpec:
+    """The equation of the [equation] keys in ``values`` on operator ``A``."""
+    marks = MarkSpace(values["z_atoms"], values["z_weights"])
+    return EquationSpec(A, Nonlinearity(values["f_coeffs"], values["eta"]),
+                        DiffusionCoefficient(values["b_base"], values["b_scale"], values["q"]),
+                        JumpCoefficient(values["g_base"], values["g_scale"], marks),
+                        values["u0"], values["T"], values["alpha"])
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and eagerly validate a run configuration.
+# ---------------------------------------------------------------------------
+# Experiment builders: RunConfig -> report
+# ---------------------------------------------------------------------------
 
-    Structural invariants are checked here (nonnegative covariance and mark
-    weights, finite positive step sizes and regularization parameters,
-    dyadic step list, known experiment names and sections, explicit seed in
-    [0, 2**64)) and the exact dissipativity margin of the configured
-    equation is recorded.
+
+def _exp_resolvent_algebra(cfg: RunConfig):
+    opt = cfg.options["resolvent_algebra"]
+    return analysis.resolvent_algebra_check(cfg.equation.A, opt["trials"], cfg.seed, opt["tol"])
+
+
+def _exp_trotter_kato(cfg: RunConfig):
+    """Linear additive-noise equation with the spectrum rescaled so the
+    regularization sweep stays inside its linear response regime."""
+    opt = cfg.options["trotter_kato"]
+    A = cfg.equation.A.scaled(opt["lambda1"] / float(cfg.equation.A.eigenvalues[0]))
+    e1 = A.eigenvectors[:, 0]
+    B = DiffusionCoefficient.constant(opt["noise_amp"] * e1[:, None], np.array([1.0]))
+    G = JumpCoefficient.zero(A.dim)
+    spec = EquationSpec(A=A, F=Nonlinearity.zero(), B=B, G=G, u0=e1, T=opt["t"], alpha=0.0)
+    return analysis.yosida_convergence_experiment(spec, cfg.seed, opt["dt"], opt["epsilons"])
+
+
+def _isometry(name: str, experiment, coefficient: str):
+    """Builder of an isometry section: a random step integrand against B's or G's noise."""
+    def build(cfg: RunConfig):
+        opt, eq = cfg.options[name], cfg.equation
+        grid = TimeGrid(opt["t"], opt["steps"])
+        integrand = opt["amplitude"] * np.random.default_rng(cfg.seed).standard_normal(
+            (grid.steps, eq.A.dim, getattr(eq, coefficient).shape[1]))
+        noise = eq.B.q if coefficient == "B" else eq.marks
+        return experiment(integrand, noise, grid, grid.horizon, opt["paths"], cfg.seed, eq.space)
+    return build
+
+
+def _exp_regularization_identity(cfg: RunConfig):
+    opt = cfg.options["regularization_identity"]
+    return analysis.regularization_identity_experiment(
+        cfg.equation.A, cfg.equation.marks, cfg.equation.B.q, opt["instances"], cfg.seed,
+        dt=opt["dt"], T=opt["t"], epsilon=opt["epsilon"], tol=opt["tol"])
+
+
+def _exp_energy_identity(cfg: RunConfig):
+    opt = cfg.options["energy_identity"]
+    return analysis.energy_identity_experiment(
+        dirichlet_laplacian(opt["n"]), cfg.equation.marks, cfg.equation.B.q, opt["dts"],
+        opt["t"], opt["paths"], cfg.seed,
+        g_amp=opt["g_amp"], c_amp=opt["c_amp"], d_amp=opt["d_amp"])
+
+
+def _exp_coupling(cfg: RunConfig):
+    opt = cfg.options["coupling"]
+    return analysis.coupling_uniqueness_experiment(
+        cfg.equation_for("coupling"), cfg.seed, opt["dts"], (opt["scheme_a"], opt["scheme_b"]))
+
+
+def _exp_contraction(cfg: RunConfig):
+    opt = cfg.options["contraction"]
+    spec = cfg.equation_for("contraction")
+    return analysis.contraction_experiment(spec, spec.u0, opt["u0_b"], opt["ensemble"], cfg.seed,
+                                           dt=opt["dt"])
+
+
+def _perturbed(cfg: RunConfig, name: str):
+    """The section's equation, and k -> its B with 2**-k * db_amp times the first
+    eigenvector added to the first noise column."""
+    spec = cfg.equation_for(name)
+    delta = np.zeros(spec.B.base.shape)
+    delta[:, 0] = cfg.options[name]["db_amp"] * spec.A.eigenvectors[:, 0]
+    return spec, lambda k: DiffusionCoefficient(spec.B.base + 2.0 ** -k * delta,
+                                                spec.B.state_scale, spec.B.q)
+
+
+def _exp_stability(cfg: RunConfig):
+    opt = cfg.options["stability"]
+    spec, moved = _perturbed(cfg, "stability")
+    return analysis.stability_estimate_experiment(spec, spec.with_data(B=moved(0)),
+                                                  opt["ensemble"], cfg.seed, dt=opt["dt"])
+
+
+def _exp_cauchy(cfg: RunConfig):
+    opt = cfg.options["cauchy"]
+    spec, moved = _perturbed(cfg, "cauchy")
+    sequence = [(spec.u0, moved(k), spec.G) for k in range(opt["levels"])]
+    return analysis.generalized_solution_cauchy(spec, sequence, cfg.seed,
+                                                ensemble_size=opt["ensemble"], dt=opt["dt"])
+
+
+def _exp_weak_residual(cfg: RunConfig):
+    opt = cfg.options["weak_residual"]
+    return analysis.weak_residual_experiment(
+        cfg.equation_for("weak_residual"), cfg.seed, opt["dts"],
+        epsilon=opt["epsilon"], k_max=opt["k_max"], scheme=opt["scheme"])
+
+
+EXPERIMENTS = {
+    "resolvent_algebra": _exp_resolvent_algebra,
+    "trotter_kato": _exp_trotter_kato,
+    "wiener_isometry": _isometry("wiener_isometry", analysis.wiener_isometry_experiment, "B"),
+    "poisson_isometry": _isometry("poisson_isometry", analysis.poisson_isometry_experiment, "G"),
+    "compensator": _isometry("compensator", analysis.compensator_experiment, "G"),
+    "regularization_identity": _exp_regularization_identity,
+    "energy_identity": _exp_energy_identity,
+    "coupling": _exp_coupling,
+    "contraction": _exp_contraction,
+    "stability": _exp_stability,
+    "cauchy": _exp_cauchy,
+    "weak_residual": _exp_weak_residual,
+}
+
+
+# The option table: {section: {key: (parse, default)}}.  A default is the text
+# the key reads when it is not set; None marks a required key, and
+# "[experiment] <key>" takes the text of that [experiment] key.  Table order is
+# reading order, so a key can check itself against the keys above it.
+_COUNT, _NUMBER, _POSITIVE = _number(int, 1), _number(), _number(float, 0.0)
+_SCHEME = _choice("exp_euler", "resolvent_implicit")
+_DTS = (_positives(steps=True, horizon="T", minimum=3), "[experiment] dt_list")
+
+_EQUATION = {
+    "n": (_COUNT, None),
+    "operator": (_choice("dirichlet_laplacian", "diagonal"), "dirichlet_laplacian"),
+    "eigenvalues": (_eigenvalues, ""), "weight": (_POSITIVE, "1.0"),
+    "T": (_POSITIVE, "1.0"), "alpha": (_NUMBER, "0.0"),
+    "f_coeffs": (_vector(), ""), "eta": (_NUMBER, "0.0"),
+    "u0": (_vector("n"), None),
+    "q": (_vector("d", nonnegative=True), "1.0"),
+    "b_base": (_matrix("d"), "zeros"), "b_scale": (_vector("d"), "zeros"),
+    "z_atoms": (_vector("J"), "0.0"), "z_weights": (_vector("J", nonnegative=True), "0.0"),
+    "g_base": (_matrix("J"), "zeros"), "g_scale": (_vector("J"), "zeros"),
+}
+
+# The experiments that solve the configured equation; their sections may also
+# set every [equation] key but those of the operator.
+OVERRIDES = ("coupling", "contraction", "stability", "cauchy", "weak_residual")
+_OVERRIDABLE = {key: row for key, row in _EQUATION.items()
+                if key not in ("n", "operator", "eigenvalues", "weight")}
+
+_ISOMETRY = {"steps": (_COUNT, "16"), "t": (_POSITIVE, "1.0"),
+             "paths": (_COUNT, "[experiment] ensemble_paths"), "amplitude": (_NUMBER, "0.5")}
+_COUPLED = {"ensemble": (_COUNT, "[experiment] ensemble_coupled"),
+            "dt": (_positives(one=True, steps=True, horizon="T"), "0.0078125")}
+_PERTURBED = {**_COUPLED, "db_amp": (_NUMBER, "0.05")}
+
+OPTIONS = {
+    "equation": _EQUATION,
+    "experiment": {
+        "seed": (_seed, None), "experiments": (_choice(*EXPERIMENTS, many=True), ""),
+        "dt_list": (_positives(steps=True), "0.0078125 0.00390625 0.001953125 0.0009765625"),
+        "epsilons": (_positives(), "0.5 0.25 0.125 0.0625 0.03125 0.015625"),
+        "ensemble_coupled": (_COUNT, "1000"), "ensemble_paths": (_COUNT, "10000"),
+    },
+    "output": {"directory": (lambda text, values: Path(text), "out"),
+               "formats": (_choice("report", "plotdata", many=True), "report plotdata")},
+    "experiment.resolvent_algebra": {"trials": (_COUNT, "100"), "tol": (_NUMBER, "1e-9")},
+    "experiment.trotter_kato": {
+        "lambda1": (_POSITIVE, "0.5"), "noise_amp": (_NUMBER, "0.2"), "t": (_POSITIVE, "1.0"),
+        "dt": (_positives(one=True, steps=True, horizon="t"), "0.0009765625"),
+        "epsilons": (_positives(), "[experiment] epsilons"),
+    },
+    "experiment.wiener_isometry": _ISOMETRY,
+    "experiment.poisson_isometry": _ISOMETRY,
+    "experiment.compensator": _ISOMETRY,
+    "experiment.regularization_identity": {
+        "instances": (_COUNT, "20"), "t": (_POSITIVE, "0.25"),
+        "dt": (_positives(one=True, steps=True, horizon="t"), "0.015625"),
+        "epsilon": (_positives(one=True), "0.3"), "tol": (_NUMBER, "1e-9"),
+    },
+    "experiment.energy_identity": {
+        "n": (_COUNT, "5"), "t": (_POSITIVE, "0.5"),
+        "dts": (_positives(steps=True, horizon="t", minimum=3), "[experiment] dt_list"),
+        "paths": (_COUNT, "100"),
+        "g_amp": (_NUMBER, "1.0"), "c_amp": (_NUMBER, "0.3"), "d_amp": (_NUMBER, "0.3"),
+    },
+    "experiment.coupling": {"dts": _DTS, "scheme_a": (_SCHEME, "exp_euler"),
+                            "scheme_b": (_SCHEME, "resolvent_implicit")},
+    "experiment.contraction": {**_COUPLED, "u0_b": (_vector("n"), None)},
+    "experiment.stability": _PERTURBED,
+    "experiment.cauchy": {**_PERTURBED, "levels": (_number(int, 2), "5")},
+    "experiment.weak_residual": {
+        "dts": _DTS, "epsilon": (_positives(one=True), "0.1"),
+        "k_max": (_number(int, 1, high="n"), "8"), "scheme": (_SCHEME, "resolvent_implicit"),
+    },
+}
+
+# Each section's rows keyed by the lower-case name configparser gives a key.
+_ROWS = {section: {key.lower(): (key, *row) for key, row in
+                   ({**_OVERRIDABLE, **keys} if section.removeprefix("experiment.") in OVERRIDES
+                    else keys).items()}
+         for section, keys in OPTIONS.items()}
+
+
+def _message(label: str, exc: ValueError) -> str:
+    reason = str(exc)
+    return f"{label}{' ' if reason.startswith(('must ', 'is ')) else ': '}{reason}"
+
+
+def _read_section(section: str, text: dict, experiment_text: dict, equation=None) -> dict:
+    """The typed value of every key of [section], read from ``text`` or its default;
+    under an override section, an [equation] key not set keeps its ``equation`` value."""
+    rows = _ROWS[section]
+    for key in sorted(text.keys() - rows.keys()):
+        raise ConfigurationError(f"[{section}] {key}: unknown key; "
+                                 f"known: {sorted(key for key, *_ in rows.values())}")
+    values = {} if equation is None else dict(equation)
+    for lower, (key, parse, default) in rows.items():
+        raw = text.get(lower)
+        source = ""
+        if raw is None:
+            if key in values:
+                continue
+            if default is None:
+                raise ConfigurationError(f"[{section}] {key} is required")
+            raw = default
+            if default.startswith("[experiment] "):
+                source = f" (from {default})"
+                name = default.split()[1]
+                raw = experiment_text.get(name, OPTIONS["experiment"][name][1])
+        try:
+            values[key] = parse(raw, values)
+        except ValueError as exc:
+            raise ConfigurationError(_message(f"[{section}] {key}{source}", exc)) from None
+    return values
+
+
+def parse_config(path, only=None) -> RunConfig:
+    """Parse and validate a run configuration against ``OPTIONS``.
+
+    Every key of every section, and every default of each experiment that runs
+    (``only`` if given, else ``[experiment] experiments``), is checked before
+    any experiment runs.  The exact dissipativity margin is recorded.
     """
     path = Path(path)
     if not path.exists():
@@ -200,248 +419,33 @@ def parse_config(path) -> RunConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    if "equation" not in sections:
-        raise ConfigurationError(f"{path}: missing [equation] section")
-    exp = sections.get("experiment", {})
-    if "seed" not in exp:
-        raise ConfigurationError("[experiment] seed is required (no wall-clock seeding)")
-    seed = _seed(_number(exp, "experiment", "seed", int))
-
-    spec = _build_equation(sections["equation"])
-
-    names = tuple(exp.get("experiments", "").split())
-    unknown = [name for name in names if name not in EXPERIMENTS]
-    if unknown:
-        raise ConfigurationError(
-            f"[experiment] experiments: unknown names {unknown}; known: {sorted(EXPERIMENTS)}")
-    for name, section in sections.items():
-        if not name.startswith("experiment."):
-            continue
-        if name[len("experiment."):] not in EXPERIMENTS:
+    for name in sorted(set(sections) - set(OPTIONS)):
+        if name.startswith("experiment."):
             raise ConfigurationError(
                 f"[{name}]: unknown experiment section; known: {sorted(EXPERIMENTS)}")
-        for key in ("paths", "ensemble", "instances"):
-            if key in section:
-                _number(section, name, key, int, minimum=1)
-        for key, noun in (("dt", "step sizes"), ("epsilon", "regularization parameters")):
-            if key in section and len(_positives(section, name, key, noun)) != 1:
-                raise ConfigurationError(f"[{name}] {key}: expected one number, "
-                                         f"got {section[key]!r}")
-        _positives(section, name, "dts")
-        _positives(section, name, "epsilons", "regularization parameters")
-
-    dt_list = _positives(exp, "experiment", "dt_list")
-    if dt_list:
-        dts = sorted(dt_list, reverse=True)
-        for a, b in zip(dts, dts[1:]):
-            if abs(a / b - 2.0) > 1e-12:
-                raise ConfigurationError(f"[experiment] dt_list must be dyadic, got {dt_list}")
-    epsilons = _positives(exp, "experiment", "epsilons", "regularization parameters")
-    ensemble_coupled = _number(exp, "experiment", "ensemble_coupled", int, "1000", minimum=1)
-    ensemble_paths = _number(exp, "experiment", "ensemble_paths", int, "10000", minimum=1)
-
-    out = sections.get("output", {})
-    output_dir = Path(out.get("directory", "out"))
-    formats = tuple(out.get("formats", "report plotdata").split())
-    for fmt_name in formats:
-        if fmt_name not in ("report", "plotdata"):
-            raise ConfigurationError(f"[output] formats: unknown format {fmt_name!r}")
-
-    return RunConfig(
-        equation=spec,
-        experiments=names,
-        seed=seed,
-        dt_list=dt_list,
-        epsilons=epsilons,
-        ensemble_coupled=ensemble_coupled,
-        ensemble_paths=ensemble_paths,
-        output_dir=output_dir,
-        formats=formats,
-        margin=check_dissipativity_triplet(spec),
-        config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
-        sections=sections,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Experiment builders: RunConfig -> report
-# ---------------------------------------------------------------------------
-
-
-def _exp_resolvent_algebra(cfg: RunConfig):
-    trials = cfg.opt("resolvent_algebra", "trials", 100)
-    tol = cfg.opt("resolvent_algebra", "tol", 1e-9)
-    return analysis.resolvent_algebra_check(cfg.equation.A, trials, cfg.seed, tol)
-
-
-def _exp_trotter_kato(cfg: RunConfig):
-    """Linear additive-noise equation with the spectrum rescaled so the
-    regularization sweep stays inside its linear response regime."""
-    base = cfg.equation
-    lambda1 = cfg.opt("trotter_kato", "lambda1", 0.5)
-    noise_amp = cfg.opt("trotter_kato", "noise_amp", 0.2)
-    dt = cfg.opt("trotter_kato", "dt", 2.0 ** -10)
-    horizon = cfg.opt("trotter_kato", "t", 1.0)
-    epsilons = cfg.opt("trotter_kato", "epsilons", cfg.epsilons or
-                       (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625))
-    A = base.A.scaled(lambda1 / float(base.A.eigenvalues[0]))
-    e1 = A.eigenvectors[:, 0]
-    B = DiffusionCoefficient.constant(noise_amp * e1[:, None], np.array([1.0]))
-    G = JumpCoefficient.zero(A.dim)
-    spec = EquationSpec(A=A, F=Nonlinearity.zero(), B=B, G=G, u0=e1, T=horizon, alpha=0.0)
-    return analysis.yosida_convergence_experiment(spec, cfg.seed, dt, epsilons)
-
-
-def _step_integrand(cfg: RunConfig, name: str, columns: int, amp: float):
-    steps = cfg.opt(name, "steps", 16)
-    horizon = cfg.opt(name, "t", 1.0)
-    grid = TimeGrid(horizon, steps)
-    rng = np.random.default_rng(cfg.seed)
-    return grid, amp * rng.standard_normal((steps, cfg.equation.A.dim, columns))
-
-
-def _exp_wiener_isometry(cfg: RunConfig):
-    q = cfg.equation.B.q
-    grid, phi = _step_integrand(cfg, "wiener_isometry", q.shape[0],
-                                cfg.opt("wiener_isometry", "amplitude", 0.5))
-    paths = cfg.opt("wiener_isometry", "paths", cfg.ensemble_paths)
-    return analysis.wiener_isometry_experiment(phi, q, grid, grid.horizon, paths,
-                                               cfg.seed, cfg.equation.space)
-
-
-def _exp_poisson_isometry(cfg: RunConfig):
-    marks = cfg.equation.marks
-    grid, g = _step_integrand(cfg, "poisson_isometry", marks.atom_count,
-                              cfg.opt("poisson_isometry", "amplitude", 0.5))
-    paths = cfg.opt("poisson_isometry", "paths", cfg.ensemble_paths)
-    return analysis.poisson_isometry_experiment(g, marks, grid, grid.horizon, paths,
-                                                cfg.seed, cfg.equation.space)
-
-
-def _exp_compensator(cfg: RunConfig):
-    marks = cfg.equation.marks
-    grid, D = _step_integrand(cfg, "compensator", marks.atom_count,
-                              cfg.opt("compensator", "amplitude", 0.5))
-    paths = cfg.opt("compensator", "paths", cfg.ensemble_paths)
-    return analysis.compensator_experiment(D, marks, grid, grid.horizon, paths,
-                                           cfg.seed, cfg.equation.space)
-
-
-def _exp_regularization_identity(cfg: RunConfig):
-    eq = cfg.equation
-    return analysis.regularization_identity_experiment(
-        eq.A, eq.marks, eq.B.q,
-        cfg.opt("regularization_identity", "instances", 20),
-        cfg.seed,
-        dt=cfg.opt("regularization_identity", "dt", 2.0 ** -6),
-        T=cfg.opt("regularization_identity", "t", 0.25),
-        epsilon=cfg.opt("regularization_identity", "epsilon", 0.3),
-        tol=cfg.opt("regularization_identity", "tol", 1e-9),
-    )
-
-
-def _exp_energy_identity(cfg: RunConfig):
-    n = cfg.opt("energy_identity", "n", 5)
-    A = dirichlet_laplacian(n)
-    dts = cfg.opt("energy_identity", "dts", cfg.dt_list or
-                  (2.0 ** -7, 2.0 ** -8, 2.0 ** -9, 2.0 ** -10))
-    return analysis.energy_identity_experiment(
-        A, cfg.equation.marks, cfg.equation.B.q, dts,
-        cfg.opt("energy_identity", "t", 0.5),
-        cfg.opt("energy_identity", "paths", 100),
-        cfg.seed,
-        g_amp=cfg.opt("energy_identity", "g_amp", 1.0),
-        c_amp=cfg.opt("energy_identity", "c_amp", 0.3),
-        d_amp=cfg.opt("energy_identity", "d_amp", 0.3),
-    )
-
-
-def _exp_coupling(cfg: RunConfig):
-    spec = cfg.equation_for("coupling")
-    dts = cfg.opt("coupling", "dts", cfg.dt_list)
-    pair = (cfg.opt("coupling", "scheme_a", "exp_euler"),
-            cfg.opt("coupling", "scheme_b", "resolvent_implicit"))
-    return analysis.coupling_uniqueness_experiment(spec, cfg.seed, dts, pair)
-
-
-def _exp_contraction(cfg: RunConfig):
-    spec = cfg.equation_for("contraction")
-    raw_b = cfg.sections.get("experiment.contraction", {}).get("u0_b")
-    if raw_b is None:
-        raise ConfigurationError("[experiment.contraction] u0_b is required")
-    u0_b = np.array(_floats(raw_b))
-    return analysis.contraction_experiment(
-        spec, spec.u0, u0_b,
-        cfg.opt("contraction", "ensemble", cfg.ensemble_coupled),
-        cfg.seed,
-        dt=cfg.opt("contraction", "dt", 2.0 ** -7),
-        scheme=cfg.opt("contraction", "scheme", "exp_euler"),
-    )
-
-
-def _stability_pair(cfg: RunConfig, name: str):
-    spec1 = cfg.equation_for(name)
-    amp = cfg.opt(name, "db_amp", 0.05)
-    # perturbation pattern: amp times the first eigenvector, first noise column
-    delta = np.zeros(spec1.B.base.shape)
-    delta[:, 0] = amp * spec1.A.eigenvectors[:, 0]
-    b2 = DiffusionCoefficient(spec1.B.base + delta, spec1.B.state_scale, spec1.B.q)
-    return spec1, delta, b2
-
-
-def _exp_stability(cfg: RunConfig):
-    spec1, _, b2 = _stability_pair(cfg, "stability")
-    spec2 = spec1.with_data(B=b2)
-    return analysis.stability_estimate_experiment(
-        spec1, spec2,
-        cfg.opt("stability", "ensemble", cfg.ensemble_coupled),
-        cfg.seed,
-        dt=cfg.opt("stability", "dt", 2.0 ** -7),
-        scheme=cfg.opt("stability", "scheme", "exp_euler"),
-        continuity_factor=cfg.opt("stability", "continuity_factor", 5.0),
-    )
-
-
-def _exp_cauchy(cfg: RunConfig):
-    spec, delta, _ = _stability_pair(cfg, "cauchy")
-    levels = cfg.opt("cauchy", "levels", 5)
-    sequence = []
-    for k in range(levels):
-        b_k = DiffusionCoefficient(spec.B.base + 2.0 ** -k * delta, spec.B.state_scale, spec.B.q)
-        sequence.append((spec.u0, b_k, spec.G))
-    return analysis.generalized_solution_cauchy(
-        spec, sequence, cfg.seed,
-        ensemble_size=cfg.opt("cauchy", "ensemble", cfg.ensemble_coupled),
-        dt=cfg.opt("cauchy", "dt", 2.0 ** -7),
-        scheme=cfg.opt("cauchy", "scheme", "exp_euler"),
-    )
-
-
-def _exp_weak_residual(cfg: RunConfig):
-    spec = cfg.equation_for("weak_residual")
-    dts = cfg.opt("weak_residual", "dts", cfg.dt_list)
-    return analysis.weak_residual_experiment(
-        spec, cfg.seed, dts,
-        epsilon=cfg.opt("weak_residual", "epsilon", 0.1),
-        k_max=cfg.opt("weak_residual", "k_max", 8),
-        scheme=cfg.opt("weak_residual", "scheme", "resolvent_implicit"),
-    )
-
-
-EXPERIMENTS = {
-    "resolvent_algebra": _exp_resolvent_algebra,
-    "trotter_kato": _exp_trotter_kato,
-    "wiener_isometry": _exp_wiener_isometry,
-    "poisson_isometry": _exp_poisson_isometry,
-    "compensator": _exp_compensator,
-    "regularization_identity": _exp_regularization_identity,
-    "energy_identity": _exp_energy_identity,
-    "coupling": _exp_coupling,
-    "contraction": _exp_contraction,
-    "stability": _exp_stability,
-    "cauchy": _exp_cauchy,
-    "weak_residual": _exp_weak_residual,
-}
+        raise ConfigurationError(f"[{name}]: unknown section; known: equation, experiment, output")
+    if "equation" not in sections:
+        raise ConfigurationError(f"{path}: missing [equation] section")
+    exp_text = sections.get("experiment", {})
+    experiment = _read_section("experiment", exp_text, exp_text)
+    equation = _read_section("equation", sections["equation"], exp_text)
+    A = (dirichlet_laplacian(equation["n"]) if equation["operator"] == "dirichlet_laplacian"
+         else SpectralOperator.diagonal(equation["eigenvalues"], equation["weight"]))
+    spec = _equation(equation, A)
+    names = experiment["experiments"] if only is None else tuple(only)
+    unknown = sorted(set(names) - set(EXPERIMENTS))
+    if unknown:
+        raise ConfigurationError(f"--only: unknown experiments {unknown}")
+    options = {
+        name: _read_section(f"experiment.{name}", sections.get(f"experiment.{name}", {}),
+                            exp_text, equation if name in OVERRIDES else None)
+        for name in EXPERIMENTS if name in names or f"experiment.{name}" in sections
+    }
+    output = _read_section("output", sections.get("output", {}), exp_text)
+    return RunConfig(equation=spec, experiments=names, seed=experiment["seed"],
+                     output_dir=output["directory"], formats=output["formats"],
+                     margin=check_dissipativity_triplet(spec),
+                     config_sha256=hashlib.sha256(raw_bytes).hexdigest(), options=options)
 
 
 def _blowup_report(name: str, exc: BlowUpError) -> analysis.ExperimentReport:
@@ -523,21 +527,15 @@ def main(argv=None) -> None:
     parser.add_argument("-v", "--verbose", action="store_true", help="progress output")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config)
-        replacements = {}
+        wanted = None if args.only is None else tuple(n for n in args.only.split(",") if n)
+        config = parse_config(args.config, only=wanted)
         if args.output_dir is not None:
-            replacements["output_dir"] = Path(args.output_dir)
+            config = replace(config, output_dir=Path(args.output_dir))
         if args.seed is not None:
-            replacements["seed"] = _seed(args.seed, "--seed: ")
-        if args.only is not None:
-            wanted = tuple(name for name in args.only.split(",") if name)
-            unknown = [n for n in wanted if n not in EXPERIMENTS]
-            if unknown:
-                raise ConfigurationError(f"--only: unknown experiments {unknown}")
-            replacements["experiments"] = wanted
-        if replacements:
-            from dataclasses import replace
-            config = replace(config, **replacements)
+            try:
+                config = replace(config, seed=_seed(args.seed))
+            except ValueError as exc:
+                raise ConfigurationError(_message("--seed: [experiment] seed", exc)) from None
         if args.verbose:
             print(f"dissipativity margin: {config.margin:.6g}")
         status = run(config, verbose=args.verbose)

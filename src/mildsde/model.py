@@ -176,9 +176,6 @@ class _AffineCoefficient:
         self.lipschitz = float(np.sqrt(np.sum(weights * scale**2)))
         self.additive = bool(np.all(scale == 0.0))
 
-    def __call__(self, t: float, u) -> np.ndarray:
-        return self.base + np.outer(u, self.state_scale)
-
 
 class DiffusionCoefficient(_AffineCoefficient):
     """Wiener coefficient B(t, u) = base + u (x) state_scale, an n x d operator.
@@ -207,10 +204,9 @@ class DiffusionCoefficient(_AffineCoefficient):
 
 
 class JumpCoefficient(_AffineCoefficient):
-    """Jump coefficient G(t, u, z_j) = base[:, j] + state_scale[j] * u.
+    """Jump coefficient G(t, u, z_j) = base[:, j] + state_scale[j] * u, an n x J operator.
 
-    Evaluation returns the n x J matrix whose column j is G(t, u, z_j); the
-    Lipschitz constant is taken in the L2(Z, m) norm.
+    The Lipschitz constant is taken in the L2(Z, m) norm.
     """
 
     def __init__(self, base, state_scale, marks: MarkSpace):

@@ -72,7 +72,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States on a grid, tagged with the fingerprint of the equation that produced them.
+    """States on a grid and their pathwise integrability.
 
     ``integrability`` is the a posteriori pathwise integral of
     |F(u)| + |B(t, u)|_Q^2 + |G(t, u, .)|_m^2 over [0, T]; uniqueness
@@ -81,7 +81,6 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray
-    spec_fingerprint: str
     integrability: float
 
     def __post_init__(self):
@@ -288,7 +287,7 @@ def _solve_path(spec: EquationSpec, noise, config: SchemeConfig) -> Trajectory:
     counts = jump_cell_counts(poisson, grid)
     states = step_ensemble(spec, wiener.increments[None], counts[None], config)[0]
     states.setflags(write=False)
-    return Trajectory(grid, states, spec.fingerprint(), _integrability(spec, states, config.dt))
+    return Trajectory(grid, states, _integrability(spec, states, config.dt))
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:

@@ -431,11 +431,11 @@ class TestWeakResidual:
         u_hat = A.coords(traj.states)
         b_hat = np.empty((traj.grid.steps, A.dim))
         for n in range(traj.grid.steps):
-            t = traj.grid.times[n]
             u_n = traj.states[n]
-            inc = (spec.B(t, u_n) @ wiener.increments[n]
-                   + spec.G(t, u_n) @ counts[n]
-                   - dt * (spec.G(t, u_n) @ spec.marks.weight_array))
+            b_n = spec.B.base + np.outer(u_n, spec.B.state_scale)
+            g_n = spec.G.base + np.outer(u_n, spec.G.state_scale)
+            inc = (b_n @ wiener.increments[n] + g_n @ counts[n]
+                   - dt * (g_n @ spec.marks.weight_array))
             b_hat[n] = A.coords(-dt * spec.F(u_n) + inc)
         lam = A.eigenvalues
         r = 1.0 / (1.0 + dt * lam)
@@ -517,6 +517,11 @@ class TestCheckExperiments:
     def test_resolvent_algebra(self):
         report = resolvent_algebra_check(dirichlet_laplacian(31), 100, 3)
         assert report.verdict == PASS
+
+    def test_resolvent_algebra_refuses_zero_trials(self):
+        # no trial would leave min_monotonicity_inner = inf and a vacuous PASS
+        with pytest.raises(ConfigurationError, match="trials >= 1, got 0"):
+            resolvent_algebra_check(dirichlet_laplacian(31), 0, 3)
 
     def test_wiener_isometry(self):
         space = HilbertSpace(5, 1.0 / 6.0)

@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import re
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mildsde import noise
-from mildsde.cli import main, parse_config, run
+from mildsde.cli import OPTIONS, RunConfig, main, parse_config, run
 from mildsde.errors import ConfigurationError
 from mildsde.model import check_dissipativity_triplet
 from mildsde.textio import atomic_write_text, write_plot_data
@@ -65,9 +68,12 @@ class TestParseConfig:
     def test_minimal_config_echoes_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         assert cfg.experiments == ()
+        assert cfg.options == {}
         assert cfg.seed == 7
-        assert cfg.ensemble_coupled == 1000
-        assert cfg.ensemble_paths == 10000
+        only = parse_config(write_cfg(tmp_path, MINIMAL), only=("stability", "wiener_isometry"))
+        assert only.experiments == ("stability", "wiener_isometry")
+        assert only.options["stability"]["ensemble"] == 1000
+        assert only.options["wiener_isometry"]["paths"] == 10000
         assert cfg.output_dir == Path("out")
         assert cfg.formats == ("report", "plotdata")
         assert cfg.equation.A.dim == 3
@@ -120,19 +126,98 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, bad))
 
     def test_equation_override_section(self, tmp_path):
-        text = MINIMAL + "\n[experiment.contraction]\nalpha = 0.4\nf_coeffs = 0 0.5\n"
+        text = MINIMAL + "\n[experiment.contraction]\nalpha = 0.4\nf_coeffs = 0 0.5\nu0_b = 0 0 0\n"
         cfg = parse_config(write_cfg(tmp_path, text))
         spec = cfg.equation_for("contraction")
         assert spec.alpha == 0.4
         assert spec.F.coefficients == (0.0, 0.5)
         assert cfg.equation.alpha == 0.0
 
-    def test_typed_option_lookup(self, tmp_path):
-        text = MINIMAL + "\n[experiment.coupling]\ndts = 0.5 0.25\nscheme_a = exp_euler\n"
-        cfg = parse_config(write_cfg(tmp_path, text))
-        assert cfg.opt("coupling", "dts", ()) == (0.5, 0.25)
-        assert cfg.opt("coupling", "scheme_a", "x") == "exp_euler"
-        assert cfg.opt("coupling", "missing", 3) == 3
+    def test_options_are_typed_with_defaults_and_fallbacks(self, tmp_path):
+        text = MINIMAL.replace("experiments =", "experiments =\ndt_list = 0.25 0.125 0.0625")
+        text += "\n[experiment.coupling]\nscheme_a = resolvent_implicit\n"
+        coupling = parse_config(write_cfg(tmp_path, text)).options["coupling"]
+        assert coupling["dts"] == (0.25, 0.125, 0.0625)       # from [experiment] dt_list
+        assert coupling["scheme_a"] == "resolvent_implicit"
+        assert coupling["scheme_b"] == "resolvent_implicit"  # the table default
+        assert coupling["u0"] == (0.5, 0.25, 0.1)            # the [equation] value
+
+    def test_override_sections_share_the_equation_operator(self):
+        cfg = parse_config(CONFIG_DIR / "cubic-rd.cfg")
+        assert cfg.equation_for("contraction").A is cfg.equation.A
+
+
+FUZZ_SOURCES = (CONFIG_DIR / "acceptance.cfg", CONFIG_DIR / "cubic-rd.cfg",
+                BENCH_DIR / "fine-path.cfg")
+# Small values only: n = 99 is the largest operator a mutation can ask for.
+FUZZ_VALUES = ("0", "1", "2", "-1", "1.5", "99", "0.25", "0.0078125", "1e-9", "1e308", "nan",
+               "inf", "-inf", "x", "", "zeros", "0.5 0.25", "0 0 0", "1 ; 2", "exp_euler", "foo")
+FUZZ_KEYS = sorted({key.lower() for keys in OPTIONS.values() for key in keys} | {"bogus"})
+FUZZ_SECTIONS = ("experiment.coupling", "experiment.cauchy", "experiment.nope", "foo")
+
+
+def _sections(path):
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read(path)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+FUZZ_BASE = {path: _sections(path) for path in FUZZ_SOURCES}
+
+
+def _mutate(sections, op, pick, value):
+    """Apply one mutation, chosen by ``op`` and the index ``pick``, to ``sections``."""
+    names = sorted(sections)
+    section = sections[names[pick % len(names)]]
+    keys = sorted(section)
+    key = keys[pick // len(names) % len(keys)] if keys else None
+    if op == "set" and key:
+        section[key] = value
+    elif op == "rename" and key:
+        section[key[:-1] or "x"] = section.pop(key)
+    elif op == "delete" and key:
+        del section[key]
+    elif op == "add":
+        section[FUZZ_KEYS[pick % len(FUZZ_KEYS)]] = value
+    elif op == "section":
+        sections.setdefault(FUZZ_SECTIONS[pick % len(FUZZ_SECTIONS)], {})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.sampled_from(FUZZ_SOURCES),
+       mutations=st.lists(st.tuples(st.sampled_from(("set", "rename", "delete", "add", "section")),
+                                    st.integers(0, 10**6), st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+def test_mutated_configs_parse_or_raise_configuration_error(tmp_path, source, mutations):
+    sections = {name: dict(keys) for name, keys in FUZZ_BASE[source].items()}
+    for op, pick, value in mutations:
+        _mutate(sections, op, pick, value)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
+    path = tmp_path / "mutated.cfg"
+    with path.open("w") as handle:
+        parser.write(handle)
+    try:
+        assert isinstance(parse_config(path), RunConfig)
+    except ConfigurationError:
+        pass
+
+
+def test_readme_key_table_matches_the_option_table():
+    # every row of the README "Config format" table: | `[section]`, ... | `key` | type | default | check |
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    body = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in body.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`["):
+            continue
+        for section in cells[0].split(", "):
+            documented[section.strip("`[]"), cells[1].strip("`")] = cells[3].strip("`")
+    declared = {(section, key): "required" if default is None else default
+                for section, keys in OPTIONS.items() for key, (_, default) in keys.items()}
+    assert documented == declared
 
 
 def assert_recorded_digests(config_path, digests_name, output_dir):
@@ -425,7 +510,6 @@ class TestMainEntry:
         ("experiment.trotter_kato", "epsilons", "0.5 0.25 0", "resolvent_algebra"),
         ("experiment", "epsilons", "0.5 inf", "resolvent_algebra"),
         ("experiment.regularization_identity", "epsilon", "nan", "regularization_identity"),
-        ("experiment.weak_residual", "epsilons", "-0.1", "weak_residual"),
     ])
     def test_nonpositive_or_nonfinite_regularization_exits_2(self, tmp_path, capsys, section,
                                                              key, value, only):
@@ -475,6 +559,55 @@ class TestMainEntry:
         assert "'weak_residual'" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("equation", "f_coefs", "0 -1 0 1"),                 # misspelt: unknown key
+        ("experiment.cauchy", "levls", "5"),
+        ("output", "format", "report"),
+        ("experiment.weak_residual", "epsilons", "-0.1"),    # a key of another section
+        ("experiment.contraction", "u0_b", "1 2"),           # not n values
+        ("experiment.stability", "u0", "1 2"),
+        ("experiment.energy_identity", "n", "0"),
+        ("experiment.wiener_isometry", "steps", "0"),
+        ("experiment.resolvent_algebra", "trials", "0"),
+        ("experiment.weak_residual", "k_max", "99"),         # more modes than n = 31
+        ("experiment.contraction", "dt", "0.0234375"),       # does not divide T = 1
+        ("experiment.coupling", "scheme_a", "foo"),
+        ("experiment.cauchy", "levels", "1"),
+    ])
+    @pytest.mark.parametrize("only", [["--only", "coupling"], []], ids=["only-coupling", "all"])
+    def test_bad_key_exits_2_before_any_experiment_runs(self, tmp_path, capsys, section, key,
+                                                        value, only):
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), *only, "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_required_key_of_a_selected_experiment_exits_2(self, tmp_path, capsys):
+        # MINIMAL has no [experiment.contraction] section, so u0_b is missing
+        # only once --only selects contraction
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, MINIMAL)), "--only", "contraction",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        assert "[experiment.contraction] u0_b is required" in capsys.readouterr().err
+
+    def test_inherited_step_list_names_both_keys(self, tmp_path, capsys):
+        # dt_list is dyadic on its own but 0.1 does not divide T = 0.25
+        text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment", "dt_list",
+                       "0.1 0.05 0.025")
+        text = text.replace("dts = 0.0078125 0.00390625 0.001953125 0.0009765625\n"
+                            "scheme_a", "scheme_a")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert ("[experiment.coupling] dts (from [experiment] dt_list): dt=0.1 does not divide"
+                in err)
 
     @pytest.mark.parametrize("section, key, value", [
         ("experiment", "seed", "abc"),

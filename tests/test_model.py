@@ -129,11 +129,14 @@ class TestNorms:
         B = DiffusionCoefficient(rng.standard_normal((6, 2)), [0.3, 0.1], q)
         marks = MarkSpace((-1.0, 1.0), (1.0, 2.0))
         G = JumpCoefficient(rng.standard_normal((6, 2)), [0.2, 0.05], marks)
+        def at(coeff, u):  # column k is base[:, k] + state_scale[k] u
+            return coeff.base + np.outer(u, coeff.state_scale)
+
         for _ in range(200):
             u, v = rng.standard_normal((2, 6))
             gap = space.norm(u - v)
-            assert q_norm(B(0.0, u) - B(0.0, v), q, space) <= B.lipschitz * gap + 1e-12
-            assert m_norm(G(0.0, u) - G(0.0, v), marks, space) <= G.lipschitz * gap + 1e-12
+            assert q_norm(at(B, u) - at(B, v), q, space) <= B.lipschitz * gap + 1e-12
+            assert m_norm(at(G, u) - at(G, v), marks, space) <= G.lipschitz * gap + 1e-12
 
 
 class TestCoefficientsAndSpec:

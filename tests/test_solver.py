@@ -456,7 +456,6 @@ class TestTrajectoryContracts:
         traj = solve_exp_euler(spec, noise_for(spec, 2.0**-6), 2.0**-6)
         assert np.isfinite(traj.integrability)
         assert traj.integrability > 0.0
-        assert traj.spec_fingerprint == spec.fingerprint()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_aborts_with_step_index(self):
