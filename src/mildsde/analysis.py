@@ -31,8 +31,7 @@ from .textio import Record, fmt
 __all__ = [
     "PASS", "FAIL", "INCONCLUSIVE",
     "fit_order",
-    "CouplingReport", "ContractionReport", "StabilityReport", "CauchyReport",
-    "TrotterKatoReport", "WeakResidualReport", "ExperimentReport",
+    "ExperimentReport",
     "coupling_uniqueness_experiment",
     "contraction_experiment",
     "stability_estimate_experiment",
@@ -72,6 +71,36 @@ def fit_order(x, y, floor: float = 1e-15) -> float:
     ly = np.log2(y[keep])
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentReport:
+    """What every experiment returns: a verdict, the report rows (``records()``),
+    named (x, y, err) plot curves (``curves()``) and a ``summary`` of the arrays
+    and scalars behind them, whose keys each experiment's docstring names."""
+
+    name: str
+    verdict: str
+    rows: tuple
+    curve_map: dict = field(default_factory=dict)
+    summary: dict = field(default_factory=dict)
+
+    def records(self):
+        return list(self.rows)
+
+    def curves(self):
+        return dict(self.curve_map)
+
+
+def _log2_curve(name: str, x, y) -> dict:
+    """{name: (log2 x, log2 y, 0)} over the points with y > 0, in ascending x;
+    {} when there are none, so a blown-up or exactly-zero sweep writes no curve."""
+    keep = y > 0
+    if not np.any(keep):
+        return {}
+    lx = np.log2(np.asarray(x, dtype=float)[keep])
+    order = np.argsort(lx)
+    return {name: (lx[order], np.log2(y[keep])[order], np.zeros(int(keep.sum())))}
 
 
 def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
@@ -177,44 +206,17 @@ def _grid(T: float, dt: float) -> TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingReport:
-    """Scheme-pair self-convergence on one shared noise path."""
-
-    name: str
-    scheme_pair: tuple
-    dts: np.ndarray
-    gaps: np.ndarray
-    fitted_order: float
-    integrability: np.ndarray
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = [Record("gap", f"dt={fmt(d)}", g, 0.0)
-                for d, g in zip(self.dts, self.gaps)]
-        rows.append(Record("order", "-", self.fitted_order, 0.0, self.verdict))
-        return rows
-
-    def curves(self):
-        keep = self.gaps > 0
-        if not np.any(keep):
-            return {}
-        x = np.log2(self.dts[keep])
-        order = np.argsort(x)
-        return {"gap_vs_dt": (x[order], np.log2(self.gaps[keep])[order],
-                              np.zeros(int(keep.sum())))}
-
-
 def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
                                    scheme_pair=("exp_euler", "resolvent_implicit"),
-                                   epsilon: float | None = None) -> CouplingReport:
+                                   epsilon: float | None = None) -> ExperimentReport:
     """Run two schemes on the same realized noise across dyadic step sizes.
 
     The sup-norm gap between the two numerical solutions must vanish with
     order at least 0.9 for the run to PASS; a blow-up in either scheme makes
     the experiment INCONCLUSIVE.  Both trajectories must carry a finite
-    pathwise integrability functional to enter the comparison.
+    pathwise integrability functional to enter the comparison.  Summary:
+    ``gaps``, ``fitted_order`` and ``integrability`` (NaN where a step size
+    blew up).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
@@ -235,7 +237,7 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
                     if finite else np.nan)
         integs.append(max(t1.integrability, t2.integrability) if finite else np.nan)
     gaps = np.array(gaps)
-    order = fit_order(np.array(dts), gaps) if not inconclusive else math.nan
+    order = fit_order(dts, gaps) if not inconclusive else math.nan
     if inconclusive:
         verdict = INCONCLUSIVE
     elif np.all(gaps <= _ZERO_FLOOR):
@@ -244,42 +246,16 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
         verdict = PASS
     else:
         verdict = FAIL
-    return CouplingReport("coupling", tuple(scheme_pair), np.array(dts), gaps,
-                          order, np.array(integs), verdict, seed)
+    rows = [Record("gap", f"dt={fmt(d)}", g, 0.0) for d, g in zip(dts, gaps)]
+    rows.append(Record("order", "-", order, 0.0, verdict))
+    return ExperimentReport("coupling", verdict, tuple(rows), _log2_curve("gap_vs_dt", dts, gaps),
+                            {"gaps": gaps, "fitted_order": order,
+                             "integrability": np.array(integs)})
 
 
 # ---------------------------------------------------------------------------
 # Contraction of synchronously coupled solutions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ContractionReport:
-    """Monte Carlo decay of the squared gap against the exponential envelope."""
-
-    name: str
-    times: np.ndarray
-    mean_sq: np.ndarray
-    stderr: np.ndarray
-    envelope: np.ndarray
-    alpha: float
-    margin: float
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = [Record("margin", f"alpha={fmt(self.alpha)}", self.margin, 0.0)]
-        for t, m, s, e in zip(self.times, self.mean_sq, self.stderr, self.envelope):
-            ok = PASS if _within_envelope(m, s, e) else FAIL
-            rows.append(Record("mean_sq_gap", f"t={fmt(t)}", m, s, ok))
-        return rows
-
-    def curves(self):
-        keep = self.mean_sq > 0
-        if not np.any(keep):
-            return {}
-        rel = np.where(self.mean_sq[keep] > 0, self.stderr[keep] / self.mean_sq[keep], 0.0)
-        return {"log_gap_vs_t": (self.times[keep], np.log(self.mean_sq[keep]), rel)}
 
 
 def _within_envelope(mean: float, se: float, envelope: float) -> bool:
@@ -291,7 +267,7 @@ def _within_envelope(mean: float, se: float, envelope: float) -> bool:
 
 
 def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, seed: int,
-                           *, dt: float, scheme: str = "exp_euler") -> ContractionReport:
+                           *, dt: float, scheme: str = "exp_euler") -> ExperimentReport:
     """Synchronously coupled decay test under a certified dissipativity margin.
 
     Each ensemble member drives two solutions, started from u0_a and u0_b,
@@ -299,7 +275,8 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
     gap to sit below exp(-2 alpha t) |u0_a - u0_b|^2 up to three standard
     errors at every grid time.  Refuses to run (HypothesisError) if the
     exact triplet margin for the declared alpha is negative; a solver
-    blow-up propagates as BlowUpError.
+    blow-up propagates as BlowUpError.  Summary: ``times``, ``mean_sq``,
+    ``stderr``, ``envelope`` (per grid time) and ``margin``.
     """
     margin = check_dissipativity_triplet(spec)
     if margin < 0.0:
@@ -313,44 +290,21 @@ def contraction_experiment(spec: EquationSpec, u0_a, u0_b, ensemble_size: int, s
                                grid, dt, scheme, seed, ensemble_size)
     mean, se = _mean_stderr(gap_sq)
     envelope = np.exp(-2.0 * spec.alpha * grid.times) * spec.space.sq_norms(u0_a - u0_b)
-    ok = all(_within_envelope(m, s, e) for m, s, e in zip(mean, se, envelope))
-    verdict = PASS if ok else FAIL
-    return ContractionReport("contraction", grid.times.copy(), mean, se, envelope,
-                             spec.alpha, margin, verdict, seed)
+    rows = [Record("margin", f"alpha={fmt(spec.alpha)}", margin, 0.0)]
+    rows += [Record("mean_sq_gap", f"t={fmt(t)}", m, s,
+                    PASS if _within_envelope(m, s, e) else FAIL)
+             for t, m, s, e in zip(grid.times, mean, se, envelope)]
+    verdict = PASS if all(row.verdict == PASS for row in rows[1:]) else FAIL
+    keep = mean > 0
+    curves = {"log_gap_vs_t": (grid.times[keep], np.log(mean[keep]), se[keep] / mean[keep])}
+    return ExperimentReport("contraction", verdict, tuple(rows), curves if keep.any() else {},
+                            {"times": grid.times.copy(), "mean_sq": mean, "stderr": se,
+                             "envelope": envelope, "margin": margin})
 
 
 # ---------------------------------------------------------------------------
 # Stability constant N(t) and generalized-solution Cauchy sequences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class StabilityReport:
-    """Empirical data-to-solution stability constant over time."""
-
-    name: str
-    times: np.ndarray
-    n_values: np.ndarray
-    n_stderr: np.ndarray
-    envelope: np.ndarray
-    margin_raw: float
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = [Record("raw_margin", "-", self.margin_raw, 0.0)]
-        for t, v, s, e in zip(self.times, self.n_values, self.n_stderr, self.envelope):
-            if math.isnan(v):
-                continue
-            ok = PASS if v <= e + 3.0 * s else FAIL
-            rows.append(Record("N", f"t={fmt(t)}", v, s, ok))
-        return rows
-
-    def curves(self):
-        keep = np.isfinite(self.n_values)
-        if not np.any(keep):
-            return {}
-        return {"n_vs_t": (self.times[keep], self.n_values[keep], self.n_stderr[keep])}
 
 
 def _finite_raw_margin(spec: EquationSpec) -> float:
@@ -386,7 +340,7 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
                                   ensemble_size: int, seed: int, *, dt: float,
                                   scheme: str = "exp_euler",
                                   noise_floor: float = 1e-14,
-                                  continuity_factor: float = 5.0) -> StabilityReport:
+                                  continuity_factor: float = 5.0) -> ExperimentReport:
     """Estimate N(t) = E|u1(t) - u2(t)|^2 / (data distance up to t).
 
     The two specifications must share the operator, drift, horizon and noise
@@ -396,6 +350,8 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
     margin-derived envelope exp(2 |margin| t) up to three standard errors.
     Returns INCONCLUSIVE when the data distance never exceeds the noise
     floor.  Refuses to run (HypothesisError) when the raw margin is -inf.
+    Summary, per grid time: ``times``, ``n_values`` (NaN where undefined),
+    ``n_stderr`` and ``envelope``.
     """
     margin_raw = _finite_raw_margin(spec1)
     grid = _grid(spec1.T, dt)
@@ -418,10 +374,10 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
             n_se[k] = num_se[k] / den[k]
     envelope = np.exp(2.0 * abs(margin_raw) * grid.times)
 
+    defined = np.isfinite(n_vals)
     if not np.any(den > noise_floor):
         verdict = INCONCLUSIVE
     else:
-        defined = np.isfinite(n_vals)
         continuous = True
         vals = n_vals[defined]
         for a, b in zip(vals, vals[1:]):
@@ -430,46 +386,19 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
                 break
         enveloped = np.all(n_vals[defined] <= envelope[defined] + 3.0 * n_se[defined])
         verdict = PASS if (defined.any() and continuous and enveloped) else FAIL
-    return StabilityReport("stability", grid.times.copy(), n_vals, n_se, envelope,
-                           margin_raw, verdict, seed)
-
-
-@dataclass(frozen=True, eq=False)
-class CauchyReport:
-    """Cauchy behavior of solutions along a regularized-data sequence."""
-
-    name: str
-    data_dists: np.ndarray
-    solution_dists: np.ndarray
-    ratios: np.ndarray
-    mean_ratio: float
-    n_bound: float
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = []
-        for i, (dd, sd) in enumerate(zip(self.data_dists, self.solution_dists)):
-            ok = PASS if sd <= self.n_bound * dd else FAIL
-            rows.append(Record("h2_distance", f"pair={i}-{i + 1}", sd, 0.0, ok))
-            rows.append(Record("data_distance", f"pair={i}-{i + 1}", dd, 0.0))
-        rows.append(Record("geometric_ratio", "-", self.mean_ratio, 0.0))
-        rows.append(Record("n_bound", "-", self.n_bound, 0.0, self.verdict))
-        return rows
-
-    def curves(self):
-        keep = self.solution_dists > 0
-        if not np.any(keep):
-            return {}
-        idx = np.arange(len(self.solution_dists), dtype=float)[keep]
-        return {"h2_vs_pair": (idx, np.log(self.solution_dists[keep]),
-                               np.zeros(int(keep.sum())))}
+    rows = [Record("raw_margin", "-", margin_raw, 0.0)]
+    rows += [Record("N", f"t={fmt(t)}", v, s, PASS if v <= e + 3.0 * s else FAIL)
+             for t, v, s, e in zip(grid.times, n_vals, n_se, envelope) if not math.isnan(v)]
+    curves = {"n_vs_t": (grid.times[defined], n_vals[defined], n_se[defined])}
+    return ExperimentReport("stability", verdict, tuple(rows), curves if defined.any() else {},
+                            {"times": grid.times.copy(), "n_values": n_vals, "n_stderr": n_se,
+                             "envelope": envelope})
 
 
 def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
                                 ensemble_size: int, dt: float,
                                 scheme: str = "exp_euler",
-                                n_bound: float | None = None) -> CauchyReport:
+                                n_bound: float | None = None) -> ExperimentReport:
     """Solve along a data sequence converging to the spec's data.
 
     data_sequence is a list of (u0_n, B_n, G_n) whose distance to the limit
@@ -477,7 +406,9 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     the sup-in-time mean-square norm; PASS requires each solution distance
     to be controlled linearly by the matching data distance, with constant
     ``n_bound`` (defaulting to the margin-derived Gronwall envelope at the
-    horizon, which refuses (HypothesisError) a raw margin of -inf).
+    horizon, which refuses (HypothesisError) a raw margin of -inf).  Summary:
+    ``solution_dists`` (per consecutive pair) and ``mean_ratio``, their
+    geometric-mean ratio.
     """
     if len(data_sequence) < 2:
         raise ConfigurationError("data sequence needs at least two entries")
@@ -504,10 +435,20 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
                        for i in range(len(sol_dists) - 1)
                        if positive[i] and positive[i + 1]])
     mean_ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else 0.0
-    controlled = np.all(sol_dists <= n_bound * data_dists)
-    verdict = PASS if controlled else FAIL
-    return CauchyReport("cauchy", data_dists, sol_dists, ratios, mean_ratio,
-                        float(n_bound), verdict, seed)
+    n_bound = float(n_bound)
+    verdict = PASS if np.all(sol_dists <= n_bound * data_dists) else FAIL
+    rows = []
+    for i, (dd, sd) in enumerate(zip(data_dists, sol_dists)):
+        rows.append(Record("h2_distance", f"pair={i}-{i + 1}", sd, 0.0,
+                           PASS if sd <= n_bound * dd else FAIL))
+        rows.append(Record("data_distance", f"pair={i}-{i + 1}", dd, 0.0))
+    rows.append(Record("geometric_ratio", "-", mean_ratio, 0.0))
+    rows.append(Record("n_bound", "-", n_bound, 0.0, verdict))
+    keep = sol_dists > 0
+    curves = {"h2_vs_pair": (np.flatnonzero(keep).astype(float), np.log(sol_dists[keep]),
+                             np.zeros(int(keep.sum())))}
+    return ExperimentReport("cauchy", verdict, tuple(rows), curves if keep.any() else {},
+                            {"solution_dists": sol_dists, "mean_ratio": mean_ratio})
 
 
 # ---------------------------------------------------------------------------
@@ -556,43 +497,15 @@ def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
     return np.abs(tilde * residual)[:k_max]
 
 
-@dataclass(frozen=True, eq=False)
-class WeakResidualReport:
-    """Per-mode weak-identity residuals across dyadic step sizes."""
-
-    name: str
-    dts: np.ndarray
-    residuals: np.ndarray        # (modes, len(dts))
-    orders: np.ndarray
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = []
-        for k in range(self.residuals.shape[0]):
-            for d, r in zip(self.dts, self.residuals[k]):
-                rows.append(Record("residual", f"mode={k + 1},dt={fmt(d)}", r, 0.0))
-            ok = PASS if self.orders[k] >= 0.9 else FAIL
-            rows.append(Record("order", f"mode={k + 1}", self.orders[k], 0.0, ok))
-        return rows
-
-    def curves(self):
-        out = {}
-        for k in range(self.residuals.shape[0]):
-            keep = self.residuals[k] > 0
-            if np.any(keep):
-                x = np.log2(self.dts[keep])
-                order = np.argsort(x)
-                out[f"mode{k + 1}"] = (x[order],
-                                       np.log2(self.residuals[k][keep])[order],
-                                       np.zeros(int(keep.sum())))
-        return out
-
-
 def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              epsilon: float = 0.1, k_max: int = 8,
-                             scheme: str = "resolvent_implicit") -> WeakResidualReport:
-    """Weak residual decay across dyadic step sizes on one coupled path."""
+                             scheme: str = "resolvent_implicit") -> ExperimentReport:
+    """Weak residual decay across dyadic step sizes on one coupled path.
+
+    PASS requires every one of the first ``k_max`` modes to decay with fitted
+    order at least 0.9.  Summary: ``residuals`` (modes x step sizes) and
+    ``orders`` (per mode).
+    """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
     residuals = np.empty((k_max, len(dts)))
@@ -600,9 +513,17 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
         wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
         traj = solve_scheme(spec, (wiener, poisson), dt, scheme)
         residuals[:, j] = weak_solution_residual(traj, spec, (wiener, poisson), epsilon, k_max)
-    orders = np.array([fit_order(np.array(dts), residuals[k]) for k in range(k_max)])
+    orders = np.array([fit_order(dts, residuals[k]) for k in range(k_max)])
     verdict = PASS if np.all(orders >= 0.9) else FAIL
-    return WeakResidualReport("weak_residual", np.array(dts), residuals, orders, verdict, seed)
+    rows, curves = [], {}
+    for k in range(k_max):
+        rows += [Record("residual", f"mode={k + 1},dt={fmt(d)}", r, 0.0)
+                 for d, r in zip(dts, residuals[k])]
+        rows.append(Record("order", f"mode={k + 1}", orders[k], 0.0,
+                           PASS if orders[k] >= 0.9 else FAIL))
+        curves.update(_log2_curve(f"mode{k + 1}", dts, residuals[k]))
+    return ExperimentReport("weak_residual", verdict, tuple(rows), curves,
+                            {"residuals": residuals, "orders": orders})
 
 
 # ---------------------------------------------------------------------------
@@ -610,40 +531,14 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TrotterKatoReport:
-    """Gap between regularized and exponential trajectories as eps -> 0."""
-
-    name: str
-    epsilons: np.ndarray
-    gaps: np.ndarray
-    slope: float
-    verdict: str
-    seed: int
-
-    def records(self):
-        rows = [Record("gap", f"eps={fmt(e)}", g, 0.0)
-                for e, g in zip(self.epsilons, self.gaps)]
-        rows.append(Record("slope", "-", self.slope, 0.0, self.verdict))
-        return rows
-
-    def curves(self):
-        keep = self.gaps > 0
-        if not np.any(keep):
-            return {}
-        x = np.log2(self.epsilons[keep])
-        order = np.argsort(x)
-        return {"gap_vs_eps": (x[order], np.log2(self.gaps[keep])[order],
-                               np.zeros(int(keep.sum())))}
-
-
 def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
-                                  epsilons) -> TrotterKatoReport:
+                                  epsilons) -> ExperimentReport:
     """Trajectory-level regularization convergence at a fixed small step size.
 
     Solves the equation once with the exponential scheme (the reference) and
     once per epsilon with the explicit regularized scheme on the same path;
     PASS requires the sup-norm gap to shrink with fitted slope in [0.9, 1.1].
+    Summary: ``gaps`` (per epsilon, largest first) and ``slope``.
     """
     epsilons = np.array(sorted((float(e) for e in epsilons), reverse=True))
     wiener, poisson = _single_path(spec, _grid(spec.T, dt), seed)
@@ -655,7 +550,11 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
         gaps[j] = float(np.sqrt(space.sq_norms(traj.states - reference.states)).max())
     slope = fit_order(epsilons, gaps)
     verdict = PASS if 0.9 <= slope <= 1.1 else FAIL
-    return TrotterKatoReport("trotter_kato", epsilons, gaps, slope, verdict, seed)
+    rows = [Record("gap", f"eps={fmt(e)}", g, 0.0) for e, g in zip(epsilons, gaps)]
+    rows.append(Record("slope", "-", slope, 0.0, verdict))
+    return ExperimentReport("trotter_kato", verdict, tuple(rows),
+                            _log2_curve("gap_vs_eps", epsilons, gaps),
+                            {"gaps": gaps, "slope": slope})
 
 
 def yosida_coupling_bound(spec: EquationSpec, u0_a, u0_b, seed: int, *,
@@ -700,23 +599,6 @@ def yosida_coupling_bound(spec: EquationSpec, u0_a, u0_b, seed: int, *,
 # ---------------------------------------------------------------------------
 # One-shot checks wired into the experiment runner
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    """Generic report: named rows, optional curves, a summary and a verdict."""
-
-    name: str
-    verdict: str
-    rows: tuple
-    curve_map: dict = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
-
-    def records(self):
-        return list(self.rows)
-
-    def curves(self):
-        return dict(self.curve_map)
 
 
 def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,

@@ -436,11 +436,23 @@ def parse_config(path, only=None) -> RunConfig:
     unknown = sorted(set(names) - set(EXPERIMENTS))
     if unknown:
         raise ConfigurationError(f"--only: unknown experiments {unknown}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        source = "[experiment] experiments" if only is None else "--only"
+        raise ConfigurationError(f"{source}: repeated experiments {repeated}")
     options = {
         name: _read_section(f"experiment.{name}", sections.get(f"experiment.{name}", {}),
                             exp_text, equation if name in OVERRIDES else None)
         for name in EXPERIMENTS if name in names or f"experiment.{name}" in sections
     }
+    # stability and cauchy perturb B, and a data distance needs B free of the state
+    for name in ("stability", "cauchy"):
+        if name in names and any(options[name]["b_scale"]):
+            label = f"[experiment.{name}] b_scale"
+            if "b_scale" not in sections.get(f"experiment.{name}", {}):
+                label += " (from [equation] b_scale)"
+            raise ConfigurationError(f"{label} must be zeros, since data distances need additive "
+                                     f"Wiener coefficients; got {options[name]['b_scale']}")
     output = _read_section("output", sections.get("output", {}), exp_text)
     return RunConfig(equation=spec, experiments=names, seed=experiment["seed"],
                      output_dir=output["directory"], formats=output["formats"],

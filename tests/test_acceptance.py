@@ -51,10 +51,11 @@ def test_criterion_01_resolvent_yosida_algebra(config):
 
 def test_criterion_02_regularization_convergence_slope(config):
     report, elapsed = timed("trotter_kato", config)
-    ok = report.verdict == PASS and 0.9 <= report.slope <= 1.1
-    announce(2, "regularized-scheme convergence", ok, f"slope {report.slope:.3f}", elapsed, 10)
+    ok = report.verdict == PASS and 0.9 <= report.summary["slope"] <= 1.1
+    announce(2, "regularized-scheme convergence", ok, f"slope {report.summary['slope']:.3f}",
+             elapsed, 10)
     assert ok
-    assert np.all(np.diff(report.gaps) < 0.0)
+    assert np.all(np.diff(report.summary["gaps"]) < 0.0)
     assert elapsed < 10.0
 
 
@@ -102,11 +103,11 @@ def test_criterion_06_discrete_energy_identity(config):
 def test_criterion_07_uniqueness_coupling(config):
     report, elapsed = timed("coupling", config)
     ok = (report.verdict == PASS
-          and np.all(np.diff(report.gaps) < 0.0)
-          and report.fitted_order >= 0.9
-          and np.all(np.isfinite(report.integrability)))
+          and np.all(np.diff(report.summary["gaps"]) < 0.0)
+          and report.summary["fitted_order"] >= 0.9
+          and np.all(np.isfinite(report.summary["integrability"])))
     announce(7, "scheme-pair uniqueness coupling", ok,
-             f"order {report.fitted_order:.3f}, gaps strictly decreasing", elapsed, 120)
+             f"order {report.summary['fitted_order']:.3f}, gaps strictly decreasing", elapsed, 120)
     assert ok
     assert elapsed < 120.0
 
@@ -114,10 +115,10 @@ def test_criterion_07_uniqueness_coupling(config):
 def test_criterion_08_contraction_envelope(config):
     report, elapsed = timed("contraction", config)
     per_time = [rec for rec in report.records() if rec.label == "mean_sq_gap"]
-    ok = (report.verdict == PASS and report.margin >= 0.0
+    ok = (report.verdict == PASS and report.summary["margin"] >= 0.0
           and all(rec.verdict == PASS for rec in per_time))
     announce(8, "synchronous-coupling contraction", ok,
-             f"margin {report.margin:.3f}, envelope held at all "
+             f"margin {report.summary['margin']:.3f}, envelope held at all "
              f"{len(per_time)} grid times", elapsed, 120)
     assert ok
     assert elapsed < 120.0
@@ -126,14 +127,15 @@ def test_criterion_08_contraction_envelope(config):
 def test_criterion_09_stability_and_generalized_solutions(config):
     stability, t_s = timed("stability", config)
     cauchy, t_c = timed("cauchy", config)
-    defined = np.isfinite(stability.n_values)
-    enveloped = np.all(stability.n_values[defined]
-                       <= stability.envelope[defined] + 3.0 * stability.n_stderr[defined])
+    n_values, n_stderr = stability.summary["n_values"], stability.summary["n_stderr"]
+    defined = np.isfinite(n_values)
+    enveloped = np.all(n_values[defined]
+                       <= stability.summary["envelope"][defined] + 3.0 * n_stderr[defined])
     ok = (stability.verdict == PASS and bool(enveloped)
           and cauchy.verdict == PASS
-          and 0.15 <= cauchy.mean_ratio <= 0.35)
+          and 0.15 <= cauchy.summary["mean_ratio"] <= 0.35)
     announce(9, "stability constant and Cauchy sequence", ok,
-             f"N(t) under envelope, geometric ratio {cauchy.mean_ratio:.3f}",
+             f"N(t) under envelope, geometric ratio {cauchy.summary['mean_ratio']:.3f}",
              t_s + t_c, 120)
     assert ok
     assert t_s + t_c < 120.0
@@ -141,10 +143,10 @@ def test_criterion_09_stability_and_generalized_solutions(config):
 
 def test_criterion_10_weak_formulation_residual(config):
     report, elapsed = timed("weak_residual", config)
-    ok = (report.verdict == PASS and report.residuals.shape[0] == 8
-          and np.all(report.orders >= 0.9))
+    ok = (report.verdict == PASS and report.summary["residuals"].shape[0] == 8
+          and np.all(report.summary["orders"] >= 0.9))
     announce(10, "weak-formulation residual", ok,
-             f"per-mode orders min {report.orders.min():.3f} over modes 1..8",
+             f"per-mode orders min {report.summary['orders'].min():.3f} over modes 1..8",
              elapsed, 30)
     assert ok
     assert elapsed < 30.0

@@ -21,6 +21,7 @@ from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, poisson_integral, quad
                            sample_jump_table, sample_poisson, sample_wiener, shared_draws)
 from mildsde.solver import solve_resolvent_implicit, solve_scheme
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
+from mildsde.textio import write_plot_data
 
 from conftest import make_cubic_spec, make_linear_spec
 
@@ -41,22 +42,22 @@ class TestCouplingExperiment:
     def test_identical_scheme_pair_gives_zero_gaps(self, cubic_spec):
         report = coupling_uniqueness_experiment(cubic_spec, 3, DTS,
                                                 ("exp_euler", "exp_euler"))
-        assert np.all(report.gaps == 0.0)
+        assert np.all(report.summary["gaps"] == 0.0)
         assert report.verdict == PASS
-        assert report.fitted_order == math.inf
+        assert report.summary["fitted_order"] == math.inf
 
     def test_linear_additive_first_order(self):
         spec = make_linear_spec(n=7, jump_amp=0.05)
         report = coupling_uniqueness_experiment(spec, 5, DTS)
         assert report.verdict == PASS
-        assert 0.9 <= report.fitted_order <= 1.2
+        assert 0.9 <= report.summary["fitted_order"] <= 1.2
 
     def test_cubic_reaction_diffusion(self, cubic_spec):
         report = coupling_uniqueness_experiment(cubic_spec, 7, DTS)
         assert report.verdict == PASS
-        assert np.all(np.diff(report.gaps) < 0.0)
-        assert report.fitted_order >= 0.9
-        assert np.all(np.isfinite(report.integrability))
+        assert np.all(np.diff(report.summary["gaps"]) < 0.0)
+        assert report.summary["fitted_order"] >= 0.9
+        assert np.all(np.isfinite(report.summary["integrability"]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore::mildsde.errors.StiffnessWarning")
@@ -67,6 +68,29 @@ class TestCouplingExperiment:
                             u0=np.array([3.0, -3.0]), T=1.0)
         report = coupling_uniqueness_experiment(spec, 1, [0.25, 0.125, 0.0625])
         assert report.verdict == INCONCLUSIVE
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::mildsde.errors.StiffnessWarning")
+    def test_blown_up_sweep_writes_no_curve(self, tmp_path):
+        # every step size blows up; a NaN gap is no point of the log-log curve,
+        # so no gap_vs_dt file is written
+        A = SpectralOperator.diagonal([0.0, 0.0])
+        spec = EquationSpec(A=A, F=Nonlinearity((0.0, 0.0, 0.0, -40.0)),
+                            B=DiffusionCoefficient.zero(2), G=JumpCoefficient.zero(2),
+                            u0=np.array([30.0, -30.0]), T=1.0)
+        report = coupling_uniqueness_experiment(spec, 1, [0.25, 0.125, 0.0625])
+        assert np.all(np.isnan(report.summary["gaps"]))
+        assert report.curves() == {}
+        assert write_plot_data(report, tmp_path) == []
+        assert not (tmp_path / "coupling.gap_vs_dt.dat").exists()
+
+    def test_zero_gaps_write_no_curve(self, cubic_spec, tmp_path):
+        # log2(0) = -inf: an exactly-zero sweep writes no curve rather than -inf rows
+        report = coupling_uniqueness_experiment(cubic_spec, 3, DTS, ("exp_euler", "exp_euler"))
+        assert np.all(report.summary["gaps"] == 0.0)
+        assert report.curves() == {}
+        assert write_plot_data(report, tmp_path) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_three_dyadic_steps(self, cubic_spec):
         with pytest.raises(ConfigurationError):
@@ -83,8 +107,8 @@ class TestCouplingExperiment:
     def test_report_is_reproducible(self, cubic_spec):
         a = coupling_uniqueness_experiment(cubic_spec, 11, DTS)
         b = coupling_uniqueness_experiment(cubic_spec, 11, DTS)
-        assert np.array_equal(a.gaps, b.gaps)
-        assert a.fitted_order == b.fitted_order
+        assert np.array_equal(a.summary["gaps"], b.summary["gaps"])
+        assert a.summary["fitted_order"] == b.summary["fitted_order"]
         assert a.verdict == b.verdict
 
 
@@ -108,7 +132,7 @@ class TestContractionExperiment:
     def test_equal_starts_give_zero_gap(self, cubic_spec):
         spec = cubic_spec.with_data(F=Nonlinearity((0.0, 0.5, 0.0, 1.0)), alpha=0.9)
         report = contraction_experiment(spec, spec.u0, spec.u0, 50, 3, dt=2.0**-6)
-        assert np.all(report.mean_sq == 0.0)
+        assert np.all(report.summary["mean_sq"] == 0.0)
         assert report.verdict == PASS
 
     def test_linear_flow_matches_closed_form(self):
@@ -118,13 +142,13 @@ class TestContractionExperiment:
         spec = linear_contraction_spec(slope)
         du0 = np.array([0.3, 0.1])
         report = contraction_experiment(spec, spec.u0, spec.u0 + du0, 20, 5, dt=dt)
-        steps = np.arange(report.times.size)
+        steps = np.arange(report.summary["times"].size)
         closed = (1.0 - slope * dt) ** (2 * steps) * spec.space.sq_norms(du0)
-        assert np.allclose(report.mean_sq, closed, rtol=1e-10)
-        assert np.all(report.stderr < 1e-12)
+        assert np.allclose(report.summary["mean_sq"], closed, rtol=1e-10)
+        assert np.all(report.summary["stderr"] < 1e-12)
         assert report.verdict == PASS
         # the discrete decay sits just below the envelope
-        assert report.mean_sq[-1] > 0.8 * report.envelope[-1]
+        assert report.summary["mean_sq"][-1] > 0.8 * report.summary["envelope"][-1]
 
     def test_dissipative_cubic_bound(self):
         spec = make_cubic_spec(n=9, T=1.0, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0,
@@ -132,7 +156,7 @@ class TestContractionExperiment:
         u0_b = spec.u0 + 0.2 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, spec.u0, u0_b, 300, 7, dt=2.0**-7)
         assert report.verdict == PASS
-        assert report.margin >= 0.0
+        assert report.summary["margin"] >= 0.0
 
     def test_refuses_unmet_hypothesis(self):
         # anti-monotone linear drift: the raw margin is exactly -2, below
@@ -147,7 +171,7 @@ class TestContractionExperiment:
         spec = linear_contraction_spec(slope=1.0, alpha=2.0)
         assert check_dissipativity_triplet(spec) == 0.0
         report = contraction_experiment(spec, spec.u0, spec.u0 + 0.1, 10, 1, dt=2.0**-6)
-        assert report.margin == 0.0
+        assert report.summary["margin"] == 0.0
 
     def test_gap_scaling_is_exactly_linear(self):
         # pathwise linearity of the synchronous gap for a linear drift
@@ -155,7 +179,7 @@ class TestContractionExperiment:
         du0 = np.array([0.2, -0.1])
         r1 = contraction_experiment(spec, spec.u0, spec.u0 + du0, 30, 9, dt=2.0**-6)
         r2 = contraction_experiment(spec, spec.u0, spec.u0 + 3.0 * du0, 30, 9, dt=2.0**-6)
-        assert np.allclose(r2.mean_sq, 9.0 * r1.mean_sq, rtol=1e-11)
+        assert np.allclose(r2.summary["mean_sq"], 9.0 * r1.summary["mean_sq"], rtol=1e-11)
 
 
 def additive_pair(n=9, delta_amp=0.05, slope=None):
@@ -171,15 +195,16 @@ class TestStabilityExperiment:
     def test_identical_specs_report_zero(self, cubic_spec):
         spec = cubic_spec.with_data()
         report = stability_estimate_experiment(spec, spec, 20, 3, dt=2.0**-6)
-        assert np.all(report.n_values[np.isfinite(report.n_values)] == 0.0)
+        assert np.all(report.summary["n_values"][np.isfinite(report.summary["n_values"])] == 0.0)
         assert report.verdict == INCONCLUSIVE
 
     def test_dissipative_cubic_envelope(self):
         spec1, spec2, _ = additive_pair()
         report = stability_estimate_experiment(spec1, spec2, 400, 5, dt=2.0**-7)
         assert report.verdict == PASS
-        vals = report.n_values[np.isfinite(report.n_values)]
-        assert np.all(vals <= report.envelope[np.isfinite(report.n_values)] + 3 * 1e-2)
+        n_values, envelope = report.summary["n_values"], report.summary["envelope"]
+        vals = n_values[np.isfinite(n_values)]
+        assert np.all(vals <= envelope[np.isfinite(n_values)] + 3 * 1e-2)
 
     def test_gaussian_closed_form(self):
         # linear drift, additive noise: the difference is the discrete
@@ -204,10 +229,11 @@ class TestStabilityExperiment:
         for _ in range(steps):
             v = decay**2 * ((1.0 - lam_f * dt) ** 2 * v + dt * delta[:, 0] ** 2)
             variances.append(v.sum())  # weight = 1
-        exact_n = np.array(variances) / np.maximum(report.times * (delta[:, 0] ** 2).sum(), 1e-300)
-        got = report.n_values[1:]
+        exact_n = np.array(variances) / np.maximum(
+            report.summary["times"] * (delta[:, 0] ** 2).sum(), 1e-300)
+        got = report.summary["n_values"][1:]
         want = exact_n[1:]
-        se = report.n_stderr[1:]
+        se = report.summary["n_stderr"][1:]
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
 
     def test_refuses_unbounded_drift_derivative(self):
@@ -254,7 +280,7 @@ class TestCauchyExperiment:
         spec1, _, _ = additive_pair()
         seq = [(spec1.u0, spec1.B, spec1.G)] * 3
         report = generalized_solution_cauchy(spec1, seq, 3, ensemble_size=20, dt=2.0**-6)
-        assert np.all(report.solution_dists == 0.0)
+        assert np.all(report.summary["solution_dists"] == 0.0)
         assert report.verdict == PASS
 
     def test_geometric_data_sequence(self):
@@ -265,8 +291,8 @@ class TestCauchyExperiment:
             seq.append((spec1.u0, b_k, spec1.G))
         report = generalized_solution_cauchy(spec1, seq, 5, ensemble_size=400, dt=2.0**-7)
         assert report.verdict == PASS
-        assert 0.15 <= report.mean_ratio <= 0.35
-        assert np.all(np.diff(report.solution_dists) < 0.0)
+        assert 0.15 <= report.summary["mean_ratio"] <= 0.35
+        assert np.all(np.diff(report.summary["solution_dists"]) < 0.0)
 
     def test_mollified_initial_data(self):
         # u0_n = (I + A/(n+1))^{-1} u0 converges at the resolvent rate
@@ -279,7 +305,7 @@ class TestCauchyExperiment:
             seq.append((u0_k, spec1.B, spec1.G))
         report = generalized_solution_cauchy(spec1, seq, 7, ensemble_size=100, dt=2.0**-6)
         assert report.verdict == PASS
-        assert np.all(np.diff(report.solution_dists) < 0.0)
+        assert np.all(np.diff(report.summary["solution_dists"]) < 0.0)
 
     def test_rejects_nondecreasing_data(self):
         spec1, _, delta = additive_pair(n=9)
@@ -296,21 +322,24 @@ class TestCoupledEnsembles:
         spec = make_cubic_spec(n=5, T=0.25, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, spec.u0, u0_b, 6, 17, dt=2.0**-4)
-        assert report.mean_sq.tolist() == [0.010000000000000002, 9.405502979089324e-05,
-                                           2.0956337011382744e-06, 3.472600196531088e-07,
-                                           9.721593593604015e-08]
-        assert report.stderr.tolist() == [0.0, 8.590420515156977e-07, 4.657214532284441e-08,
-                                          1.4394992474417491e-08, 4.645134756116092e-09]
+        assert report.summary["mean_sq"].tolist() == [
+            0.010000000000000002, 9.405502979089324e-05, 2.0956337011382744e-06,
+            3.472600196531088e-07, 9.721593593604015e-08]
+        assert report.summary["stderr"].tolist() == [
+            0.0, 8.590420515156977e-07, 4.657214532284441e-08, 1.4394992474417491e-08,
+            4.645134756116092e-09]
         spec1, spec2, delta = additive_pair(n=5)
         spec1, spec2 = spec1.with_data(T=0.25), spec2.with_data(T=0.25)
         report = stability_estimate_experiment(spec1, spec2, 6, 17, dt=2.0**-4)
-        assert report.n_values.tolist() == [0.0, 0.1870648605387872, 0.209807601722755,
-                                            0.18730038553575207, 0.10025275209992388]
+        assert report.summary["n_values"].tolist() == [
+            0.0, 0.1870648605387872, 0.209807601722755, 0.18730038553575207,
+            0.10025275209992388]
         seq = [(spec1.u0, DiffusionCoefficient.constant(spec1.B.base + 2.0**-k * delta,
                                                          spec1.B.q), spec1.G)
                for k in range(3)]
         report = generalized_solution_cauchy(spec1, seq, 17, ensemble_size=6, dt=2.0**-4)
-        assert report.solution_dists.tolist() == [2.194928211379987e-05, 5.487314024797833e-06]
+        assert report.summary["solution_dists"].tolist() == [2.194928211379987e-05,
+                                                             5.487314024797833e-06]
 
     def test_one_binning_per_noise_batch(self, monkeypatch):
         binned = []
@@ -484,7 +513,7 @@ class TestWeakResidual:
     def test_experiment_orders(self, cubic_spec):
         report = weak_residual_experiment(cubic_spec, 9, DTS, k_max=6)
         assert report.verdict == PASS
-        assert np.all(report.orders >= 0.9)
+        assert np.all(report.summary["orders"] >= 0.9)
 
 
 class TestYosidaExperiments:
@@ -496,8 +525,8 @@ class TestYosidaExperiments:
         report = yosida_convergence_experiment(spec, 3, 2.0**-9,
                                                [2.0**-j for j in range(1, 7)])
         assert report.verdict == PASS
-        assert 0.9 <= report.slope <= 1.1
-        assert np.all(np.diff(report.gaps) < 0.0)
+        assert 0.9 <= report.summary["slope"] <= 1.1
+        assert np.all(np.diff(report.summary["gaps"]) < 0.0)
 
     def test_coupling_bound_holds_along_trajectory(self):
         spec = make_cubic_spec(n=9, T=0.5, f_coeffs=(0.0, 0.0, 0.0, 1.0), eta=0.0,
@@ -545,7 +574,7 @@ class TestCheckExperiments:
     def test_single_sample_has_zero_stderr(self):
         spec = make_cubic_spec(n=5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
         report = contraction_experiment(spec, spec.u0, 0.5 * spec.u0, 1, 3, dt=2.0**-4)
-        assert np.all(report.stderr == 0.0)
+        assert np.all(report.summary["stderr"] == 0.0)
         space = HilbertSpace(5, 1.0 / 6.0)
         grid = TimeGrid(1.0, 8)
         marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
@@ -616,7 +645,7 @@ class TestReportSerialization:
         spec1, spec2, _ = additive_pair(n=7)
         report = stability_estimate_experiment(spec1, spec2, 30, 3, dt=2.0**-6)
         labels = [rec.label for rec in report.records()]
-        assert labels.count("N") == int(np.isfinite(report.n_values).sum())
+        assert labels.count("N") == int(np.isfinite(report.summary["n_values"]).sum())
 
     def test_contraction_records_carry_per_time_verdicts(self):
         spec = make_cubic_spec(n=7, T=0.5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0,
@@ -624,5 +653,5 @@ class TestReportSerialization:
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, spec.u0, u0_b, 20, 3, dt=2.0**-6)
         rows = [rec for rec in report.records() if rec.label == "mean_sq_gap"]
-        assert len(rows) == report.times.size
+        assert len(rows) == report.summary["times"].size
         assert all(rec.verdict in (PASS, "FAIL") for rec in rows)

@@ -1,5 +1,6 @@
 import configparser
 import hashlib
+import importlib
 import re
 import subprocess
 import sys
@@ -220,6 +221,22 @@ def test_readme_key_table_matches_the_option_table():
     assert documented == declared
 
 
+def test_readme_library_tour_names_only_exported_identifiers():
+    # every identifier in backticks of a "Library tour" row is in its module's __all__
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    body = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = 0
+    for line in body.splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+        if len(cells) != 2 or not re.fullmatch(r"`\w+`", cells[0]):
+            continue
+        rows += 1
+        exported = importlib.import_module(f"mildsde.{cells[0].strip('`')}").__all__
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", cells[1]):
+            assert name.partition(".")[0] in exported, (cells[0], name)
+    assert rows == 7  # one per module: a row the split misreads would be skipped unchecked
+
+
 def assert_recorded_digests(config_path, digests_name, output_dir):
     """Run a config at its seed into ``output_dir``; every artifact's SHA-256 must equal
     the list recorded in ``tests/<digests_name>`` (sha256sum format)."""
@@ -343,7 +360,7 @@ class TestEmitPlotData:
         assert np.all(np.diff(data[:, 0]) > 0)  # monotone first column
         # independent least-squares oracle on the emitted points
         slope = np.polyfit(data[:, 0], data[:, 1], 1)[0]
-        assert slope == pytest.approx(report.fitted_order, abs=1e-9)
+        assert slope == pytest.approx(report.summary["fitted_order"], abs=1e-9)
 
     def test_contraction_curve_starts_at_initial_gap(self, tmp_path):
         from mildsde.analysis import contraction_experiment
@@ -584,6 +601,41 @@ class TestMainEntry:
         assert status.value.code == 2
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("listed, only, message", [
+        ("resolvent_algebra resolvent_algebra", [],
+         "[experiment] experiments: repeated experiments ['resolvent_algebra']"),
+        ("", ["--only", "coupling,coupling"], "--only: repeated experiments ['coupling']"),
+    ], ids=["experiments", "only"])
+    def test_repeated_experiment_name_exits_2(self, tmp_path, capsys, listed, only, message):
+        text = MINIMAL.replace("experiments =", f"experiments = {listed}")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), *only, "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, only, inherited", [
+        ("stability", "resolvent_algebra,stability", False),
+        ("cauchy", "cauchy", True),
+    ])
+    def test_state_dependent_b_scale_exits_2(self, tmp_path, capsys, name, only, inherited):
+        # cubic-rd's [equation] b_scale is 0.05 0.0; its stability and cauchy
+        # sections set zeros, so either set 0.05 there or drop the line to inherit it
+        text = (CONFIG_DIR / "cubic-rd.cfg").read_text()
+        head, sep, tail = text.partition(f"[experiment.{name}]\n")
+        tail = tail.replace("b_scale = 0.0 0.0\n", "" if inherited else "b_scale = 0.05 0.0\n", 1)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, head + sep + tail)), "--only", only,
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        key = f"[experiment.{name}] b_scale" + (" (from [equation] b_scale)" if inherited else "")
+        assert f"{key} must be zeros" in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
