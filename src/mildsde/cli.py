@@ -233,7 +233,7 @@ def _exp_coupling(cfg: RunConfig):
 def _exp_contraction(cfg: RunConfig):
     opt = cfg.options["contraction"]
     spec = cfg.equation_for("contraction")
-    return analysis.contraction_experiment(spec, spec.u0, opt["u0_b"], opt["ensemble"], cfg.seed,
+    return analysis.contraction_experiment(spec, opt["u0_b"], opt["ensemble"], cfg.seed,
                                            dt=opt["dt"])
 
 
@@ -417,7 +417,7 @@ def parse_config(path, only=None) -> RunConfig:
     try:
         parser.read_string(raw_bytes.decode())
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from None
+        raise ConfigurationError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     for name in sorted(set(sections) - set(OPTIONS)):
         if name.startswith("experiment."):

@@ -64,8 +64,8 @@ class Nonlinearity:
         return cls(())
 
     @classmethod
-    def linear(cls, slope: float, shift: float = 0.0) -> "Nonlinearity":
-        return cls((0.0, float(slope)), shift)
+    def linear(cls, slope: float) -> "Nonlinearity":
+        return cls((0.0, float(slope)))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)

@@ -87,10 +87,6 @@ class Trajectory:
         if self.states.shape[0] != self.grid.steps + 1:
             raise ValueError("states must hold one row per grid node")
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _validate_noise(spec: EquationSpec, noise, dt: float):
     wiener, poisson = noise
@@ -312,18 +308,15 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
     return _solve_path(spec, noise, SchemeConfig("yosida_explicit", dt, epsilon))
 
 
-def solve_scheme(spec: EquationSpec, noise, dt: float, scheme: str,
-                 epsilon: float | None = None) -> Trajectory:
-    """Dispatch by scheme name."""
+def solve_scheme(spec: EquationSpec, noise, dt: float, scheme: str) -> Trajectory:
+    """Dispatch by scheme name: exp_euler or resolvent_implicit, the schemes a
+    config can name (yosida_explicit needs an epsilon: solve_yosida_explicit)."""
     if scheme == "exp_euler":
         return solve_exp_euler(spec, noise, dt)
     if scheme == "resolvent_implicit":
         return solve_resolvent_implicit(spec, noise, dt)
-    if scheme == "yosida_explicit":
-        if epsilon is None:
-            raise ConfigurationError("yosida_explicit requires epsilon")
-        return solve_yosida_explicit(spec, noise, dt, epsilon)
-    raise ConfigurationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    raise ConfigurationError(
+        f"solve_scheme takes exp_euler or resolvent_implicit, got {scheme!r}")
 
 
 # ---------------------------------------------------------------------------

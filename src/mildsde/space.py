@@ -76,13 +76,14 @@ class SpectralOperator:
         product of ``space``.
     space : HilbertSpace
 
+    Every constructor checks both (ValueError otherwise), ``scaled`` included.
     The operator acts as ``x -> V diag(lam) c(x)`` where ``c(x)`` are the
     eigenbasis coordinates ``weight * V^T x``.  Being self-adjoint, the
     operator equals its adjoint and shares its eigenbasis with all the
     derived diagonal calculus (resolvents, Yosida maps, the semigroup).
     """
 
-    def __init__(self, eigenvalues, eigenvectors, space: HilbertSpace, *, validate: bool = True):
+    def __init__(self, eigenvalues, eigenvectors, space: HilbertSpace):
         lam = np.array(eigenvalues, dtype=float)
         vecs = np.array(eigenvectors, dtype=float)
         if lam.ndim != 1:
@@ -92,16 +93,15 @@ class SpectralOperator:
             raise ValueError(f"eigenvector matrix must be {n}x{n}, got {vecs.shape}")
         if space.dim != n:
             raise ValueError(f"space dimension {space.dim} does not match {n} eigenpairs")
-        if validate:
-            if lam.min(initial=0.0) < _EIG_FLOOR:
-                raise ValueError(f"operator is not monotone: smallest eigenvalue {lam.min()}")
-            gram = space.weight * (vecs.T @ vecs)
-            defect = np.abs(gram - np.eye(n)).max()
-            if defect > _ORTHO_TOL:
-                raise ValueError(
-                    "eigenvector columns are not orthonormal in the weighted "
-                    f"inner product (Gram defect {defect:.3e})"
-                )
+        if lam.min(initial=0.0) < _EIG_FLOOR:
+            raise ValueError(f"operator is not monotone: smallest eigenvalue {lam.min()}")
+        gram = space.weight * (vecs.T @ vecs)
+        defect = np.abs(gram - np.eye(n)).max()
+        if defect > _ORTHO_TOL:
+            raise ValueError(
+                "eigenvector columns are not orthonormal in the weighted "
+                f"inner product (Gram defect {defect:.3e})"
+            )
         np.clip(lam, 0.0, None, out=lam)
         lam.setflags(write=False)
         vecs.setflags(write=False)
@@ -144,7 +144,7 @@ class SpectralOperator:
         """Same eigenbasis with eigenvalues multiplied by ``factor`` (> 0)."""
         if not factor > 0.0:
             raise ValueError(f"scaling factor must be positive, got {factor}")
-        return SpectralOperator(factor * self.eigenvalues, self.eigenvectors, self.space, validate=False)
+        return SpectralOperator(factor * self.eigenvalues, self.eigenvectors, self.space)
 
     def resolvent_factors(self, epsilon: float) -> np.ndarray:
         return 1.0 / (1.0 + epsilon * self.eigenvalues)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mildsde import analysis, noise
-from mildsde.analysis import (INCONCLUSIVE, PASS, _solve_ensemble, compensator_experiment,
+from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, _solve_ensemble, compensator_experiment,
                               contraction_experiment, coupling_uniqueness_experiment, fit_order,
                               generalized_solution_cauchy, poisson_isometry_experiment,
                               regularization_identity_experiment, resolvent_algebra_check,
@@ -17,9 +17,10 @@ from mildsde.errors import ConfigurationError, HypothesisError
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity, check_dissipativity_triplet)
 from mildsde.cli import EXPERIMENTS, parse_config
-from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, poisson_integral, quadratic_mark_sum,
-                           sample_jump_table, sample_poisson, sample_wiener, shared_draws)
-from mildsde.solver import solve_resolvent_implicit, solve_scheme
+from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener, poisson_integral,
+                           quadratic_mark_sum, sample_jump_table, sample_poisson, sample_wiener,
+                           shared_draws)
+from mildsde.solver import Trajectory, solve_resolvent_implicit, solve_scheme
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 from mildsde.textio import write_plot_data
 
@@ -127,11 +128,11 @@ class TestContractionExperiment:
     def test_nonpositive_or_nonfinite_dt_is_a_configuration_error(self, dt):
         spec = linear_contraction_spec()
         with pytest.raises(ConfigurationError, match="finite and > 0"):
-            contraction_experiment(spec, spec.u0, -spec.u0, 4, 3, dt=dt)
+            contraction_experiment(spec, -spec.u0, 4, 3, dt=dt)
 
     def test_equal_starts_give_zero_gap(self, cubic_spec):
         spec = cubic_spec.with_data(F=Nonlinearity((0.0, 0.5, 0.0, 1.0)), alpha=0.9)
-        report = contraction_experiment(spec, spec.u0, spec.u0, 50, 3, dt=2.0**-6)
+        report = contraction_experiment(spec, spec.u0, 50, 3, dt=2.0**-6)
         assert np.all(report.summary["mean_sq"] == 0.0)
         assert report.verdict == PASS
 
@@ -141,7 +142,7 @@ class TestContractionExperiment:
         slope, dt = 1.0, 2.0**-7
         spec = linear_contraction_spec(slope)
         du0 = np.array([0.3, 0.1])
-        report = contraction_experiment(spec, spec.u0, spec.u0 + du0, 20, 5, dt=dt)
+        report = contraction_experiment(spec, spec.u0 + du0, 20, 5, dt=dt)
         steps = np.arange(report.summary["times"].size)
         closed = (1.0 - slope * dt) ** (2 * steps) * spec.space.sq_norms(du0)
         assert np.allclose(report.summary["mean_sq"], closed, rtol=1e-10)
@@ -154,7 +155,7 @@ class TestContractionExperiment:
         spec = make_cubic_spec(n=9, T=1.0, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0,
                                alpha=0.9, multiplicative=True)
         u0_b = spec.u0 + 0.2 * spec.A.eigenvectors[:, 1]
-        report = contraction_experiment(spec, spec.u0, u0_b, 300, 7, dt=2.0**-7)
+        report = contraction_experiment(spec, u0_b, 300, 7, dt=2.0**-7)
         assert report.verdict == PASS
         assert report.summary["margin"] >= 0.0
 
@@ -163,22 +164,22 @@ class TestContractionExperiment:
         # any nonnegative declared margin
         spec = linear_contraction_spec(slope=-1.0, alpha=0.0)
         with pytest.raises(HypothesisError):
-            contraction_experiment(spec, spec.u0, spec.u0, 10, 1, dt=2.0**-6)
+            contraction_experiment(spec, spec.u0, 10, 1, dt=2.0**-6)
 
     def test_zero_margin_is_certified(self):
         # A = 0, slope 1, additive noise, alpha = 2: the margin 2 * 1 - 2 is
         # exactly 0, the boundary case, so the experiment must run
         spec = linear_contraction_spec(slope=1.0, alpha=2.0)
         assert check_dissipativity_triplet(spec) == 0.0
-        report = contraction_experiment(spec, spec.u0, spec.u0 + 0.1, 10, 1, dt=2.0**-6)
+        report = contraction_experiment(spec, spec.u0 + 0.1, 10, 1, dt=2.0**-6)
         assert report.summary["margin"] == 0.0
 
     def test_gap_scaling_is_exactly_linear(self):
         # pathwise linearity of the synchronous gap for a linear drift
         spec = linear_contraction_spec(0.7)
         du0 = np.array([0.2, -0.1])
-        r1 = contraction_experiment(spec, spec.u0, spec.u0 + du0, 30, 9, dt=2.0**-6)
-        r2 = contraction_experiment(spec, spec.u0, spec.u0 + 3.0 * du0, 30, 9, dt=2.0**-6)
+        r1 = contraction_experiment(spec, spec.u0 + du0, 30, 9, dt=2.0**-6)
+        r2 = contraction_experiment(spec, spec.u0 + 3.0 * du0, 30, 9, dt=2.0**-6)
         assert np.allclose(r2.summary["mean_sq"], 9.0 * r1.summary["mean_sq"], rtol=1e-11)
 
 
@@ -236,6 +237,41 @@ class TestStabilityExperiment:
         se = report.summary["n_stderr"][1:]
         assert np.all(np.abs(got - want) <= 3.0 * se + 1e-12)
 
+    def test_jump_coefficient_distance_gives_unit_n(self):
+        # A = 0, f = 0 and specs that differ only in an additive G: the gap is
+        # dG times the compensated jump integral, so E|gap(t)|^2 = t |dG|_m^2,
+        # which is the data distance up to t, and N(t) = 1 for t > 0
+        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+        spec1 = EquationSpec(A=SpectralOperator.diagonal([0.0, 0.0]), F=Nonlinearity.zero(),
+                             B=DiffusionCoefficient.zero(2),
+                             G=JumpCoefficient.constant(np.zeros((2, 2)), marks),
+                             u0=np.zeros(2), T=1.0)
+        dG = np.array([[0.1, -0.1], [0.05, 0.0]])
+        spec2 = spec1.with_data(G=JumpCoefficient.constant(dG, marks))
+        report = stability_estimate_experiment(spec1, spec2, 400, 3, dt=2.0**-4)
+        n_values, se = report.summary["n_values"], report.summary["n_stderr"]
+        assert n_values[0] == 0.0
+        assert np.all(np.abs(n_values[1:] - 1.0) <= 3.0 * se[1:])
+        assert report.verdict == PASS
+
+    def test_collapse_of_n_fails_continuity(self):
+        # A = diag(0, 2000), f = 0: spec2 moves u0 by 1 in the stiff mode, which
+        # has all but vanished after one step, and adds 0.1 to B in the flat
+        # mode, so N falls from 1 to about 1.5e-4 at t = dt.  The raw margin is
+        # 0, so the envelope is 1 and every N sits below it: the FAIL is the
+        # continuity rule's alone.
+        q = np.array([1.0])
+        spec1 = EquationSpec(A=SpectralOperator.diagonal([0.0, 2000.0]), F=Nonlinearity.zero(),
+                             B=DiffusionCoefficient.constant(np.zeros((2, 1)), q),
+                             G=JumpCoefficient.zero(2), u0=np.zeros(2), T=1.0)
+        spec2 = spec1.with_data(u0=np.array([0.0, 1.0]),
+                                B=DiffusionCoefficient.constant(np.array([[0.1], [0.0]]), q))
+        report = stability_estimate_experiment(spec1, spec2, 50, 3, dt=2.0**-6)
+        n_values = report.summary["n_values"]
+        assert n_values[0] == 1.0 and n_values[1] < 1e-3
+        assert np.all(n_values <= report.summary["envelope"])
+        assert report.verdict == FAIL
+
     def test_refuses_unbounded_drift_derivative(self):
         # f = r^2 has f' unbounded below: the Gronwall envelope would be
         # exp(inf * 0) = nan at t = 0, so the experiment refuses to run
@@ -253,6 +289,13 @@ class TestStabilityExperiment:
         spec2 = make_cubic_spec(n=9, multiplicative=False, f_coeffs=(0.0, 1.0))
         with pytest.raises(ConfigurationError):
             stability_estimate_experiment(spec1, spec2, 10, 1, dt=2.0**-6)
+        # nor may the operator or the horizon differ
+        scaled = EquationSpec(A=spec1.A.scaled(2.0), F=spec1.F, B=spec1.B, G=spec1.G,
+                              u0=spec1.u0, T=spec1.T)
+        for other, message in ((scaled, "shared operator$"),
+                               (spec1.with_data(T=2.0 * spec1.T), "shared horizon$")):
+            with pytest.raises(ConfigurationError, match=message):
+                stability_estimate_experiment(spec1, other, 10, 1, dt=2.0**-6)
         # a Cauchy entry must share the limit's covariance weights and mark space
         spec1, _, _ = additive_pair()
         other_q = DiffusionCoefficient.constant(spec1.B.base, np.array([100.0, 100.0]))
@@ -321,7 +364,7 @@ class TestCoupledEnsembles:
         # exact values: sharing one noise batch and one solve order must not move them
         spec = make_cubic_spec(n=5, T=0.25, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
-        report = contraction_experiment(spec, spec.u0, u0_b, 6, 17, dt=2.0**-4)
+        report = contraction_experiment(spec, u0_b, 6, 17, dt=2.0**-4)
         assert report.summary["mean_sq"].tolist() == [
             0.010000000000000002, 9.405502979089324e-05, 2.0956337011382744e-06,
             3.472600196531088e-07, 9.721593593604015e-08]
@@ -376,7 +419,7 @@ class TestCoupledEnsembles:
             generalized_solution_cauchy(spec1, seq, 1, ensemble_size=5, dt=2.0**-6)
         spec = make_cubic_spec(n=5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
         with pytest.raises(ConfigurationError, match="ensemble size"):
-            contraction_experiment(spec, spec.u0, spec.u0, 0, 1, dt=2.0**-4)
+            contraction_experiment(spec, spec.u0, 0, 1, dt=2.0**-4)
 
     def test_cauchy_peak_memory_does_not_grow_with_levels(self):
         # consecutive solutions are compared as they are solved, so at most
@@ -509,6 +552,17 @@ class TestWeakResidual:
         spec, traj, noise = self.make_setup()
         with pytest.raises(ValueError):
             weak_solution_residual(traj, spec, noise, k_max=spec.A.dim + 1)
+        # and a mollification that is not positive, a trajectory without a
+        # finite integrability, and a noise grid other than the trajectory's
+        wiener, poisson = noise
+        unchecked = Trajectory(traj.grid, traj.states, math.inf)
+        for args, message in (((traj, spec, noise, 0.0), "epsilon must be positive"),
+                              ((traj, spec, noise, -0.1), "epsilon must be positive"),
+                              ((unchecked, spec, noise), "integrability check$"),
+                              ((traj, spec, (coarsen_wiener(wiener, 2), poisson)),
+                               "does not match the trajectory grid$")):
+            with pytest.raises(ValueError, match=message):
+                weak_solution_residual(*args)
 
     def test_experiment_orders(self, cubic_spec):
         report = weak_residual_experiment(cubic_spec, 9, DTS, k_max=6)
@@ -532,14 +586,14 @@ class TestYosidaExperiments:
         spec = make_cubic_spec(n=9, T=0.5, f_coeffs=(0.0, 0.0, 0.0, 1.0), eta=0.0,
                                multiplicative=False)
         u0_b = spec.u0 + 0.3 * spec.A.eigenvectors[:, 1]
-        out = yosida_coupling_bound(spec, spec.u0, u0_b, 5, dt=2.0**-8, epsilon=0.05)
+        out = yosida_coupling_bound(spec, u0_b, 5, dt=2.0**-8, epsilon=0.05)
         assert out["ok"]
         assert np.all(out["lhs"] <= out["rhs"] * (1 + 1e-9) + 1e-9)
 
     def test_coupling_bound_rejects_multiplicative(self):
         spec = make_cubic_spec(n=9, multiplicative=True)
         with pytest.raises(ConfigurationError):
-            yosida_coupling_bound(spec, spec.u0, spec.u0, 1, dt=2.0**-6, epsilon=0.1)
+            yosida_coupling_bound(spec, spec.u0, 1, dt=2.0**-6, epsilon=0.1)
 
 
 class TestCheckExperiments:
@@ -573,7 +627,7 @@ class TestCheckExperiments:
 
     def test_single_sample_has_zero_stderr(self):
         spec = make_cubic_spec(n=5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
-        report = contraction_experiment(spec, spec.u0, 0.5 * spec.u0, 1, 3, dt=2.0**-4)
+        report = contraction_experiment(spec, 0.5 * spec.u0, 1, 3, dt=2.0**-4)
         assert np.all(report.summary["stderr"] == 0.0)
         space = HilbertSpace(5, 1.0 / 6.0)
         grid = TimeGrid(1.0, 8)
@@ -651,7 +705,7 @@ class TestReportSerialization:
         spec = make_cubic_spec(n=7, T=0.5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0,
                                alpha=0.8)
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
-        report = contraction_experiment(spec, spec.u0, u0_b, 20, 3, dt=2.0**-6)
+        report = contraction_experiment(spec, u0_b, 20, 3, dt=2.0**-6)
         rows = [rec for rec in report.records() if rec.label == "mean_sq_gap"]
         assert len(rows) == report.summary["times"].size
         assert all(rec.verdict in (PASS, "FAIL") for rec in rows)

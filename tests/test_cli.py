@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mildsde import noise
+from mildsde import analysis, cli, model, noise, solver, space
 from mildsde.cli import OPTIONS, RunConfig, main, parse_config, run
 from mildsde.errors import ConfigurationError
 from mildsde.model import check_dissipativity_triplet
@@ -237,6 +238,61 @@ def test_readme_library_tour_names_only_exported_identifiers():
     assert rows == 7  # one per module: a row the split misreads would be skipped unchecked
 
 
+def _table_default(section, key, **values):
+    """The default of ``[section] key`` read by its own reader (``values``: keys it reads)."""
+    parse, default = OPTIONS[section][key]
+    return parse(default, values)
+
+
+def _defaults(function):
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+# The 17 parameters that neither a config key nor a test set, gone from these signatures.
+RETIRED = (
+    (analysis.contraction_experiment, ("u0_a", "scheme")),
+    (analysis.stability_estimate_experiment, ("scheme", "noise_floor", "continuity_factor")),
+    (analysis.generalized_solution_cauchy, ("scheme", "n_bound")),
+    (analysis.wiener_isometry_experiment, ("rel_tol",)),
+    (analysis.poisson_isometry_experiment, ("rel_tol",)),
+    (analysis.yosida_coupling_bound, ("u0_a", "slack")),
+    (analysis.regularization_identity_experiment, ("amplitude",)),
+    (analysis.fit_order, ("floor",)),
+    (analysis.coupling_uniqueness_experiment, ("epsilon",)),
+    (solver.solve_scheme, ("epsilon",)),
+    (space.SpectralOperator, ("validate",)),
+    (model.Nonlinearity.linear, ("shift",)),
+)
+
+
+def test_library_defaults_match_the_option_table():
+    # a default kept in a signature and in the option table must be one value
+    weak = {"epsilon": _table_default("experiment.weak_residual", "epsilon"),
+            "k_max": _table_default("experiment.weak_residual", "k_max", n=31)}
+    assert _defaults(analysis.weak_solution_residual) == weak
+    assert _defaults(analysis.weak_residual_experiment) == {
+        **weak, "scheme": _table_default("experiment.weak_residual", "scheme")}
+    for function, section in ((analysis.resolvent_algebra_check, "resolvent_algebra"),
+                              (analysis.regularization_identity_experiment,
+                               "regularization_identity")):
+        assert _defaults(function) == {"tol": _table_default(f"experiment.{section}", "tol")}
+    assert _defaults(analysis.energy_identity_experiment) == {
+        key: _table_default("experiment.energy_identity", key)
+        for key in ("g_amp", "c_amp", "d_amp")}
+    assert _defaults(analysis.coupling_uniqueness_experiment) == {"scheme_pair": tuple(
+        _table_default("experiment.coupling", key) for key in ("scheme_a", "scheme_b"))}
+    # and no parameter that only a library caller could set is back
+    assert sum(len(names) for _, names in RETIRED) == 17
+    for function, names in RETIRED:
+        assert not set(names) & set(inspect.signature(function).parameters), function
+    everywhere = {name for _, names in RETIRED for name in names} - {"scheme", "epsilon"}
+    for name in analysis.__all__:
+        function = getattr(analysis, name)
+        if callable(function):
+            assert not everywhere & set(inspect.signature(function).parameters), name
+
+
 def assert_recorded_digests(config_path, digests_name, output_dir):
     """Run a config at its seed into ``output_dir``; every artifact's SHA-256 must equal
     the list recorded in ``tests/<digests_name>`` (sha256sum format)."""
@@ -367,7 +423,7 @@ class TestEmitPlotData:
         spec = make_cubic_spec(n=7, T=0.5, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0,
                                alpha=0.8)
         u0_b = spec.u0 + 0.2 * spec.A.eigenvectors[:, 1]
-        report = contraction_experiment(spec, spec.u0, u0_b, 30, 3, dt=2.0**-6)
+        report = contraction_experiment(spec, u0_b, 30, 3, dt=2.0**-6)
         paths = write_plot_data(report, tmp_path)
         data = np.loadtxt([p for p in paths if "log_gap_vs_t" in p.name][0])
         expected = np.log(spec.space.sq_norms(spec.u0 - u0_b))
@@ -423,6 +479,34 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "dissipativity hypothesis unmet" in err and "Traceback" not in err
 
+    def test_abort_removes_the_artifacts_already_written(self, tmp_path, capsys, monkeypatch):
+        # coupling writes its report and curve, then contraction refuses its
+        # declared alpha = 100: the run exits 2 and leaves no artifact behind
+        written = []
+
+        def recording(write):
+            def wrapper(*args):
+                result = write(*args)
+                written.extend(result if isinstance(result, list) else [result])
+                return result
+            return wrapper
+
+        monkeypatch.setattr(cli, "write_report", recording(cli.write_report))
+        monkeypatch.setattr(cli, "write_plot_data", recording(cli.write_plot_data))
+        text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment.contraction",
+                       "alpha", "100")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "coupling,contraction",
+                  "--output-dir", str(out)])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis error: dissipativity hypothesis unmet")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [path.name for path in written] == ["coupling.report.txt",
+                                                    "coupling.gap_vs_dt.dat"]
+        assert list(out.iterdir()) == []
+
     def test_bad_option_type_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")
         text += "\n[experiment.resolvent_algebra]\ntrials = 1.5\n"
@@ -432,10 +516,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "[experiment.resolvent_algebra] trials" in err and "Traceback" not in err
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as status:
             main([str(tmp_path / "missing.cfg")])
         assert status.value.code == 2
+        capsys.readouterr()
+        # text configparser cannot read, and a config without an [equation] section
+        for text, message in (("n = 3\n", "cannot parse"),
+                              ("[equation]\nn 3\n", "cannot parse"),
+                              ("[experiment]" + MINIMAL.split("[experiment]", 1)[1],
+                               "missing [equation] section")):
+            with pytest.raises(SystemExit) as status:
+                main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+            assert status.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and message in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
     def test_step_that_does_not_divide_the_horizon_exits_2(self, tmp_path, capsys):
         for name in ("stability", "cauchy"):

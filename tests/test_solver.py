@@ -803,7 +803,7 @@ class TestSchemeDispatch:
         with pytest.raises(ConfigurationError):
             solve_scheme(spec, noise, dt, "unknown")
         with pytest.raises(ConfigurationError):
-            solve_scheme(spec, noise, dt, "yosida_explicit")  # epsilon missing
+            solve_scheme(spec, noise, dt, "yosida_explicit")  # needs solve_yosida_explicit
 
 
 class TestLinearDataValidation:
