@@ -14,9 +14,8 @@ from .noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, Wien
                     sample_jump_table, sample_noise_batch, sample_poisson, sample_wiener,
                     sample_wiener_rows, shared_draws, step_m_integral, step_q_integral)
 from .solver import (SCHEMES, SchemeConfig, Trajectory, ito_energy_residual, ito_energy_terms,
-                     regularized_coupling_identity, solve_exp_euler, solve_linear_data,
-                     solve_resolvent_implicit, solve_scheme, solve_yosida_explicit,
-                     step_ensemble)
+                     regularized_coupling_identity, solve, solve_exp_euler, solve_linear_data,
+                     solve_resolvent_implicit, solve_yosida_explicit, step_ensemble)
 from .analysis import (FAIL, INCONCLUSIVE, PASS, contraction_experiment,
                        coupling_uniqueness_experiment, fit_order, generalized_solution_cauchy,
                        stability_estimate_experiment, weak_residual_experiment,

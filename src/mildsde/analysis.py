@@ -12,18 +12,18 @@ and missing evidence is never converted into PASS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, coarsen_wiener, jump_cell_counts,
-                    poisson_integral, quadratic_mark_sum, sample_jump_table, sample_noise_batch,
-                    sample_poisson, sample_wiener, sample_wiener_rows, step_m_integral,
-                    step_q_integral)
+                    poisson_integral, quadratic_mark_sum, run_memo, sample_jump_table,
+                    sample_noise_batch, sample_poisson, sample_wiener, sample_wiener_rows,
+                    step_m_integral, step_q_integral)
 from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
-                     regularized_coupling_identity, solve_exp_euler, solve_scheme,
+                     regularized_coupling_identity, solve, solve_exp_euler,
                      solve_yosida_explicit, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
 from .textio import Record, fmt
@@ -120,7 +120,7 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
     if paths is None:
         paths = sample_noise_batch(spec.B.q, spec.marks, grid, seed, ensemble_size)
     return step_ensemble(spec, paths.wiener.increments, paths.cell_counts,
-                         SchemeConfig(scheme, dt))
+                         (SchemeConfig(scheme, dt),))[0]
 
 
 def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
@@ -220,22 +220,22 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
 
     The sup-norm gap between the two numerical solutions must vanish with
     order at least 0.9 for the run to PASS; a blow-up in either scheme makes
-    the experiment INCONCLUSIVE.  Both trajectories must carry a finite
-    pathwise integrability functional to enter the comparison.  Summary:
-    ``gaps``, ``fitted_order`` and ``integrability`` (NaN where a step size
-    blew up).
+    the experiment INCONCLUSIVE.  Both trajectories, one solve call per step
+    size, need a finite pathwise integrability to enter the comparison; in a
+    run their weak-residual reductions are kept for weak_residual_experiment.
+    Summary: ``gaps``, ``fitted_order`` and ``integrability`` (NaN where a
+    step size blew up).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
-    wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
+    fine, memo = _grid(spec.T, dts[-1]), run_memo()
+    wiener_fine, poisson = _single_path(spec, fine, seed)
     gaps, integs = [], []
     space = spec.space
     inconclusive = False
     for dt in dts:
-        factor = round(dt / dts[-1])
-        wiener = coarsen_wiener(wiener_fine, factor)
+        wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
         try:
-            t1 = solve_scheme(spec, (wiener, poisson), dt, scheme_pair[0])
-            t2 = solve_scheme(spec, (wiener, poisson), dt, scheme_pair[1])
+            t1, t2 = solve(spec, (wiener, poisson), [SchemeConfig(s, dt) for s in scheme_pair])
             finite = np.isfinite(t1.integrability) and np.isfinite(t2.integrability)
         except BlowUpError:
             finite = False
@@ -243,6 +243,8 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
         gaps.append(float(np.sqrt(space.sq_norms(t1.states - t2.states)).max())
                     if finite else np.nan)
         integs.append(max(t1.integrability, t2.integrability) if finite else np.nan)
+        for scheme, traj in zip(scheme_pair, (t1, t2)) if finite and memo is not None else ():
+            memo[_weak_key(spec, seed, fine, dt, scheme)] = _weak_terms(spec, traj, wiener)
     gaps = np.array(gaps)
     order = fit_order(dts, gaps) if not inconclusive else math.nan
     if inconclusive:
@@ -459,6 +461,41 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
 # ---------------------------------------------------------------------------
 
 
+def _weak_terms(spec: EquationSpec, traj: Trajectory, wiener) -> tuple:
+    """The reductions of the weak residual that depend on neither eps nor k_max: dt
+    and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
+    states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n (dW from
+    ``wiener``, dN from ``traj.cell_counts``)."""
+    if not np.isfinite(traj.integrability):
+        raise ValueError("trajectory fails the pathwise integrability check")
+    dt, u, A, dW = traj.grid.dt, traj.states, spec.A, wiener.increments
+    dN = traj.cell_counts - dt * spec.marks.weight_array
+    # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
+    wiener_total = spec.B.base @ dW.sum(axis=0) + u[:-1].T @ (dW @ spec.B.state_scale)
+    jump_total = spec.G.base @ dN.sum(axis=0) + u[:-1].T @ (dN @ spec.G.state_scale)
+    f_sum = A.coords(spec.F(u[:-1])).sum(axis=0)
+    coords_u = A.coords(u)          # (N+1, n) eigen-coordinates; only copies of rows are kept
+    return (dt, coords_u[0].copy(), coords_u[-1].copy(), coords_u[:-1].sum(axis=0), f_sum,
+            A.coords(wiener_total), A.coords(jump_total))
+
+
+def _weak_key(spec: EquationSpec, seed: int, fine: TimeGrid, dt: float, scheme: str) -> tuple:
+    """Run-memo key of _weak_terms: exact in the spec payload, seed, fine grid, dt, scheme."""
+    return ("weak_terms", spec.payload(), seed, fine.horizon, fine.steps, dt, scheme)
+
+
+def _weak_residual(spec: EquationSpec, terms: tuple, epsilon: float, k_max: int) -> np.ndarray:
+    """The per-mode residual of the reductions ``terms`` (_weak_terms), k < k_max."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 1 <= k_max <= spec.A.dim:
+        raise ValueError(f"k_max must lie in [1, {spec.A.dim}], got {k_max}")
+    dt, first, last, u_sum, f_sum, wiener_total, jump_total = terms
+    lam = spec.A.eigenvalues
+    residual = last - first + lam * dt * u_sum + dt * f_sum - wiener_total - jump_total
+    return np.abs(1.0 / (1.0 + epsilon * lam) * residual)[:k_max]
+
+
 def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
                            epsilon: float = 0.1, k_max: int = 8) -> np.ndarray:
     """Per-mode residual of the discrete weak identity against mollified modes.
@@ -469,35 +506,11 @@ def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
     residual uses the same left-state discrete stochastic integrals the
     solvers use and vanishes with the step size.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 1 <= k_max <= spec.A.dim:
-        raise ValueError(f"k_max must lie in [1, {spec.A.dim}], got {k_max}")
-    if not np.isfinite(traj.integrability):
-        raise ValueError("trajectory fails the pathwise integrability check")
     wiener, poisson = noise
     if wiener.grid != traj.grid:
         raise ValueError("noise grid does not match the trajectory grid")
-    grid = traj.grid
-    dt = grid.dt
-    u = traj.states
-    A = spec.A
-    dW = wiener.increments
-    dN = jump_cell_counts(poisson, grid) - dt * spec.marks.weight_array
-    # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
-    wiener_total = spec.B.base @ dW.sum(axis=0) + u[:-1].T @ (dW @ spec.B.state_scale)
-    jump_total = spec.G.base @ dN.sum(axis=0) + u[:-1].T @ (dN @ spec.G.state_scale)
-
-    coords_u = A.coords(u)                      # (N+1, n) eigen-coordinates
-    coords_f = A.coords(spec.F(u[:-1]))
-    lam = A.eigenvalues
-    tilde = 1.0 / (1.0 + epsilon * lam)
-    residual = (coords_u[-1] - coords_u[0]
-                + lam * dt * coords_u[:-1].sum(axis=0)
-                + dt * coords_f.sum(axis=0)
-                - A.coords(wiener_total)
-                - A.coords(jump_total))
-    return np.abs(tilde * residual)[:k_max]
+    binned = replace(traj, cell_counts=jump_cell_counts(poisson, traj.grid))
+    return _weak_residual(spec, _weak_terms(spec, binned, wiener), epsilon, k_max)
 
 
 def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
@@ -505,17 +518,23 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              scheme: str = "resolvent_implicit") -> ExperimentReport:
     """Weak residual decay across dyadic step sizes on one coupled path.
 
-    PASS requires every one of the first ``k_max`` modes to decay with fitted
-    order at least 0.9.  Summary: ``residuals`` (modes x step sizes) and
-    ``orders`` (per mode).
+    Within a run, a step size is not solved again when coupling kept its
+    reductions (same spec payload, seed, step sizes and scheme).  PASS requires
+    every one of the first ``k_max`` modes to decay with fitted order at least
+    0.9.  Summary: ``residuals`` (modes x step sizes) and ``orders`` (per mode).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
-    wiener_fine, poisson = _single_path(spec, _grid(spec.T, dts[-1]), seed)
+    fine = _grid(spec.T, dts[-1])
+    wiener_fine, poisson = _single_path(spec, fine, seed)
+    memo = run_memo() or {}
     residuals = np.empty((k_max, len(dts)))
     for j, dt in enumerate(dts):
-        wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
-        traj = solve_scheme(spec, (wiener, poisson), dt, scheme)
-        residuals[:, j] = weak_solution_residual(traj, spec, (wiener, poisson), epsilon, k_max)
+        terms = memo.get(_weak_key(spec, seed, fine, dt, scheme))
+        if terms is None:
+            wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
+            traj, = solve(spec, (wiener, poisson), (SchemeConfig(scheme, dt),))
+            terms = _weak_terms(spec, traj, wiener)
+        residuals[:, j] = _weak_residual(spec, terms, epsilon, k_max)
     orders = np.array([fit_order(dts, residuals[k]) for k in range(k_max)])
     verdict = PASS if np.all(orders >= 0.9) else FAIL
     rows, curves = [], {}

@@ -415,7 +415,7 @@ def parse_config(path, only=None) -> RunConfig:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
-        parser.read_string(raw_bytes.decode())
+        parser.read_string(raw_bytes.decode(), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}

@@ -289,17 +289,19 @@ class EquationSpec:
             alpha=self.alpha if alpha is None else alpha,
         )
 
+    def payload(self) -> tuple:
+        """The numeric payload, one byte string per array: an exact key of the spec."""
+        arrays = [self.A.eigenvalues, self.A.eigenvectors, self.u0,
+                  [self.space.weight, self.T, self.alpha, self.F.shift], self.F.coefficients]
+        arrays += [a for c in (self.B, self.G) for a in (c.weights, c.base, c.state_scale)]
+        arrays.append(self.G.marks.atoms)
+        return tuple(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)
+
     def fingerprint(self) -> str:
         """Short stable hash of the numeric payload."""
         hasher = hashlib.sha256()
-        for arr in (self.A.eigenvalues, self.A.eigenvectors, self.u0):
-            hasher.update(np.ascontiguousarray(arr).tobytes())
-        hasher.update(np.array([self.space.weight, self.T, self.alpha, self.F.shift]).tobytes())
-        hasher.update(np.array(self.F.coefficients).tobytes())
-        for coeff in (self.B, self.G):
-            for arr in (coeff.weights, coeff.base, coeff.state_scale):
-                hasher.update(np.ascontiguousarray(arr).tobytes())
-        hasher.update(np.array(self.G.marks.atoms).tobytes())
+        for chunk in self.payload():
+            hasher.update(chunk)
         return hasher.hexdigest()[:16]
 
 

@@ -27,7 +27,8 @@ Inside ``shared_draws()``, entered once by ``cli.run``, ``sample_noise_batch``
 and ``sample_jump_table`` draw each member at most once: they keep their
 draws keyed on (kind, q or marks, grid or horizon, seed), serve a smaller
 request by a prefix and draw only what a larger one lacks.  Outside it every
-call draws afresh; the seeding contract is the same either way.
+call draws afresh; the seeding contract is the same either way.  Other layers
+keep run-scoped results in the same memo, ``run_memo()``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "sample_jump_table",
     "sample_noise_batch",
     "shared_draws",
+    "run_memo",
     "coarsen_wiener",
     "poisson_integral",
     "quadratic_mark_sum",
@@ -384,6 +386,11 @@ def _draw_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int) 
 
 
 _drawn = None  # the run's memo of batch draws, open inside shared_draws()
+
+
+def run_memo() -> dict | None:
+    """The memo of the open ``shared_draws()`` block (None outside one)."""
+    return _drawn
 
 
 @contextmanager

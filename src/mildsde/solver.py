@@ -1,8 +1,8 @@
 """Time-stepping schemes for the mild (convolution) form of the equation.
 
 Three one-step maps share one stepper, ``step_ensemble``, which advances
-an ensemble of noise paths at once; a single-path solve is an ensemble of
-one:
+an ensemble of noise paths under schemes of one step size at once; ``solve``
+steps one path, an ensemble of one:
 
 * ``exp_euler``: exponential Euler, u_{n+1} = exp(-dt A)[u_n + increments],
   the direct discretization of the variation-of-constants form;
@@ -37,7 +37,7 @@ __all__ = [
     "solve_exp_euler",
     "solve_resolvent_implicit",
     "solve_yosida_explicit",
-    "solve_scheme",
+    "solve",
     "step_ensemble",
     "solve_linear_data",
     "regularized_coupling_identity",
@@ -77,11 +77,13 @@ class Trajectory:
     ``integrability`` is the a posteriori pathwise integral of
     |F(u)| + |B(t, u)|_Q^2 + |G(t, u, .)|_m^2 over [0, T]; uniqueness
     experiments require it to be finite before a run may enter them.
+    ``cell_counts`` are the jump counts (steps, J) it was stepped with, if known.
     """
 
     grid: TimeGrid
     states: np.ndarray
     integrability: float
+    cell_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.states.shape[0] != self.grid.steps + 1:
@@ -142,43 +144,51 @@ def _derivative_bound(abs_coeffs: tuple, r: float) -> float:
 
 
 def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
-                  config: SchemeConfig) -> np.ndarray:
-    """Step M members of the mild form at once; returns states (M, N+1, n).
+                  configs: tuple) -> np.ndarray:
+    """Step M members of the mild form under G scheme configs at once; returns
+    states (G, M, N+1, n).
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
-    state, so the jump part is exactly centered.  Steps run in blocks of K,
-    about 2**15 values per (K, n, M) array.  A block projects the state-free
-    factors (B.base dW, G.base counts, dW . b_scale, counts . g_scale) at
-    once, and forms the whole increment in place on them when B and G are
-    both additive (state_scale zero).  Its new states go into one of two
-    (K, n, M) buffers, used in turn; the implicit schemes form
-    u - dt F(u) + increment in an (n, M) scratch array, so no stored state
-    changes, and the block is copied into the result at once.
+    state, so the jump part is exactly centered.  The configs share one dt
+    and one step form (else ConfigurationError): exp_euler and
+    resolvent_implicit step V = P_g(U - dt F(U) + inc), yosida_explicit
+    V = P_g U - dt F(U) + inc.  One stacked (G, n, n) product steps all
+    groups, and its every slice has the bits of the 2-D product, so each
+    group's states equal those of a call with its config alone.  Steps run
+    in blocks of K, about 2**15 values per (K, G, n, M) array; a block
+    projects the state-free noise factors once (the whole increment when B
+    and G are additive), and its new states fill one of two buffers in turn.
 
-    Checks run once per block, on r = max|u| of each new state from one
-    reduction.  A non-finite r (it propagates nan and inf) raises
-    BlowUpError at its step.  Stiffness policy: one StiffnessWarning at the
-    first step where dt * max|f'(u)|, over every member and component,
-    reaches 1 (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p
-    grows with r, so a block whose largest r keeps dt times that bound below
-    1/2 is clean; any other block is checked step by step, exactly on the
-    stored state where the bound reaches 1/2 (the factor 2 absorbs
-    rounding).  The warning is issued only for a step before a blow-up, and
-    before BlowUpError.  yosida_explicit raises ConfigurationError unless
-    dt * lam_max / (1 + eps * lam_max) < 2.
+    Checks run once per block and group, on r = max|u| of each new state.  A
+    non-finite r (it propagates nan and inf) is a blow-up; the call raises
+    the BlowUpError, with the text of its own call, of the group that blew
+    up first.  Stiffness policy, per group: one StiffnessWarning at the first
+    step where dt * max|f'(u)|, over every member and component, reaches 1
+    (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p grows with
+    r, so a block whose largest r keeps dt times that bound below 1/2 is
+    clean; any other is checked step by step, exactly on the stored state
+    where the bound reaches 1/2 (the factor 2 absorbs rounding), and only
+    before the group's blow-up.  yosida_explicit raises ConfigurationError
+    unless dt * lam_max / (1 + eps * lam_max) < 2.
     """
+    if len({(c.dt, c.scheme == "yosida_explicit") for c in configs}) != 1:
+        raise ConfigurationError(f"one step_ensemble call takes configs of one dt and one "
+                                 f"step form, got {tuple(configs)}")
     members, steps = dW.shape[:2]
-    dt = config.dt
+    groups = len(configs)
+    dt = configs[0].dt
     A = spec.A
-    explicit = config.scheme == "yosida_explicit"
-    prop = _propagator(A, config)
+    explicit = configs[0].scheme == "yosida_explicit"
+    # a single group steps on 2-D (n, M) arrays, where numpy's per-call overhead is lowest
+    lead = (groups,) if groups > 1 else ()
+    prop = np.stack([_propagator(A, config) for config in configs]).reshape(lead + (A.dim,) * 2)
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
     drift_varies = len(fprime.coefficients) > 1
-    cap = dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0
-    checking = drift_varies or cap >= 1.0                       # until the warning is issued
+    cap = [dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0] * groups
+    checking = [drift_varies or cap[0] >= 1.0] * groups          # until the group's warning
     fprime_abs = tuple(abs(c) for c in fprime.coefficients)
     additive = spec.B.additive and spec.G.additive
     b_base, b_scale = spec.B.base, spec.B.state_scale
@@ -186,15 +196,15 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     mark_w = spec.marks.weight_array
     g_comp = dt * (g_base @ mark_w)[:, None]
     s_comp = dt * float(g_scale @ mark_w)
-    block = max(1, _BLOCK_VALUES // (members * A.dim))
+    block = max(1, _BLOCK_VALUES // (groups * members * A.dim))
 
-    U = np.repeat(spec.u0[:, None], members, axis=1)             # (n, M), the left state
+    U = np.tile(spec.u0[:, None], lead + (1, members))           # the left state
     S = np.empty_like(U)                                          # U - dt F(U) + inc
-    bufs = np.empty((2, block, A.dim, members))                   # new states, in turn
-    r = np.empty(block + 1)                       # r[k]: max|u| before step first + k
+    bufs = np.empty((2, block) + U.shape)                         # new states, in turn
+    r = np.empty((block + 1, groups))       # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(U).max()
-    states = np.empty((members, steps + 1, A.dim))
-    states[:, 0, :] = spec.u0
+    states = np.empty((groups, members, steps + 1, A.dim))
+    states[:, :, 0, :] = spec.u0
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
@@ -207,7 +217,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
             else:
                 s_b, s_g = np.matmul(b_scale, dW_k), np.matmul(g_scale, counts_k)
             K = b_dW.shape[0]
-            buf, start = bufs[(first // block) % 2, :K], U
+            buf, start = bufs[(first // block) % 2, :K], U.reshape(groups, A.dim, members)
             for k, V in enumerate(buf):
                 if additive:
                     inc = b_dW[k]
@@ -232,30 +242,37 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                         np.add(U, inc, out=S)
                     np.matmul(prop, S, out=V)
                 U = V
-            np.abs(buf).max(axis=(1, 2), out=r[1:K + 1])
-            blown = not math.isfinite(r[1:K + 1].max())
-            # the steps whose left state may be checked: those before a blow-up
-            checked = int(np.isfinite(r[1:K + 1]).argmin()) + 1 if blown else K
-            if checking and drift_varies:
-                cap = dt * _derivative_bound(fprime_abs, float(r[:checked].max()))
-            for k in range(checked if checking and not cap < 0.5 else 0):
-                if drift_varies:
-                    cap = dt * _derivative_bound(fprime_abs, float(r[k]))
-                    if not cap < 0.5:
-                        cap = dt * float(np.abs(fprime(buf[k - 1] if k else start)).max())
-                if cap >= 1.0:
-                    warnings.warn(
-                        f"explicit drift step outside safety region at step {first + k}: "
-                        f"dt*max|f'(u)| = {cap:.3g} >= 1",
-                        StiffnessWarning, stacklevel=2)
-                    checking = False
-                    break
-            if blown:
-                t = (first + checked) * (spec.T / steps)
-                raise BlowUpError(
-                    f"{config.scheme} produced a non-finite state at step {first + checked} "
-                    f"(t={t:.6g})", step=first + checked, time=t)
-            states[:, first + 1:first + K + 1, :] = buf.transpose(2, 0, 1)
+            buf = buf.reshape(K, groups, A.dim, members)
+            np.abs(buf).max(axis=(2, 3), out=r[1:K + 1])
+            blown = not math.isfinite(r[1:K + 1].max())               # in some group
+            blowups = []
+            for g, rg in enumerate(r.T):
+                # the steps whose left state may be checked: those before a blow-up
+                checked = K
+                if blown and not np.isfinite(rg[1:K + 1]).all():
+                    checked = int(np.isfinite(rg[1:K + 1]).argmin()) + 1
+                    blowups.append((first + checked, g))
+                if checking[g] and drift_varies:
+                    cap[g] = dt * _derivative_bound(fprime_abs, float(rg[:checked].max()))
+                for k in range(checked if checking[g] and not cap[g] < 0.5 else 0):
+                    if drift_varies:
+                        cap[g] = dt * _derivative_bound(fprime_abs, float(rg[k]))
+                        if not cap[g] < 0.5:
+                            left = buf[k - 1, g] if k else start[g]
+                            cap[g] = dt * float(np.abs(fprime(left)).max())
+                    if cap[g] >= 1.0:
+                        warnings.warn(
+                            f"explicit drift step outside safety region at step {first + k}: "
+                            f"dt*max|f'(u)| = {cap[g]:.3g} >= 1",
+                            StiffnessWarning, stacklevel=2)
+                        checking[g] = False
+                        break
+            if blowups:
+                step, g = min(blowups)
+                t = step * (spec.T / steps)
+                raise BlowUpError(f"{configs[g].scheme} produced a non-finite state at step "
+                                  f"{step} (t={t:.6g})", step=step, time=t)
+            states[:, :, first + 1:first + K + 1, :] = buf.transpose(1, 3, 0, 2)
             r[0] = r[K]
     return states
 
@@ -277,13 +294,16 @@ def _integrability(spec: EquationSpec, states: np.ndarray, dt: float) -> float:
     return float(dt * total.sum())
 
 
-def _solve_path(spec: EquationSpec, noise, config: SchemeConfig) -> Trajectory:
-    """One noise path as an ensemble of one."""
-    wiener, poisson, grid = _validate_noise(spec, noise, config.dt)
+def solve(spec: EquationSpec, noise, configs: tuple) -> tuple:
+    """One noise path stepped under each config (one dt and step form) by one
+    step_ensemble call, its jumps binned once; a Trajectory per config."""
+    wiener, poisson, grid = _validate_noise(spec, noise, configs[0].dt)
     counts = jump_cell_counts(poisson, grid)
-    states = step_ensemble(spec, wiener.increments[None], counts[None], config)[0]
+    counts.setflags(write=False)
+    states = step_ensemble(spec, wiener.increments[None], counts[None], configs)[:, 0]
     states.setflags(write=False)
-    return Trajectory(grid, states, _integrability(spec, states, config.dt))
+    return tuple(Trajectory(grid, s, _integrability(spec, s, configs[0].dt), counts)
+                 for s in states)
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
@@ -292,12 +312,12 @@ def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
     Exact for the pure semigroup flow (F = B = G = 0) and the order-one
     discretization of the convolution form otherwise.
     """
-    return _solve_path(spec, noise, SchemeConfig("exp_euler", dt))
+    return solve(spec, noise, (SchemeConfig("exp_euler", dt),))[0]
 
 
 def solve_resolvent_implicit(spec: EquationSpec, noise, dt: float) -> Trajectory:
     """Backward-Euler resolvent step; the linear part is unconditionally stable."""
-    return _solve_path(spec, noise, SchemeConfig("resolvent_implicit", dt))
+    return solve(spec, noise, (SchemeConfig("resolvent_implicit", dt),))[0]
 
 
 def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) -> Trajectory:
@@ -305,18 +325,7 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
 
     Requires dt * lam_max / (1 + eps * lam_max) < 2, checked before stepping.
     """
-    return _solve_path(spec, noise, SchemeConfig("yosida_explicit", dt, epsilon))
-
-
-def solve_scheme(spec: EquationSpec, noise, dt: float, scheme: str) -> Trajectory:
-    """Dispatch by scheme name: exp_euler or resolvent_implicit, the schemes a
-    config can name (yosida_explicit needs an epsilon: solve_yosida_explicit)."""
-    if scheme == "exp_euler":
-        return solve_exp_euler(spec, noise, dt)
-    if scheme == "resolvent_implicit":
-        return solve_resolvent_implicit(spec, noise, dt)
-    raise ConfigurationError(
-        f"solve_scheme takes exp_euler or resolvent_implicit, got {scheme!r}")
+    return solve(spec, noise, (SchemeConfig("yosida_explicit", dt, epsilon),))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mildsde.cli import EXPERIMENTS, parse_config
 from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener, poisson_integral,
                            quadratic_mark_sum, sample_jump_table, sample_poisson, sample_wiener,
                            shared_draws)
-from mildsde.solver import Trajectory, solve_resolvent_implicit, solve_scheme
+from mildsde.solver import SchemeConfig, Trajectory, solve, solve_resolvent_implicit
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 from mildsde.textio import write_plot_data
 
@@ -478,7 +478,8 @@ class TestEnsembleSeeding:
         for i in range(members):
             noise = (sample_wiener(spec.B.q, grid, seed + i),
                      sample_poisson(spec.marks, spec.T, seed + 2**31 + i))
-            single = solve_scheme(spec, noise, dt, scheme).states
+            single, = solve(spec, noise, (SchemeConfig(scheme, dt),))
+            single = single.states
             assert np.abs(states[i] - single).max() <= 1e-12
 
 
@@ -530,7 +531,7 @@ class TestWeakResidual:
         grid = TimeGrid(0.5, round(0.5 / dt))
         wiener = sample_wiener(spec.B.q, grid, 1)
         poisson = sample_poisson(spec.marks, 0.5, 2)
-        traj = solve_scheme(spec, (wiener, poisson), dt, "exp_euler")
+        traj, = solve(spec, (wiener, poisson), (SchemeConfig("exp_euler", dt),))
         eps = 0.1
         residual = weak_solution_residual(traj, spec, (wiener, poisson), eps, k_max=n)
         lam = A.eigenvalues
@@ -568,6 +569,29 @@ class TestWeakResidual:
         report = weak_residual_experiment(cubic_spec, 9, DTS, k_max=6)
         assert report.verdict == PASS
         assert np.all(report.summary["orders"] >= 0.9)
+
+    @pytest.mark.parametrize("scheme", ["resolvent_implicit", "exp_euler"])
+    def test_reuses_the_coupling_reductions_bit_for_bit(self, scheme, monkeypatch):
+        # in a run, a fresh spec object with coupling's payload, seed, dts and
+        # scheme takes coupling's reductions; another payload or seed solves
+        spec = make_cubic_spec(n=9)
+        dts = [2.0**-6, 2.0**-7, 2.0**-8]
+        alone = weak_residual_experiment(spec, 5, dts, scheme=scheme).summary["residuals"]
+        solves = []
+        original = analysis.solve
+        monkeypatch.setattr(analysis, "solve", lambda *args: solves.append(1) or original(*args))
+        with shared_draws():
+            coupling_uniqueness_experiment(spec, 5, dts)
+            solves.clear()
+            handed = weak_residual_experiment(spec.with_data(), 5, dts, scheme=scheme)
+            assert solves == []
+            weak_residual_experiment(spec.with_data(u0=2.0 * spec.u0), 5, dts, scheme=scheme)
+            weak_residual_experiment(spec, 6, dts, scheme=scheme)
+            assert len(solves) == 6
+        residuals = handed.summary["residuals"]
+        assert np.array_equal(residuals.view(np.int64), alone.view(np.int64))
+        weak_residual_experiment(spec, 5, dts, scheme=scheme)    # the run's memo is gone
+        assert len(solves) == 9
 
 
 class TestYosidaExperiments:

@@ -260,7 +260,7 @@ RETIRED = (
     (analysis.regularization_identity_experiment, ("amplitude",)),
     (analysis.fit_order, ("floor",)),
     (analysis.coupling_uniqueness_experiment, ("epsilon",)),
-    (solver.solve_scheme, ("epsilon",)),
+    (solver.solve, ("epsilon",)),
     (space.SpectralOperator, ("validate",)),
     (model.Nonlinearity.linear, ("shift",)),
 )
@@ -382,6 +382,57 @@ class TestRun:
         # the benchmark's single-path workload (dt down to 2^-14) pins the
         # scalar steppers' bytes; the config is only read, output goes to tmp_path
         assert_recorded_digests(BENCH_DIR / "fine-path.cfg", "fine-path.sha256", tmp_path)
+
+    def test_fine_path_steps_and_bins_each_path_once(self, tmp_path, monkeypatch):
+        # coupling steps its scheme pair in one loop per dt (256 + ... + 4,096 =
+        # 7,936 steps), trotter_kato makes 7 solves of 4,096 steps, and
+        # weak_residual reuses coupling's reductions: no step loop, no binning
+        steps, binnings, current = {}, [], [None]
+        originals = {"step_ensemble": solver.step_ensemble,
+                     "jump_cell_counts": noise.jump_cell_counts}
+
+        def step_ensemble(spec, dW, counts, configs):
+            steps[current[0]] = steps.get(current[0], 0) + dW.shape[1]
+            return originals["step_ensemble"](spec, dW, counts, configs)
+
+        def jump_cell_counts(path, grid):
+            binnings.append(current[0])
+            return originals["jump_cell_counts"](path, grid)
+
+        wrappers = {"step_ensemble": step_ensemble, "jump_cell_counts": jump_cell_counts}
+        for module in (noise, solver, analysis):
+            for name, value in list(vars(module).items()):
+                for key, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, name, wrappers[key])
+
+        def entered(name, builder):
+            def build(config):
+                current[0] = name
+                return builder(config)
+            return build
+
+        for name, builder in list(cli.EXPERIMENTS.items()):
+            monkeypatch.setitem(cli.EXPERIMENTS, name, entered(name, builder))
+        cfg = replace(parse_config(BENCH_DIR / "fine-path.cfg"), output_dir=tmp_path)
+        assert run(cfg) == 0
+        assert sum(steps.values()) == 36_608
+        assert steps.get("weak_residual", 0) == 0
+        assert steps == {"coupling": 7_936, "trotter_kato": 7 * 4_096}
+        assert len(binnings) == 12 and "weak_residual" not in binnings
+
+    def test_weak_residual_alone_writes_the_bytes_of_the_full_run(self, tmp_path):
+        # without coupling before it, weak_residual solves its own path (the
+        # handover misses) and must still write the recorded bytes
+        recorded = dict(line.split()[::-1] for line in
+                        (Path(__file__).parent / "fine-path.sha256").read_text().splitlines())
+        cfg = replace(parse_config(BENCH_DIR / "fine-path.cfg", only=("weak_residual",)),
+                      output_dir=tmp_path)
+        assert run(cfg) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir() if p.name.startswith("weak_residual")}
+        assert written and written == {name: digest for name, digest in recorded.items()
+                                       if name.startswith("weak_residual")}
 
     def test_coupled_experiments_draw_one_batch(self, tmp_path, draw_counts):
         text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment",
@@ -521,16 +572,20 @@ class TestMainEntry:
             main([str(tmp_path / "missing.cfg")])
         assert status.value.code == 2
         capsys.readouterr()
-        # text configparser cannot read, and a config without an [equation] section
+        # text configparser cannot read, a repeated [equation] section (the message
+        # names the file, not '<string>'), and a config without an [equation] section
         for text, message in (("n = 3\n", "cannot parse"),
                               ("[equation]\nn 3\n", "cannot parse"),
+                              (MINIMAL + "\n[equation]\nn = 3\n", "'{path}' [line"),
                               ("[experiment]" + MINIMAL.split("[experiment]", 1)[1],
                                "missing [equation] section")):
+            path = write_cfg(tmp_path, text)
             with pytest.raises(SystemExit) as status:
-                main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+                main([str(path), "--output-dir", str(tmp_path / "out")])
             assert status.value.code == 2
             err = capsys.readouterr().err
-            assert err.startswith("configuration error: ") and message in err
+            assert err.startswith("configuration error: ")
+            assert message.format(path=path) in err and "<string>" not in err
             assert err.count("\n") == 1 and "Traceback" not in err
             assert not (tmp_path / "out").exists()
 

@@ -12,8 +12,8 @@ from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, 
 from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
                            coarsen_wiener, quadratic_mark_sum, sample_poisson, sample_wiener)
 from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, _propagator, ito_energy_residual,
-                            ito_energy_terms, regularized_coupling_identity, solve_exp_euler,
-                            solve_linear_data, solve_resolvent_implicit, solve_scheme,
+                            ito_energy_terms, regularized_coupling_identity, solve,
+                            solve_exp_euler, solve_linear_data, solve_resolvent_implicit,
                             solve_yosida_explicit, step_ensemble)
 from mildsde.space import SpectralOperator, dirichlet_laplacian, resolvent_apply
 
@@ -110,9 +110,14 @@ def stepper_outcome(stepper, spec, dW, counts, config):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def step_one(spec, dW, counts, config):
+    """step_ensemble under the one config: states (M, N+1, n)."""
+    return step_ensemble(spec, dW, counts, (config,))[0]
+
+
 def assert_same_outcome(spec, dW, counts, config):
     """step_ensemble and the reference agree bit for bit; returns the outcome."""
-    got, got_warnings = stepper_outcome(step_ensemble, spec, dW, counts, config)
+    got, got_warnings = stepper_outcome(step_one, spec, dW, counts, config)
     want, want_warnings = stepper_outcome(reference_step_ensemble, spec, dW, counts, config)
     assert got_warnings == want_warnings
     if isinstance(want, tuple):
@@ -285,6 +290,105 @@ class TestStepperBitIdentity:
             assert np.array_equal(f(u), np.full(u.shape, coefficients[0]))
 
 
+GROUPS = {
+    "implicit_pair": (SchemeConfig("exp_euler", 2.0**-12),
+                      SchemeConfig("resolvent_implicit", 2.0**-12)),
+    "implicit_three": (SchemeConfig("resolvent_implicit", 2.0**-12),
+                       SchemeConfig("exp_euler", 2.0**-12),
+                       SchemeConfig("resolvent_implicit", 2.0**-12)),
+    "yosida_two_eps": (SchemeConfig("yosida_explicit", 2.0**-12, 8 * 2.0**-12),
+                       SchemeConfig("yosida_explicit", 2.0**-12, 32 * 2.0**-12)),
+}
+
+
+class TestGroupedSteps:
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("f_coeffs", [(0.7,), CUBIC], ids=["constant", "cubic"])
+    @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+    def test_grouped_call_matches_separate_calls_and_reference(self, group, members, f_coeffs,
+                                                                noise):
+        # across a block boundary of the grouped call, whose blocks are G times shorter
+        configs = GROUPS[group]
+        scales = {"b_scale": (0.0, 0.0), "g_scale": (0.0, 0.0)} if noise == "additive" else {}
+        steps = _BLOCK_VALUES // (len(configs) * members * 31) + 6
+        spec, dW, counts = stepper_case(f_coeffs, 31, members, steps, seed=members, **scales)
+        assert (spec.B.additive and spec.G.additive) == (noise == "additive")
+        grouped, caught = stepper_outcome(step_ensemble, spec, dW, counts, configs)
+        assert grouped.shape == (len(configs), members, steps + 1, 31) and not caught
+        for states, config in zip(grouped, configs):
+            separate, _ = assert_same_outcome(spec, dW, counts, config)
+            assert np.array_equal(states.view(np.int64), separate.view(np.int64))
+
+    def test_solve_matches_the_single_scheme_solves(self):
+        spec = make_cubic_spec(n=9)
+        dt = 2.0**-7
+        noise = noise_for(spec, dt, seed=2)
+        a, b = solve(spec, noise, (SchemeConfig("exp_euler", dt),
+                                   SchemeConfig("resolvent_implicit", dt)))
+        for got, want in ((a, solve_exp_euler(spec, noise, dt)),
+                          (b, solve_resolvent_implicit(spec, noise, dt))):
+            assert np.array_equal(got.states.view(np.int64), want.states.view(np.int64))
+            assert got.integrability == want.integrability
+            assert np.array_equal(got.cell_counts, want.cell_counts)
+        assert a.cell_counts is b.cell_counts and not a.states.flags.writeable
+
+    @pytest.mark.parametrize("configs", [
+        (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("yosida_explicit", 2.0**-12, 0.1)),
+        (SchemeConfig("yosida_explicit", 2.0**-12, 0.1), SchemeConfig("resolvent_implicit",
+                                                                      2.0**-12)),
+        (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("resolvent_implicit", 2.0**-11)),
+        (SchemeConfig("yosida_explicit", 2.0**-12, 0.1),
+         SchemeConfig("yosida_explicit", 2.0**-13, 0.1)),
+        (),
+    ], ids=["exp_and_yosida", "yosida_and_resolvent", "two_dts", "yosida_two_dts", "empty"])
+    def test_mixed_forms_or_dts_are_refused(self, configs):
+        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
+        with pytest.raises(ConfigurationError, match="one dt and one step form"):
+            step_ensemble(spec, dW, counts, configs)
+
+    @staticmethod
+    def running_away(u0_sq, steps=400):
+        # dt * lam = 1/4 and dt * f = -u**3: the unstable fixed point of the
+        # resolvent map is at u**2 = 0.25, the exponential one's at 0.284, so
+        # u0**2 = 0.27 runs away under resolvent_implicit alone and 0.3 under
+        # both, resolvent_implicit first; each warns where dt * f'(u) = 3 u**2
+        # reaches 1
+        spec = EquationSpec(A=SpectralOperator.diagonal([2.0]), F=Nonlinearity((0.0, 0.0, 0.0,
+                                                                                 -8.0)),
+                            B=DiffusionCoefficient.zero(1), G=JumpCoefficient.zero(1),
+                            u0=np.array([u0_sq ** 0.5]), T=steps * 0.125)
+        return spec, np.zeros((1, steps, 1)), np.zeros((1, steps, 1))
+
+    @pytest.mark.parametrize("u0_sq,blowups", [(0.27, 1), (0.3, 2)],
+                             ids=["one_blows_up", "both_blow_up"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["exp_first", "resolvent_first"])
+    def test_the_first_blow_up_raises_its_own_error(self, u0_sq, blowups, order):
+        spec, dW, counts = self.running_away(u0_sq)
+        configs = (SchemeConfig("exp_euler", 0.125),
+                   SchemeConfig("resolvent_implicit", 0.125))[::order]
+        separate = [stepper_outcome(step_one, spec, dW, counts, c) for c in configs]
+        errors = [outcome for outcome, _ in separate if isinstance(outcome, tuple)]
+        assert len(errors) == blowups
+        assert min(errors)[2].startswith("resolvent_implicit produced a non-finite state")
+        grouped, caught = stepper_outcome(step_ensemble, spec, dW, counts, configs)
+        assert grouped == min(errors)
+        # one warning per group that warns, with the text of its own call
+        assert caught == [w for _, warned in separate for w in warned]
+        assert [category for category, _ in caught] == [StiffnessWarning] * len(caught)
+        assert len(caught) >= blowups
+
+    def test_coupling_stays_inconclusive_when_one_scheme_blows_up(self):
+        from mildsde.analysis import INCONCLUSIVE, coupling_uniqueness_experiment
+        spec, _, _ = self.running_away(0.27)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StiffnessWarning)
+            report = coupling_uniqueness_experiment(spec, 3, [0.125, 0.0625, 0.03125])
+        assert report.verdict == INCONCLUSIVE
+        assert math.isnan(report.summary["gaps"][0])
+        assert math.isnan(report.summary["integrability"][0])
+
+
 @pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
                                              ((0.0, 0.0), (0.0, 0.0))],
                          ids=["multiplicative", "additive"])
@@ -294,7 +398,7 @@ def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
     spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
     tracemalloc.start()
     try:
-        states = step_ensemble(spec, dW, counts, scheme_config("exp_euler"))
+        states = step_ensemble(spec, dW, counts, (scheme_config("exp_euler"),))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,7 +463,8 @@ class TestExpEuler:
                 scales.append(np.sqrt(var + det**2))
                 sq = 0.0
                 for path, ref in zip(paths, refs):
-                    traj = solve_scheme(spec, (coarsen_wiener(path, fac), poisson), dt, scheme)
+                    traj, = solve(spec, (coarsen_wiener(path, fac), poisson),
+                                  (SchemeConfig(scheme, dt),))
                     sq += (traj.states[-1, 0] - ref) ** 2
                 rms.append(np.sqrt(sq / members))
             slope = np.polyfit(np.log2(dts), np.log2(scales), 1)[0]
@@ -744,9 +849,9 @@ class TestStiffnessPolicy:
         config = SchemeConfig("exp_euler", 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", StiffnessWarning)
-            step_ensemble(self.spec(), dW[:1], counts[:1], config)
+            step_one(self.spec(), dW[:1], counts[:1], config)
         with pytest.warns(StiffnessWarning, match="at step 1"):
-            states = step_ensemble(self.spec(), dW, counts, config)
+            states = step_one(self.spec(), dW, counts, config)
         assert states[1, 1, 0] == pytest.approx(2.7)
 
     @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
@@ -797,13 +902,13 @@ class TestSchemeDispatch:
         spec = make_cubic_spec(n=7)
         dt = 2.0**-5
         noise = noise_for(spec, dt, seed=1)
-        a = solve_scheme(spec, noise, dt, "exp_euler")
+        a, = solve(spec, noise, (SchemeConfig("exp_euler", dt),))
         b = solve_exp_euler(spec, noise, dt)
         assert np.array_equal(a.states, b.states)
         with pytest.raises(ConfigurationError):
-            solve_scheme(spec, noise, dt, "unknown")
+            solve(spec, noise, (SchemeConfig("unknown", dt),))
         with pytest.raises(ConfigurationError):
-            solve_scheme(spec, noise, dt, "yosida_explicit")  # needs solve_yosida_explicit
+            solve(spec, noise, (SchemeConfig("yosida_explicit", dt),))  # needs an epsilon
 
 
 class TestLinearDataValidation:
