@@ -12,16 +12,15 @@ and missing evidence is never converted into PASS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
-from .noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, coarsen_wiener, jump_cell_counts,
-                    poisson_integral, quadratic_mark_sum, run_memo, sample_jump_table,
-                    sample_noise_batch, sample_poisson, sample_wiener, sample_wiener_rows,
-                    step_m_integral, step_q_integral)
+from .noise import (NoiseBatch, TimeGrid, poisson_integral, quadratic_mark_sum, run_memo,
+                    sample_jump_table, sample_noise_batch, sample_wiener_rows, step_m_integral,
+                    step_q_integral)
 from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
                      regularized_coupling_identity, solve, solve_exp_euler,
                      solve_yosida_explicit, step_ensemble)
@@ -60,6 +59,9 @@ _CONTINUITY_FACTOR = 5.0        # stability: largest change of N between adjacen
 _COUPLED_SCHEME = "exp_euler"   # the scheme of the contraction, stability, cauchy ensembles
 _BOUND_SLACK = 1e-9             # yosida_coupling_bound: relative and absolute slack
 
+# The most steps a grid may take over its horizon: 256 times the finest shipped grid.
+MAX_STEPS = 2**20
+
 
 def fit_order(x, y) -> float:
     """Least-squares slope of log2(y) against log2(x).
@@ -81,21 +83,15 @@ def fit_order(x, y) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """What every experiment returns: a verdict, the report rows (``records()``),
-    named (x, y, err) plot curves (``curves()``) and a ``summary`` of the arrays
-    and scalars behind them, whose keys each experiment's docstring names."""
+    """What every experiment returns: a verdict, the report ``rows`` (Records),
+    the named (x, y, err) plot curves of ``curve_map`` and a ``summary`` of the
+    arrays and scalars behind them, whose keys each experiment's docstring names."""
 
     name: str
     verdict: str
     rows: tuple
     curve_map: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-
-    def records(self):
-        return list(self.rows)
-
-    def curves(self):
-        return dict(self.curve_map)
 
 
 def _log2_curve(name: str, x, y) -> dict:
@@ -176,16 +172,11 @@ def _mean_stderr(samples: np.ndarray, axis: int = 0):
     return mean, samples.std(axis=axis, ddof=1) / math.sqrt(count)
 
 
-def _single_path(spec: EquationSpec, grid: TimeGrid, seed: int) -> tuple:
-    """The (wiener, poisson) pair of ensemble member 0, drawn afresh."""
-    return (sample_wiener(spec.B.q, grid, seed),
-            sample_poisson(spec.marks, grid.horizon, seed + POISSON_SEED_OFFSET))
-
-
 def step_sizes(dts, T: float | None = None, minimum: int = 1) -> list:
     """``dts`` in decreasing order; ConfigurationError unless each is finite, > 0
-    and divides ``T`` (if given), there are ``minimum`` at least, and each halves
-    the one before.  The config reader and the experiments check steps with it."""
+    and divides ``T`` (if given) into at most MAX_STEPS steps, there are
+    ``minimum`` at least, and each halves the one before.  The config reader and
+    the experiments check steps with it."""
     for d in dts:
         if not (math.isfinite(d) and d > 0.0):
             raise ConfigurationError(f"step sizes must be finite and > 0, got {d}")
@@ -193,7 +184,10 @@ def step_sizes(dts, T: float | None = None, minimum: int = 1) -> list:
         raise ConfigurationError(f"need at least {minimum} dyadic step sizes, got {len(dts)}")
     dts = sorted((float(d) for d in dts), reverse=True)
     for d in dts if T is not None else ():
-        steps = round(T / d) if T / d < 2**53 else 0
+        if T / d > MAX_STEPS + 0.5:
+            raise ConfigurationError(f"dt={d} takes {T / d:.6g} steps over the horizon "
+                                     f"T={T}, more than MAX_STEPS = {MAX_STEPS}")
+        steps = round(T / d)
         if steps < 1 or abs(steps * d - T) > 1e-9 * max(T, 1.0):
             raise ConfigurationError(f"dt={d} does not divide the horizon T={T} evenly")
     for a, b in zip(dts, dts[1:]):
@@ -223,19 +217,20 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
     the experiment INCONCLUSIVE.  Both trajectories, one solve call per step
     size, need a finite pathwise integrability to enter the comparison; in a
     run their weak-residual reductions are kept for weak_residual_experiment.
+    The path is ensemble member 0 of ``sample_noise_batch`` on the finest grid.
     Summary: ``gaps``, ``fitted_order`` and ``integrability`` (NaN where a
     step size blew up).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     fine, memo = _grid(spec.T, dts[-1]), run_memo()
-    wiener_fine, poisson = _single_path(spec, fine, seed)
+    fine_noise = sample_noise_batch(spec.B.q, spec.marks, fine, seed, 1)
     gaps, integs = [], []
     space = spec.space
     inconclusive = False
     for dt in dts:
-        wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
+        noise = fine_noise.coarsen(round(dt / dts[-1]))
         try:
-            t1, t2 = solve(spec, (wiener, poisson), [SchemeConfig(s, dt) for s in scheme_pair])
+            t1, t2 = solve(spec, noise, [SchemeConfig(s, dt) for s in scheme_pair])
             finite = np.isfinite(t1.integrability) and np.isfinite(t2.integrability)
         except BlowUpError:
             finite = False
@@ -244,7 +239,7 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
                     if finite else np.nan)
         integs.append(max(t1.integrability, t2.integrability) if finite else np.nan)
         for scheme, traj in zip(scheme_pair, (t1, t2)) if finite and memo is not None else ():
-            memo[_weak_key(spec, seed, fine, dt, scheme)] = _weak_terms(spec, traj, wiener)
+            memo[_weak_key(spec, seed, fine, dt, scheme)] = _weak_terms(spec, traj, noise)
     gaps = np.array(gaps)
     order = fit_order(dts, gaps) if not inconclusive else math.nan
     if inconclusive:
@@ -461,15 +456,15 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
 # ---------------------------------------------------------------------------
 
 
-def _weak_terms(spec: EquationSpec, traj: Trajectory, wiener) -> tuple:
+def _weak_terms(spec: EquationSpec, traj: Trajectory, noise: NoiseBatch) -> tuple:
     """The reductions of the weak residual that depend on neither eps nor k_max: dt
     and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
-    states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n (dW from
-    ``wiener``, dN from ``traj.cell_counts``)."""
+    states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n (dW and dN
+    of ``noise``, the one path ``traj`` was stepped on)."""
     if not np.isfinite(traj.integrability):
         raise ValueError("trajectory fails the pathwise integrability check")
-    dt, u, A, dW = traj.grid.dt, traj.states, spec.A, wiener.increments
-    dN = traj.cell_counts - dt * spec.marks.weight_array
+    dt, u, A, dW = traj.grid.dt, traj.states, spec.A, noise.wiener.increments[0]
+    dN = noise.cell_counts[0] - dt * spec.marks.weight_array
     # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
     wiener_total = spec.B.base @ dW.sum(axis=0) + u[:-1].T @ (dW @ spec.B.state_scale)
     jump_total = spec.G.base @ dN.sum(axis=0) + u[:-1].T @ (dN @ spec.G.state_scale)
@@ -496,7 +491,7 @@ def _weak_residual(spec: EquationSpec, terms: tuple, epsilon: float, k_max: int)
     return np.abs(1.0 / (1.0 + epsilon * lam) * residual)[:k_max]
 
 
-def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
+def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise: NoiseBatch,
                            epsilon: float = 0.1, k_max: int = 8) -> np.ndarray:
     """Per-mode residual of the discrete weak identity against mollified modes.
 
@@ -504,13 +499,12 @@ def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise,
     k < k_max; with a self-adjoint operator these are collinear with e_k, so
     the value of the diagnostic is the per-mode residual decomposition.  The
     residual uses the same left-state discrete stochastic integrals the
-    solvers use and vanishes with the step size.
+    solvers use and vanishes with the step size.  ``noise`` is the NoiseBatch of
+    one that ``traj`` was stepped on.
     """
-    wiener, poisson = noise
-    if wiener.grid != traj.grid:
+    if noise.grid != traj.grid:
         raise ValueError("noise grid does not match the trajectory grid")
-    binned = replace(traj, cell_counts=jump_cell_counts(poisson, traj.grid))
-    return _weak_residual(spec, _weak_terms(spec, binned, wiener), epsilon, k_max)
+    return _weak_residual(spec, _weak_terms(spec, traj, noise), epsilon, k_max)
 
 
 def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
@@ -525,15 +519,15 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     fine = _grid(spec.T, dts[-1])
-    wiener_fine, poisson = _single_path(spec, fine, seed)
+    fine_noise = sample_noise_batch(spec.B.q, spec.marks, fine, seed, 1)
     memo = run_memo() or {}
     residuals = np.empty((k_max, len(dts)))
     for j, dt in enumerate(dts):
         terms = memo.get(_weak_key(spec, seed, fine, dt, scheme))
         if terms is None:
-            wiener = coarsen_wiener(wiener_fine, round(dt / dts[-1]))
-            traj, = solve(spec, (wiener, poisson), (SchemeConfig(scheme, dt),))
-            terms = _weak_terms(spec, traj, wiener)
+            noise = fine_noise.coarsen(round(dt / dts[-1]))
+            traj, = solve(spec, noise, (SchemeConfig(scheme, dt),))
+            terms = _weak_terms(spec, traj, noise)
         residuals[:, j] = _weak_residual(spec, terms, epsilon, k_max)
     orders = np.array([fit_order(dts, residuals[k]) for k in range(k_max)])
     verdict = PASS if np.all(orders >= 0.9) else FAIL
@@ -563,12 +557,12 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
     Summary: ``gaps`` (per epsilon, largest first) and ``slope``.
     """
     epsilons = np.array(sorted((float(e) for e in epsilons), reverse=True))
-    wiener, poisson = _single_path(spec, _grid(spec.T, dt), seed)
-    reference = solve_exp_euler(spec, (wiener, poisson), dt)
+    noise = sample_noise_batch(spec.B.q, spec.marks, _grid(spec.T, dt), seed, 1)
+    reference = solve_exp_euler(spec, noise, dt)
     space = spec.space
     gaps = np.empty(epsilons.shape[0])
     for j, eps in enumerate(epsilons):
-        traj = solve_yosida_explicit(spec, (wiener, poisson), dt, eps)
+        traj = solve_yosida_explicit(spec, noise, dt, eps)
         gaps[j] = float(np.sqrt(space.sq_norms(traj.states - reference.states)).max())
     slope = fit_order(epsilons, gaps)
     verdict = PASS if 0.9 <= slope <= 1.1 else FAIL
@@ -596,12 +590,12 @@ def yosida_coupling_bound(spec: EquationSpec, u0_b, seed: int, *,
     if not (spec.B.additive and spec.G.additive):
         raise ConfigurationError("the pathwise bound applies to additive noise only")
     grid = _grid(spec.T, dt)
-    wiener, poisson = _single_path(spec, grid, seed)
+    noise = sample_noise_batch(spec.B.q, spec.marks, grid, seed, 1)
     spec_b = spec.with_data(u0=u0_b)
-    u = solve_exp_euler(spec, (wiener, poisson), dt).states
-    v = solve_exp_euler(spec_b, (wiener, poisson), dt).states
-    ue = solve_yosida_explicit(spec, (wiener, poisson), dt, epsilon).states
-    ve = solve_yosida_explicit(spec_b, (wiener, poisson), dt, epsilon).states
+    u = solve_exp_euler(spec, noise, dt).states
+    v = solve_exp_euler(spec_b, noise, dt).states
+    ue = solve_yosida_explicit(spec, noise, dt, epsilon).states
+    ve = solve_yosida_explicit(spec_b, noise, dt, epsilon).states
     space = spec.space
     y = u - v
     y_eps = ue - ve
@@ -750,21 +744,21 @@ def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
                                        instances: int, seed: int, *, dt: float, T: float,
                                        epsilon: float, tol: float = 1e-9) -> ExperimentReport:
     """Max residual of the exact regularization identity over random data
-    (standard normal g, C and D)."""
+    (standard normal g, C and D); instance i is solved on member i of one
+    NoiseBatch."""
     grid = _grid(T, dt)
     rng = np.random.default_rng(seed)
     q = np.asarray(q, dtype=float)
     n = A.dim
+    batch = sample_noise_batch(q, marks, grid, seed, instances)
     worst = {"exp_euler": 0.0, "resolvent_implicit": 0.0}
     for i in range(instances):
         g = rng.standard_normal((grid.steps, n))
         C = rng.standard_normal((grid.steps, n, q.shape[0]))
         D = rng.standard_normal((grid.steps, n, marks.atom_count))
-        wiener = sample_wiener(q, grid, seed + i)
-        poisson = sample_poisson(marks, T, seed + POISSON_SEED_OFFSET + i)
+        noise = batch.rows(i, i + 1)
         for scheme in worst:
-            res = regularized_coupling_identity(A, g, C, D, (wiener, poisson), marks,
-                                                epsilon, scheme)
+            res = regularized_coupling_identity(A, g, C, D, noise, marks, epsilon, scheme)
             worst[scheme] = max(worst[scheme], res)
     verdict = PASS if all(v <= tol for v in worst.values()) else FAIL
     rows = tuple(
@@ -796,12 +790,12 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     noise = sample_noise_batch(q, marks, TimeGrid(T, round(T / dts[-1])), seed, paths)
     residuals = np.empty((len(dts), paths))
     for j, dt in enumerate(dts):
-        wiener = coarsen_wiener(noise.wiener, round(dt / dts[-1]))
         expand = round(dts[0] / dt)
         g = np.repeat(g0, expand, axis=0)
         C = np.repeat(c0, expand, axis=0)
         D = np.repeat(d0, expand, axis=0)
-        residuals[j] = ito_energy_residual(A, g, C, D, (wiener, noise.jumps), marks)
+        residuals[j] = ito_energy_residual(A, g, C, D, noise.coarsen(round(dt / dts[-1])),
+                                           marks)
     mean_res, se_res = _mean_stderr(residuals, axis=1)
     order = fit_order(np.array(dts), mean_res)
     verdict = PASS if order >= 0.9 else FAIL

@@ -44,9 +44,9 @@ def _numbers(text: str) -> list:
         raise ValueError(f"expected numbers, got {text!r}") from None
 
 
-def _number(kind=float, low=None, high: str = ""):
+def _number(kind=float, low=None, high: str | int = ""):
     """An int, or a finite float; >= low for an int and > low for a float, and
-    <= the value of key ``high`` if named."""
+    <= ``high``, a number or the name of a key read before."""
     def parse(text, values):
         try:
             value = kind(text)
@@ -57,8 +57,10 @@ def _number(kind=float, low=None, high: str = ""):
             raise ValueError(f"must be finite, got {value}")
         if low is not None and (value < low if kind is int else value <= low):
             raise ValueError(f"must be {'>=' if kind is int else '>'} {low}, got {value}")
-        if high and value > values[high]:
-            raise ValueError(f"must be <= {high} = {values[high]}, got {value}")
+        top = values[high] if isinstance(high, str) and high else high
+        if top and value > top:
+            named = f"{high} = " if isinstance(high, str) else ""
+            raise ValueError(f"must be <= {named}{top}, got {value}")
         return value
     return parse
 
@@ -312,7 +314,7 @@ OVERRIDES = ("coupling", "contraction", "stability", "cauchy", "weak_residual")
 _OVERRIDABLE = {key: row for key, row in _EQUATION.items()
                 if key not in ("n", "operator", "eigenvalues", "weight")}
 
-_ISOMETRY = {"steps": (_COUNT, "16"), "t": (_POSITIVE, "1.0"),
+_ISOMETRY = {"steps": (_number(int, 1, high=analysis.MAX_STEPS), "16"), "t": (_POSITIVE, "1.0"),
              "paths": (_COUNT, "[experiment] ensemble_paths"), "amplitude": (_NUMBER, "0.5")}
 _COUPLED = {"ensemble": (_COUNT, "[experiment] ensemble_coupled"),
             "dt": (_positives(one=True, steps=True, horizon="T"), "0.0078125")}

@@ -7,21 +7,24 @@ measurable integrands are deliberately out of scope and this restriction is
 part of the contract.  Adaptedness of an integrand array is the caller's
 responsibility.
 
-Random number generation uses numpy's PCG64: a single path draws from
-``default_rng(seed)``, and a batch positions one reused generator at each
-member's ``default_rng(seed + i)`` start state, hashed for all members at once
-in numpy arithmetic that reproduces ``SeedSequence`` and PCG64 seeding.  Either
-way a path is a pure function of its integer seed, with the same bits, and
-numpy's stream-compatibility policy pins them.  The hasher takes seeds in
+Random number generation uses numpy's PCG64: member i of a batch draws the
+stream of ``default_rng(seed + i)``, from one reused generator positioned at
+each member's start state, hashed for all members at once in numpy arithmetic
+that reproduces ``SeedSequence`` and PCG64 seeding (``sample_wiener`` and
+``sample_poisson`` draw one path from ``default_rng(seed)`` itself, with the
+same bits).  A path is a pure function of its integer seed, and numpy's
+stream-compatibility policy pins its bits.  The hasher takes seeds in
 [0, 2**128); the runner keeps run seeds in [0, 2**64) (``seed = N`` is checked
 by ``cli.parse_config``, ``--seed N`` by ``cli.main``), so every member seed
 stays inside it.  Coupled multi-resolution experiments generate the finest
 path once and coarsen it by summation, never by resampling.
 
-Monte Carlo work is batched without touching the seeding: a WienerPath may
-stack M paths, a PoissonPath may hold the jumps of M paths in one flat
-table, and the jump reductions (``jump_cell_counts``, ``poisson_integral``,
-``quadratic_mark_sum``) reduce a table in one pass over all its jumps.
+Noise is passed around as a ``NoiseBatch`` of M members, and a single path is
+a batch of one: a WienerPath stacks the increments (M, steps, d) of its
+paths, a PoissonPath holds the jumps of its M paths in one flat table, and
+the jump reductions (``jump_cell_counts``, ``poisson_integral``,
+``quadratic_mark_sum``) reduce a table in one pass over all its jumps, one
+row per member.
 
 Inside ``shared_draws()``, entered once by ``cli.run``, ``sample_noise_batch``
 and ``sample_jump_table`` draw each member at most once: they keep their
@@ -111,9 +114,8 @@ class TimeGrid:
 class WienerPath:
     """Realized increments of a Q-Wiener process on a grid.
 
-    increments[n, k] ~ Normal(0, dt * q_k), independent across n and k.  A
-    batch of M paths on one grid stacks them as increments[i, n, k]; member i
-    was drawn from seed + i.
+    increments[i, n, k] ~ Normal(0, dt * q_k) for path i of M, independent
+    across i, n and k; path i was drawn from seed + i.
     """
 
     grid: TimeGrid
@@ -122,16 +124,11 @@ class WienerPath:
     seed: int
 
     def __post_init__(self):
-        if (self.increments.ndim not in (2, 3)
-                or self.increments.shape[-2:] != (self.grid.steps, self.q.shape[0])):
+        if self.increments.shape[1:] != (self.grid.steps, self.q.shape[0]):
             raise ValueError(
                 f"increments shape {self.increments.shape} does not match "
-                f"{self.grid.steps} steps x {self.q.shape[0]} modes"
+                f"paths x {self.grid.steps} steps x {self.q.shape[0]} modes"
             )
-
-    @property
-    def modes(self) -> int:
-        return self.q.shape[0]
 
 
 def _covariance(q) -> np.ndarray:
@@ -144,11 +141,11 @@ def _covariance(q) -> np.ndarray:
 
 
 def sample_wiener(q, grid: TimeGrid, seed: int) -> WienerPath:
-    """Draw a Q-Wiener increment path; deterministic in (q, grid, seed)."""
+    """Draw one Q-Wiener increment path, increments (1, steps, d); deterministic in
+    (q, grid, seed)."""
     q = _covariance(q).copy()
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((grid.steps, q.shape[0]))
-    increments = z * np.sqrt(grid.dt * q)
+    increments = rng.standard_normal((1, grid.steps, q.shape[0])) * np.sqrt(grid.dt * q)
     q.setflags(write=False)
     increments.setflags(write=False)
     return WienerPath(grid, q, increments, int(seed))
@@ -158,13 +155,12 @@ def coarsen_wiener(path: WienerPath, factor: int) -> WienerPath:
     """Aggregate increments onto a grid coarsened by ``factor``.
 
     The coarse path is the same realization: increments sum exactly, so
-    coupled-resolution experiments share one underlying path.  A batch is
+    coupled-resolution experiments share one underlying path.  All paths are
     coarsened in one reshape-sum.  The parent seed is retained.
     """
     factor = int(factor)
     coarse = path.grid.coarsen(factor)
-    lead = path.increments.shape[:-2]
-    inc = path.increments.reshape(lead + (coarse.steps, factor, path.modes)).sum(axis=-2)
+    inc = path.increments.reshape(-1, coarse.steps, factor, path.q.shape[0]).sum(axis=2)
     inc.setflags(write=False)
     return WienerPath(coarse, path.q, inc, path.seed)
 
@@ -175,7 +171,7 @@ class PoissonPath:
 
     A table of M paths holds all their jumps in the same flat arrays: path i's
     jumps, in time order, are entries offsets[i]:offsets[i + 1], and path i
-    was drawn from seed + i.  A single path has no offsets.
+    was drawn from seed + i.
     """
 
     times: np.ndarray
@@ -183,7 +179,7 @@ class PoissonPath:
     horizon: float
     atom_count: int
     seed: int
-    offsets: np.ndarray | None = None
+    offsets: np.ndarray
 
     def __post_init__(self):
         if self.times.shape != self.marks.shape:
@@ -194,13 +190,8 @@ class PoissonPath:
         return int(self.times.shape[0])
 
     @property
-    def sizes(self) -> np.ndarray:
-        """The number of jumps of each path."""
-        return np.array([self.count]) if self.offsets is None else np.diff(self.offsets)
-
-    @property
     def members(self) -> int:
-        return 1 if self.offsets is None else self.offsets.shape[0] - 1
+        return self.offsets.shape[0] - 1
 
     def rows(self, start: int, stop: int) -> "PoissonPath":
         """The table of paths start..stop-1, sharing this table's arrays."""
@@ -214,7 +205,8 @@ class PoissonPath:
         first = paths[0]
         if any((p.horizon, p.atom_count) != (first.horizon, first.atom_count) for p in paths):
             raise ValueError("a table holds paths of one horizon and one mark space")
-        offsets = np.concatenate(([0], np.cumsum(np.concatenate([p.sizes for p in paths]))))
+        sizes = np.concatenate([np.diff(p.offsets) for p in paths])
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
         arrays = [np.concatenate([getattr(p, name) for p in paths]) for name in ("times", "marks")]
         for arr in (*arrays, offsets):
             arr.setflags(write=False)
@@ -258,9 +250,10 @@ def sample_poisson(marks: MarkSpace, horizon: float, seed: int) -> PoissonPath:
         idx = np.searchsorted(marks.atom_cdf, rng.random(count), side="right")
     else:
         idx = np.zeros(0, dtype=np.int64)
-    times.setflags(write=False)
-    idx.setflags(write=False)
-    return PoissonPath(times, idx, float(horizon), marks.atom_count, int(seed))
+    offsets = np.array([0, count])
+    for arr in (times, idx, offsets):
+        arr.setflags(write=False)
+    return PoissonPath(times, idx, float(horizon), marks.atom_count, int(seed), offsets)
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding, for many
@@ -338,8 +331,8 @@ def _member_generators(seeds: range):
 def sample_wiener_rows(q, grid: TimeGrid, seed: int, members: int) -> np.ndarray:
     """Stacked increments (members, steps, d) of the paths seed + i, drawn afresh.
 
-    Row i equals ``sample_wiener(q, grid, seed + i).increments``.  Unlike the
-    batch samplers it never keeps its draw in ``shared_draws``.
+    Row i is ``default_rng(seed + i).standard_normal((steps, d)) * sqrt(dt * q)``.
+    Unlike the batch samplers it never keeps its draw in ``shared_draws``.
     """
     q = _covariance(q)
     rows = np.empty((members, grid.steps, q.shape[0]))
@@ -376,8 +369,10 @@ def _draw_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int) 
         atoms = np.searchsorted(marks.atom_cdf, flat[jump + offsets[owner + 1]], side="right")
     else:
         atoms = np.zeros(0, dtype=np.int64)
-    for i in np.unique(owner[1:][(times[1:] == times[:-1]) & (owner[1:] == owner[:-1])]):
-        path = sample_poisson(marks, horizon, seed + int(i))
+    # the members with a tie, in order (np.unique would cost a slow first call)
+    tied = owner[1:][(times[1:] == times[:-1]) & (owner[1:] == owner[:-1])]
+    for i in sorted(set(tied.tolist())):
+        path = sample_poisson(marks, horizon, seed + i)
         times[offsets[i]:offsets[i + 1]] = path.times
         atoms[offsets[i]:offsets[i + 1]] = path.marks
     for arr in (times, atoms, offsets):
@@ -435,18 +430,44 @@ def sample_jump_table(marks: MarkSpace, horizon: float, seed: int, members: int)
 
 @dataclass(frozen=True, eq=False)
 class NoiseBatch:
-    """The noise of ``len(batch)`` members: stacked Wiener increments and one jump table."""
+    """The noise of ``len(batch)`` members: stacked Wiener increments and one jump table.
+
+    A single path is a batch of one.  A batch indexes and unpacks like the
+    pair (wiener, jumps).
+    """
 
     wiener: WienerPath
     jumps: PoissonPath
 
+    def __post_init__(self):
+        if self.wiener.increments.shape[0] != self.jumps.members:
+            raise ValueError(f"{self.wiener.increments.shape[0]} wiener paths but "
+                             f"{self.jumps.members} jump paths")
+
     def __len__(self) -> int:
         return self.jumps.members
+
+    def __getitem__(self, index):
+        return (self.wiener, self.jumps)[index]
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.wiener.grid
+
+    def coarsen(self, factor: int) -> "NoiseBatch":
+        """The same noise on the grid coarsened by ``factor`` (``coarsen_wiener``)."""
+        return NoiseBatch(coarsen_wiener(self.wiener, factor), self.jumps)
+
+    def rows(self, start: int, stop: int) -> "NoiseBatch":
+        """The batch of members start..stop-1, sharing this batch's arrays."""
+        w = self.wiener
+        return NoiseBatch(WienerPath(w.grid, w.q, w.increments[start:stop], w.seed + start),
+                          self.jumps.rows(start, stop))
 
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Per-cell jump counts (M, steps, J) on the batch's grid, binned once per batch."""
-        counts = jump_cell_counts(self.jumps, self.wiener.grid)
+        counts = jump_cell_counts(self.jumps, self.grid)
         counts.setflags(write=False)
         return counts
 
@@ -470,25 +491,26 @@ def _completed_jumps(path: PoissonPath, grid: TimeGrid, k: int) -> tuple:
     has completed the cells n < k.
     """
     cells = np.searchsorted(grid.times[1:-1], path.times, side="left")
-    owner = np.repeat(np.arange(path.members), path.sizes)
+    owner = np.repeat(np.arange(path.members), np.diff(path.offsets))
     active = cells < k
     return owner[active], cells[active], path.marks[active].astype(np.intp, copy=False)
 
 
 def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
-    """Per-cell, per-atom jump counts (steps, J); a jump at s lands in the cell (t_n, t_{n+1}] containing s.
-
-    For a table of M paths the counts are stacked to (M, steps, J).
-    """
+    """Per-path, per-cell, per-atom jump counts (M, steps, J); a jump at s lands
+    in the cell (t_n, t_{n+1}] containing s."""
     counts = np.zeros((path.members, grid.steps, path.atom_count))
     np.add.at(counts, _completed_jumps(path, grid, grid.steps), 1.0)
-    return counts[0] if path.offsets is None else counts
+    return counts
 
 
-def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = None) -> np.ndarray:
+def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = None,
+                        dim: int | None = None) -> np.ndarray:
+    """``arr`` as floats (steps, n, cols), n = ``dim`` and cols = ``columns`` if given."""
     arr = np.asarray(arr, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != grid.steps:
-        raise ValueError(f"{name} must have shape (steps, n, cols) with steps={grid.steps}, got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[0] != grid.steps or dim not in (None, arr.shape[1]):
+        raise ValueError(f"{name} must have shape (steps, n, cols) with steps={grid.steps}"
+                         f"{'' if dim is None else f', n={dim}'}, got {arr.shape}")
     if columns is not None and arr.shape[2] != columns:
         raise ValueError(f"{name} has {arr.shape[2]} columns, expected {columns}")
     return arr
@@ -501,8 +523,8 @@ def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
     The uncompensated value sums g over realized jumps (cell index, atom
     index) in time order; with ``compensated=True`` the exact cellwise
     compensator dt * sum_j m_j g[cell, :, j] is subtracted, which is
-    error-free for step integrands.  For a table of M paths the values are
-    returned as the rows of an (M, n) array.
+    error-free for step integrands.  The values of a table of M paths are the
+    rows of an (M, n) array.
     """
     g = _check_step_process(g, grid, "g", marks.atom_count)
     if path.atom_count != marks.atom_count:
@@ -513,7 +535,7 @@ def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
     np.add.at(out, owner, g[cells, :, atoms])
     if compensated and k > 0:
         out -= grid.dt * np.einsum("mnj,j->n", g[:k], marks.weight_array)
-    return out[0] if path.offsets is None else out
+    return out
 
 
 def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
@@ -523,8 +545,8 @@ def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
     Returns (sum over jumps of |D(cell, z_j)|_H^2,
              integral of |D(s, .)|_m^2 ds over completed cells); the two have
     equal expectation because the deterministic measure dt x m compensates
-    the jump measure.  For a table of M paths the jump sum is an array of M
-    values; the compensator does not depend on the path.
+    the jump measure.  The jump sum is an array of M values, one per path of
+    the table; the compensator does not depend on the path.
     """
     D = _check_step_process(D, grid, "D", marks.atom_count)
     k = grid.node_index(t)
@@ -533,7 +555,7 @@ def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
     jump_sq = np.zeros(path.members)
     np.add.at(jump_sq, owner, space.weight * np.einsum("jn,jn->j", cols, cols))
     comp = step_m_integral(D, marks, grid, t, space)
-    return (float(jump_sq[0]) if path.offsets is None else jump_sq), comp
+    return jump_sq, comp
 
 
 def step_q_integral(phi, q, grid: TimeGrid, t: float, space: HilbertSpace) -> float:

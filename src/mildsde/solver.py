@@ -2,7 +2,7 @@
 
 Three one-step maps share one stepper, ``step_ensemble``, which advances
 an ensemble of noise paths under schemes of one step size at once; ``solve``
-steps one path, an ensemble of one:
+steps one path, a ``NoiseBatch`` of one:
 
 * ``exp_euler``: exponential Euler, u_{n+1} = exp(-dt A)[u_n + increments],
   the direct discretization of the variation-of-constants form;
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, StiffnessWarning
 from .model import EquationSpec, MarkSpace, Nonlinearity
-from .noise import PoissonPath, TimeGrid, WienerPath, jump_cell_counts, quadratic_mark_sum
+from .noise import NoiseBatch, TimeGrid, _check_step_process, quadratic_mark_sum
 from .space import SpectralOperator
 
 __all__ = [
@@ -77,24 +77,29 @@ class Trajectory:
     ``integrability`` is the a posteriori pathwise integral of
     |F(u)| + |B(t, u)|_Q^2 + |G(t, u, .)|_m^2 over [0, T]; uniqueness
     experiments require it to be finite before a run may enter them.
-    ``cell_counts`` are the jump counts (steps, J) it was stepped with, if known.
     """
 
     grid: TimeGrid
     states: np.ndarray
     integrability: float
-    cell_counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.states.shape[0] != self.grid.steps + 1:
             raise ValueError("states must hold one row per grid node")
 
 
-def _validate_noise(spec: EquationSpec, noise, dt: float):
+def _one_path(noise: NoiseBatch) -> TimeGrid:
+    """The grid of ``noise``, a NoiseBatch of one (TypeError, ConfigurationError otherwise)."""
+    if not isinstance(noise, NoiseBatch):
+        raise TypeError(f"noise must be a NoiseBatch, got {type(noise).__name__}")
+    if len(noise) != 1:
+        raise ConfigurationError(f"a solve takes one noise path, not a batch of {len(noise)}")
+    return noise.grid
+
+
+def _validate_noise(spec: EquationSpec, noise: NoiseBatch, dt: float) -> TimeGrid:
+    grid = _one_path(noise)
     wiener, poisson = noise
-    grid = wiener.grid
-    if wiener.increments.ndim != 2:
-        raise ConfigurationError("a solve takes one wiener path, not a batch")
     if abs(grid.dt - dt) > _REL_TOL * max(dt, 1.0):
         raise ConfigurationError(f"wiener grid dt={grid.dt} does not match requested dt={dt}")
     if abs(grid.horizon - spec.T) > _REL_TOL * max(spec.T, 1.0):
@@ -105,7 +110,7 @@ def _validate_noise(spec: EquationSpec, noise, dt: float):
         raise ConfigurationError(f"poisson horizon {poisson.horizon} does not match T={spec.T}")
     if poisson.atom_count != spec.marks.atom_count:
         raise ConfigurationError("poisson path was sampled from a different mark space")
-    return wiener, poisson, grid
+    return grid
 
 
 def _linear_factors(A: SpectralOperator, scheme: str, dt: float) -> np.ndarray:
@@ -294,16 +299,13 @@ def _integrability(spec: EquationSpec, states: np.ndarray, dt: float) -> float:
     return float(dt * total.sum())
 
 
-def solve(spec: EquationSpec, noise, configs: tuple) -> tuple:
-    """One noise path stepped under each config (one dt and step form) by one
-    step_ensemble call, its jumps binned once; a Trajectory per config."""
-    wiener, poisson, grid = _validate_noise(spec, noise, configs[0].dt)
-    counts = jump_cell_counts(poisson, grid)
-    counts.setflags(write=False)
-    states = step_ensemble(spec, wiener.increments[None], counts[None], configs)[:, 0]
+def solve(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> tuple:
+    """One noise path (a NoiseBatch of one) stepped under each config (one dt and
+    step form) by one step_ensemble call; a Trajectory per config."""
+    grid = _validate_noise(spec, noise, configs[0].dt)
+    states = step_ensemble(spec, noise.wiener.increments, noise.cell_counts, configs)[:, 0]
     states.setflags(write=False)
-    return tuple(Trajectory(grid, s, _integrability(spec, s, configs[0].dt), counts)
-                 for s in states)
+    return tuple(Trajectory(grid, s, _integrability(spec, s, configs[0].dt)) for s in states)
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:
@@ -335,70 +337,61 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
 # ---------------------------------------------------------------------------
 
 
-def _as_linear_data(A: SpectralOperator, g, C, D, grid: TimeGrid, marks: MarkSpace):
+def _as_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace):
     for name, val in (("g", g), ("C", C), ("D", D)):
         if callable(val):
             raise TypeError(f"{name} must be a per-cell array; state-dependent "
                             "coefficients are not allowed for linear-data runs")
+    grid = noise.grid
     g = np.asarray(g, dtype=float)
-    C = np.asarray(C, dtype=float)
-    D = np.asarray(D, dtype=float)
-    n = A.dim
-    if g.shape != (grid.steps, n):
-        raise ValueError(f"g must have shape ({grid.steps}, {n}), got {g.shape}")
-    if C.ndim != 3 or C.shape[:2] != (grid.steps, n):
-        raise ValueError(f"C must have shape ({grid.steps}, {n}, d), got {C.shape}")
-    if D.shape != (grid.steps, n, marks.atom_count):
-        raise ValueError(
-            f"D must have shape ({grid.steps}, {n}, {marks.atom_count}), got {D.shape}")
-    return g, C, D
+    if g.shape != (grid.steps, A.dim):
+        raise ValueError(f"g must have shape ({grid.steps}, {A.dim}), got {g.shape}")
+    return (g, _check_step_process(C, grid, "C", noise.wiener.q.shape[0], A.dim),
+            _check_step_process(D, grid, "D", marks.atom_count, A.dim))
 
 
-def solve_linear_data(A: SpectralOperator, g, C, D, wiener: WienerPath,
-                      poisson: PoissonPath, marks: MarkSpace,
+def solve_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace,
                       scheme: str = "exp_euler") -> np.ndarray:
-    """Solve the linear-data equation from y(0) = 0; returns states (steps+1, n)."""
-    grid = wiener.grid
-    g, C, D = _as_linear_data(A, g, C, D, grid, marks)
-    if C.shape[2] != wiener.modes:
-        raise ValueError(f"C has {C.shape[2]} columns but the path has {wiener.modes} modes")
+    """Solve the linear-data equation on one noise path (a NoiseBatch of one) from
+    y(0) = 0; returns states (steps+1, n)."""
+    grid = _one_path(noise)
+    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
     factors = _linear_factors(A, scheme, grid.dt)
-    counts = jump_cell_counts(poisson, grid)
+    dW, counts = noise.wiener.increments[0], noise.cell_counts[0]
     mark_w = marks.weight_array
     dt = grid.dt
     y = np.zeros(A.dim)
     states = np.zeros((grid.steps + 1, A.dim))
     for n in range(grid.steps):
-        b = -dt * g[n] + C[n] @ wiener.increments[n] + D[n] @ counts[n] - dt * (D[n] @ mark_w)
+        b = -dt * g[n] + C[n] @ dW[n] + D[n] @ counts[n] - dt * (D[n] @ mark_w)
         y = A.synthesize(factors * A.coords(y + b))
         states[n + 1] = y
     return states
 
 
-def regularized_coupling_identity(A: SpectralOperator, g, C, D, noise, marks: MarkSpace,
+def regularized_coupling_identity(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace,
                                   epsilon: float, scheme: str = "exp_euler") -> float:
     """Residual of the exact discrete regularization identity.
 
     Solves the linear-data equation once with (g, C, D) giving y and once
-    with the resolvent-mollified data giving y_eps, on the same path and
-    scheme, and returns sup_n |y_eps(t_n) - (I + eps A)^{-1} y(t_n)|.  The
+    with the resolvent-mollified data giving y_eps, on the same path (a
+    NoiseBatch of one) and scheme, and returns
+    sup_n |y_eps(t_n) - (I + eps A)^{-1} y(t_n)|.  The
     identity is exact at the discrete level because the resolvent commutes
     with the diagonal one-step map, so the residual is floating-point noise.
     """
-    wiener, poisson = noise
-    grid = wiener.grid
-    g, C, D = _as_linear_data(A, g, C, D, grid, marks)
+    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
     J = A.resolvent_matrix(epsilon)
     g_eps = g @ J  # J is symmetric, so right-multiplication applies it rowwise
     C_eps = np.einsum("ij,mjd->mid", J, C)
     D_eps = np.einsum("ij,mjd->mid", J, D)
-    y = solve_linear_data(A, g, C, D, wiener, poisson, marks, scheme)
-    y_eps = solve_linear_data(A, g_eps, C_eps, D_eps, wiener, poisson, marks, scheme)
+    y = solve_linear_data(A, g, C, D, noise, marks, scheme)
+    y_eps = solve_linear_data(A, g_eps, C_eps, D_eps, noise, marks, scheme)
     gap = y_eps - y @ J
     return float(np.sqrt(A.space.sq_norms(gap)).max())
 
 
-def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> dict:
+def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace) -> dict:
     """Both sides of the discrete energy identity for the square of the norm.
 
     The path is stepped with plain explicit Euler (A is bounded here), for
@@ -413,30 +406,21 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     jump compensator agree with these only in expectation, which is the
     isometry/compensator identity tested elsewhere.
 
-    ``noise`` is one (WienerPath, PoissonPath) pair, or a batch of M paths
-    sharing the data (g, C, D): a WienerPath with increments (M, steps, d)
-    and a PoissonPath table of M paths.  All members are stepped together
-    and every term of a batch is an array of M values.
+    ``noise`` is a NoiseBatch of M paths sharing the data (g, C, D).  All
+    members are stepped together and every term is an array of M values.
     """
-    wiener, poisson = noise
-    grid = wiener.grid
-    g, C, D = _as_linear_data(A, g, C, D, grid, marks)
+    grid = noise.grid
+    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
     dt = grid.dt
     cap = dt * A.lambda_max
     if cap >= 2.0:
         raise ConfigurationError(
             f"explicit Euler unstable for the energy identity: dt*lam_max = {cap:.3g} >= 2")
-    single = poisson.offsets is None
-    jumps = PoissonPath.stack([poisson]) if single else poisson
-    dW = wiener.increments.reshape(-1, grid.steps, wiener.modes)         # (M, N, d)
-    if dW.shape[0] != jumps.members:
-        raise ValueError(f"{dW.shape[0]} wiener paths but {jumps.members} jump paths")
-    counts = jump_cell_counts(jumps, grid)                               # (M, N, J)
-    wiener_inc = np.einsum("nij,mnj->mni", C, dW)
-    jump_inc = np.einsum("nij,mnj->mni", D, counts) - dt * (D @ marks.weight_array)
+    wiener_inc = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
+    jump_inc = np.einsum("nij,mnj->mni", D, noise.cell_counts) - dt * (D @ marks.weight_array)
     drive = wiener_inc + jump_inc - dt * g
     Amat = A.matrix
-    y = np.zeros((jumps.members, grid.steps + 1, A.dim))                # y_0 = 0
+    y = np.zeros((len(noise), grid.steps + 1, A.dim))                   # y_0 = 0
     Ay = np.empty_like(drive)
     for n in range(grid.steps):
         Ay[:, n] = y[:, n] @ Amat.T
@@ -447,9 +431,9 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
     mart_wiener = 2.0 * w * np.einsum("mni,mni->m", left, wiener_inc)
     mart_jump = 2.0 * w * np.einsum("mni,mni->m", left, jump_inc)
     bracket_wiener = w * np.einsum("mni,mni->m", wiener_inc, wiener_inc)
-    jump_sq, _ = quadratic_mark_sum(D, jumps, marks, grid, grid.horizon, A.space)
+    jump_sq, _ = quadratic_mark_sum(D, noise.jumps, marks, grid, grid.horizon, A.space)
     final_sq = w * np.einsum("mi,mi->m", final, final)
-    terms = {
+    return {
         "lhs": final_sq + drift,
         "rhs": mart_wiener + mart_jump + bracket_wiener + jump_sq,
         "martingale_wiener": mart_wiener,
@@ -458,15 +442,10 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise, marks: MarkSpace) -> d
         "jump_square_sum": jump_sq,
         "final_sq_norm": final_sq,
     }
-    if single:
-        return {key: float(value[0]) for key, value in terms.items()}
-    return terms
 
 
-def ito_energy_residual(A: SpectralOperator, g, C, D, noise, marks: MarkSpace):
-    """Absolute discrepancy of the discrete energy identity at the horizon.
-
-    A float for one path, an array of M values for a batch (see ito_energy_terms).
-    """
+def ito_energy_residual(A: SpectralOperator, g, C, D, noise: NoiseBatch,
+                        marks: MarkSpace) -> np.ndarray:
+    """|lhs - rhs| of ito_energy_terms: the energy identity's defect per member of ``noise``."""
     terms = ito_energy_terms(A, g, C, D, noise, marks)
-    return abs(terms["lhs"] - terms["rhs"])
+    return np.abs(terms["lhs"] - terms["rhs"])

@@ -60,7 +60,7 @@ def write_report(report, destination) -> Path:
     """Serialize a report: one tab-separated row per record.
 
     Columns: experiment, record label, parameters, value, standard error,
-    verdict.  ``report`` must expose .name, .verdict and .records().
+    verdict.  ``report`` is an ``analysis.ExperimentReport``; .rows are its records.
     """
     lines = [
         "# mildsde report v1",
@@ -68,7 +68,7 @@ def write_report(report, destination) -> Path:
         f"# verdict: {report.verdict}",
         "# columns: experiment\trecord\tparams\tvalue\tstderr\tverdict",
     ]
-    for rec in report.records():
+    for rec in report.rows:
         lines.append(
             f"{report.name}\t{rec.label}\t{rec.params}\t{fmt(rec.value)}"
             f"\t{fmt(rec.stderr)}\t{rec.verdict}"
@@ -79,10 +79,10 @@ def write_report(report, destination) -> Path:
 def write_plot_data(report, directory) -> list:
     """Emit one (x, y, err) file per curve of a report; returns written paths.
 
-    ``report.curves()`` maps curve names to (x, y, err) arrays.
+    ``report.curve_map`` maps curve names to (x, y, err) arrays.
     """
     written = []
-    for curve, (x, y, err) in report.curves().items():
+    for curve, (x, y, err) in report.curve_map.items():
         lines = [
             "# mildsde plotdata v1",
             f"# experiment: {report.name}",

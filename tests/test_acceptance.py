@@ -36,7 +36,7 @@ def announce(number, name, ok, detail, elapsed, budget):
 
 def test_criterion_01_resolvent_yosida_algebra(config):
     report, elapsed = timed("resolvent_algebra", config)
-    values = {rec.label: rec.value for rec in report.records()}
+    values = {rec.label: rec.value for rec in report.rows}
     ok = (report.verdict == PASS
           and values["yosida_identity_dev"] <= 1e-9
           and values["resolvent_identity_dev"] <= 1e-9
@@ -74,7 +74,7 @@ def test_criterion_03_stochastic_isometries(config):
 
 def test_criterion_04_compensator_identity(config):
     report, elapsed = timed("compensator", config)
-    rec = report.records()[0]
+    rec = report.rows[0]
     ok = report.verdict == PASS and abs(rec.value) <= 3.0 * rec.stderr
     announce(4, "jump compensator identity", ok,
              f"mean difference {rec.value:.2e} within 3 x {rec.stderr:.2e}", elapsed, 30)
@@ -114,7 +114,7 @@ def test_criterion_07_uniqueness_coupling(config):
 
 def test_criterion_08_contraction_envelope(config):
     report, elapsed = timed("contraction", config)
-    per_time = [rec for rec in report.records() if rec.label == "mean_sq_gap"]
+    per_time = [rec for rec in report.rows if rec.label == "mean_sq_gap"]
     ok = (report.verdict == PASS and report.summary["margin"] >= 0.0
           and all(rec.verdict == PASS for rec in per_time))
     announce(8, "synchronous-coupling contraction", ok,

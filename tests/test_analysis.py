@@ -17,9 +17,9 @@ from mildsde.errors import ConfigurationError, HypothesisError
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity, check_dissipativity_triplet)
 from mildsde.cli import EXPERIMENTS, parse_config
-from mildsde.noise import (POISSON_SEED_OFFSET, TimeGrid, coarsen_wiener, poisson_integral,
-                           quadratic_mark_sum, sample_jump_table, sample_poisson, sample_wiener,
-                           shared_draws)
+from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, poisson_integral,
+                           quadratic_mark_sum, sample_jump_table, sample_noise_batch, sample_poisson,
+                           sample_wiener, shared_draws)
 from mildsde.solver import SchemeConfig, Trajectory, solve, solve_resolvent_implicit
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 from mildsde.textio import write_plot_data
@@ -81,7 +81,7 @@ class TestCouplingExperiment:
                             u0=np.array([30.0, -30.0]), T=1.0)
         report = coupling_uniqueness_experiment(spec, 1, [0.25, 0.125, 0.0625])
         assert np.all(np.isnan(report.summary["gaps"]))
-        assert report.curves() == {}
+        assert report.curve_map == {}
         assert write_plot_data(report, tmp_path) == []
         assert not (tmp_path / "coupling.gap_vs_dt.dat").exists()
 
@@ -89,7 +89,7 @@ class TestCouplingExperiment:
         # log2(0) = -inf: an exactly-zero sweep writes no curve rather than -inf rows
         report = coupling_uniqueness_experiment(cubic_spec, 3, DTS, ("exp_euler", "exp_euler"))
         assert np.all(report.summary["gaps"] == 0.0)
-        assert report.curves() == {}
+        assert report.curve_map == {}
         assert write_plot_data(report, tmp_path) == []
         assert list(tmp_path.iterdir()) == []
 
@@ -476,8 +476,8 @@ class TestEnsembleSeeding:
         grid = TimeGrid(spec.T, round(spec.T / dt))
         states = _solve_ensemble(spec, grid, dt, scheme, seed, members)
         for i in range(members):
-            noise = (sample_wiener(spec.B.q, grid, seed + i),
-                     sample_poisson(spec.marks, spec.T, seed + 2**31 + i))
+            noise = NoiseBatch(sample_wiener(spec.B.q, grid, seed + i),
+                               sample_poisson(spec.marks, spec.T, seed + 2**31 + i))
             single, = solve(spec, noise, (SchemeConfig(scheme, dt),))
             single = single.states
             assert np.abs(states[i] - single).max() <= 1e-12
@@ -487,10 +487,8 @@ class TestWeakResidual:
     def make_setup(self, dt=2.0**-7, spec=None):
         spec = spec if spec is not None else make_cubic_spec(n=9)
         grid = TimeGrid(spec.T, round(spec.T / dt))
-        wiener = sample_wiener(spec.B.q, grid, 3)
-        poisson = sample_poisson(spec.marks, spec.T, 3 + POISSON_SEED_OFFSET)
-        traj = solve_resolvent_implicit(spec, (wiener, poisson), dt)
-        return spec, traj, (wiener, poisson)
+        noise = sample_noise_batch(spec.B.q, spec.marks, grid, 3, 1)
+        return spec, solve_resolvent_implicit(spec, noise, dt), noise
 
     def test_matches_per_mode_recursion_defect(self):
         # oracle: the scalar one-step recursion is telescoped directly
@@ -498,16 +496,14 @@ class TestWeakResidual:
         dt = traj.grid.dt
         A = spec.A
         residual = weak_solution_residual(traj, spec, noise, epsilon=0.1, k_max=6)
-        wiener, poisson = noise
-        from mildsde.noise import jump_cell_counts
-        counts = jump_cell_counts(poisson, traj.grid)
+        dW, counts = noise.wiener.increments[0], noise.cell_counts[0]
         u_hat = A.coords(traj.states)
         b_hat = np.empty((traj.grid.steps, A.dim))
         for n in range(traj.grid.steps):
             u_n = traj.states[n]
             b_n = spec.B.base + np.outer(u_n, spec.B.state_scale)
             g_n = spec.G.base + np.outer(u_n, spec.G.state_scale)
-            inc = (b_n @ wiener.increments[n] + g_n @ counts[n]
+            inc = (b_n @ dW[n] + g_n @ counts[n]
                    - dt * (g_n @ spec.marks.weight_array))
             b_hat[n] = A.coords(-dt * spec.F(u_n) + inc)
         lam = A.eigenvalues
@@ -529,11 +525,10 @@ class TestWeakResidual:
                             u0=u0, T=0.5)
         dt = 2.0**-6
         grid = TimeGrid(0.5, round(0.5 / dt))
-        wiener = sample_wiener(spec.B.q, grid, 1)
-        poisson = sample_poisson(spec.marks, 0.5, 2)
-        traj, = solve(spec, (wiener, poisson), (SchemeConfig("exp_euler", dt),))
+        noise = NoiseBatch(sample_wiener(spec.B.q, grid, 1), sample_poisson(spec.marks, 0.5, 2))
+        traj, = solve(spec, noise, (SchemeConfig("exp_euler", dt),))
         eps = 0.1
-        residual = weak_solution_residual(traj, spec, (wiener, poisson), eps, k_max=n)
+        residual = weak_solution_residual(traj, spec, noise, eps, k_max=n)
         lam = A.eigenvalues
         u0_hat = A.coords(u0)
         left_sum = np.array([
@@ -555,12 +550,11 @@ class TestWeakResidual:
             weak_solution_residual(traj, spec, noise, k_max=spec.A.dim + 1)
         # and a mollification that is not positive, a trajectory without a
         # finite integrability, and a noise grid other than the trajectory's
-        wiener, poisson = noise
         unchecked = Trajectory(traj.grid, traj.states, math.inf)
         for args, message in (((traj, spec, noise, 0.0), "epsilon must be positive"),
                               ((traj, spec, noise, -0.1), "epsilon must be positive"),
                               ((unchecked, spec, noise), "integrability check$"),
-                              ((traj, spec, (coarsen_wiener(wiener, 2), poisson)),
+                              ((traj, spec, noise.coarsen(2)),
                                "does not match the trajectory grid$")):
             with pytest.raises(ValueError, match=message):
                 weak_solution_residual(*args)
@@ -660,7 +654,7 @@ class TestCheckExperiments:
         report = compensator_experiment(g, marks, grid, 1.0, 1, 5, space)
         assert report.summary["stderr"] == 0.0
         report = wiener_isometry_experiment(g, np.array([1.0, 0.25]), grid, 1.0, 1, 5, space)
-        assert report.records()[0].stderr == 0.0
+        assert report.rows[0].stderr == 0.0
 
     def test_blocked_jump_checks_equal_per_path_loops(self):
         # 1234 paths: two full blocks and a partial one
@@ -669,14 +663,14 @@ class TestCheckExperiments:
         marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
         g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
         paths = [sample_poisson(marks, 1.0, 5 + POISSON_SEED_OFFSET + i) for i in range(1234)]
-        values = np.array([poisson_integral(g, p, marks, grid, 0.75) for p in paths])
-        diffs = np.array([np.subtract(*quadratic_mark_sum(g, p, marks, grid, 0.75, space))
-                          for p in paths])
+        values = np.concatenate([poisson_integral(g, p, marks, grid, 0.75) for p in paths])
+        diffs = np.concatenate([np.subtract(*quadratic_mark_sum(g, p, marks, grid, 0.75, space))
+                                for p in paths])
         r1 = poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space)
-        assert r1.records()[0].value == space.sq_norms(values).mean()
-        assert r1.records()[3].value == values.sum(axis=1).mean()
+        assert r1.rows[0].value == space.sq_norms(values).mean()
+        assert r1.rows[3].value == values.sum(axis=1).mean()
         r2 = compensator_experiment(g, marks, grid, 0.75, 1234, 5, space)
-        assert r2.records()[0].value == pytest.approx(diffs.mean(), rel=1e-14, abs=0.0)
+        assert r2.rows[0].value == pytest.approx(diffs.mean(), rel=1e-14, abs=0.0)
         # the blocks are slices of one table: on the whole table, and inside a
         # run where compensator reads poisson_isometry's table, nothing moves
         table = sample_jump_table(marks, 1.0, 5, 1234)
@@ -687,14 +681,14 @@ class TestCheckExperiments:
             shared = (poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space),
                       compensator_experiment(g, marks, grid, 0.75, 1234, 5, space))
         for fresh, served in zip((r1, r2), shared):
-            assert [r.value for r in served.records()] == [r.value for r in fresh.records()]
+            assert [r.value for r in served.rows] == [r.value for r in fresh.rows]
 
     def test_acceptance_values_are_pinned(self):
         # configs/acceptance.cfg at its seed, as computed by per-path loops;
         # batching moves them by float reassociation only
         config = parse_config(ACCEPTANCE)
         energy = {(r.label, r.params): r.value
-                  for r in EXPERIMENTS["energy_identity"](config).records()}
+                  for r in EXPERIMENTS["energy_identity"](config).rows}
         expected = {("residual", "dt=0.0078125"): 0.10556700672391059,
                     ("residual", "dt=0.00390625"): 0.038116433678555967,
                     ("residual", "dt=0.001953125"): 0.017572670643388747,
@@ -703,9 +697,9 @@ class TestCheckExperiments:
         assert energy.keys() == expected.keys()
         for key, value in expected.items():
             assert energy[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-        compensator = EXPERIMENTS["compensator"](config).records()[0]
+        compensator = EXPERIMENTS["compensator"](config).rows[0]
         assert compensator.value == pytest.approx(0.0020247214670304999, rel=1e-12, abs=0.0)
-        isometry = EXPERIMENTS["poisson_isometry"](config).records()
+        isometry = EXPERIMENTS["poisson_isometry"](config).rows
         assert isometry[0].value == pytest.approx(0.9617596853428062, rel=1e-12, abs=0.0)
         assert isometry[3].value == pytest.approx(0.00047439017699545333, rel=1e-12, abs=0.0)
 
@@ -722,7 +716,7 @@ class TestReportSerialization:
     def test_stability_records_skip_undefined_times(self):
         spec1, spec2, _ = additive_pair(n=7)
         report = stability_estimate_experiment(spec1, spec2, 30, 3, dt=2.0**-6)
-        labels = [rec.label for rec in report.records()]
+        labels = [rec.label for rec in report.rows]
         assert labels.count("N") == int(np.isfinite(report.summary["n_values"]).sum())
 
     def test_contraction_records_carry_per_time_verdicts(self):
@@ -730,6 +724,6 @@ class TestReportSerialization:
                                alpha=0.8)
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, u0_b, 20, 3, dt=2.0**-6)
-        rows = [rec for rec in report.records() if rec.label == "mean_sq_gap"]
+        rows = [rec for rec in report.rows if rec.label == "mean_sq_gap"]
         assert len(rows) == report.summary["times"].size
         assert all(rec.verdict in (PASS, "FAIL") for rec in rows)

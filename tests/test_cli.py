@@ -385,8 +385,9 @@ class TestRun:
 
     def test_fine_path_steps_and_bins_each_path_once(self, tmp_path, monkeypatch):
         # coupling steps its scheme pair in one loop per dt (256 + ... + 4,096 =
-        # 7,936 steps), trotter_kato makes 7 solves of 4,096 steps, and
-        # weak_residual reuses coupling's reductions: no step loop, no binning
+        # 7,936 steps) and bins each dt's path once, trotter_kato makes 7 solves
+        # of 4,096 steps on one path binned once, and weak_residual reuses
+        # coupling's reductions: no step loop, no binning
         steps, binnings, current = {}, [], [None]
         originals = {"step_ensemble": solver.step_ensemble,
                      "jump_cell_counts": noise.jump_cell_counts}
@@ -419,7 +420,7 @@ class TestRun:
         assert sum(steps.values()) == 36_608
         assert steps.get("weak_residual", 0) == 0
         assert steps == {"coupling": 7_936, "trotter_kato": 7 * 4_096}
-        assert len(binnings) == 12 and "weak_residual" not in binnings
+        assert binnings == ["coupling"] * 5 + ["trotter_kato"]
 
     def test_weak_residual_alone_writes_the_bytes_of_the_full_run(self, tmp_path):
         # without coupling before it, weak_residual solves its own path (the
@@ -433,6 +434,25 @@ class TestRun:
                    for p in tmp_path.iterdir() if p.name.startswith("weak_residual")}
         assert written and written == {name: digest for name, digest in recorded.items()
                                        if name.startswith("weak_residual")}
+
+    def test_an_ensemble_drawn_first_leaves_the_single_path_bytes(self, tmp_path, draw_counts):
+        # contraction draws 3 members on coupling's finest grid at the run seed;
+        # coupling and weak_residual are then served member 0 from the run memo
+        # and must write the recorded bytes of a run without the ensemble
+        recorded = dict(line.split()[::-1] for line in
+                        (Path(__file__).parent / "fine-path.sha256").read_text().splitlines())
+        text = (BENCH_DIR / "fine-path.cfg").read_text() + (
+            "\n[experiment.contraction]\nf_coeffs = 0 1\nensemble = 3\n"
+            "dt = 0.00006103515625\nu0_b = zeros\n")
+        cfg = replace(parse_config(write_cfg(tmp_path, text)), output_dir=tmp_path / "out",
+                      experiments=("contraction", "coupling", "weak_residual"))
+        assert run(cfg) == 0
+        assert draw_counts == {"wiener": 3, "poisson": 3}
+        single = ("coupling", "weak_residual")
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").iterdir() if p.name.startswith(single)}
+        assert written and written == {name: digest for name, digest in recorded.items()
+                                       if name.startswith(single)}
 
     def test_coupled_experiments_draw_one_batch(self, tmp_path, draw_counts):
         text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment",
@@ -812,6 +832,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert ("[experiment.coupling] dts (from [experiment] dt_list): dt=0.1 does not divide"
                 in err)
+
+    @pytest.mark.parametrize("section, key, value, at_bound, message", [
+        ("experiment.contraction", "dt", "1e-12", "9.5367431640625e-07",
+         "dt=1e-12 takes 1e+12 steps over the horizon T=1.0, more than MAX_STEPS = 1048576"),
+        ("experiment.wiener_isometry", "steps", "1048577", "1048576",
+         "must be <= 1048576, got 1048577"),
+    ], ids=["contraction-dt", "isometry-steps"])
+    def test_more_steps_than_the_bound_exits_2(self, tmp_path, capsys, section, key, value,
+                                               at_bound, message):
+        # 2**20 steps per horizon parse; one step more is refused before any run
+        acceptance = (CONFIG_DIR / "acceptance.cfg").read_text()
+        assert analysis.MAX_STEPS == 2**20
+        parse_config(write_cfg(tmp_path, set_key(acceptance, section, key, at_bound), "at.cfg"))
+        text = set_key(acceptance, section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("experiment", "seed", "abc"),

@@ -6,12 +6,24 @@ import pytest
 
 from mildsde.model import MarkSpace
 from mildsde import noise
-from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
+from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, WienerPath,
                            _resolve_time_ties, coarsen_wiener, jump_cell_counts,
                            poisson_integral, quadratic_mark_sum, sample_jump_table,
                            sample_noise_batch, sample_poisson, sample_wiener,
                            sample_wiener_rows, shared_draws, step_m_integral, step_q_integral)
 from mildsde.space import HilbertSpace
+
+
+def _one_path_table(times, marks, horizon=1.0, atom_count=2):
+    """A PoissonPath of one path with the given jumps."""
+    times, marks = np.asarray(times, dtype=float), np.asarray(marks, dtype=np.int64)
+    return PoissonPath(times, marks, horizon, atom_count, 0, np.array([0, times.size]))
+
+
+def _wiener_oracle(q, grid, seed):
+    """Increments (steps, d) of the stream default_rng(seed), drawn inline."""
+    z = np.random.default_rng(seed).standard_normal((grid.steps, len(q)))
+    return z * np.sqrt(grid.dt * np.asarray(q, dtype=float))
 
 
 class TestTimeGrid:
@@ -61,7 +73,7 @@ class TestWienerSampling:
         # q = 2 and dt = 0.01 so the variance target is 0.02
         grid = TimeGrid(0.01, 1)
         q = np.array([2.0])
-        draws = np.array([sample_wiener(q, grid, seed=s).increments[0, 0]
+        draws = np.array([sample_wiener(q, grid, seed=s).increments[0, 0, 0]
                           for s in range(100_000)])
         se_mean = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean()) < 3 * se_mean
@@ -76,8 +88,8 @@ class TestWienerSampling:
     def test_coarsen_sums_increments(self):
         fine = sample_wiener(np.array([1.0, 0.5]), TimeGrid(1.0, 32), seed=5)
         coarse = coarsen_wiener(fine, 4)
-        assert coarse.grid.steps == 8
-        manual = fine.increments.reshape(8, 4, 2).sum(axis=1)
+        assert coarse.grid.steps == 8 and coarse.increments.shape == (1, 8, 2)
+        manual = fine.increments.reshape(1, 8, 4, 2).sum(axis=2)
         assert np.array_equal(coarse.increments, manual)
         with pytest.raises(ValueError):
             coarsen_wiener(fine, 5)
@@ -85,11 +97,19 @@ class TestWienerSampling:
     def test_batch_coarsens_and_accumulates_like_its_members(self):
         grid = TimeGrid(1.0, 32)
         members = [sample_wiener(np.array([1.0, 0.5]), grid, seed=s) for s in (5, 6, 7)]
-        batch = WienerPath(grid, members[0].q, np.stack([w.increments for w in members]), 5)
+        batch = WienerPath(grid, members[0].q, np.concatenate([w.increments for w in members]), 5)
         coarse = coarsen_wiener(batch, 4)
         assert coarse.increments.shape == (3, 8, 2)
         for i, w in enumerate(members):
-            assert np.array_equal(coarse.increments[i], coarsen_wiener(w, 4).increments)
+            assert np.array_equal(coarse.increments[i], coarsen_wiener(w, 4).increments[0])
+
+    def test_increments_are_one_row_per_path(self):
+        grid = TimeGrid(1.0, 4)
+        path = sample_wiener(np.array([1.0, 0.5]), grid, seed=3)
+        assert path.increments.shape == (1, 4, 2)
+        assert np.array_equal(path.increments[0], _wiener_oracle([1.0, 0.5], grid, 3))
+        with pytest.raises(ValueError, match="paths x 4 steps x 2 modes"):
+            WienerPath(grid, path.q, path.increments[0], 3)
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +209,9 @@ class TestPoissonSampling:
 
 
 def _wiener_integral(phi, path: WienerPath, k: int) -> np.ndarray:
-    """Integral of a grid step process against the increments up to node k."""
-    return np.einsum("mnd,md->n", phi[:k], path.increments[:k])
+    """Integral of a grid step process against the increments of a one-path
+    WienerPath up to node k."""
+    return np.einsum("mnd,md->n", phi[:k], path.increments[0, :k])
 
 
 class TestItoIntegral:
@@ -249,8 +270,9 @@ class TestPoissonIntegral:
         g[:, 0, 0] = 1.0
         g[:, 1, 1] = 1.0
         out = poisson_integral(g, path, self.marks, self.grid, 1.0, compensated=False)
-        assert out[0] == np.sum(path.marks == 0)
-        assert out[1] == np.sum(path.marks == 1)
+        assert out.shape == (1, 4)
+        assert out[0, 0] == np.sum(path.marks == 0)
+        assert out[0, 1] == np.sum(path.marks == 1)
 
     def test_compensated_mean_is_zero(self):
         g = 0.5 * np.random.default_rng(2).standard_normal((8, 4, 2))
@@ -267,7 +289,7 @@ class TestPoissonIntegral:
         sq = np.empty(10_000)
         for s in range(10_000):
             path = sample_poisson(self.marks, 1.0, seed=s)
-            sq[s] = self.space.sq_norms(poisson_integral(g, path, self.marks, self.grid, 1.0))
+            sq[s], = self.space.sq_norms(poisson_integral(g, path, self.marks, self.grid, 1.0))
         exact = step_m_integral(g, self.marks, self.grid, 1.0, self.space)
         assert abs(sq.mean() - exact) / exact < 0.05
 
@@ -292,11 +314,11 @@ class TestPoissonIntegral:
                 if s <= t:
                     expected += g[int(np.ceil(s / 0.125)) - 1, :, j]
             got = poisson_integral(g, path, self.marks, self.grid, t, compensated=False)
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got, expected[None])
 
     def test_batch_equals_single_paths_exactly(self):
         g = np.random.default_rng(4).standard_normal((8, 4, 2))
-        empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
+        empty = _one_path_table([], [])
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
         for t in (0.5, 1.0):
             for compensated in (True, False):
@@ -305,7 +327,7 @@ class TestPoissonIntegral:
                 assert batch.shape == (21, 4)
                 for row, path in zip(batch, paths):
                     single = poisson_integral(g, path, self.marks, self.grid, t, compensated)
-                    assert np.array_equal(row, single)
+                    assert np.array_equal(row[None], single)
 
 
 class TestQuadraticMarkSum:
@@ -315,10 +337,10 @@ class TestQuadraticMarkSum:
         self.space = HilbertSpace(3, 1.0)
 
     def test_no_jumps(self):
-        empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
+        empty = _one_path_table([], [])
         D = np.random.default_rng(0).standard_normal((8, 3, 2))
         jump_sq, comp = quadratic_mark_sum(D, empty, self.marks, self.grid, 1.0, self.space)
-        assert jump_sq == 0.0
+        assert np.array_equal(jump_sq, [0.0])
         assert comp == pytest.approx(step_m_integral(D, self.marks, self.grid, 1.0, self.space))
 
     def test_unit_magnitude_compensator(self):
@@ -331,7 +353,7 @@ class TestQuadraticMarkSum:
 
     def test_batch_matches_a_per_jump_reference(self):
         D = np.random.default_rng(3).standard_normal((8, 3, 2))
-        empty = PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 1.0, 2, seed=0)
+        empty = _one_path_table([], [])
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
         for t in (0.5, 1.0):
             batch, comp = quadratic_mark_sum(D, PoissonPath.stack(paths), self.marks, self.grid, t,
@@ -346,7 +368,7 @@ class TestQuadraticMarkSum:
                 assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
                 single, single_comp = quadratic_mark_sum(D, path, self.marks, self.grid, t,
                                                          self.space)
-                assert single == value and single_comp == comp
+                assert np.array_equal(single, [value]) and single_comp == comp
 
     def test_expectation_identity(self):
         D = 0.6 * np.random.default_rng(2).standard_normal((8, 3, 2))
@@ -354,7 +376,7 @@ class TestQuadraticMarkSum:
         for s in range(10_000):
             path = sample_poisson(self.marks, 1.0, seed=s)
             jump_sq, comp = quadratic_mark_sum(D, path, self.marks, self.grid, 1.0, self.space)
-            diffs[s] = jump_sq - comp
+            diffs[s], = jump_sq - comp
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
         assert abs(diffs.mean()) < 3 * se
 
@@ -363,8 +385,8 @@ class TestJumpBinning:
     def test_cells_are_left_open_right_closed(self):
         grid = TimeGrid(1.0, 4)
         # a jump exactly at a node belongs to the cell ending there
-        path = PoissonPath(np.array([0.25, 0.3, 1.0]), np.array([0, 1, 0]), 1.0, 2, seed=0)
-        counts = jump_cell_counts(path, grid)
+        path = _one_path_table([0.25, 0.3, 1.0], [0, 1, 0])
+        counts = jump_cell_counts(path, grid)[0]
         assert counts[0, 0] == 1.0   # t = 0.25 -> cell (0, 0.25]
         assert counts[1, 1] == 1.0   # t = 0.30 -> cell (0.25, 0.5]
         assert counts[3, 0] == 1.0   # t = 1.0  -> cell (0.75, 1.0]
@@ -379,7 +401,7 @@ class TestJumpBinning:
         marks = MarkSpace((0.0, 1.0), (3.0, 1.0))
         grid = TimeGrid(1.0, 16)
         paths = [sample_poisson(marks, 1.0, seed=s) for s in range(5)]
-        expected = np.stack([jump_cell_counts(p, grid) for p in paths])
+        expected = np.concatenate([jump_cell_counts(p, grid) for p in paths])
         assert np.array_equal(jump_cell_counts(PoissonPath.stack(paths), grid), expected)
 
     def test_batch_bins_its_table_once(self):
@@ -389,6 +411,32 @@ class TestJumpBinning:
         assert np.array_equal(counts, jump_cell_counts(batch.jumps, TimeGrid(1.0, 16)))
         assert counts.shape == (4, 16, 2) and not counts.flags.writeable
         assert batch.cell_counts is counts
+
+
+class TestNoiseBatch:
+    marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+    q = np.array([1.0, 0.25])
+    grid = TimeGrid(1.0, 16)
+
+    def test_unpacks_like_the_pair_and_counts_members(self):
+        batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 4)
+        wiener, jumps = batch
+        assert (wiener, jumps) == (batch[0], batch[1]) == (batch.wiener, batch.jumps)
+        assert len(batch) == 4 and batch.grid is self.grid
+
+    def test_rows_and_coarsen_keep_the_member_noise(self):
+        batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 4)
+        row = batch.rows(2, 3)
+        assert len(row) == 1 and row.wiener.seed == 5 and row.jumps.seed == batch.jumps.seed + 2
+        assert np.array_equal(row.cell_counts, batch.cell_counts[2:3])
+        coarse = batch.coarsen(4)
+        assert coarse.grid.steps == 4 and coarse.jumps is batch.jumps
+        assert np.array_equal(coarse.cell_counts, batch.cell_counts.reshape(4, 4, 4, 2).sum(axis=2))
+
+    def test_refuses_unequal_member_counts(self):
+        batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 4)
+        with pytest.raises(ValueError, match="4 wiener paths but 2 jump paths"):
+            NoiseBatch(batch.wiener, batch.jumps.rows(0, 2))
 
 
 class TestSharedDraws:
@@ -418,8 +466,7 @@ class TestSharedDraws:
         batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 6)
         assert len(batch) == 6 and batch.wiener.increments.shape == (6, 16, 2)
         for i in range(6):
-            wiener = sample_wiener(self.q, self.grid, 3 + i)
-            assert np.array_equal(batch.wiener.increments[i], wiener.increments)
+            assert np.array_equal(batch.wiener.increments[i], _wiener_oracle(self.q, self.grid, 3 + i))
         assert self._same_table(batch.jumps, sample_jump_table(self.marks, 1.0, 3, 6))
         with pytest.raises(ValueError):
             sample_noise_batch(self.q, self.marks, self.grid, 3, 0)
@@ -506,7 +553,7 @@ class TestBatchSeeding:
 
     def test_wiener_rows_equal_single_paths(self):
         rows = sample_wiener_rows(self.q, self.grid, 17, 6)
-        single = np.stack([sample_wiener(self.q, self.grid, 17 + i).increments for i in range(6)])
+        single = np.stack([_wiener_oracle(self.q, self.grid, 17 + i) for i in range(6)])
         assert rows.shape == (6, 8, 3) and rows.tobytes() == single.tobytes()
         with pytest.raises(ValueError):
             sample_wiener_rows(-self.q, self.grid, 17, 2)

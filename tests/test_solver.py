@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from mildsde.errors import BlowUpError, ConfigurationError, StiffnessWarning
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity)
-from mildsde.noise import (POISSON_SEED_OFFSET, PoissonPath, TimeGrid, WienerPath,
-                           coarsen_wiener, quadratic_mark_sum, sample_poisson, sample_wiener)
+from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, WienerPath,
+                           coarsen_wiener, quadratic_mark_sum, sample_noise_batch, sample_poisson,
+                           sample_wiener)
 from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, _propagator, ito_energy_residual,
                             ito_energy_terms, regularized_coupling_identity, solve,
                             solve_exp_euler, solve_linear_data, solve_resolvent_implicit,
@@ -29,10 +30,8 @@ def noise_free_spec(A, u0, T=0.5):
 
 
 def noise_for(spec, dt, seed=0):
-    grid = TimeGrid(spec.T, round(spec.T / dt))
-    wiener = sample_wiener(spec.B.q, grid, seed)
-    poisson = sample_poisson(spec.marks, spec.T, seed + POISSON_SEED_OFFSET)
-    return wiener, poisson
+    """Ensemble member 0 of the run seed ``seed``, a NoiseBatch of one."""
+    return sample_noise_batch(spec.B.q, spec.marks, TimeGrid(spec.T, round(spec.T / dt)), seed, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +329,7 @@ class TestGroupedSteps:
                           (b, solve_resolvent_implicit(spec, noise, dt))):
             assert np.array_equal(got.states.view(np.int64), want.states.view(np.int64))
             assert got.integrability == want.integrability
-            assert np.array_equal(got.cell_counts, want.cell_counts)
-        assert a.cell_counts is b.cell_counts and not a.states.flags.writeable
+        assert not a.states.flags.writeable
 
     @pytest.mark.parametrize("configs", [
         (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("yosida_explicit", 2.0**-12, 0.1)),
@@ -422,9 +420,9 @@ class TestExpEuler:
         spec = EquationSpec(A=A, F=Nonlinearity.zero(),
                             B=DiffusionCoefficient.constant(np.ones((1, 1)), np.array([1.0])),
                             G=JumpCoefficient.zero(1), u0=np.array([0.7]), T=1.0)
-        wiener, poisson = noise_for(spec, 2.0**-6, seed=11)
-        traj = solve_exp_euler(spec, (wiener, poisson), 2.0**-6)
-        w = np.concatenate(([0.0], np.cumsum(wiener.increments[:, 0])))
+        noise = noise_for(spec, 2.0**-6, seed=11)
+        traj = solve_exp_euler(spec, noise, 2.0**-6)
+        w = np.concatenate(([0.0], np.cumsum(noise.wiener.increments[0, :, 0])))
         assert np.allclose(traj.states[:, 0], 0.7 + w, atol=1e-14)
 
     def test_strong_order_on_linear_equation(self):
@@ -444,7 +442,7 @@ class TestExpEuler:
         poisson = sample_poisson(spec.marks, T, seed=99)
         members = 64
         paths = [sample_wiener(spec.B.q, fine_grid, seed=s) for s in range(members)]
-        refs = [np.exp(-a * T) + b * np.sum(kernel_fine * p.increments[:, 0]) for p in paths]
+        refs = [np.exp(-a * T) + b * np.sum(kernel_fine * p.increments[0, :, 0]) for p in paths]
         dts = [2.0**-j for j in range(5, 9)]
         for scheme in ("exp_euler", "resolvent_implicit"):
             scales, rms = [], []
@@ -463,7 +461,7 @@ class TestExpEuler:
                 scales.append(np.sqrt(var + det**2))
                 sq = 0.0
                 for path, ref in zip(paths, refs):
-                    traj, = solve(spec, (coarsen_wiener(path, fac), poisson),
+                    traj, = solve(spec, NoiseBatch(coarsen_wiener(path, fac), poisson),
                                   (SchemeConfig(scheme, dt),))
                     sq += (traj.states[-1, 0] - ref) ** 2
                 rms.append(np.sqrt(sq / members))
@@ -593,18 +591,28 @@ class TestTrajectoryContracts:
 
     def test_noise_validation(self):
         spec = make_cubic_spec(n=9)
-        wiener, poisson = noise_for(spec, 2.0**-5)
+        noise = noise_for(spec, 2.0**-5)
+        wiener, poisson = noise
         with pytest.raises(ConfigurationError):
-            solve_exp_euler(spec, (wiener, poisson), 2.0**-6)  # dt mismatch
+            solve_exp_euler(spec, noise, 2.0**-6)  # dt mismatch
         bad_q = sample_wiener(np.array([1.0, 1.0]), wiener.grid, 0)
         with pytest.raises(ConfigurationError):
-            solve_exp_euler(spec, (bad_q, poisson), 2.0**-5)
+            solve_exp_euler(spec, NoiseBatch(bad_q, poisson), 2.0**-5)
         short = sample_poisson(spec.marks, 2 * spec.T, 0)
         with pytest.raises(ConfigurationError):
-            solve_exp_euler(spec, (wiener, short), 2.0**-5)
-        batch = WienerPath(wiener.grid, wiener.q, wiener.increments[None], wiener.seed)
-        with pytest.raises(ConfigurationError):
-            solve_exp_euler(spec, (batch, poisson), 2.0**-5)
+            solve_exp_euler(spec, NoiseBatch(wiener, short), 2.0**-5)
+
+    def test_solve_refuses_a_batch_of_several_paths(self):
+        spec = make_cubic_spec(n=9)
+        batch = sample_noise_batch(spec.B.q, spec.marks, TimeGrid(spec.T, 8), 0, 2)
+        with pytest.raises(ConfigurationError, match="one noise path, not a batch of 2"):
+            solve(spec, batch, (SchemeConfig("exp_euler", spec.T / 8),))
+        zeros = np.zeros((8, 9, 2))
+        with pytest.raises(ConfigurationError, match="one noise path, not a batch of 2"):
+            solve_linear_data(spec.A, np.zeros((8, 9)), zeros, zeros, batch, spec.marks)
+        # the (wiener, jumps) pair a batch unpacks to is not itself a batch of two
+        with pytest.raises(TypeError, match="must be a NoiseBatch, got tuple"):
+            solve(spec, tuple(batch.rows(0, 1)), (SchemeConfig("exp_euler", spec.T / 8),))
 
     def test_cross_scheme_gap_shrinks_linearly(self):
         # window chosen so dt*lam stays below one for the loaded modes; the
@@ -617,8 +625,8 @@ class TestTrajectoryContracts:
         for j in (7, 8, 9, 10):
             dt = 2.0**-j
             wiener = coarsen_wiener(fine, round(dt / fine_dt))
-            a = solve_exp_euler(spec, (wiener, poisson), dt)
-            b = solve_resolvent_implicit(spec, (wiener, poisson), dt)
+            a = solve_exp_euler(spec, NoiseBatch(wiener, poisson), dt)
+            b = solve_resolvent_implicit(spec, NoiseBatch(wiener, poisson), dt)
             gaps.append(np.sqrt(spec.space.sq_norms(a.states - b.states)).max())
             dts.append(dt)
         slope = np.polyfit(np.log2(dts), np.log2(gaps), 1)[0]
@@ -641,8 +649,7 @@ class TestRegularizedCouplingIdentity:
         self.grid = TimeGrid(0.25, 16)
 
     def _noise(self, seed):
-        return (sample_wiener(self.q, self.grid, seed),
-                sample_poisson(self.marks, 0.25, seed + POISSON_SEED_OFFSET))
+        return sample_noise_batch(self.q, self.marks, self.grid, seed, 1)
 
     def test_zero_data_gives_zero_residual(self):
         g = np.zeros((16, 8))
@@ -667,7 +674,7 @@ class TestRegularizedCouplingIdentity:
         g, C, D = linear_test_data(n=3, steps=16, d=1, seed=3)
         wiener = sample_wiener(np.array([1.0]), grid, 4)
         poisson = sample_poisson(marks, 0.5, 5)
-        y = solve_linear_data(A, g, C, D, wiener, poisson, marks)
+        y = solve_linear_data(A, g, C, D, NoiseBatch(wiener, poisson), marks)
         gaps, epsilons = [], []
         for j in range(3, 9):
             eps = 2.0**-j
@@ -691,15 +698,14 @@ class TestItoEnergyIdentity:
         self.q = np.array([1.0, 0.5])
 
     def _noise(self, steps, seed=7, T=0.5):
-        grid = TimeGrid(T, steps)
-        return (sample_wiener(self.q, grid, seed),
-                sample_poisson(self.marks, T, seed + POISSON_SEED_OFFSET))
+        return sample_noise_batch(self.q, self.marks, TimeGrid(T, steps), seed, 1)
 
     def test_zero_data_zero_residual(self):
         g = np.zeros((64, 5))
         C = np.zeros((64, 5, 2))
         D = np.zeros((64, 5, 2))
-        assert ito_energy_residual(self.A, g, C, D, self._noise(64), self.marks) == 0.0
+        assert np.array_equal(ito_energy_residual(self.A, g, C, D, self._noise(64), self.marks),
+                              [0.0])
 
     def test_deterministic_case_matches_quadrature_oracle(self):
         # with C = D = 0 the telescoped defect is exactly sum dt^2 |A y + g|^2
@@ -709,7 +715,7 @@ class TestItoEnergyIdentity:
         g = rng.standard_normal((steps, 5))
         C = np.zeros((steps, 5, 2))
         D = np.zeros((steps, 5, 2))
-        res = ito_energy_residual(self.A, g, C, D, self._noise(steps), self.marks)
+        res, = ito_energy_residual(self.A, g, C, D, self._noise(steps), self.marks)
         y = np.zeros(5)
         oracle = 0.0
         w = self.A.space.weight
@@ -729,7 +735,7 @@ class TestItoEnergyIdentity:
             g = np.repeat(g_coarse, steps // 16, axis=0)
             C = np.zeros((steps, 5, 2))
             D = np.zeros((steps, 5, 2))
-            residuals.append(ito_energy_residual(self.A, g, C, D,
+            residuals.extend(ito_energy_residual(self.A, g, C, D,
                                                  self._noise(steps), self.marks))
             dts.append(dt)
         slope = np.polyfit(np.log2(dts), np.log2(residuals), 1)[0]
@@ -745,7 +751,7 @@ class TestItoEnergyIdentity:
         terms = ito_energy_terms(self.A, g, C, D, noise, self.marks)
         jump_sq, _ = quadratic_mark_sum(D, noise[1], self.marks, noise[0].grid, 0.5,
                                         self.A.space)
-        assert terms["jump_square_sum"] == jump_sq
+        assert np.array_equal(terms["jump_square_sum"], jump_sq)
 
     def _reference_terms(self, g, C, D, wiener, poisson):
         # per-path, per-step accumulation of every term of the identity
@@ -758,7 +764,7 @@ class TestItoEnergyIdentity:
         y = np.zeros(A.dim)
         lhs_drift = mart_w = mart_j = bracket = 0.0
         for n in range(grid.steps):
-            w_inc = C[n] @ wiener.increments[n]
+            w_inc = C[n] @ wiener.increments[0, n]
             j_inc = D[n] @ counts[n] - dt * (D[n] @ self.marks.weight_array)
             lhs_drift += 2.0 * dt * w * (float(A.apply(y) @ y) + float(g[n] @ y))
             mart_w += 2.0 * w * float(y @ w_inc)
@@ -782,31 +788,30 @@ class TestItoEnergyIdentity:
         grid = TimeGrid(0.5, steps)
         wieners = [sample_wiener(self.q, grid, s) for s in (1, 2, 3)]
         poissons = [sample_poisson(self.marks, 0.5, s + POISSON_SEED_OFFSET) for s in (1, 2)]
-        poissons.append(PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 0.5, 2, seed=0))
+        poissons.append(PoissonPath(np.zeros(0), np.zeros(0, dtype=np.int64), 0.5, 2, 0,
+                                    np.array([0, 0])))
         assert min(p.count for p in poissons[:2]) > 0
-        batch = WienerPath(grid, wieners[0].q, np.stack([w.increments for w in wieners]), 1)
-        table = PoissonPath.stack(poissons)
-        terms = ito_energy_terms(self.A, g, C, D, (batch, table), self.marks)
+        batch = NoiseBatch(WienerPath(grid, wieners[0].q,
+                                      np.concatenate([w.increments for w in wieners]), 1),
+                           PoissonPath.stack(poissons))
+        terms = ito_energy_terms(self.A, g, C, D, batch, self.marks)
         for i, (wiener, poisson) in enumerate(zip(wieners, poissons)):
             expected = self._reference_terms(g, C, D, wiener, poisson)
-            single = ito_energy_terms(self.A, g, C, D, (wiener, poisson), self.marks)
+            single = ito_energy_terms(self.A, g, C, D, NoiseBatch(wiener, poisson), self.marks)
             assert single.keys() == expected.keys() == terms.keys()
             for key, value in expected.items():
                 assert terms[key][i] == pytest.approx(value, rel=1e-12, abs=0.0), key
-                assert single[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+                assert single[key][0] == pytest.approx(value, rel=1e-12, abs=0.0), key
         assert terms["jump_square_sum"][2] == 0.0
-        residuals = ito_energy_residual(self.A, g, C, D, (batch, table), self.marks)
+        residuals = ito_energy_residual(self.A, g, C, D, batch, self.marks)
         assert np.array_equal(residuals, np.abs(terms["lhs"] - terms["rhs"]))
 
     def test_batch_needs_one_jump_path_per_member(self):
         grid = TimeGrid(0.5, 16)
         w = sample_wiener(self.q, grid, 1)
-        batch = WienerPath(grid, w.q, np.stack([w.increments, w.increments]), 1)
-        zeros = np.zeros((16, 5, 2))
-        with pytest.raises(ValueError):
-            ito_energy_terms(self.A, np.zeros((16, 5)), zeros, zeros,
-                             (batch, PoissonPath.stack([sample_poisson(self.marks, 0.5, 2)])),
-                             self.marks)
+        batch = WienerPath(grid, w.q, np.concatenate([w.increments, w.increments]), 1)
+        with pytest.raises(ValueError, match="2 wiener paths but 1 jump paths"):
+            NoiseBatch(batch, sample_poisson(self.marks, 0.5, 2))
 
     def test_explicit_stability_guard(self):
         A = dirichlet_laplacian(31)
@@ -815,7 +820,7 @@ class TestItoEnergyIdentity:
         C = np.zeros((steps, 31, 2))
         D = np.zeros((steps, 31, 2))
         grid = TimeGrid(1.0, steps)
-        noise = (sample_wiener(self.q, grid, 0), sample_poisson(self.marks, 1.0, 1))
+        noise = NoiseBatch(sample_wiener(self.q, grid, 0), sample_poisson(self.marks, 1.0, 1))
         with pytest.raises(ConfigurationError):
             ito_energy_residual(A, g, C, D, noise, self.marks)
 
@@ -916,16 +921,17 @@ class TestLinearDataValidation:
         A = dirichlet_laplacian(4)
         marks = MarkSpace((-1.0, 1.0), (1.0, 1.0))
         grid = TimeGrid(0.5, 8)
-        wiener = sample_wiener(np.array([1.0]), grid, 0)
-        poisson = sample_poisson(marks, 0.5, 1)
+        noise = NoiseBatch(sample_wiener(np.array([1.0]), grid, 0), sample_poisson(marks, 0.5, 1))
         g = np.zeros((8, 4))
         C = np.zeros((8, 4, 1))
         D = np.zeros((8, 4, 2))
         with pytest.raises(ConfigurationError):
-            solve_linear_data(A, g, C, D, wiener, poisson, marks, scheme="yosida_explicit")
+            solve_linear_data(A, g, C, D, noise, marks, scheme="yosida_explicit")
         with pytest.raises(ValueError):
-            solve_linear_data(A, np.zeros((7, 4)), C, D, wiener, poisson, marks)
-        with pytest.raises(ValueError):
-            solve_linear_data(A, g, np.zeros((8, 4, 3)), D, wiener, poisson, marks)
-        with pytest.raises(ValueError):
-            solve_linear_data(A, g, C, np.zeros((8, 4, 1)), wiener, poisson, marks)
+            solve_linear_data(A, np.zeros((7, 4)), C, D, noise, marks)
+        with pytest.raises(ValueError, match="C has 3 columns, expected 1"):
+            solve_linear_data(A, g, np.zeros((8, 4, 3)), D, noise, marks)
+        with pytest.raises(ValueError, match="C must have shape .* n=4"):
+            solve_linear_data(A, g, np.zeros((8, 5, 1)), D, noise, marks)
+        with pytest.raises(ValueError, match="D has 1 columns, expected 2"):
+            solve_linear_data(A, g, C, np.zeros((8, 4, 1)), noise, marks)
