@@ -83,15 +83,25 @@ def fit_order(x, y) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """What every experiment returns: a verdict, the report ``rows`` (Records),
-    the named (x, y, err) plot curves of ``curve_map`` and a ``summary`` of the
-    arrays and scalars behind them, whose keys each experiment's docstring names."""
+    """What every experiment returns: the report ``rows`` (Records), the named
+    (x, y, err) plot curves of ``curve_map`` and a ``summary`` of the arrays and
+    scalars behind them, whose keys each experiment's docstring names.
+
+    The verdict is read off the rows, so a report cannot disagree with them."""
 
     name: str
-    verdict: str
     rows: tuple
     curve_map: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        """INCONCLUSIVE if a row is, or if no row carries a verdict (missing evidence
+        is never PASS); else FAIL if a row FAILs; else PASS."""
+        judged = {row.verdict for row in self.rows} - {"-"}
+        if INCONCLUSIVE in judged or not judged:
+            return INCONCLUSIVE
+        return FAIL if FAIL in judged else PASS
 
 
 def _log2_curve(name: str, x, y) -> dict:
@@ -242,17 +252,11 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
             memo[_weak_key(spec, seed, fine, dt, scheme)] = _weak_terms(spec, traj, noise)
     gaps = np.array(gaps)
     order = fit_order(dts, gaps) if not inconclusive else math.nan
-    if inconclusive:
-        verdict = INCONCLUSIVE
-    elif np.all(gaps <= _ZERO_FLOOR):
-        verdict = PASS
-    elif np.all(np.diff(gaps) < 0.0) and order >= 0.9:
-        verdict = PASS
-    else:
-        verdict = FAIL
+    decays = np.all(gaps <= _ZERO_FLOOR) or (np.all(np.diff(gaps) < 0.0) and order >= 0.9)
     rows = [Record("gap", f"dt={fmt(d)}", g, 0.0) for d, g in zip(dts, gaps)]
-    rows.append(Record("order", "-", order, 0.0, verdict))
-    return ExperimentReport("coupling", verdict, tuple(rows), _log2_curve("gap_vs_dt", dts, gaps),
+    rows.append(Record("order", "-", order, 0.0,
+                       INCONCLUSIVE if inconclusive else PASS if decays else FAIL))
+    return ExperimentReport("coupling", tuple(rows), _log2_curve("gap_vs_dt", dts, gaps),
                             {"gaps": gaps, "fitted_order": order,
                              "integrability": np.array(integs)})
 
@@ -299,10 +303,9 @@ def contraction_experiment(spec: EquationSpec, u0_b, ensemble_size: int, seed: i
     rows += [Record("mean_sq_gap", f"t={fmt(t)}", m, s,
                     PASS if _within_envelope(m, s, e) else FAIL)
              for t, m, s, e in zip(grid.times, mean, se, envelope)]
-    verdict = PASS if all(row.verdict == PASS for row in rows[1:]) else FAIL
     keep = mean > 0
     curves = {"log_gap_vs_t": (grid.times[keep], np.log(mean[keep]), se[keep] / mean[keep])}
-    return ExperimentReport("contraction", verdict, tuple(rows), curves if keep.any() else {},
+    return ExperimentReport("contraction", tuple(rows), curves if keep.any() else {},
                             {"times": grid.times.copy(), "mean_sq": mean, "stderr": se,
                              "envelope": envelope, "margin": margin})
 
@@ -348,13 +351,15 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
 
     The two specifications must share the operator, drift, horizon and noise
     frame and may differ only in (u0, B, G) with state-independent noise
-    coefficients; both are solved with _COUPLED_SCHEME.  PASS requires N(t)
-    to stay finite, vary by at most _CONTINUITY_FACTOR between adjacent grid
-    times, and sit below the margin-derived envelope exp(2 |margin| t) up to
-    three standard errors.  Returns INCONCLUSIVE when the data distance
-    never exceeds _ZERO_FLOOR.  Refuses to run (HypothesisError) when the
-    raw margin is -inf.  Summary, per grid time: ``times``, ``n_values``
-    (NaN where undefined), ``n_stderr`` and ``envelope``.
+    coefficients; both are solved with _COUPLED_SCHEME.  There is one N row
+    per grid time where N is defined.  It FAILs when N(t) exceeds the
+    margin-derived envelope exp(2 |margin| t) by more than three standard
+    errors, or when it and the N of the row before both exceed 1e-12 and
+    differ by more than a factor _CONTINUITY_FACTOR; every N row is
+    INCONCLUSIVE when the data distance never exceeds _ZERO_FLOOR.  Refuses
+    to run (HypothesisError) when the raw margin is -inf.  Summary, per grid
+    time: ``times``, ``n_values`` (NaN where undefined), ``n_stderr`` and
+    ``envelope``.
     """
     margin_raw = _finite_raw_margin(spec1)
     grid = _grid(spec1.T, dt)
@@ -377,23 +382,19 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
             n_se[k] = num_se[k] / den[k]
     envelope = np.exp(2.0 * abs(margin_raw) * grid.times)
 
-    defined = np.isfinite(n_vals)
-    if not np.any(den > _ZERO_FLOOR):
-        verdict = INCONCLUSIVE
-    else:
-        continuous = True
-        vals = n_vals[defined]
-        for a, b in zip(vals, vals[1:]):
-            if a > 1e-12 and b > 1e-12 and max(a / b, b / a) > _CONTINUITY_FACTOR:
-                continuous = False
-                break
-        enveloped = np.all(n_vals[defined] <= envelope[defined] + 3.0 * n_se[defined])
-        verdict = PASS if (defined.any() and continuous and enveloped) else FAIL
+    measured = np.any(den > _ZERO_FLOOR)
     rows = [Record("raw_margin", "-", margin_raw, 0.0)]
-    rows += [Record("N", f"t={fmt(t)}", v, s, PASS if v <= e + 3.0 * s else FAIL)
-             for t, v, s, e in zip(grid.times, n_vals, n_se, envelope) if not math.isnan(v)]
+    prev = 0.0
+    for t, v, s, e in zip(grid.times, n_vals, n_se, envelope):
+        if math.isnan(v):
+            continue
+        jump = prev > 1e-12 and v > 1e-12 and max(prev / v, v / prev) > _CONTINUITY_FACTOR
+        judged = INCONCLUSIVE if not measured else FAIL if jump or not v <= e + 3.0 * s else PASS
+        rows.append(Record("N", f"t={fmt(t)}", v, s, judged))
+        prev = v
+    defined = np.isfinite(n_vals)
     curves = {"n_vs_t": (grid.times[defined], n_vals[defined], n_se[defined])}
-    return ExperimentReport("stability", verdict, tuple(rows), curves if defined.any() else {},
+    return ExperimentReport("stability", tuple(rows), curves if defined.any() else {},
                             {"times": grid.times.copy(), "n_values": n_vals, "n_stderr": n_se,
                              "envelope": envelope})
 
@@ -436,18 +437,18 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
                        for i in range(len(sol_dists) - 1)
                        if positive[i] and positive[i + 1]])
     mean_ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else 0.0
-    verdict = PASS if np.all(sol_dists <= n_bound * data_dists) else FAIL
     rows = []
     for i, (dd, sd) in enumerate(zip(data_dists, sol_dists)):
         rows.append(Record("h2_distance", f"pair={i}-{i + 1}", sd, 0.0,
                            PASS if sd <= n_bound * dd else FAIL))
         rows.append(Record("data_distance", f"pair={i}-{i + 1}", dd, 0.0))
     rows.append(Record("geometric_ratio", "-", mean_ratio, 0.0))
-    rows.append(Record("n_bound", "-", n_bound, 0.0, verdict))
+    rows.append(Record("n_bound", "-", n_bound, 0.0,
+                       PASS if np.all(sol_dists <= n_bound * data_dists) else FAIL))
     keep = sol_dists > 0
     curves = {"h2_vs_pair": (np.flatnonzero(keep).astype(float), np.log(sol_dists[keep]),
                              np.zeros(int(keep.sum())))}
-    return ExperimentReport("cauchy", verdict, tuple(rows), curves if keep.any() else {},
+    return ExperimentReport("cauchy", tuple(rows), curves if keep.any() else {},
                             {"solution_dists": sol_dists, "mean_ratio": mean_ratio})
 
 
@@ -530,7 +531,6 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
             terms = _weak_terms(spec, traj, noise)
         residuals[:, j] = _weak_residual(spec, terms, epsilon, k_max)
     orders = np.array([fit_order(dts, residuals[k]) for k in range(k_max)])
-    verdict = PASS if np.all(orders >= 0.9) else FAIL
     rows, curves = [], {}
     for k in range(k_max):
         rows += [Record("residual", f"mode={k + 1},dt={fmt(d)}", r, 0.0)
@@ -538,7 +538,7 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
         rows.append(Record("order", f"mode={k + 1}", orders[k], 0.0,
                            PASS if orders[k] >= 0.9 else FAIL))
         curves.update(_log2_curve(f"mode{k + 1}", dts, residuals[k]))
-    return ExperimentReport("weak_residual", verdict, tuple(rows), curves,
+    return ExperimentReport("weak_residual", tuple(rows), curves,
                             {"residuals": residuals, "orders": orders})
 
 
@@ -565,10 +565,9 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
         traj = solve_yosida_explicit(spec, noise, dt, eps)
         gaps[j] = float(np.sqrt(space.sq_norms(traj.states - reference.states)).max())
     slope = fit_order(epsilons, gaps)
-    verdict = PASS if 0.9 <= slope <= 1.1 else FAIL
     rows = [Record("gap", f"eps={fmt(e)}", g, 0.0) for e, g in zip(epsilons, gaps)]
-    rows.append(Record("slope", "-", slope, 0.0, verdict))
-    return ExperimentReport("trotter_kato", verdict, tuple(rows),
+    rows.append(Record("slope", "-", slope, 0.0, PASS if 0.9 <= slope <= 1.1 else FAIL))
+    return ExperimentReport("trotter_kato", tuple(rows),
                             _log2_curve("gap_vs_eps", epsilons, gaps),
                             {"gaps": gaps, "slope": slope})
 
@@ -643,8 +642,6 @@ def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
         dev_resolvent = max(dev_resolvent, space.norm(lhs - rhs))
         dev_contraction = max(dev_contraction, space.norm(jx) - space.norm(x))
         min_inner = min(min_inner, space.inner(ax, x))
-    ok = (dev_yosida <= tol and dev_resolvent <= tol and dev_contraction <= tol
-          and min_inner >= -1e-12)
     rows = (
         Record("yosida_identity_dev", "-", dev_yosida, 0.0, PASS if dev_yosida <= tol else FAIL),
         Record("resolvent_identity_dev", "-", dev_resolvent, 0.0,
@@ -654,7 +651,7 @@ def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
         Record("min_monotonicity_inner", "-", min_inner, 0.0,
                PASS if min_inner >= -1e-12 else FAIL),
     )
-    return ExperimentReport("resolvent_algebra", PASS if ok else FAIL, rows,
+    return ExperimentReport("resolvent_algebra", rows,
                             summary={"trials": trials})
 
 
@@ -669,13 +666,12 @@ def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, see
     est, se = map(float, _mean_stderr(space.sq_norms(values)))
     exact = step_q_integral(phi, q, grid, t, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)
-    verdict = PASS if rel <= _ISOMETRY_REL_TOL else FAIL
     rows = (
         Record("second_moment", f"paths={paths}", est, se),
         Record("closed_form", "-", exact, 0.0),
-        Record("relative_error", "-", rel, 0.0, verdict),
+        Record("relative_error", "-", rel, 0.0, PASS if rel <= _ISOMETRY_REL_TOL else FAIL),
     )
-    return ExperimentReport("wiener_isometry", verdict, rows,
+    return ExperimentReport("wiener_isometry", rows,
                             summary={"relative_error": rel})
 
 
@@ -711,14 +707,13 @@ def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
     # three-standard-error test rather than a multiplicity-inflated family
     proj_mean, proj_se = map(float, _mean_stderr(values.sum(axis=1)))
     zero_ok = abs(proj_mean) <= (3.0 * proj_se if proj_se > 0 else 1e-12)
-    verdict = PASS if (rel <= _ISOMETRY_REL_TOL and zero_ok) else FAIL
     rows = (
         Record("second_moment", f"paths={paths}", est, se),
         Record("closed_form", "-", exact, 0.0),
         Record("relative_error", "-", rel, 0.0, PASS if rel <= _ISOMETRY_REL_TOL else FAIL),
         Record("mean_projection", "-", proj_mean, proj_se, PASS if zero_ok else FAIL),
     )
-    return ExperimentReport("poisson_isometry", verdict, rows,
+    return ExperimentReport("poisson_isometry", rows,
                             summary={"relative_error": rel})
 
 
@@ -732,11 +727,8 @@ def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, t: float, paths:
         diffs[block] = jump_sq - comp
     mean, se = map(float, _mean_stderr(diffs))
     ok = abs(mean) <= 3.0 * se if se > 0 else abs(mean) <= 1e-12
-    verdict = PASS if ok else FAIL
-    rows = (
-        Record("mean_difference", f"paths={paths}", mean, se, verdict),
-    )
-    return ExperimentReport("compensator", verdict, rows,
+    rows = (Record("mean_difference", f"paths={paths}", mean, se, PASS if ok else FAIL),)
+    return ExperimentReport("compensator", rows,
                             summary={"mean": mean, "stderr": se})
 
 
@@ -760,12 +752,11 @@ def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
         for scheme in worst:
             res = regularized_coupling_identity(A, g, C, D, noise, marks, epsilon, scheme)
             worst[scheme] = max(worst[scheme], res)
-    verdict = PASS if all(v <= tol for v in worst.values()) else FAIL
     rows = tuple(
         Record("max_residual", f"scheme={s}", v, 0.0, PASS if v <= tol else FAIL)
         for s, v in worst.items()
     )
-    return ExperimentReport("regularization_identity", verdict, rows, summary=dict(worst))
+    return ExperimentReport("regularization_identity", rows, summary=dict(worst))
 
 
 def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list,
@@ -798,13 +789,12 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
                                            marks)
     mean_res, se_res = _mean_stderr(residuals, axis=1)
     order = fit_order(np.array(dts), mean_res)
-    verdict = PASS if order >= 0.9 else FAIL
     rows = [Record("residual", f"dt={fmt(d)}", r, s)
             for d, r, s in zip(dts, mean_res, se_res)]
-    rows.append(Record("order", "-", order, 0.0, verdict))
+    rows.append(Record("order", "-", order, 0.0, PASS if order >= 0.9 else FAIL))
     x = np.log2(np.array(dts))
     ascending = np.argsort(x)
     curve = {"residual_vs_dt": (x[ascending], np.log2(mean_res)[ascending],
                                 (se_res / mean_res)[ascending])}
-    return ExperimentReport("energy_identity", verdict, tuple(rows), curve,
+    return ExperimentReport("energy_identity", tuple(rows), curve,
                             {"order": order})

@@ -442,6 +442,10 @@ def parse_config(path, only=None) -> RunConfig:
     if repeated:
         source = "[experiment] experiments" if only is None else "--only"
         raise ConfigurationError(f"{source}: repeated experiments {repeated}")
+    if "trotter_kato" in names and A.eigenvalues[0] == 0.0:
+        raise ConfigurationError("[equation] eigenvalues: trotter_kato rescales the spectrum by "
+                                 "the first eigenvalue, the one of the mode it drives, so it "
+                                 f"must be > 0; got {A.eigenvalues[0]}")
     options = {
         name: _read_section(f"experiment.{name}", sections.get(f"experiment.{name}", {}),
                             exp_text, equation if name in OVERRIDES else None)
@@ -465,7 +469,7 @@ def parse_config(path, only=None) -> RunConfig:
 def _blowup_report(name: str, exc: BlowUpError) -> analysis.ExperimentReport:
     """INCONCLUSIVE report of an experiment whose solver blew up, recording where."""
     row = Record("blow_up", f"step={exc.step}", exc.time, 0.0, analysis.INCONCLUSIVE)
-    return analysis.ExperimentReport(name, analysis.INCONCLUSIVE, (row,))
+    return analysis.ExperimentReport(name, (row,))
 
 
 def run(config: RunConfig, verbose: bool = False) -> int:

@@ -357,15 +357,13 @@ def solve_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Ma
     grid = _one_path(noise)
     g, C, D = _as_linear_data(A, g, C, D, noise, marks)
     factors = _linear_factors(A, scheme, grid.dt)
-    dW, counts = noise.wiener.increments[0], noise.cell_counts[0]
-    mark_w = marks.weight_array
-    dt = grid.dt
-    y = np.zeros(A.dim)
+    dW, counts, dt = noise.wiener.increments[0], noise.cell_counts[0], grid.dt
+    # every step's increment at once: row n of C @ dW[:, :, None] is C[n] @ dW[n]
+    inc = (-dt * g + (C @ dW[:, :, None])[..., 0] + (D @ counts[:, :, None])[..., 0]
+           - dt * (D @ marks.weight_array))
     states = np.zeros((grid.steps + 1, A.dim))
     for n in range(grid.steps):
-        b = -dt * g[n] + C[n] @ dW[n] + D[n] @ counts[n] - dt * (D[n] @ mark_w)
-        y = A.synthesize(factors * A.coords(y + b))
-        states[n + 1] = y
+        states[n + 1] = A.synthesize(factors * A.coords(states[n] + inc[n]))
     return states
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mildsde import analysis, noise
-from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, _solve_ensemble, compensator_experiment,
-                              contraction_experiment, coupling_uniqueness_experiment, fit_order,
+from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, ExperimentReport, _solve_ensemble,
+                              compensator_experiment, contraction_experiment,
+                              coupling_uniqueness_experiment, fit_order,
                               generalized_solution_cauchy, poisson_isometry_experiment,
                               regularization_identity_experiment, resolvent_algebra_check,
                               stability_estimate_experiment, weak_residual_experiment,
@@ -22,7 +23,7 @@ from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, poisson_in
                            sample_wiener, shared_draws)
 from mildsde.solver import SchemeConfig, Trajectory, solve, solve_resolvent_implicit
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
-from mildsde.textio import write_plot_data
+from mildsde.textio import Record, write_plot_data
 
 from conftest import make_cubic_spec, make_linear_spec
 
@@ -37,6 +38,24 @@ class TestFitOrder:
 
     def test_zero_values_mean_infinite_order(self):
         assert fit_order([0.1, 0.05, 0.025], [0.0, 0.0, 0.0]) == math.inf
+
+
+class TestReportVerdict:
+    @staticmethod
+    def verdict(*row_verdicts):
+        rows = tuple(Record("x", verdict=v) for v in row_verdicts)
+        return ExperimentReport("x", rows).verdict
+
+    def test_inconclusive_beats_fail_beats_pass(self):
+        assert self.verdict(PASS, "-", PASS) == PASS
+        assert self.verdict(PASS, FAIL, "-") == FAIL
+        assert self.verdict(FAIL, INCONCLUSIVE, PASS) == INCONCLUSIVE
+        assert self.verdict(INCONCLUSIVE, PASS) == INCONCLUSIVE
+
+    def test_no_judged_row_is_inconclusive(self):
+        # missing evidence is never PASS
+        assert self.verdict() == INCONCLUSIVE
+        assert self.verdict("-", "-") == INCONCLUSIVE
 
 
 class TestCouplingExperiment:
@@ -198,6 +217,9 @@ class TestStabilityExperiment:
         report = stability_estimate_experiment(spec, spec, 20, 3, dt=2.0**-6)
         assert np.all(report.summary["n_values"][np.isfinite(report.summary["n_values"])] == 0.0)
         assert report.verdict == INCONCLUSIVE
+        # no data distance: the N rows say INCONCLUSIVE, not PASS
+        n_rows = [rec for rec in report.rows if rec.label == "N"]
+        assert n_rows and all(rec.verdict == INCONCLUSIVE for rec in n_rows)
 
     def test_dissipative_cubic_envelope(self):
         spec1, spec2, _ = additive_pair()
@@ -271,6 +293,9 @@ class TestStabilityExperiment:
         assert n_values[0] == 1.0 and n_values[1] < 1e-3
         assert np.all(n_values <= report.summary["envelope"])
         assert report.verdict == FAIL
+        # the row that says why: N at t = dt, the first to fall by more than 5x
+        failed = [(rec.label, rec.params) for rec in report.rows if rec.verdict == FAIL]
+        assert failed == [("N", "t=0.015625")]
 
     def test_refuses_unbounded_drift_derivative(self):
         # f = r^2 has f' unbounded below: the Gronwall envelope would be

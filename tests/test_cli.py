@@ -2,6 +2,7 @@ import configparser
 import hashlib
 import importlib
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -295,7 +296,8 @@ def test_library_defaults_match_the_option_table():
 
 def assert_recorded_digests(config_path, digests_name, output_dir):
     """Run a config at its seed into ``output_dir``; every artifact's SHA-256 must equal
-    the list recorded in ``tests/<digests_name>`` (sha256sum format)."""
+    the list recorded in ``tests/<digests_name>`` (sha256sum format), and each report's
+    ``# verdict:`` line must follow from its row verdicts and match the manifest."""
     recorded = dict(line.split()[::-1] for line in
                     (Path(__file__).parent / digests_name).read_text().splitlines())
     cfg = replace(parse_config(config_path), output_dir=output_dir)
@@ -303,6 +305,16 @@ def assert_recorded_digests(config_path, digests_name, output_dir):
     assert run(cfg) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in output_dir.iterdir()}
     assert written == recorded
+    manifest = dict(line.split(" = ", 1)
+                    for line in (output_dir / "manifest.txt").read_text().splitlines()[1:])
+    for path in output_dir.glob("*.report.txt"):
+        lines = path.read_text().splitlines()
+        verdict, = (line.removeprefix("# verdict: ") for line in lines
+                    if line.startswith("# verdict: "))
+        judged = {line.split("\t")[-1] for line in lines if not line.startswith("#")} - {"-"}
+        rule = ("INCONCLUSIVE" if not judged or "INCONCLUSIVE" in judged
+                else "FAIL" if "FAIL" in judged else "PASS")
+        assert verdict == rule == manifest[f"verdict.{path.name.removesuffix('.report.txt')}"]
 
 
 class TestRun:
@@ -725,6 +737,20 @@ class TestMainEntry:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_zero_eigenvalue_of_the_trotter_kato_mode_exits_2(self, tmp_path, capsys):
+        # trotter_kato rescales the spectrum by the eigenvalue of the mode it drives
+        text = MINIMAL.replace("eigenvalues = 0.5 1.0 2.0", "eigenvalues = 0 1.0 2.0")
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(SystemExit) as status:
+            main([str(path), "--only", "resolvent_algebra,trotter_kato",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [equation] eigenvalues: trotter_kato")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert parse_config(path, only=("resolvent_algebra",)).equation.A.eigenvalues[0] == 0.0
+
     def test_step_list_as_dt_exits_2(self, tmp_path, capsys):
         text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment.contraction",
                        "dt", "0.0078125 0.00390625")
@@ -923,8 +949,12 @@ class TestMainEntry:
         assert "cannot read" in capsys.readouterr().err
 
     def test_console_script_help(self):
+        # the child imports mildsde from this checkout's src, installed or not
+        src = str(CONFIG_DIR.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "mildsde.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "config" in proc.stdout
 

@@ -69,12 +69,12 @@ class TestWienerSampling:
         assert not np.array_equal(a.increments, c.increments)
 
     def test_increment_moments(self):
-        # Monte Carlo oracle: 1e5 regenerations of the first increment,
-        # q = 2 and dt = 0.01 so the variance target is 0.02
+        # Monte Carlo oracle: 1e5 regenerations of the first increment (the first
+        # increment of sample_wiener(q, grid, seed=s) for s < 1e5, drawn in one
+        # batch), q = 2 and dt = 0.01 so the variance target is 0.02
         grid = TimeGrid(0.01, 1)
         q = np.array([2.0])
-        draws = np.array([sample_wiener(q, grid, seed=s).increments[0, 0, 0]
-                          for s in range(100_000)])
+        draws = sample_wiener_rows(q, grid, 0, 100_000)[:, 0, 0]
         se_mean = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean()) < 3 * se_mean
         var = draws.var(ddof=1)
@@ -116,15 +116,9 @@ class TestWienerSampling:
 def poisson_ensemble():
     # shared 1e5 replications: two atoms with weights 1 and 3, horizon 1
     marks = MarkSpace((0.0, 1.0), (1.0, 3.0))
-    counts = np.empty(100_000)
-    atom_one = 0
-    total_marks = 0
-    for s in range(100_000):
-        path = sample_poisson(marks, 1.0, seed=s)
-        counts[s] = path.count
-        atom_one += int(np.sum(path.marks == 1))
-        total_marks += path.count
-    return counts, atom_one, total_marks
+    # sample_poisson(marks, 1.0, seed=s) for s < 1e5, drawn as one table
+    table = noise._draw_jump_table(marks, 1.0, 0, 100_000)
+    return np.diff(table.offsets), int(np.sum(table.marks == 1)), int(table.offsets[-1])
 
 
 class TestPoissonSampling:
