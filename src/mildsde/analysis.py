@@ -21,7 +21,7 @@ from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm
 from .noise import (NoiseBatch, TimeGrid, poisson_integral, quadratic_mark_sum, run_memo,
                     sample_jump_table, sample_noise_batch, sample_wiener_rows, step_m_integral,
                     step_q_integral)
-from .solver import (SchemeConfig, Trajectory, ito_energy_residual,
+from .solver import (SchemeConfig, Trajectory, _require_shared_frame, ito_energy_residual,
                      regularized_coupling_identity, solve, solve_exp_euler,
                      solve_yosida_explicit, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
@@ -129,32 +129,17 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
                          (SchemeConfig(scheme, dt),))[0]
 
 
-def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
-    if not (np.array_equal(frame.A.eigenvalues, spec.A.eigenvalues)
-            and np.array_equal(frame.A.eigenvectors, spec.A.eigenvectors)):
-        raise ConfigurationError("coupled solutions require a shared operator")
-    if frame.F.coefficients != spec.F.coefficients or frame.F.shift != spec.F.shift:
-        raise ConfigurationError("coupled solutions require a shared drift")
-    if frame.T != spec.T:
-        raise ConfigurationError("coupled solutions require a shared horizon")
-    if not np.array_equal(frame.B.q, spec.B.q):
-        raise ConfigurationError("coupled solutions require shared covariance weights")
-    if frame.marks.atoms != spec.marks.atoms or frame.marks.weights != spec.marks.weights:
-        raise ConfigurationError("coupled solutions require a shared mark space")
-
-
 def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, seed: int,
                      members: int):
     """Squared gaps |u_p - u_{p+1}|^2, shape (members, nodes), of consecutive specs,
-    each solved with _COUPLED_SCHEME.
+    stepped with _COUPLED_SCHEME as the data groups of one step_ensemble call.
 
     Every spec must share ``frame``'s operator, drift, horizon, covariance
     weights and mark space, so that the specs differ only in their data (u0,
     B, G).  This and ``members >= 1`` are checked at the call; nothing is
     sampled until the returned iterator is consumed.  It draws one batch of
-    ``members`` paths with ``frame``, solves each spec on it, and yields each
-    gap as soon as its second solution exists, so at most two ensembles are
-    alive at once, whatever the number of specs.
+    ``members`` paths with ``frame``, and a reducer turns each block of new
+    states into gaps: no trajectory array exists, only the gaps of each pair.
     """
     if members < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
@@ -163,12 +148,16 @@ def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, seed
 
     def gaps():
         paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
-        prev = _solve_ensemble(specs[0], grid, dt, _COUPLED_SCHEME, seed, members, paths)
-        for spec in specs[1:]:
-            cur = _solve_ensemble(spec, grid, dt, _COUPLED_SCHEME, seed, members, paths)
-            prev -= cur                     # in place: no third ensemble-sized array
-            yield frame.space.sq_norms(prev)
-            prev = cur
+        out = np.empty((len(specs) - 1, members, grid.steps + 1))
+
+        def reduce(node, cols, states):
+            # contiguous, so that sq_norms sums as over a trajectory array
+            gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
+            out[:, cols, node:node + len(states)] = frame.space.sq_norms(gap)
+
+        step_ensemble(frame, paths.wiener.increments, paths.cell_counts,
+                      (SchemeConfig(_COUPLED_SCHEME, dt),), reduce, tuple(specs))
+        yield from out
 
     return gaps()
 
@@ -279,14 +268,15 @@ def contraction_experiment(spec: EquationSpec, u0_b, ensemble_size: int, seed: i
     """Synchronously coupled decay test under a certified dissipativity margin.
 
     Each ensemble member drives two solutions, started from spec.u0 and
-    u0_b, with the identical noise path; both are solved with
-    _COUPLED_SCHEME.  PASS requires the empirical mean squared gap to sit
-    below exp(-2 alpha t) |u0 - u0_b|^2 up to three standard errors at every
-    grid time.  Refuses to run
-    (HypothesisError) if the exact triplet margin for the declared alpha is
-    negative; a solver blow-up propagates as BlowUpError.  Summary:
-    ``times``, ``mean_sq``, ``stderr``, ``envelope`` (per grid time) and
-    ``margin``.
+    u0_b, with the identical noise path; both are stepped with
+    _COUPLED_SCHEME as the data groups of one call that keeps their squared
+    gaps only.  A margin >= 0 gives E|du(t)|^2 <= exp(-alpha t) |du(0)|^2 by
+    Ito's formula, A being monotone, so PASS requires the empirical mean
+    squared gap to sit below that envelope up to three standard errors at
+    every grid time.  Refuses to run (HypothesisError) if the exact triplet
+    margin for the declared alpha is negative; a solver blow-up propagates as
+    BlowUpError.  Summary: ``times``, ``mean_sq``, ``stderr``, ``envelope``
+    (per grid time) and ``margin``.
     """
     margin = check_dissipativity_triplet(spec)
     if margin < 0.0:
@@ -298,7 +288,7 @@ def contraction_experiment(spec: EquationSpec, u0_b, ensemble_size: int, seed: i
     gap_sq, = _coupled_sq_gaps(spec, [spec, spec.with_data(u0=u0_b)], grid, dt, seed,
                                ensemble_size)
     mean, se = _mean_stderr(gap_sq)
-    envelope = np.exp(-2.0 * spec.alpha * grid.times) * spec.space.sq_norms(spec.u0 - u0_b)
+    envelope = np.exp(-spec.alpha * grid.times) * spec.space.sq_norms(spec.u0 - u0_b)
     rows = [Record("margin", f"alpha={fmt(spec.alpha)}", margin, 0.0)]
     rows += [Record("mean_sq_gap", f"t={fmt(t)}", m, s,
                     PASS if _within_envelope(m, s, e) else FAIL)

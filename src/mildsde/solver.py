@@ -148,107 +148,156 @@ def _derivative_bound(abs_coeffs: tuple, r: float) -> float:
     return bound
 
 
+def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
+    if not (np.array_equal(frame.A.eigenvalues, spec.A.eigenvalues)
+            and np.array_equal(frame.A.eigenvectors, spec.A.eigenvectors)):
+        raise ConfigurationError("coupled solutions require a shared operator")
+    if frame.F.coefficients != spec.F.coefficients or frame.F.shift != spec.F.shift:
+        raise ConfigurationError("coupled solutions require a shared drift")
+    if frame.T != spec.T:
+        raise ConfigurationError("coupled solutions require a shared horizon")
+    if not np.array_equal(frame.B.q, spec.B.q):
+        raise ConfigurationError("coupled solutions require shared covariance weights")
+    if frame.marks.atoms != spec.marks.atoms or frame.marks.weights != spec.marks.weights:
+        raise ConfigurationError("coupled solutions require a shared mark space")
+
+
 def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
-                  configs: tuple) -> np.ndarray:
-    """Step M members of the mild form under G scheme configs at once; returns
-    states (G, M, N+1, n).
+                  configs: tuple, reduce=None, data: tuple = ()):
+    """Step M members of the mild form in G groups at once, the G configs of
+    ``spec`` or the G specs of ``data`` under one config, which share spec's
+    operator, drift, horizon, covariance weights and mark space (else
+    ConfigurationError).  Returns states (G, M, N+1, n), unless ``reduce``.
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
-    state, so the jump part is exactly centered.  The configs share one dt
-    and one step form (else ConfigurationError): exp_euler and
-    resolvent_implicit step V = P_g(U - dt F(U) + inc), yosida_explicit
-    V = P_g U - dt F(U) + inc.  One stacked (G, n, n) product steps all
-    groups, and its every slice has the bits of the 2-D product, so each
-    group's states equal those of a call with its config alone.  Steps run
-    in blocks of K, about 2**15 values per (K, G, n, M) array; a block
-    projects the state-free noise factors once (the whole increment when B
-    and G are additive), and its new states fill one of two buffers in turn.
+    state, so the jump part is exactly centered.  The configs share one dt and
+    one step form (else ConfigurationError): exp_euler and resolvent_implicit
+    step V = P_g(U - dt F(U) + inc), yosida_explicit V = P_g U - dt F(U) + inc.
+    Each group keeps the bits of a call with it alone: a stacked (G, n, n)
+    product has the bits of the 2-D one, and each spec projects the noise of
+    all members with its own 2-D products.
 
-    Checks run once per block and group, on r = max|u| of each new state.  A
-    non-finite r (it propagates nan and inf) is a blow-up; the call raises
-    the BlowUpError, with the text of its own call, of the group that blew
-    up first.  Stiffness policy, per group: one StiffnessWarning at the first
-    step where dt * max|f'(u)|, over every member and component, reaches 1
-    (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p grows with
-    r, so a block whose largest r keeps dt times that bound below 1/2 is
-    clean; any other is checked step by step, exactly on the stored state
-    where the bound reaches 1/2 (the factor 2 absorbs rounding), and only
-    before the group's blow-up.  yosida_explicit raises ConfigurationError
-    unless dt * lam_max / (1 + eps * lam_max) < 2.
+    Members step in slices of contiguous (G, n, w) arrays, w the largest power
+    of two at most _BLOCK_VALUES // (G n); a one-member tail, which would take
+    a matrix-vector product, joins the slice before.  Slice edges so fall on
+    the column panels of the BLAS kernels, keeping the bits of an unsliced
+    product on the tested sizes.  Steps run in blocks of K, about 2**15 values
+    per (K, G, n, M) array; a block projects the state-free noise factors once
+    (the whole increment when B and G are additive).  Once a block's slices are
+    stepped and checked, ``reduce(node, cols, states)`` takes each slice's
+    states (K, G, n, w) of nodes node to node + K - 1, members ``cols`` (views
+    of reused buffers); its first call takes the initial states.
+
+    Checks run once per block and group, on r = max|u| of each new state over
+    all slices.  A non-finite r (it propagates nan and inf) is a blow-up; the
+    call raises the BlowUpError, with the text of its own call, of the group
+    that blew up first.  Stiffness policy, per group: one StiffnessWarning at
+    the first step where dt * max|f'(u)|, over every member and component,
+    reaches 1 (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p
+    grows with r, so a block whose largest r keeps dt times that bound below
+    1/2 is clean; any other is checked step by step, exactly on the stored
+    state where the bound reaches 1/2 (the factor 2 absorbs rounding), and
+    only before the group's blow-up.  yosida_explicit raises
+    ConfigurationError unless dt * lam_max / (1 + eps * lam_max) < 2.
     """
+    specs = tuple(data) or (spec,)
+    for other in specs:
+        _require_shared_frame(spec, other)
+    if data and len(configs) != 1:
+        raise ConfigurationError(f"data groups step under one scheme config, got {configs}")
+    configs = tuple(configs) * len(data) or tuple(configs)
     if len({(c.dt, c.scheme == "yosida_explicit") for c in configs}) != 1:
         raise ConfigurationError(f"one step_ensemble call takes configs of one dt and one "
-                                 f"step form, got {tuple(configs)}")
+                                 f"step form, got {configs}")
     members, steps = dW.shape[:2]
-    groups = len(configs)
-    dt = configs[0].dt
-    A = spec.A
-    explicit = configs[0].scheme == "yosida_explicit"
-    # a single group steps on 2-D (n, M) arrays, where numpy's per-call overhead is lowest
-    lead = (groups,) if groups > 1 else ()
-    prop = np.stack([_propagator(A, config) for config in configs]).reshape(lead + (A.dim,) * 2)
+    groups, n = len(configs), spec.A.dim
+    dt, explicit = configs[0].dt, configs[0].scheme == "yosida_explicit"
+
+    def shared(mats):   # a coefficient that every spec shares is projected once
+        return mats[:1] if all(np.array_equal(m, mats[0]) for m in mats) else mats
+
+    def project(mats, noise):   # mats[s] @ noise (K, d, M) as (K, S, rows, M)
+        out = np.empty((len(noise), len(mats), len(mats[0]), noise.shape[2]))
+        for i, m in enumerate(mats):
+            np.matmul(m, noise, out=out[:, i])
+        return out
+
+    prop = np.stack([_propagator(spec.A, config) for config in configs])
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
     drift_varies = len(fprime.coefficients) > 1
     cap = [dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0] * groups
     checking = [drift_varies or cap[0] >= 1.0] * groups          # until the group's warning
     fprime_abs = tuple(abs(c) for c in fprime.coefficients)
-    additive = spec.B.additive and spec.G.additive
-    b_base, b_scale = spec.B.base, spec.B.state_scale
-    g_base, g_scale = spec.G.base, spec.G.state_scale
+    additive = all(s.B.additive and s.G.additive for s in specs)
+    b_base, g_base = shared([s.B.base for s in specs]), shared([s.G.base for s in specs])
+    b_scale = shared([s.B.state_scale[None] for s in specs])
+    g_scale = shared([s.G.state_scale[None] for s in specs])
     mark_w = spec.marks.weight_array
-    g_comp = dt * (g_base @ mark_w)[:, None]
-    s_comp = dt * float(g_scale @ mark_w)
-    block = max(1, _BLOCK_VALUES // (groups * members * A.dim))
-
-    U = np.tile(spec.u0[:, None], lead + (1, members))           # the left state
-    S = np.empty_like(U)                                          # U - dt F(U) + inc
-    bufs = np.empty((2, block) + U.shape)                         # new states, in turn
+    g_comp = np.stack([dt * (base @ mark_w)[:, None] for base in g_base])
+    s_comp = np.stack([np.full((1, 1), dt * float(scale[0] @ mark_w)) for scale in g_scale])
+    block = max(1, _BLOCK_VALUES // (groups * members * n))
+    width = 1 << max(1, _BLOCK_VALUES // (groups * n)).bit_length() - 1
+    slices = [slice(lo, lo + width if members - lo > width + 1 else members)
+              for lo in range(0, max(1, members - 1), width)]
+    u0 = np.stack([s.u0[:, None] for s in specs])
+    U = [np.broadcast_to(u0, (groups, n, c.stop - c.start)).copy() for c in slices]
+    S = [np.empty_like(u) for u in U]                             # U - dt F(U) + inc
+    bufs = [np.empty((2, block) + u.shape) for u in U]            # new states, in turn
     r = np.empty((block + 1, groups))       # r[k, g]: max|u| of group g before step first + k
-    r[0] = np.abs(U).max()
-    states = np.empty((groups, members, steps + 1, A.dim))
-    states[:, :, 0, :] = spec.u0
+    r[0] = np.abs(u0).max(axis=(-2, -1))
+    states = np.empty((groups, members, steps + 1, n)) if reduce is None else None
+
+    def fill(node, cols, block_states):   # the default reducer
+        states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
+    reduce = reduce or fill
+    for cols, u in zip(slices, U):
+        reduce(0, cols, u.reshape(1, groups, n, -1))
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
-            dW_k = dW[:, first:first + block].transpose(1, 2, 0)      # (K, d, M)
-            counts_k = counts[:, first:first + block].transpose(1, 2, 0)
-            b_dW, g_counts = np.matmul(b_base, dW_k), np.matmul(g_base, counts_k)
+            dW_k, dN_k = (x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts))
+            b_dW, g_counts = project(b_base, dW_k), project(g_base, dN_k)
             if additive:
-                b_dW += g_counts                                      # the increments
+                b_dW = b_dW + g_counts                                # the increments
                 b_dW -= g_comp
+                factors = (b_dW,)
             else:
-                s_b, s_g = np.matmul(b_scale, dW_k), np.matmul(g_scale, counts_k)
-            K = b_dW.shape[0]
-            buf, start = bufs[(first // block) % 2, :K], U.reshape(groups, A.dim, members)
-            for k, V in enumerate(buf):
-                if additive:
-                    inc = b_dW[k]
-                else:
-                    inc = b_dW[k] + U * s_b[k]
-                    inc += g_counts[k] + U * s_g[k]
-                    inc -= g_comp + s_comp * U
-                if explicit:
-                    np.matmul(prop, U, out=V)
-                    if F.coefficients:
-                        fu = F(U)
-                        fu *= dt
-                        V -= fu
-                    V += inc
-                else:
-                    if F.coefficients:
-                        fu = F(U)
-                        fu *= dt
-                        np.subtract(U, fu, out=S)
-                        S += inc
+                factors = (b_dW, project(b_scale, dW_k), g_counts, project(g_scale, dN_k))
+            K = len(b_dW)
+            starts, news = [u.reshape(groups, n, -1) for u in U], []
+            for i, cols in enumerate(slices):
+                buf, Ui, Si = bufs[i][(first // block) % 2, :K], U[i], S[i]
+                for V, step_factors in zip(buf, zip(*(x[..., cols] for x in factors))):
+                    if additive:
+                        inc, = step_factors
                     else:
-                        np.add(U, inc, out=S)
-                    np.matmul(prop, S, out=V)
-                U = V
-            buf = buf.reshape(K, groups, A.dim, members)
-            np.abs(buf).max(axis=(2, 3), out=r[1:K + 1])
+                        b_k, s_b, g_k, s_g = step_factors
+                        inc = b_k + Ui * s_b
+                        inc += g_k + Ui * s_g
+                        inc -= g_comp + s_comp * Ui
+                    if explicit:
+                        np.matmul(prop, Ui, out=V)
+                        if F.coefficients:
+                            fu = F(Ui)
+                            fu *= dt
+                            V -= fu
+                        V += inc
+                    else:
+                        if F.coefficients:
+                            fu = F(Ui)
+                            fu *= dt
+                            np.subtract(Ui, fu, out=Si)
+                            Si += inc
+                        else:
+                            np.add(Ui, inc, out=Si)
+                        np.matmul(prop, Si, out=V)
+                    Ui = V
+                U[i] = Ui
+                news.append(buf.reshape(K, groups, n, -1))
+            r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
             blown = not math.isfinite(r[1:K + 1].max())               # in some group
             blowups = []
             for g, rg in enumerate(r.T):
@@ -263,8 +312,8 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                     if drift_varies:
                         cap[g] = dt * _derivative_bound(fprime_abs, float(rg[k]))
                         if not cap[g] < 0.5:
-                            left = buf[k - 1, g] if k else start[g]
-                            cap[g] = dt * float(np.abs(fprime(left)).max())
+                            lefts = [new[k - 1, g] if k else u[g] for new, u in zip(news, starts)]
+                            cap[g] = dt * float(np.max([np.abs(fprime(x)).max() for x in lefts]))
                     if cap[g] >= 1.0:
                         warnings.warn(
                             f"explicit drift step outside safety region at step {first + k}: "
@@ -277,7 +326,8 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                 t = step * (spec.T / steps)
                 raise BlowUpError(f"{configs[g].scheme} produced a non-finite state at step "
                                   f"{step} (t={t:.6g})", step=step, time=t)
-            states[:, :, first + 1:first + K + 1, :] = buf.transpose(1, 3, 0, 2)
+            for cols, new in zip(slices, news):
+                reduce(first + 1, cols, new)
             r[0] = r[K]
     return states
 

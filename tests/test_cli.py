@@ -168,8 +168,22 @@ def _sections(path):
 FUZZ_BASE = {path: _sections(path) for path in FUZZ_SOURCES}
 
 
+def _diagonal_spectra(n):
+    """Spectra of length n that are all zero, repeated, descending, or all three."""
+    return ([0.0] * n, [2.0] * n, [float(n - k) for k in range(n)],
+            [float(k * 7 % 5) for k in range(n)])
+
+
 def _mutate(sections, op, pick, value):
     """Apply one mutation, chosen by ``op`` and the index ``pick``, to ``sections``."""
+    if op == "diagonal" and "equation" in sections:
+        # a diagonal operator of the current n (3 if n is not a count)
+        equation = sections["equation"]
+        n = int(equation["n"]) if equation.get("n", "").isdigit() else 3
+        spectra = _diagonal_spectra(min(n, 99))
+        equation["operator"] = "diagonal"
+        equation["eigenvalues"] = " ".join(map(str, spectra[pick % len(spectra)]))
+        return
     names = sorted(sections)
     section = sections[names[pick % len(names)]]
     keys = sorted(section)
@@ -189,22 +203,36 @@ def _mutate(sections, op, pick, value):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(source=st.sampled_from(FUZZ_SOURCES),
-       mutations=st.lists(st.tuples(st.sampled_from(("set", "rename", "delete", "add", "section")),
+       mutations=st.lists(st.tuples(st.sampled_from(("set", "rename", "delete", "add", "section",
+                                                     "diagonal")),
                                     st.integers(0, 10**6), st.sampled_from(FUZZ_VALUES)),
                           min_size=1, max_size=3))
 def test_mutated_configs_parse_or_raise_configuration_error(tmp_path, source, mutations):
     sections = {name: dict(keys) for name, keys in FUZZ_BASE[source].items()}
     for op, pick, value in mutations:
         _mutate(sections, op, pick, value)
+    _parse_or_refuse(sections, tmp_path / "mutated.cfg")
+
+
+def _parse_or_refuse(sections, path):
+    """Write ``sections`` to ``path``; it must parse or raise ConfigurationError."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
-    path = tmp_path / "mutated.cfg"
     with path.open("w") as handle:
         parser.write(handle)
     try:
         assert isinstance(parse_config(path), RunConfig)
     except ConfigurationError:
         pass
+
+
+@pytest.mark.parametrize("source", FUZZ_SOURCES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("spectrum", range(4), ids=["zero", "repeated", "descending", "mixed"])
+def test_diagonal_spectra_parse_or_raise_configuration_error(tmp_path, source, spectrum):
+    # each shipped config with its operator made diagonal on each kind of spectrum
+    sections = {name: dict(keys) for name, keys in FUZZ_BASE[source].items()}
+    _mutate(sections, "diagonal", spectrum, "")
+    _parse_or_refuse(sections, tmp_path / "diagonal.cfg")
 
 
 def test_readme_key_table_matches_the_option_table():

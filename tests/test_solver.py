@@ -12,6 +12,7 @@ from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, 
 from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGrid, WienerPath,
                            coarsen_wiener, quadratic_mark_sum, sample_noise_batch, sample_poisson,
                            sample_wiener)
+from mildsde import solver
 from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, _propagator, ito_energy_residual,
                             ito_energy_terms, regularized_coupling_identity, solve,
                             solve_exp_euler, solve_linear_data, solve_resolvent_implicit,
@@ -385,6 +386,151 @@ class TestGroupedSteps:
         assert report.verdict == INCONCLUSIVE
         assert math.isnan(report.summary["gaps"][0])
         assert math.isnan(report.summary["integrability"][0])
+
+
+def data_specs(spec, count, noise):
+    """``count`` specs on spec's frame that differ in u0, B and G.  Multiplicative
+    noise makes group 0 additive, so the groups mix both kinds."""
+    rng = np.random.default_rng(count)
+    specs = []
+    for g in range(count):
+        additive = noise == "additive" or g == 0
+        B = DiffusionCoefficient((1.0 + 0.2 * g) * spec.B.base,
+                                 (0.0 if additive else 1.0 - 0.1 * g) * spec.B.state_scale,
+                                 spec.B.q)
+        G = JumpCoefficient(spec.G.base + 0.02 * g,
+                            (0.0 if additive else 1.0 + 0.1 * g) * spec.G.state_scale,
+                            spec.marks)
+        u0 = spec.u0 + 0.1 * g * rng.standard_normal(spec.A.dim)
+        specs.append(spec.with_data(u0=u0, B=B, G=G))
+    return tuple(specs)
+
+
+def assert_groups_match_reference(spec, specs, dW, counts, config):
+    """One data-group call and a reference call per spec agree bit for bit: states,
+    or the first group's BlowUpError; returns the grouped warnings."""
+    grouped, caught = stepper_outcome(
+        lambda *args: step_ensemble(*args, data=specs), spec, dW, counts, (config,))
+    separate = [stepper_outcome(reference_step_ensemble, s, dW, counts, config) for s in specs]
+    errors = [outcome for outcome, _ in separate if isinstance(outcome, tuple)]
+    if errors:
+        assert grouped == min(errors)
+    else:
+        assert grouped.shape == (len(specs),) + separate[0][0].shape
+        for states, (want, _) in zip(grouped, separate):
+            assert np.array_equal(states.view(np.int64), want.view(np.int64))
+    return caught, [warned for _, warned in separate]
+
+
+class TestDataGroups:
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("groups,members", [(2, 3), (5, 300)],
+                             ids=["one_slice", "three_slices"])
+    def test_each_group_matches_a_reference_call(self, scheme, noise, groups, members):
+        # 2 groups of 3 members cross a block boundary; 5 groups of 300 step in
+        # slices of 128, 128 and 44 members
+        steps = _BLOCK_VALUES // (groups * members * 31) + 6
+        spec, dW, counts = stepper_case(CUBIC, 31, members, steps, seed=groups)
+        specs = data_specs(spec, groups, noise)
+        caught, _ = assert_groups_match_reference(spec, specs, dW, counts,
+                                                  scheme_config(scheme))
+        assert not caught
+
+    @staticmethod
+    def narrow_slices(monkeypatch, groups, n=9):
+        # slices of 4 members, so 11 members step as 4 + 4 + 3
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 4 * groups * n)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("members", [9, 11])
+    def test_narrow_slices_keep_the_bits(self, scheme, noise, members, monkeypatch):
+        # 11 members step as 4 + 4 + 3; of 9, the ninth joins the slice before it,
+        # since a one-member slice would take a matrix-vector product
+        self.narrow_slices(monkeypatch, 3)
+        spec, dW, counts = stepper_case(CUBIC, 9, members, 40, seed=4)
+        specs = data_specs(spec, 3, noise)
+        caught, _ = assert_groups_match_reference(spec, specs, dW, counts,
+                                                  scheme_config(scheme))
+        assert not caught
+        # config groups slice the same way
+        configs = GROUPS["implicit_pair"]
+        self.narrow_slices(monkeypatch, len(configs))
+        grouped = step_ensemble(spec, dW, counts, configs)
+        for states, config in zip(grouped, configs):
+            want = reference_step_ensemble(spec, dW, counts, config)
+            assert np.array_equal(states.view(np.int64), want.view(np.int64))
+
+    def test_reducer_sees_every_node_of_every_slice_once(self, monkeypatch):
+        self.narrow_slices(monkeypatch, 2)
+        spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
+        specs = data_specs(spec, 2, "multiplicative")
+        config = scheme_config("exp_euler")
+        want = step_ensemble(spec, dW, counts, (config,), data=specs)
+        got, seen = np.full_like(want, np.nan), []
+
+        def reduce(node, cols, states):
+            assert states.shape == (len(states), 2, 9, cols.stop - cols.start)
+            seen.append((node, cols.start, cols.stop))
+            got[:, cols, node:node + len(states)] = states.transpose(1, 3, 0, 2)
+
+        assert step_ensemble(spec, dW, counts, (config,), reduce, specs) is None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert [s[1:] for s in seen[:3]] == [(0, 4), (4, 8), (8, 11)]
+        assert [s[0] for s in seen] == [node for node in range(41) for _ in range(3)]
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_blow_up_in_the_last_slice_matches_reference(self, scheme, monkeypatch):
+        self.narrow_slices(monkeypatch, 2)
+        spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
+        dW[10, 17] = np.inf
+        caught, separate = assert_groups_match_reference(
+            spec, data_specs(spec, 2, "multiplicative"), dW, counts, scheme_config(scheme))
+        assert not caught and not any(separate)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_stiffness_in_a_later_slice_warns_once_per_group(self, scheme, monkeypatch):
+        # a kick to member 10, in the last slice, lifts dt*max|f'(u)| past 1
+        self.narrow_slices(monkeypatch, 2)
+        spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
+        dW[10, 17] = 150.0
+        caught, separate = assert_groups_match_reference(
+            spec, data_specs(spec, 2, "additive"), dW, counts, scheme_config(scheme))
+        assert all(len(warned) == 1 for warned in separate)
+        assert sorted(caught) == sorted(w for warned in separate for w in warned)
+        assert all("at step 18:" in text for _, text in caught)
+
+    @pytest.mark.parametrize("other,message", [
+        (lambda s: s.with_data(F=Nonlinearity((0.0, 1.0))), "shared drift"),
+        (lambda s: EquationSpec(A=s.A.scaled(2.0), F=s.F, B=s.B, G=s.G, u0=s.u0, T=s.T),
+         "shared operator"),
+        (lambda s: s.with_data(T=2.0 * s.T), "shared horizon"),
+        (lambda s: s.with_data(B=DiffusionCoefficient(s.B.base, s.B.state_scale,
+                                                      2.0 * s.B.q)), "covariance weights"),
+        (lambda s: s.with_data(G=JumpCoefficient(s.G.base, s.G.state_scale,
+                                                 MarkSpace((-1.0, 2.0), (40.0, 20.0)))),
+         "mark space"),
+    ], ids=["drift", "operator", "horizon", "covariance", "marks"])
+    def test_a_mixed_frame_is_refused(self, other, message, monkeypatch):
+        from mildsde import analysis
+
+        def no_sampling(*args):
+            raise AssertionError("noise sampled before the frame was checked")
+
+        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
+        config = scheme_config("exp_euler")
+        with pytest.raises(ConfigurationError, match=message):
+            step_ensemble(spec, dW, counts, (config,), data=(spec, other(spec)))
+        monkeypatch.setattr(analysis, "sample_noise_batch", no_sampling)
+        grid = TimeGrid(spec.T, 40)
+        with pytest.raises(ConfigurationError, match=message):
+            analysis._coupled_sq_gaps(spec, [spec, other(spec)], grid, grid.dt, 1, 3)
+
+    def test_data_groups_take_one_config(self):
+        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
+        with pytest.raises(ConfigurationError, match="one scheme config"):
+            step_ensemble(spec, dW, counts, GROUPS["implicit_pair"], data=(spec, spec))
 
 
 @pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
