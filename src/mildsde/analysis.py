@@ -22,8 +22,7 @@ from .noise import (NoiseBatch, TimeGrid, poisson_integral, quadratic_mark_sum, 
                     sample_jump_table, sample_noise_batch, sample_wiener_rows, step_m_integral,
                     step_q_integral)
 from .solver import (SchemeConfig, Trajectory, _require_shared_frame, ito_energy_residual,
-                     regularized_coupling_identity, solve, solve_exp_euler,
-                     solve_yosida_explicit, step_ensemble)
+                     regularized_coupling_identity, solve, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
 from .textio import Record, fmt
 
@@ -125,8 +124,8 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
     """
     if paths is None:
         paths = sample_noise_batch(spec.B.q, spec.marks, grid, seed, ensemble_size)
-    return step_ensemble(spec, paths.wiener.increments, paths.cell_counts,
-                         (SchemeConfig(scheme, dt),))[0]
+    return step_ensemble(paths.wiener.increments, paths.cell_counts,
+                         ((spec, SchemeConfig(scheme, dt)),))[0]
 
 
 def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, seed: int,
@@ -155,8 +154,8 @@ def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, seed
             gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
             out[:, cols, node:node + len(states)] = frame.space.sq_norms(gap)
 
-        step_ensemble(frame, paths.wiener.increments, paths.cell_counts,
-                      (SchemeConfig(_COUPLED_SCHEME, dt),), reduce, tuple(specs))
+        step_ensemble(paths.wiener.increments, paths.cell_counts,
+                      tuple((spec, SchemeConfig(_COUPLED_SCHEME, dt)) for spec in specs), reduce)
         yield from out
 
     return gaps()
@@ -541,19 +540,22 @@ def yosida_convergence_experiment(spec: EquationSpec, seed: int, dt: float,
                                   epsilons) -> ExperimentReport:
     """Trajectory-level regularization convergence at a fixed small step size.
 
-    Solves the equation once with the exponential scheme (the reference) and
-    once per epsilon with the explicit regularized scheme on the same path;
-    PASS requires the sup-norm gap to shrink with fitted slope in [0.9, 1.1].
-    Summary: ``gaps`` (per epsilon, largest first) and ``slope``.
+    Steps the exponential scheme (the reference), then the explicit regularized
+    scheme of every epsilon as the groups of one call on the same path, which
+    keeps each sup-norm gap only.  PASS requires the gap to shrink with fitted
+    slope in [0.9, 1.1].  Summary: ``gaps`` (per epsilon, largest first), ``slope``.
     """
     epsilons = np.array(sorted((float(e) for e in epsilons), reverse=True))
     noise = sample_noise_batch(spec.B.q, spec.marks, _grid(spec.T, dt), seed, 1)
-    reference = solve_exp_euler(spec, noise, dt)
-    space = spec.space
-    gaps = np.empty(epsilons.shape[0])
-    for j, eps in enumerate(epsilons):
-        traj = solve_yosida_explicit(spec, noise, dt, eps)
-        gaps[j] = float(np.sqrt(space.sq_norms(traj.states - reference.states)).max())
+    reference, = solve(spec, noise, (SchemeConfig("exp_euler", dt),))
+    gaps = np.zeros(len(epsilons))
+
+    def reduce(node, cols, states):   # states (K, G, n, 1) of the one member
+        gap = states[..., 0] - reference.states[node:node + len(states), None]
+        np.maximum(gaps, np.sqrt(spec.space.sq_norms(gap)).max(axis=0), out=gaps)
+
+    groups = tuple((spec, SchemeConfig("yosida_explicit", dt, eps)) for eps in epsilons)
+    step_ensemble(noise.wiener.increments, noise.cell_counts, groups, reduce)
     slope = fit_order(epsilons, gaps)
     rows = [Record("gap", f"eps={fmt(e)}", g, 0.0) for e, g in zip(epsilons, gaps)]
     rows.append(Record("slope", "-", slope, 0.0, PASS if 0.9 <= slope <= 1.1 else FAIL))
@@ -580,11 +582,10 @@ def yosida_coupling_bound(spec: EquationSpec, u0_b, seed: int, *,
         raise ConfigurationError("the pathwise bound applies to additive noise only")
     grid = _grid(spec.T, dt)
     noise = sample_noise_batch(spec.B.q, spec.marks, grid, seed, 1)
-    spec_b = spec.with_data(u0=u0_b)
-    u = solve_exp_euler(spec, noise, dt).states
-    v = solve_exp_euler(spec_b, noise, dt).states
-    ue = solve_yosida_explicit(spec, noise, dt, epsilon).states
-    ve = solve_yosida_explicit(spec_b, noise, dt, epsilon).states
+    dW, counts, spec_b = noise.wiener.increments, noise.cell_counts, spec.with_data(u0=u0_b)
+    exact, regular = SchemeConfig("exp_euler", dt), SchemeConfig("yosida_explicit", dt, epsilon)
+    u, v = step_ensemble(dW, counts, ((spec, exact), (spec_b, exact)))[:, 0]
+    ue, ve = step_ensemble(dW, counts, ((spec, regular), (spec_b, regular)))[:, 0]
     space = spec.space
     y = u - v
     y_eps = ue - ve

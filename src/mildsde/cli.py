@@ -26,6 +26,7 @@ from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet)
 from .noise import TimeGrid, shared_draws
+from .solver import _explicit_rates
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 
@@ -107,8 +108,9 @@ def _matrix(dim: str):
 
 
 def _positives(one: bool = False, steps: bool = False, horizon: str = "", minimum: int = 0):
-    """Numbers, each finite and > 0, exactly one if ``one``; step sizes checked by
-    ``analysis.step_sizes`` (``minimum``, dyadic, dividing key ``horizon`` if named)."""
+    """Numbers, each finite and > 0, exactly one if ``one`` and at least ``minimum``;
+    step sizes checked by ``analysis.step_sizes`` (dyadic, dividing key ``horizon``
+    if named)."""
     def parse(text, values):
         numbers = _numbers(text)
         if one and len(numbers) != 1:
@@ -117,6 +119,8 @@ def _positives(one: bool = False, steps: bool = False, horizon: str = "", minimu
             analysis.step_sizes(numbers, values[horizon] if horizon else None, minimum)
         elif not all(math.isfinite(e) and e > 0.0 for e in numbers):
             raise ValueError(f"regularization parameters must be finite and > 0, got {numbers}")
+        elif len(numbers) < minimum:
+            raise ValueError(f"must list at least {minimum}, got {len(numbers)}")
         return numbers[0] if one else tuple(numbers)
     return parse
 
@@ -187,11 +191,16 @@ def _exp_resolvent_algebra(cfg: RunConfig):
     return analysis.resolvent_algebra_check(cfg.equation.A, opt["trials"], cfg.seed, opt["tol"])
 
 
+def _trotter_kato_operator(A: SpectralOperator, opt: dict) -> SpectralOperator:
+    """A rescaled so that its first eigenvalue is ``lambda1``, which keeps the
+    regularization sweep inside its linear response regime."""
+    return A.scaled(opt["lambda1"] / float(A.eigenvalues[0]))
+
+
 def _exp_trotter_kato(cfg: RunConfig):
-    """Linear additive-noise equation with the spectrum rescaled so the
-    regularization sweep stays inside its linear response regime."""
+    """Linear additive-noise equation on the rescaled operator."""
     opt = cfg.options["trotter_kato"]
-    A = cfg.equation.A.scaled(opt["lambda1"] / float(cfg.equation.A.eigenvalues[0]))
+    A = _trotter_kato_operator(cfg.equation.A, opt)
     e1 = A.eigenvectors[:, 0]
     B = DiffusionCoefficient.constant(opt["noise_amp"] * e1[:, None], np.array([1.0]))
     G = JumpCoefficient.zero(A.dim)
@@ -334,7 +343,7 @@ OPTIONS = {
     "experiment.trotter_kato": {
         "lambda1": (_POSITIVE, "0.5"), "noise_amp": (_NUMBER, "0.2"), "t": (_POSITIVE, "1.0"),
         "dt": (_positives(one=True, steps=True, horizon="t"), "0.0009765625"),
-        "epsilons": (_positives(), "[experiment] epsilons"),
+        "epsilons": (_positives(minimum=1), "[experiment] epsilons"),
     },
     "experiment.wiener_isometry": _ISOMETRY,
     "experiment.poisson_isometry": _ISOMETRY,
@@ -373,6 +382,20 @@ def _message(label: str, exc: ValueError) -> str:
     return f"{label}{' ' if reason.startswith(('must ', 'is ')) else ': '}{reason}"
 
 
+def _label(section: str, key: str, text: dict) -> str:
+    """``[section] key``, and the key it inherits from if ``text``, the section's
+    keys as read, does not set it."""
+    label = f"[{section}] {key}"
+    if key.lower() in text:
+        return label
+    default = _ROWS[section][key.lower()][2]
+    if section.removeprefix("experiment.") in OVERRIDES and key in _OVERRIDABLE:
+        return f"{label} (from [equation] {key})"
+    if default is not None and default.startswith("[experiment] "):
+        return f"{label} (from {default})"
+    return label
+
+
 def _read_section(section: str, text: dict, experiment_text: dict, equation=None) -> dict:
     """The typed value of every key of [section], read from ``text`` or its default;
     under an override section, an [equation] key not set keeps its ``equation`` value."""
@@ -383,7 +406,6 @@ def _read_section(section: str, text: dict, experiment_text: dict, equation=None
     values = {} if equation is None else dict(equation)
     for lower, (key, parse, default) in rows.items():
         raw = text.get(lower)
-        source = ""
         if raw is None:
             if key in values:
                 continue
@@ -391,13 +413,12 @@ def _read_section(section: str, text: dict, experiment_text: dict, equation=None
                 raise ConfigurationError(f"[{section}] {key} is required")
             raw = default
             if default.startswith("[experiment] "):
-                source = f" (from {default})"
                 name = default.split()[1]
                 raw = experiment_text.get(name, OPTIONS["experiment"][name][1])
         try:
             values[key] = parse(raw, values)
         except ValueError as exc:
-            raise ConfigurationError(_message(f"[{section}] {key}{source}", exc)) from None
+            raise ConfigurationError(_message(_label(section, key, text), exc)) from None
     return values
 
 
@@ -454,11 +475,23 @@ def parse_config(path, only=None) -> RunConfig:
     # stability and cauchy perturb B, and a data distance needs B free of the state
     for name in ("stability", "cauchy"):
         if name in names and any(options[name]["b_scale"]):
-            label = f"[experiment.{name}] b_scale"
-            if "b_scale" not in sections.get(f"experiment.{name}", {}):
-                label += " (from [equation] b_scale)"
+            section = f"experiment.{name}"
+            label = _label(section, "b_scale", sections.get(section, {}))
             raise ConfigurationError(f"{label} must be zeros, since data distances need additive "
                                      f"Wiener coefficients; got {options[name]['b_scale']}")
+    # the explicit Euler steps: trotter_kato's of A_eps at its smallest eps (the
+    # stiffest), energy_identity's of the Laplacian at its largest dt
+    try:
+        if "trotter_kato" in names:
+            label, opt = "[experiment.trotter_kato] dt", options["trotter_kato"]
+            _explicit_rates(_trotter_kato_operator(A, opt), opt["dt"], min(opt["epsilons"]))
+        if "energy_identity" in names:
+            section = "experiment.energy_identity"
+            label = _label(section, "dts", sections.get(section, {}))
+            opt = options["energy_identity"]
+            _explicit_rates(dirichlet_laplacian(opt["n"]), max(opt["dts"]))
+    except ConfigurationError as exc:
+        raise ConfigurationError(_message(label, exc)) from None
     output = _read_section("output", sections.get("output", {}), exp_text)
     return RunConfig(equation=spec, experiments=names, seed=experiment["seed"],
                      output_dir=output["directory"], formats=output["formats"],

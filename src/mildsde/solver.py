@@ -1,8 +1,8 @@
 """Time-stepping schemes for the mild (convolution) form of the equation.
 
 Three one-step maps share one stepper, ``step_ensemble``, which advances
-an ensemble of noise paths under schemes of one step size at once; ``solve``
-steps one path, a ``NoiseBatch`` of one:
+an ensemble of noise paths in (spec, scheme config) groups of one step size
+at once; ``solve`` steps one path, a ``NoiseBatch`` of one, under configs:
 
 * ``exp_euler``: exponential Euler, u_{n+1} = exp(-dt A)[u_n + increments],
   the direct discretization of the variation-of-constants form;
@@ -97,11 +97,12 @@ def _one_path(noise: NoiseBatch) -> TimeGrid:
     return noise.grid
 
 
-def _validate_noise(spec: EquationSpec, noise: NoiseBatch, dt: float) -> TimeGrid:
+def _validate_noise(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> TimeGrid:
     grid = _one_path(noise)
     wiener, poisson = noise
-    if abs(grid.dt - dt) > _REL_TOL * max(dt, 1.0):
-        raise ConfigurationError(f"wiener grid dt={grid.dt} does not match requested dt={dt}")
+    for dt in {config.dt for config in configs}:
+        if abs(grid.dt - dt) > _REL_TOL * max(dt, 1.0):
+            raise ConfigurationError(f"wiener grid dt={grid.dt} does not match requested dt={dt}")
     if abs(grid.horizon - spec.T) > _REL_TOL * max(spec.T, 1.0):
         raise ConfigurationError(f"wiener horizon {grid.horizon} does not match T={spec.T}")
     if wiener.q.shape != spec.B.q.shape or not np.allclose(wiener.q, spec.B.q, rtol=0, atol=1e-15):
@@ -123,17 +124,24 @@ def _linear_factors(A: SpectralOperator, scheme: str, dt: float) -> np.ndarray:
                              f"resolvent_implicit, got {scheme!r}")
 
 
+def _explicit_rates(A: SpectralOperator, dt: float, epsilon: float | None = None) -> np.ndarray:
+    """The eigenvalues of A, or of A_eps for an ``epsilon``, if an explicit Euler step
+    of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
+    rates = A.eigenvalues if epsilon is None else A.yosida_factors(epsilon)
+    cap = dt * float(rates.max())
+    if cap >= 2.0:
+        bound, given = ("dt*lam_max", f"dt={dt}") if epsilon is None else (
+            "dt*lam_max/(1+eps*lam_max)", f"dt={dt}, eps={epsilon}")
+        raise ConfigurationError(f"explicit Euler unstable: {bound} = {cap:.3g} >= 2 ({given})")
+    return rates
+
+
 def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
     """Dense matrix of the scheme's linear one-step map in state coordinates."""
     V, w = A.eigenvectors, A.space.weight
     if config.scheme != "yosida_explicit":
         return (V * _linear_factors(A, config.scheme, config.dt)) @ (w * V.T)
-    yos = A.yosida_factors(config.epsilon)
-    cap = config.dt * float(yos.max())
-    if cap >= 2.0:
-        raise ConfigurationError(
-            f"yosida_explicit unstable: dt*lam_max/(1+eps*lam_max) = {cap:.3g} >= 2 "
-            f"(dt={config.dt}, eps={config.epsilon})")
+    yos = _explicit_rates(A, config.dt, config.epsilon)
     return np.eye(A.dim) - config.dt * (V * yos) @ (w * V.T)
 
 
@@ -162,22 +170,20 @@ def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
         raise ConfigurationError("coupled solutions require a shared mark space")
 
 
-def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
-                  configs: tuple, reduce=None, data: tuple = ()):
-    """Step M members of the mild form in G groups at once, the G configs of
-    ``spec`` or the G specs of ``data`` under one config, which share spec's
-    operator, drift, horizon, covariance weights and mark space (else
+def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None):
+    """Step M members of the mild form in G (EquationSpec, SchemeConfig) groups at
+    once, whose specs share the first one's operator, drift, horizon, covariance
+    weights and mark space and whose configs share one dt and step form (else
     ConfigurationError).  Returns states (G, M, N+1, n), unless ``reduce``.
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
-    state, so the jump part is exactly centered.  The configs share one dt and
-    one step form (else ConfigurationError): exp_euler and resolvent_implicit
-    step V = P_g(U - dt F(U) + inc), yosida_explicit V = P_g U - dt F(U) + inc.
-    Each group keeps the bits of a call with it alone: a stacked (G, n, n)
-    product has the bits of the 2-D one, and each spec projects the noise of
-    all members with its own 2-D products.
+    state, so the jump part is exactly centered.  exp_euler and
+    resolvent_implicit step V = P_g(U - dt F(U) + inc), yosida_explicit
+    V = P_g U - dt F(U) + inc.  Each group keeps the bits of a call with it
+    alone: a stacked (G, n, n) product has the bits of the 2-D one, and each
+    spec projects the noise of all members with its own 2-D products.
 
     Members step in slices of contiguous (G, n, w) arrays, w the largest power
     of two at most _BLOCK_VALUES // (G n); a one-member tail, which would take
@@ -202,17 +208,15 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     only before the group's blow-up.  yosida_explicit raises
     ConfigurationError unless dt * lam_max / (1 + eps * lam_max) < 2.
     """
-    specs = tuple(data) or (spec,)
-    for other in specs:
-        _require_shared_frame(spec, other)
-    if data and len(configs) != 1:
-        raise ConfigurationError(f"data groups step under one scheme config, got {configs}")
-    configs = tuple(configs) * len(data) or tuple(configs)
+    specs, configs = tuple(s for s, _ in groups), tuple(c for _, c in groups)
     if len({(c.dt, c.scheme == "yosida_explicit") for c in configs}) != 1:
         raise ConfigurationError(f"one step_ensemble call takes configs of one dt and one "
                                  f"step form, got {configs}")
+    spec = specs[0]
+    for other in specs[1:]:
+        _require_shared_frame(spec, other)
     members, steps = dW.shape[:2]
-    groups, n = len(configs), spec.A.dim
+    n_groups, n = len(groups), spec.A.dim
     dt, explicit = configs[0].dt, configs[0].scheme == "yosida_explicit"
 
     def shared(mats):   # a coefficient that every spec shares is projected once
@@ -228,9 +232,9 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
     drift_varies = len(fprime.coefficients) > 1
-    cap = [dt * abs(fprime.coefficients[0]) if len(fprime.coefficients) == 1 else 0.0] * groups
-    checking = [drift_varies or cap[0] >= 1.0] * groups          # until the group's warning
     fprime_abs = tuple(abs(c) for c in fprime.coefficients)
+    cap = [dt * fprime_abs[0] if len(fprime_abs) == 1 else 0.0] * n_groups
+    checking = [drift_varies or cap[0] >= 1.0] * n_groups   # until the group's warning
     additive = all(s.B.additive and s.G.additive for s in specs)
     b_base, g_base = shared([s.B.base for s in specs]), shared([s.G.base for s in specs])
     b_scale = shared([s.B.state_scale[None] for s in specs])
@@ -238,23 +242,23 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
     mark_w = spec.marks.weight_array
     g_comp = np.stack([dt * (base @ mark_w)[:, None] for base in g_base])
     s_comp = np.stack([np.full((1, 1), dt * float(scale[0] @ mark_w)) for scale in g_scale])
-    block = max(1, _BLOCK_VALUES // (groups * members * n))
-    width = 1 << max(1, _BLOCK_VALUES // (groups * n)).bit_length() - 1
+    block = max(1, _BLOCK_VALUES // (n_groups * members * n))
+    width = 1 << max(1, _BLOCK_VALUES // (n_groups * n)).bit_length() - 1
     slices = [slice(lo, lo + width if members - lo > width + 1 else members)
               for lo in range(0, max(1, members - 1), width)]
     u0 = np.stack([s.u0[:, None] for s in specs])
-    U = [np.broadcast_to(u0, (groups, n, c.stop - c.start)).copy() for c in slices]
+    U = [np.broadcast_to(u0, (n_groups, n, c.stop - c.start)).copy() for c in slices]
     S = [np.empty_like(u) for u in U]                             # U - dt F(U) + inc
     bufs = [np.empty((2, block) + u.shape) for u in U]            # new states, in turn
-    r = np.empty((block + 1, groups))       # r[k, g]: max|u| of group g before step first + k
+    r = np.empty((block + 1, n_groups))    # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(u0).max(axis=(-2, -1))
-    states = np.empty((groups, members, steps + 1, n)) if reduce is None else None
+    states = np.empty((n_groups, members, steps + 1, n)) if reduce is None else None
 
     def fill(node, cols, block_states):   # the default reducer
         states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
     reduce = reduce or fill
     for cols, u in zip(slices, U):
-        reduce(0, cols, u.reshape(1, groups, n, -1))
+        reduce(0, cols, u.reshape(1, n_groups, n, -1))
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
@@ -267,7 +271,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
             else:
                 factors = (b_dW, project(b_scale, dW_k), g_counts, project(g_scale, dN_k))
             K = len(b_dW)
-            starts, news = [u.reshape(groups, n, -1) for u in U], []
+            starts, news = [u.reshape(n_groups, n, -1) for u in U], []
             for i, cols in enumerate(slices):
                 buf, Ui, Si = bufs[i][(first // block) % 2, :K], U[i], S[i]
                 for V, step_factors in zip(buf, zip(*(x[..., cols] for x in factors))):
@@ -296,7 +300,7 @@ def step_ensemble(spec: EquationSpec, dW: np.ndarray, counts: np.ndarray,
                         np.matmul(prop, Si, out=V)
                     Ui = V
                 U[i] = Ui
-                news.append(buf.reshape(K, groups, n, -1))
+                news.append(buf.reshape(K, n_groups, n, -1))
             r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
             blown = not math.isfinite(r[1:K + 1].max())               # in some group
             blowups = []
@@ -352,8 +356,9 @@ def _integrability(spec: EquationSpec, states: np.ndarray, dt: float) -> float:
 def solve(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> tuple:
     """One noise path (a NoiseBatch of one) stepped under each config (one dt and
     step form) by one step_ensemble call; a Trajectory per config."""
-    grid = _validate_noise(spec, noise, configs[0].dt)
-    states = step_ensemble(spec, noise.wiener.increments, noise.cell_counts, configs)[:, 0]
+    grid = _validate_noise(spec, noise, configs)
+    states = step_ensemble(noise.wiener.increments, noise.cell_counts,
+                           tuple((spec, config) for config in configs))[:, 0]
     states.setflags(write=False)
     return tuple(Trajectory(grid, s, _integrability(spec, s, configs[0].dt)) for s in states)
 
@@ -460,10 +465,7 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Mar
     grid = noise.grid
     g, C, D = _as_linear_data(A, g, C, D, noise, marks)
     dt = grid.dt
-    cap = dt * A.lambda_max
-    if cap >= 2.0:
-        raise ConfigurationError(
-            f"explicit Euler unstable for the energy identity: dt*lam_max = {cap:.3g} >= 2")
+    _explicit_rates(A, dt)
     wiener_inc = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
     jump_inc = np.einsum("nij,mnj->mni", D, noise.cell_counts) - dt * (D @ marks.weight_array)
     drive = wiener_inc + jump_inc - dt * g

@@ -29,6 +29,7 @@ from conftest import make_cubic_spec, make_linear_spec
 
 DTS = [2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10]
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
+FINE_PATH = Path(__file__).resolve().parent.parent / "bench" / "fine-path.cfg"
 
 
 class TestFitOrder:
@@ -634,6 +635,26 @@ class TestYosidaExperiments:
         assert report.verdict == PASS
         assert 0.9 <= report.summary["slope"] <= 1.1
         assert np.all(np.diff(report.summary["gaps"]) < 0.0)
+
+    def test_grouped_gaps_match_one_solve_per_epsilon(self, monkeypatch):
+        # the benchmark's fine-path sweep: six eps stepped as groups of one call
+        # against a solve per eps, 4,096 steps, bit for bit
+        calls, original = [], analysis.yosida_convergence_experiment
+        monkeypatch.setattr(analysis, "yosida_convergence_experiment",
+                            lambda *args: calls.append(args) or original(*args))
+        cfg = parse_config(FINE_PATH, only=("trotter_kato",))
+        report = EXPERIMENTS["trotter_kato"](cfg)
+        (spec, seed, dt, epsilons), = calls
+        grid = TimeGrid(spec.T, round(spec.T / dt))
+        assert grid.steps == 4096 and len(epsilons) == 6
+        path = sample_noise_batch(spec.B.q, spec.marks, grid, seed, 1)
+        reference, = solve(spec, path, (SchemeConfig("exp_euler", dt),))
+        want = []
+        for eps in sorted(epsilons, reverse=True):
+            traj, = solve(spec, path, (SchemeConfig("yosida_explicit", dt, eps),))
+            want.append(np.sqrt(spec.space.sq_norms(traj.states - reference.states)).max())
+        assert np.array_equal(report.summary["gaps"].view(np.int64),
+                              np.array(want).view(np.int64))
 
     def test_coupling_bound_holds_along_trajectory(self):
         spec = make_cubic_spec(n=9, T=0.5, f_coeffs=(0.0, 0.0, 0.0, 1.0), eta=0.0,

@@ -425,16 +425,17 @@ class TestRun:
 
     def test_fine_path_steps_and_bins_each_path_once(self, tmp_path, monkeypatch):
         # coupling steps its scheme pair in one loop per dt (256 + ... + 4,096 =
-        # 7,936 steps) and bins each dt's path once, trotter_kato makes 7 solves
-        # of 4,096 steps on one path binned once, and weak_residual reuses
-        # coupling's reductions: no step loop, no binning
+        # 7,936 steps) and bins each dt's path once, trotter_kato steps 4,096
+        # steps twice on one path binned once, the reference and then its six
+        # eps as groups, and weak_residual reuses coupling's reductions: no step
+        # loop, no binning
         steps, binnings, current = {}, [], [None]
         originals = {"step_ensemble": solver.step_ensemble,
                      "jump_cell_counts": noise.jump_cell_counts}
 
-        def step_ensemble(spec, dW, counts, configs):
+        def step_ensemble(dW, counts, groups, reduce=None):
             steps[current[0]] = steps.get(current[0], 0) + dW.shape[1]
-            return originals["step_ensemble"](spec, dW, counts, configs)
+            return originals["step_ensemble"](dW, counts, groups, reduce)
 
         def jump_cell_counts(path, grid):
             binnings.append(current[0])
@@ -457,9 +458,9 @@ class TestRun:
             monkeypatch.setitem(cli.EXPERIMENTS, name, entered(name, builder))
         cfg = replace(parse_config(BENCH_DIR / "fine-path.cfg"), output_dir=tmp_path)
         assert run(cfg) == 0
-        assert sum(steps.values()) == 36_608
+        assert sum(steps.values()) == 16_128
         assert steps.get("weak_residual", 0) == 0
-        assert steps == {"coupling": 7_936, "trotter_kato": 7 * 4_096}
+        assert steps == {"coupling": 7_936, "trotter_kato": 2 * 4_096}
         assert binnings == ["coupling"] * 5 + ["trotter_kato"]
 
     def test_weak_residual_alone_writes_the_bytes_of_the_full_run(self, tmp_path):
@@ -886,6 +887,52 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert ("[experiment.coupling] dts (from [experiment] dt_list): dt=0.1 does not divide"
                 in err)
+
+    @pytest.mark.parametrize("source, settings, stable, label, bound", [
+        ("acceptance.cfg", [("experiment.trotter_kato", "dt", "0.0625")], "0.03125",
+         "[experiment.trotter_kato] dt", "dt*lam_max/(1+eps*lam_max) = 3.06 >= 2"),
+        ("acceptance.cfg", [("experiment.energy_identity", "dts", "0.03125 0.015625 0.0078125")],
+         "0.0078125 0.00390625 0.001953125", "[experiment.energy_identity] dts",
+         "dt*lam_max = 4.2 >= 2"),
+        (MINIMAL, [("experiment", "experiments", "energy_identity"),
+                   ("experiment", "dt_list", "0.03125 0.015625 0.0078125")],
+         "0.0078125 0.00390625 0.001953125",
+         "[experiment.energy_identity] dts (from [experiment] dt_list)", "dt*lam_max = 4.2 >= 2"),
+    ], ids=["trotter_kato", "energy_identity", "energy_identity-inherited"])
+    def test_unstable_explicit_step_exits_2_before_any_experiment_runs(
+            self, tmp_path, capsys, source, settings, stable, label, bound):
+        # trotter_kato steps A_eps at its smallest eps, energy_identity the
+        # Laplacian at its largest dt, both by explicit Euler
+        text = source if source == MINIMAL else (CONFIG_DIR / source).read_text()
+        for section, key, value in settings:
+            text = set_key(text, section, key, value)
+        section, key, _ = settings[-1]
+        parse_config(write_cfg(tmp_path, set_key(text, section, key, stable), "stable.cfg"))
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {label}: explicit Euler unstable: {bound}")
+        assert ("eps=" in err) == ("trotter_kato" in label)
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source, section, label", [
+        ("acceptance.cfg", "experiment.trotter_kato", "[experiment.trotter_kato] epsilons"),
+        (MINIMAL, "experiment",
+         "[experiment.trotter_kato] epsilons (from [experiment] epsilons)"),
+    ], ids=["set", "inherited"])
+    def test_empty_epsilons_exit_2(self, tmp_path, capsys, source, section, label):
+        # the sweep needs an eps to step, and its smallest to check the step against
+        text = source if source == MINIMAL else (CONFIG_DIR / source).read_text()
+        text = set_key(set_key(text, "experiment", "experiments", "trotter_kato"),
+                       section, "epsilons", "")
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {label} must list at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, at_bound, message", [
         ("experiment.contraction", "dt", "1e-12", "9.5367431640625e-07",

@@ -110,9 +110,14 @@ def stepper_outcome(stepper, spec, dW, counts, config):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def step_configs(spec, dW, counts, configs):
+    """step_ensemble with a group of ``spec`` per config: states (G, M, N+1, n)."""
+    return step_ensemble(dW, counts, tuple((spec, config) for config in configs))
+
+
 def step_one(spec, dW, counts, config):
     """step_ensemble under the one config: states (M, N+1, n)."""
-    return step_ensemble(spec, dW, counts, (config,))[0]
+    return step_configs(spec, dW, counts, (config,))[0]
 
 
 def assert_same_outcome(spec, dW, counts, config):
@@ -314,7 +319,7 @@ class TestGroupedSteps:
         steps = _BLOCK_VALUES // (len(configs) * members * 31) + 6
         spec, dW, counts = stepper_case(f_coeffs, 31, members, steps, seed=members, **scales)
         assert (spec.B.additive and spec.G.additive) == (noise == "additive")
-        grouped, caught = stepper_outcome(step_ensemble, spec, dW, counts, configs)
+        grouped, caught = stepper_outcome(step_configs, spec, dW, counts, configs)
         assert grouped.shape == (len(configs), members, steps + 1, 31) and not caught
         for states, config in zip(grouped, configs):
             separate, _ = assert_same_outcome(spec, dW, counts, config)
@@ -344,7 +349,10 @@ class TestGroupedSteps:
     def test_mixed_forms_or_dts_are_refused(self, configs):
         spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
         with pytest.raises(ConfigurationError, match="one dt and one step form"):
-            step_ensemble(spec, dW, counts, configs)
+            step_configs(spec, dW, counts, configs)
+        # so does solve; no configs at all take the stepper's own error
+        with pytest.raises(ConfigurationError, match=None if configs else "one dt and one step"):
+            solve(spec, noise_for(spec, spec.T / 40), configs)
 
     @staticmethod
     def running_away(u0_sq, steps=400):
@@ -370,7 +378,7 @@ class TestGroupedSteps:
         errors = [outcome for outcome, _ in separate if isinstance(outcome, tuple)]
         assert len(errors) == blowups
         assert min(errors)[2].startswith("resolvent_implicit produced a non-finite state")
-        grouped, caught = stepper_outcome(step_ensemble, spec, dW, counts, configs)
+        grouped, caught = stepper_outcome(step_configs, spec, dW, counts, configs)
         assert grouped == min(errors)
         # one warning per group that warns, with the text of its own call
         assert caught == [w for _, warned in separate for w in warned]
@@ -409,8 +417,10 @@ def data_specs(spec, count, noise):
 def assert_groups_match_reference(spec, specs, dW, counts, config):
     """One data-group call and a reference call per spec agree bit for bit: states,
     or the first group's BlowUpError; returns the grouped warnings."""
-    grouped, caught = stepper_outcome(
-        lambda *args: step_ensemble(*args, data=specs), spec, dW, counts, (config,))
+    def step_specs(_, dW, counts, config):
+        return step_ensemble(dW, counts, tuple((s, config) for s in specs))
+
+    grouped, caught = stepper_outcome(step_specs, spec, dW, counts, config)
     separate = [stepper_outcome(reference_step_ensemble, s, dW, counts, config) for s in specs]
     errors = [outcome for outcome, _ in separate if isinstance(outcome, tuple)]
     if errors:
@@ -457,7 +467,7 @@ class TestDataGroups:
         # config groups slice the same way
         configs = GROUPS["implicit_pair"]
         self.narrow_slices(monkeypatch, len(configs))
-        grouped = step_ensemble(spec, dW, counts, configs)
+        grouped = step_configs(spec, dW, counts, configs)
         for states, config in zip(grouped, configs):
             want = reference_step_ensemble(spec, dW, counts, config)
             assert np.array_equal(states.view(np.int64), want.view(np.int64))
@@ -466,8 +476,8 @@ class TestDataGroups:
         self.narrow_slices(monkeypatch, 2)
         spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
         specs = data_specs(spec, 2, "multiplicative")
-        config = scheme_config("exp_euler")
-        want = step_ensemble(spec, dW, counts, (config,), data=specs)
+        groups = tuple((s, scheme_config("exp_euler")) for s in specs)
+        want = step_ensemble(dW, counts, groups)
         got, seen = np.full_like(want, np.nan), []
 
         def reduce(node, cols, states):
@@ -475,7 +485,7 @@ class TestDataGroups:
             seen.append((node, cols.start, cols.stop))
             got[:, cols, node:node + len(states)] = states.transpose(1, 3, 0, 2)
 
-        assert step_ensemble(spec, dW, counts, (config,), reduce, specs) is None
+        assert step_ensemble(dW, counts, groups, reduce) is None
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert [s[1:] for s in seen[:3]] == [(0, 4), (4, 8), (8, 11)]
         assert [s[0] for s in seen] == [node for node in range(41) for _ in range(3)]
@@ -521,16 +531,49 @@ class TestDataGroups:
         spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
         config = scheme_config("exp_euler")
         with pytest.raises(ConfigurationError, match=message):
-            step_ensemble(spec, dW, counts, (config,), data=(spec, other(spec)))
+            step_ensemble(dW, counts, ((spec, config), (other(spec), config)))
         monkeypatch.setattr(analysis, "sample_noise_batch", no_sampling)
         grid = TimeGrid(spec.T, 40)
         with pytest.raises(ConfigurationError, match=message):
             analysis._coupled_sq_gaps(spec, [spec, other(spec)], grid, grid.dt, 1, 3)
 
-    def test_data_groups_take_one_config(self):
-        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
-        with pytest.raises(ConfigurationError, match="one scheme config"):
-            step_ensemble(spec, dW, counts, GROUPS["implicit_pair"], data=(spec, spec))
+    def test_shipped_size_keeps_the_bits_of_one_group_calls(self):
+        # cauchy's shape: 5 additive data groups of 1000 members, n = 31, 128
+        # steps, stepped in slices of 128 members; a group alone steps in one
+        # slice of 1000.  Each state is compared by the XOR of the bits of its
+        # 31 components, which differs wherever one component differs, so that
+        # no (5, 1000, 129, 31) array is held.
+        spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, seed=5, b_scale=(0.0, 0.0),
+                                        g_scale=(0.0, 0.0))
+        config = scheme_config("exp_euler")
+        specs = data_specs(spec, 5, "additive")
+
+        def folded_states(groups):
+            out = np.empty((len(groups), 1000, 129), dtype=np.int64)
+
+            def reduce(node, cols, states):
+                bits = np.bitwise_xor.reduce(states.view(np.int64), axis=2)
+                out[:, cols, node:node + len(states)] = bits.transpose(1, 2, 0)
+
+            step_ensemble(dW, counts, groups, reduce)
+            return out
+
+        grouped = folded_states(tuple((s, config) for s in specs))
+        for s, got in zip(specs, grouped):
+            assert np.array_equal(got, folded_states(((s, config),))[0])
+
+    @pytest.mark.parametrize("group", ["implicit_three", "yosida_two_eps"])
+    def test_mixed_specs_and_schemes_match_the_reference(self, group):
+        # each group pairs its own spec with its own config
+        configs = GROUPS[group]
+        spec, dW, counts = stepper_case(CUBIC, 9, 5, 40, seed=6)
+        specs = data_specs(spec, len(configs), "multiplicative")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grouped = step_ensemble(dW, counts, tuple(zip(specs, configs)))
+        for states, s, config in zip(grouped, specs, configs):
+            want = reference_step_ensemble(s, dW, counts, config)
+            assert np.array_equal(states.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
@@ -542,7 +585,7 @@ def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
     spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
     tracemalloc.start()
     try:
-        states = step_ensemble(spec, dW, counts, (scheme_config("exp_euler"),))
+        states = step_one(spec, dW, counts, scheme_config("exp_euler"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
