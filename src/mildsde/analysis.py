@@ -128,39 +128,6 @@ def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
                          ((spec, SchemeConfig(scheme, dt)),))[0]
 
 
-def _coupled_sq_gaps(frame: EquationSpec, specs, grid: TimeGrid, dt: float, seed: int,
-                     members: int):
-    """Squared gaps |u_p - u_{p+1}|^2, shape (members, nodes), of consecutive specs,
-    stepped with _COUPLED_SCHEME as the data groups of one step_ensemble call.
-
-    Every spec must share ``frame``'s operator, drift, horizon, covariance
-    weights and mark space, so that the specs differ only in their data (u0,
-    B, G).  This and ``members >= 1`` are checked at the call; nothing is
-    sampled until the returned iterator is consumed.  It draws one batch of
-    ``members`` paths with ``frame``, and a reducer turns each block of new
-    states into gaps: no trajectory array exists, only the gaps of each pair.
-    """
-    if members < 1:
-        raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
-    for spec in specs:
-        _require_shared_frame(frame, spec)
-
-    def gaps():
-        paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
-        out = np.empty((len(specs) - 1, members, grid.steps + 1))
-
-        def reduce(node, cols, states):
-            # contiguous, so that sq_norms sums as over a trajectory array
-            gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
-            out[:, cols, node:node + len(states)] = frame.space.sq_norms(gap)
-
-        step_ensemble(paths.wiener.increments, paths.cell_counts,
-                      tuple((spec, SchemeConfig(_COUPLED_SCHEME, dt)) for spec in specs), reduce)
-        yield from out
-
-    return gaps()
-
-
 def _mean_stderr(samples: np.ndarray, axis: int = 0):
     """Sample mean along ``axis`` and its standard error (0 for a single sample)."""
     count = samples.shape[axis]
@@ -168,6 +135,61 @@ def _mean_stderr(samples: np.ndarray, axis: int = 0):
     if count < 2:
         return mean, np.zeros_like(mean)
     return mean, samples.std(axis=axis, ddof=1) / math.sqrt(count)
+
+
+def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: int):
+    """A function returning the per-node mean and standard error of |u_p - u_{p+1}|^2
+    over the members, each of shape (pairs, nodes), for consecutive specs stepped
+    with _COUPLED_SCHEME as the data groups of one step_ensemble call on the grid
+    of step dt.
+
+    Every spec must share ``frame``'s operator, drift, horizon, covariance
+    weights and mark space, so that the specs differ only in their data (u0,
+    B, G).  This and ``members >= 1`` are checked at the call; nothing is
+    sampled until the returned function is called.  It draws one batch of
+    ``members`` paths with ``frame``.  A reducer holds the gaps of one block
+    of nodes, (pairs, members, max(2, K)), and reduces each completed block
+    with _mean_stderr: two or more columns keep the bits of the moments of the
+    whole (members, nodes) array, a bare column would not, so a one-node block
+    is padded.  No trajectory or gap array exists.  Within a run each pair's
+    moments are kept in the run memo, keyed on the two spec payloads, grid,
+    dt, seed and members, and a call whose pairs are all held steps nothing.
+    """
+    if members < 1:
+        raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
+    for spec in specs:
+        _require_shared_frame(frame, spec)
+    grid = _grid(frame.T, dt)
+    keys = [("coupled_moments", a.payload(), b.payload(), grid.horizon, grid.steps, dt, seed,
+             members) for a, b in zip(specs, specs[1:])]
+
+    def moments():
+        memo = run_memo()
+        if memo is not None and all(key in memo for key in keys):
+            return tuple(np.array(rows) for rows in zip(*(memo[key] for key in keys)))
+        paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
+        mean, se = np.empty((2, len(keys), grid.steps + 1))
+        held = np.zeros((len(keys), members, 2))
+
+        def reduce(node, cols, states):
+            nonlocal held
+            K = len(states)
+            if held.shape[2] != max(2, K):
+                held = np.zeros((len(keys), members, max(2, K)))
+            # contiguous, so that sq_norms sums as over a trajectory array
+            gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
+            held[:, cols, :K] = frame.space.sq_norms(gap)
+            if cols.stop == members:            # the block's last slice
+                m, s = _mean_stderr(held, axis=1)
+                mean[:, node:node + K], se[:, node:node + K] = m[:, :K], s[:, :K]
+
+        step_ensemble(paths.wiener.increments, paths.cell_counts,
+                      tuple((spec, SchemeConfig(_COUPLED_SCHEME, dt)) for spec in specs), reduce)
+        if memo is not None:
+            memo.update((key, (m.copy(), s.copy())) for key, m, s in zip(keys, mean, se))
+        return mean, se
+
+    return moments
 
 
 def step_sizes(dts, T: float | None = None, minimum: int = 1) -> list:
@@ -268,14 +290,15 @@ def contraction_experiment(spec: EquationSpec, u0_b, ensemble_size: int, seed: i
 
     Each ensemble member drives two solutions, started from spec.u0 and
     u0_b, with the identical noise path; both are stepped with
-    _COUPLED_SCHEME as the data groups of one call that keeps their squared
-    gaps only.  A margin >= 0 gives E|du(t)|^2 <= exp(-alpha t) |du(0)|^2 by
-    Ito's formula, A being monotone, so PASS requires the empirical mean
-    squared gap to sit below that envelope up to three standard errors at
-    every grid time.  Refuses to run (HypothesisError) if the exact triplet
-    margin for the declared alpha is negative; a solver blow-up propagates as
-    BlowUpError.  Summary: ``times``, ``mean_sq``, ``stderr``, ``envelope``
-    (per grid time) and ``margin``.
+    _COUPLED_SCHEME as the data groups of one call that keeps only the
+    per-node moments of their squared gap (_coupled_moments).  A margin >= 0
+    gives E|du(t)|^2 <= exp(-alpha t) |du(0)|^2 by Ito's formula, A being
+    monotone, so PASS requires the empirical mean squared gap to sit below
+    that envelope up to three standard errors at every grid time.  Refuses
+    to run (HypothesisError) if the exact triplet margin for the declared
+    alpha is negative; a solver blow-up propagates as BlowUpError.  Summary:
+    ``times``, ``mean_sq``, ``stderr``, ``envelope`` (per grid time) and
+    ``margin``.
     """
     margin = check_dissipativity_triplet(spec)
     if margin < 0.0:
@@ -284,9 +307,8 @@ def contraction_experiment(spec: EquationSpec, u0_b, ensemble_size: int, seed: i
             f"for declared alpha={spec.alpha}")
     u0_b = spec.space.element(u0_b)
     grid = _grid(spec.T, dt)
-    gap_sq, = _coupled_sq_gaps(spec, [spec, spec.with_data(u0=u0_b)], grid, dt, seed,
-                               ensemble_size)
-    mean, se = _mean_stderr(gap_sq)
+    (mean,), (se,) = _coupled_moments(spec, [spec, spec.with_data(u0=u0_b)], dt, seed,
+                                      ensemble_size)()
     envelope = np.exp(-spec.alpha * grid.times) * spec.space.sq_norms(spec.u0 - u0_b)
     rows = [Record("margin", f"alpha={fmt(spec.alpha)}", margin, 0.0)]
     rows += [Record("mean_sq_gap", f"t={fmt(t)}", m, s,
@@ -340,7 +362,9 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
 
     The two specifications must share the operator, drift, horizon and noise
     frame and may differ only in (u0, B, G) with state-independent noise
-    coefficients; both are solved with _COUPLED_SCHEME.  There is one N row
+    coefficients; both are solved with _COUPLED_SCHEME, and N is read off the
+    per-node moments of their squared gap (_coupled_moments, served from the
+    run memo when cauchy's chain held the pair).  There is one N row
     per grid time where N is defined.  It FAILs when N(t) exceeds the
     margin-derived envelope exp(2 |margin| t) by more than three standard
     errors, or when it and the N of the row before both exceed 1e-12 and
@@ -353,14 +377,11 @@ def stability_estimate_experiment(spec1: EquationSpec, spec2: EquationSpec,
     margin_raw = _finite_raw_margin(spec1)
     grid = _grid(spec1.T, dt)
     steps = grid.steps
-    gaps = _coupled_sq_gaps(spec1, [spec1, spec2], grid, dt, seed, ensemble_size)
-
+    moments = _coupled_moments(spec1, [spec1, spec2], dt, seed, ensemble_size)
     den = np.empty(steps + 1)
     den[0] = spec1.space.sq_norms(spec1.u0 - spec2.u0)
     den[1:] = den[0] + np.cumsum(grid.dt * _data_distance_steps(spec1, spec2, grid))
-
-    num, = gaps
-    num_mean, num_se = _mean_stderr(num)
+    (num_mean,), (num_se,) = moments()
     n_vals = np.full(steps + 1, np.nan)
     n_se = np.zeros(steps + 1)
     for k in range(steps + 1):
@@ -395,7 +416,8 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     data_sequence is a list of (u0_n, B_n, G_n) whose distance to the limit
     data must be strictly decreasing; every entry is solved with
     _COUPLED_SCHEME.  Consecutive solutions are compared in the
-    sup-in-time mean-square norm; PASS requires each solution distance to be
+    sup-in-time mean-square norm, the largest per-node mean of their
+    squared gap (_coupled_moments); PASS requires each solution distance to be
     controlled linearly by the matching data distance, with constant
     ``n_bound``, the margin-derived Gronwall envelope exp(2 |margin| T) at
     the horizon (refused, HypothesisError, for a raw margin of -inf).
@@ -407,7 +429,7 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
     grid = _grid(spec.T, dt)
     n_bound = float(np.exp(2.0 * abs(_finite_raw_margin(spec)) * spec.T))
     specs = [spec.with_data(u0=u0_n, B=b_n, G=g_n) for (u0_n, b_n, g_n) in data_sequence]
-    gaps = _coupled_sq_gaps(spec, specs, grid, dt, seed, ensemble_size)
+    moments = _coupled_moments(spec, specs, dt, seed, ensemble_size)
 
     def total_distance(sa, sb):
         base = spec.space.sq_norms(sa.u0 - sb.u0)
@@ -419,7 +441,7 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
         raise ConfigurationError(
             f"data distances to the limit must be strictly decreasing, got {limit_dists}")
     data_dists = np.array([total_distance(a, b) for a, b in zip(specs, specs[1:])])
-    sol_dists = np.array([gap.mean(axis=0).max() for gap in gaps])
+    sol_dists = moments()[0].max(axis=1)
 
     positive = sol_dists > _ZERO_FLOOR
     ratios = np.array([sol_dists[i + 1] / sol_dists[i]

@@ -258,7 +258,27 @@ def _perturbed(cfg: RunConfig, name: str):
                                                 spec.B.state_scale, spec.B.q)
 
 
+def _shared_coupled_solve(cfg: RunConfig):
+    """When stability and cauchy both run on equal sections, step the chain
+    [spec, moved(0), ..., moved(L-1)] once, keeping its pair moments in the run
+    memo: stability reads pair 0 and cauchy pairs 1..L-1, so neither steps again.
+    After a blow-up each steps its own pairs, so each reports its own."""
+    if not {"stability", "cauchy"} <= set(cfg.experiments):
+        return
+    opt = cfg.options["cauchy"]
+    spec, moved = _perturbed(cfg, "cauchy")
+    if (cfg.equation_for("stability").payload() != spec.payload()
+            or any(cfg.options["stability"][k] != opt[k] for k in ("dt", "ensemble", "db_amp"))):
+        return
+    chain = [spec] + [spec.with_data(B=moved(k)) for k in range(opt["levels"])]
+    try:
+        analysis._coupled_moments(spec, chain, opt["dt"], cfg.seed, opt["ensemble"])()
+    except BlowUpError:
+        pass
+
+
 def _exp_stability(cfg: RunConfig):
+    _shared_coupled_solve(cfg)
     opt = cfg.options["stability"]
     spec, moved = _perturbed(cfg, "stability")
     return analysis.stability_estimate_experiment(spec, spec.with_data(B=moved(0)),
@@ -266,6 +286,7 @@ def _exp_stability(cfg: RunConfig):
 
 
 def _exp_cauchy(cfg: RunConfig):
+    _shared_coupled_solve(cfg)
     opt = cfg.options["cauchy"]
     spec, moved = _perturbed(cfg, "cauchy")
     sequence = [(spec.u0, moved(k), spec.G) for k in range(opt["levels"])]

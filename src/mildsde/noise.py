@@ -466,7 +466,8 @@ class NoiseBatch:
 
     @cached_property
     def cell_counts(self) -> np.ndarray:
-        """Per-cell jump counts (M, steps, J) on the batch's grid, binned once per batch."""
+        """Per-cell jump counts (M, steps, J) on the batch's grid, binned once per batch
+        (``jump_cell_counts``: exact whole numbers in float32)."""
         counts = jump_cell_counts(self.jumps, self.grid)
         counts.setflags(write=False)
         return counts
@@ -498,8 +499,10 @@ def _completed_jumps(path: PoissonPath, grid: TimeGrid, k: int) -> tuple:
 
 def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
     """Per-path, per-cell, per-atom jump counts (M, steps, J); a jump at s lands
-    in the cell (t_n, t_{n+1}] containing s."""
-    counts = np.zeros((path.members, grid.steps, path.atom_count))
+    in the cell (t_n, t_{n+1}] containing s.  The counts are whole numbers held
+    exactly in float32 (up to 2**24 per cell), half the bytes of float64, and
+    every product with float64 coefficients sees the same float64 values."""
+    counts = np.zeros((path.members, grid.steps, path.atom_count), dtype=np.float32)
     np.add.at(counts, _completed_jumps(path, grid, grid.steps), 1.0)
     return counts
 

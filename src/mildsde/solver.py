@@ -177,7 +177,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     ConfigurationError).  Returns states (G, M, N+1, n), unless ``reduce``.
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
-    jump counts (M, N, J) of each member.  The noise increment of a step is
+    jump counts (M, N, J) of each member, float64 or exact whole numbers in
+    float32 (``NoiseBatch.cell_counts``), which the projections read as the
+    same float64 values.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
     state, so the jump part is exactly centered.  exp_euler and
     resolvent_implicit step V = P_g(U - dt F(U) + inc), yosida_explicit
@@ -191,10 +193,14 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     the column panels of the BLAS kernels, keeping the bits of an unsliced
     product on the tested sizes.  Steps run in blocks of K, about 2**15 values
     per (K, G, n, M) array; a block projects the state-free noise factors once
-    (the whole increment when B and G are additive).  Once a block's slices are
-    stepped and checked, ``reduce(node, cols, states)`` takes each slice's
-    states (K, G, n, w) of nodes node to node + K - 1, members ``cols`` (views
-    of reused buffers); its first call takes the initial states.
+    (when B and G are additive, the whole increment, formed in place in the
+    projection that has every group).  Each slice's new states go into two
+    (K, G, n, w) buffers used in turn, u0 into the second, and the implicit
+    forms share one (G, n, w) scratch array across the slices, which step one
+    after another.  Once a block's slices are stepped and checked,
+    ``reduce(node, cols, states)`` takes each slice's states (K, G, n, w) of
+    nodes node to node + K - 1, members ``cols`` in order (views of reused
+    buffers); its first call takes the initial states.
 
     Checks run once per block and group, on r = max|u| of each new state over
     all slices.  A non-finite r (it propagates nan and inf) is a blow-up; the
@@ -247,9 +253,12 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     slices = [slice(lo, lo + width if members - lo > width + 1 else members)
               for lo in range(0, max(1, members - 1), width)]
     u0 = np.stack([s.u0[:, None] for s in specs])
-    U = [np.broadcast_to(u0, (n_groups, n, c.stop - c.start)).copy() for c in slices]
-    S = [np.empty_like(u) for u in U]                             # U - dt F(U) + inc
-    bufs = [np.empty((2, block) + u.shape) for u in U]            # new states, in turn
+    # each slice's new states, in two (K, G, n, w) buffers used in turn; u0 starts in the second
+    bufs = [np.empty((2, block, n_groups, n, c.stop - c.start)) for c in slices]
+    for buf in bufs:
+        buf[1, 0] = u0
+    U = [buf[1, 0] for buf in bufs]
+    scratch = np.empty(max(buf[0, 0].size for buf in bufs))   # U - dt F(U) + inc, per slice
     r = np.empty((block + 1, n_groups))    # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(u0).max(axis=(-2, -1))
     states = np.empty((n_groups, members, steps + 1, n)) if reduce is None else None
@@ -257,23 +266,26 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     def fill(node, cols, block_states):   # the default reducer
         states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
     reduce = reduce or fill
-    for cols, u in zip(slices, U):
-        reduce(0, cols, u.reshape(1, n_groups, n, -1))
+    for cols, buf in zip(slices, bufs):
+        reduce(0, cols, buf[1, :1])
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
             dW_k, dN_k = (x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts))
             b_dW, g_counts = project(b_base, dW_k), project(g_base, dN_k)
-            if additive:
-                b_dW = b_dW + g_counts                                # the increments
-                b_dW -= g_comp
-                factors = (b_dW,)
+            if additive:   # the increments, in the projection that has every group
+                full, other = ((b_dW, g_counts) if b_dW.shape[1] >= g_counts.shape[1]
+                               else (g_counts, b_dW))
+                full += other
+                full -= g_comp
+                factors = (full,)
             else:
                 factors = (b_dW, project(b_scale, dW_k), g_counts, project(g_scale, dN_k))
             K = len(b_dW)
-            starts, news = [u.reshape(n_groups, n, -1) for u in U], []
+            starts, news = list(U), []
             for i, cols in enumerate(slices):
-                buf, Ui, Si = bufs[i][(first // block) % 2, :K], U[i], S[i]
+                buf, Ui = bufs[i][(first // block) % 2, :K], U[i]
+                Si = scratch[:Ui.size].reshape(Ui.shape)
                 for V, step_factors in zip(buf, zip(*(x[..., cols] for x in factors))):
                     if additive:
                         inc, = step_factors
@@ -300,7 +312,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
                         np.matmul(prop, Si, out=V)
                     Ui = V
                 U[i] = Ui
-                news.append(buf.reshape(K, n_groups, n, -1))
+                news.append(buf)
             r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
             blown = not math.isfinite(r[1:K + 1].max())               # in some group
             blowups = []

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mildsde import analysis, noise
+from mildsde import analysis, cli, noise
 from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, ExperimentReport, _solve_ensemble,
                               compensator_experiment, contraction_experiment,
                               coupling_uniqueness_experiment, fit_order,
@@ -21,7 +21,8 @@ from mildsde.cli import EXPERIMENTS, parse_config
 from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, poisson_integral,
                            quadratic_mark_sum, sample_jump_table, sample_noise_batch, sample_poisson,
                            sample_wiener, shared_draws)
-from mildsde.solver import SchemeConfig, Trajectory, solve, solve_resolvent_implicit
+from mildsde.solver import (SchemeConfig, Trajectory, solve, solve_resolvent_implicit,
+                            step_ensemble)
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 from mildsde.textio import Record, write_plot_data
 
@@ -30,6 +31,7 @@ from conftest import make_cubic_spec, make_linear_spec
 DTS = [2.0**-7, 2.0**-8, 2.0**-9, 2.0**-10]
 ACCEPTANCE = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 FINE_PATH = Path(__file__).resolve().parent.parent / "bench" / "fine-path.cfg"
+CUBIC_RD = ACCEPTANCE.parent / "cubic-rd.cfg"
 
 
 class TestFitOrder:
@@ -453,9 +455,10 @@ class TestCoupledEnsembles:
             contraction_experiment(spec, spec.u0, 0, 1, dt=2.0**-4)
 
     def test_cauchy_peak_memory_per_level_is_a_fraction_of_an_ensemble(self):
-        # the levels step as data groups of one call that keeps only the gaps:
-        # a level adds one (members, nodes) gap row and its block of states,
-        # never a (members, nodes, n) trajectory array
+        # the levels step as data groups of one call that keeps only per-node
+        # moments: a level adds a block of gaps and of states, never a
+        # (members, nodes) gap row or a (members, nodes, n) trajectory array
+        # (about 2% of an ensemble measured; 10-14% with gap rows)
         spec1, _, delta = additive_pair(n=9)
         members, dt = 200, 2.0**-6
         ensemble_bytes = members * (round(spec1.T / dt) + 1) * spec1.A.dim * 8
@@ -474,7 +477,104 @@ class TestCoupledEnsembles:
         peak(2)  # leaves out one-time allocations of a first call
         base = peak(2)
         for levels in (6, 12):
-            assert (peak(levels) - base) / (levels - 2) < ensemble_bytes / 5
+            assert (peak(levels) - base) / (levels - 2) < ensemble_bytes / 20
+
+    def test_contraction_memory_does_not_grow_with_the_step_count(self, monkeypatch):
+        # the moments are reduced per block of nodes: 1,024 steps of 1,000 members
+        # peak less than 1 MiB above 128 steps, where a (members, nodes) gap array
+        # would add about 7 MB.  The noise is drawn and binned before tracing.
+        spec = make_cubic_spec(n=5, T=1.0, f_coeffs=(0.0, 0.5, 0.0, 1.0), eta=0.0, alpha=0.2)
+        u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
+        batches = {}
+        for steps in (128, 1024):
+            batch = sample_noise_batch(spec.B.q, spec.marks, TimeGrid(spec.T, steps), 3, 1000)
+            batch.cell_counts
+            batches[steps] = batch
+        monkeypatch.setattr(analysis, "sample_noise_batch",
+                            lambda q, marks, grid, seed, members: batches[grid.steps])
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                contraction_experiment(spec, u0_b, 1000, 3, dt=spec.T / steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)  # leaves out one-time allocations of a first call
+        assert peak(1024) - peak(128) < 2**20
+
+
+def full_gap_moments(frame, specs, dt, seed, members):
+    """_mean_stderr of the whole (members, nodes) gap array of each consecutive
+    pair, the states coming from one-group step_ensemble calls without a reducer."""
+    grid = TimeGrid(frame.T, round(frame.T / dt))
+    paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
+    config = SchemeConfig("exp_euler", dt)
+
+    def states(spec):
+        return step_ensemble(paths.wiener.increments, paths.cell_counts, ((spec, config),))[0]
+
+    means, ses, a = [], [], states(specs[0])
+    for spec in specs[1:]:
+        b = states(spec)
+        gaps = np.concatenate([frame.space.sq_norms(a[:, lo:lo + 16] - b[:, lo:lo + 16])
+                               for lo in range(0, grid.steps + 1, 16)], axis=1)
+        mean, se = analysis._mean_stderr(gaps)
+        means.append(mean)
+        ses.append(se)
+        a = b
+    return np.array(means), np.array(ses)
+
+
+def cauchy_chain():
+    """The shipped cubic-rd chain of stability and cauchy: spec, moved(0..4)."""
+    cfg = parse_config(CUBIC_RD)
+    spec, moved = cli._perturbed(cfg, "cauchy")
+    levels = cfg.options["cauchy"]["levels"]
+    return [spec] + [spec.with_data(B=moved(k)) for k in range(levels)]
+
+
+def short_pair(T):
+    spec1, spec2, _ = additive_pair(n=9)
+    return [spec1.with_data(T=T), spec2.with_data(T=T)]
+
+
+class TestCoupledMoments:
+    """The per-node moments of the coupled gaps keep the bits of _mean_stderr over the
+    whole (members, nodes) gap array, whatever the blocks and slices."""
+
+    @pytest.mark.parametrize("specs,dt,members,blocks,slices", [
+        # cauchy's shipped shape: 6 groups of 1000 members, K = 1, 8 slices of 128 or less
+        (cauchy_chain, 2.0**-7, 1000, [1] * 129, 8),
+        # 64 steps in one block, wider than the two columns held for node 0
+        (lambda: short_pair(1.0), 2.0**-6, 3, [1, 64], 1),
+        # blocks of 18 nodes and a single trailing node
+        (lambda: short_pair(19 * 2.0**-6), 2.0**-6, 100, [1, 18, 1], 1),
+        # one member: the standard error is 0
+        (lambda: short_pair(1.0), 2.0**-6, 1, [1, 64], 1),
+    ], ids=["shipped", "wide_block", "trailing_node", "one_member"])
+    def test_moments_keep_the_bits_of_the_whole_gap_array(self, specs, dt, members, blocks,
+                                                           slices, monkeypatch):
+        specs = specs()
+        calls, stepper = [], analysis.step_ensemble
+
+        def recorded(dW, counts, groups, reduce):
+            def seen(node, cols, states):
+                calls.append((node, cols, len(states)))
+                reduce(node, cols, states)
+            return stepper(dW, counts, groups, seen)
+
+        monkeypatch.setattr(analysis, "step_ensemble", recorded)
+        mean, se = analysis._coupled_moments(specs[0], specs, dt, 11, members)()
+        monkeypatch.undo()
+        assert [k for node, cols, k in calls if cols.start == 0] == blocks
+        assert len({cols.start for _, cols, _ in calls}) == slices
+        want_mean, want_se = full_gap_moments(specs[0], specs, dt, 11, members)
+        assert mean.shape == want_mean.shape == (len(specs) - 1, round(specs[0].T / dt) + 1)
+        assert np.array_equal(mean.view(np.int64), want_mean.view(np.int64))
+        assert np.array_equal(se.view(np.int64), want_se.view(np.int64))
+        assert (members == 1) == (not se.any())
 
 
 class TestH2Norm:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,6 +414,19 @@ class TestRun:
         # seed; a change that moves these bytes on purpose updates the list
         assert_recorded_digests(CONFIG_DIR / "cubic-rd.cfg", "cubic-rd.sha256", tmp_path)
 
+    def test_shipped_cubic_run_traced_peak_memory(self, tmp_path):
+        # the coupled experiments keep per-node moments, not (pairs, members,
+        # nodes) gap arrays: the shipped cubic-rd run holds at most 12 MiB of
+        # traced memory at once (10.0 MiB measured)
+        cfg = replace(parse_config(CONFIG_DIR / "cubic-rd.cfg"), output_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     def test_shipped_acceptance_artifacts_match_the_recorded_digests(self, tmp_path):
         # tests/acceptance.sha256 pins all 27 artifacts of the shipped acceptance
         # config at its seed, every experiment included
@@ -462,6 +476,50 @@ class TestRun:
         assert steps.get("weak_residual", 0) == 0
         assert steps == {"coupling": 7_936, "trotter_kato": 2 * 4_096}
         assert binnings == ["coupling"] * 5 + ["trotter_kato"]
+
+    @staticmethod
+    def counted_member_steps(monkeypatch):
+        """A list that gets members x steps x groups of every step_ensemble call."""
+        counted, stepper = [], solver.step_ensemble
+
+        def step_ensemble(dW, counts, groups, reduce=None):
+            counted.append(dW.shape[0] * dW.shape[1] * len(groups))
+            return stepper(dW, counts, groups, reduce)
+
+        for module in (solver, analysis):
+            monkeypatch.setattr(module, "step_ensemble", step_ensemble)
+        return counted
+
+    def test_stability_and_cauchy_share_one_coupled_solve(self, tmp_path, monkeypatch):
+        # on cubic-rd's equal sections the chain [spec, moved(0), ..., moved(4)] is
+        # stepped once, 6 groups x 1000 members x 128 steps in place of 2 + 5
+        # groups, and each experiment writes the bytes of a run of it alone
+        counted = self.counted_member_steps(monkeypatch)
+        written, steps = {}, {}
+        for only in (("stability", "cauchy"), ("stability",), ("cauchy",)):
+            out = tmp_path / "-".join(only)
+            counted.clear()
+            assert run(replace(parse_config(CONFIG_DIR / "cubic-rd.cfg", only=only),
+                               output_dir=out)) == 0
+            steps[only] = sum(counted)
+            written[only] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if p.name.startswith(only)}
+        assert steps == {("stability", "cauchy"): 768_000, ("stability",): 256_000,
+                         ("cauchy",): 640_000}
+        assert written[("stability", "cauchy")] == {**written[("stability",)],
+                                                    **written[("cauchy",)]}
+        assert any(name.startswith("stability") for name in written[("stability",)])
+        assert any(name.startswith("cauchy") for name in written[("cauchy",)])
+
+    def test_sections_that_differ_step_their_own_chains(self, tmp_path, monkeypatch):
+        # cauchy at half stability's dt: 2 groups x 128 steps, then 5 groups x 256
+        counted = self.counted_member_steps(monkeypatch)
+        text = set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(), "experiment.cauchy", "dt",
+                       "0.00390625")
+        text = set_key(text, "experiment", "ensemble_coupled", "100")
+        cfg = parse_config(write_cfg(tmp_path, text), only=("stability", "cauchy"))
+        assert run(replace(cfg, output_dir=tmp_path / "out")) == 0
+        assert counted == [2 * 100 * 128, 5 * 100 * 256]
 
     def test_weak_residual_alone_writes_the_bytes_of_the_full_run(self, tmp_path):
         # without coupling before it, weak_residual solves its own path (the

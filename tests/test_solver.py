@@ -533,9 +533,8 @@ class TestDataGroups:
         with pytest.raises(ConfigurationError, match=message):
             step_ensemble(dW, counts, ((spec, config), (other(spec), config)))
         monkeypatch.setattr(analysis, "sample_noise_batch", no_sampling)
-        grid = TimeGrid(spec.T, 40)
         with pytest.raises(ConfigurationError, match=message):
-            analysis._coupled_sq_gaps(spec, [spec, other(spec)], grid, grid.dt, 1, 3)
+            analysis._coupled_moments(spec, [spec, other(spec)], spec.T / 40, 1, 3)
 
     def test_shipped_size_keeps_the_bits_of_one_group_calls(self):
         # cauchy's shape: 5 additive data groups of 1000 members, n = 31, 128
@@ -581,7 +580,8 @@ class TestDataGroups:
                          ids=["multiplicative", "additive"])
 def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
     # beyond the returned states, stepping 1000 members of dimension 31 over
-    # 128 steps holds at most 2.9 MiB
+    # 128 steps holds at most 2.4 MiB (2.24 MiB measured multiplicative, 1.91
+    # additive)
     spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
     tracemalloc.start()
     try:
@@ -589,7 +589,7 @@ def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - states.nbytes <= 2.9 * 2**20
+    assert peak - states.nbytes <= 2.4 * 2**20
 
 
 class TestExpEuler:
