@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
-from .noise import (NoiseBatch, TimeGrid, poisson_integral, quadratic_mark_sum, run_memo,
-                    sample_jump_table, sample_noise_batch, sample_wiener_rows, step_m_integral,
-                    step_q_integral)
+from .noise import (NoiseBatch, TimeGrid, data_rng, poisson_integral, quadratic_mark_sum,
+                    run_memo, sample_jump_table, sample_noise_batch, sample_wiener_rows,
+                    step_m_integral, step_q_integral)
 from .solver import (SchemeConfig, Trajectory, _require_shared_frame, ito_energy_residual,
                      regularized_coupling_identity, solve, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
@@ -103,15 +103,16 @@ class ExperimentReport:
         return FAIL if FAIL in judged else PASS
 
 
-def _log2_curve(name: str, x, y) -> dict:
-    """{name: (log2 x, log2 y, 0)} over the points with y > 0, in ascending x;
+def _log2_curve(name: str, x, y, se=None) -> dict:
+    """{name: (log2 x, log2 y, se / y or 0)} over the points with y > 0, in ascending x;
     {} when there are none, so a blown-up or exactly-zero sweep writes no curve."""
     keep = y > 0
     if not np.any(keep):
         return {}
     lx = np.log2(np.asarray(x, dtype=float)[keep])
     order = np.argsort(lx)
-    return {name: (lx[order], np.log2(y[keep])[order], np.zeros(int(keep.sum())))}
+    err = np.zeros(int(keep.sum())) if se is None else se[keep] / y[keep]
+    return {name: (lx[order], np.log2(y[keep])[order], err[order])}
 
 
 def _solve_ensemble(spec: EquationSpec, grid: TimeGrid, dt: float, scheme: str,
@@ -750,25 +751,21 @@ def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
                                        epsilon: float, tol: float = 1e-9) -> ExperimentReport:
     """Max residual of the exact regularization identity over random data
     (standard normal g, C and D); instance i is solved on member i of one
-    NoiseBatch."""
+    NoiseBatch; the data draw from ``data_rng(seed)``."""
     grid = _grid(T, dt)
-    rng = np.random.default_rng(seed)
+    rng, shape = data_rng(seed), (grid.steps, A.dim)
     q = np.asarray(q, dtype=float)
-    n = A.dim
     batch = sample_noise_batch(q, marks, grid, seed, instances)
     worst = {"exp_euler": 0.0, "resolvent_implicit": 0.0}
     for i in range(instances):
-        g = rng.standard_normal((grid.steps, n))
-        C = rng.standard_normal((grid.steps, n, q.shape[0]))
-        D = rng.standard_normal((grid.steps, n, marks.atom_count))
-        noise = batch.rows(i, i + 1)
+        g = rng.standard_normal(shape)
+        C = rng.standard_normal((*shape, q.shape[0]))
+        D = rng.standard_normal((*shape, marks.atom_count))
         for scheme in worst:
-            res = regularized_coupling_identity(A, g, C, D, noise, marks, epsilon, scheme)
-            worst[scheme] = max(worst[scheme], res)
-    rows = tuple(
-        Record("max_residual", f"scheme={s}", v, 0.0, PASS if v <= tol else FAIL)
-        for s, v in worst.items()
-    )
+            worst[scheme] = max(worst[scheme], regularized_coupling_identity(
+                A, g, C, D, batch.rows(i, i + 1), marks, epsilon, scheme))
+    rows = tuple(Record("max_residual", f"scheme={s}", v, 0.0, PASS if v <= tol else FAIL)
+                 for s, v in worst.items())
     return ExperimentReport("regularization_identity", rows, summary=dict(worst))
 
 
@@ -781,23 +778,20 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     The step data is drawn once on the coarsest grid and refined exactly (a
     step function is resolution-independent); paths are coupled across
     resolutions by coarsening one fine realization, and all paths are
-    stepped together, one batched call per step size.
+    stepped together, one batched call per step size.  The data draw from
+    ``data_rng(seed)``; a step size whose mean residual is exactly 0 writes no
+    plot row.
     """
     dts = step_sizes(dt_list, T, minimum=3)
     q = np.asarray(q, dtype=float)
-    coarse_steps = round(T / dts[0])
-    rng = np.random.default_rng(seed)
-    n = A.dim
-    g0 = g_amp * rng.standard_normal((coarse_steps, n))
-    c0 = c_amp * rng.standard_normal((coarse_steps, n, q.shape[0]))
-    d0 = d_amp * rng.standard_normal((coarse_steps, n, marks.atom_count))
+    rng, shape = data_rng(seed), (round(T / dts[0]), A.dim)
+    g0 = g_amp * rng.standard_normal(shape)
+    c0 = c_amp * rng.standard_normal((*shape, q.shape[0]))
+    d0 = d_amp * rng.standard_normal((*shape, marks.atom_count))
     noise = sample_noise_batch(q, marks, TimeGrid(T, round(T / dts[-1])), seed, paths)
     residuals = np.empty((len(dts), paths))
     for j, dt in enumerate(dts):
-        expand = round(dts[0] / dt)
-        g = np.repeat(g0, expand, axis=0)
-        C = np.repeat(c0, expand, axis=0)
-        D = np.repeat(d0, expand, axis=0)
+        g, C, D = (np.repeat(x, round(dts[0] / dt), axis=0) for x in (g0, c0, d0))
         residuals[j] = ito_energy_residual(A, g, C, D, noise.coarsen(round(dt / dts[-1])),
                                            marks)
     mean_res, se_res = _mean_stderr(residuals, axis=1)
@@ -805,9 +799,6 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     rows = [Record("residual", f"dt={fmt(d)}", r, s)
             for d, r, s in zip(dts, mean_res, se_res)]
     rows.append(Record("order", "-", order, 0.0, PASS if order >= 0.9 else FAIL))
-    x = np.log2(np.array(dts))
-    ascending = np.argsort(x)
-    curve = {"residual_vs_dt": (x[ascending], np.log2(mean_res)[ascending],
-                                (se_res / mean_res)[ascending])}
-    return ExperimentReport("energy_identity", tuple(rows), curve,
+    return ExperimentReport("energy_identity", tuple(rows),
+                            _log2_curve("residual_vs_dt", dts, mean_res, se_res),
                             {"order": order})

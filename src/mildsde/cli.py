@@ -25,7 +25,7 @@ from . import analysis
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet)
-from .noise import TimeGrid, shared_draws
+from .noise import TimeGrid, data_rng, shared_draws
 from .solver import _explicit_rates
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import Record, fmt, write_manifest, write_plot_data, write_report
@@ -213,7 +213,9 @@ def _isometry(name: str, experiment, coefficient: str):
     def build(cfg: RunConfig):
         opt, eq = cfg.options[name], cfg.equation
         grid = TimeGrid(opt["t"], opt["steps"])
-        integrand = opt["amplitude"] * np.random.default_rng(cfg.seed).standard_normal(
+        # member 0's Wiener path draws from default_rng(seed), its jump path does not
+        rng = data_rng(cfg.seed) if coefficient == "B" else np.random.default_rng(cfg.seed)
+        integrand = opt["amplitude"] * rng.standard_normal(
             (grid.steps, eq.A.dim, getattr(eq, coefficient).shape[1]))
         noise = eq.B.q if coefficient == "B" else eq.marks
         return experiment(integrand, noise, grid, grid.horizon, opt["paths"], cfg.seed, eq.space)
@@ -510,7 +512,7 @@ def parse_config(path, only=None) -> RunConfig:
             section = "experiment.energy_identity"
             label = _label(section, "dts", sections.get(section, {}))
             opt = options["energy_identity"]
-            _explicit_rates(dirichlet_laplacian(opt["n"]), max(opt["dts"]))
+            _explicit_rates(dirichlet_laplacian(opt["n"]), max(opt["dts"]), 0.0)
     except ConfigurationError as exc:
         raise ConfigurationError(_message(label, exc)) from None
     output = _read_section("output", sections.get("output", {}), exp_text)

@@ -16,8 +16,9 @@ same bits).  A path is a pure function of its integer seed, and numpy's
 stream-compatibility policy pins its bits.  The hasher takes seeds in
 [0, 2**128); the runner keeps run seeds in [0, 2**64) (``seed = N`` is checked
 by ``cli.parse_config``, ``--seed N`` by ``cli.main``), so every member seed
-stays inside it.  Coupled multi-resolution experiments generate the finest
-path once and coarsen it by summation, never by resampling.
+stays inside it; random experiment data draw from ``data_rng(seed)``, which no
+member starts.  Coupled multi-resolution experiments generate the finest path
+once and coarsen it by summation, never by resampling.
 
 Noise is passed around as a ``NoiseBatch`` of M members, and a single path is
 a batch of one: a WienerPath stacks the increments (M, steps, d) of its
@@ -53,6 +54,7 @@ __all__ = [
     "sample_wiener",
     "sample_poisson",
     "sample_wiener_rows",
+    "data_rng",
     "sample_jump_table",
     "sample_noise_batch",
     "shared_draws",
@@ -326,6 +328,13 @@ def _member_generators(seeds: range):
             bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                           "has_uint32": 0, "uinteger": 0}
             yield rng
+
+
+def data_rng(seed: int) -> np.random.Generator:
+    """The generator of an experiment's random data, ``SeedSequence(seed,
+    spawn_key=(0,))``: no member seed ``seed + i`` or ``seed + 2**31 + i`` starts
+    its stream, so the data are independent of every member's noise."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def sample_wiener_rows(q, grid: TimeGrid, seed: int, members: int) -> np.ndarray:

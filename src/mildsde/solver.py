@@ -9,7 +9,12 @@ at once; ``solve`` steps one path, a ``NoiseBatch`` of one, under configs:
 * ``resolvent_implicit``: backward-Euler resolvent step,
   u_{n+1} = (I + dt A)^{-1}[u_n + increments], unconditionally stable;
 * ``yosida_explicit``: explicit Euler with A replaced by its bounded
-  regularization A_eps, the scheme behind semigroup-approximation studies.
+  regularization A_eps, the scheme behind semigroup-approximation studies;
+  at eps = 0 it is plain explicit Euler with A itself.
+
+The linear-data runs (``solve_linear_data``, ``regularized_coupling_identity``,
+``ito_energy_terms``) step through it too, as additive runs with B = I, F = 0
+and u0 = 0 fed the per-cell drive of their data in place of Wiener increments.
 
 Jumps are binned into their grid cell and evaluated at the left state (the
 discrete stand-in for evaluating the integrand at u(s-)), and the jump
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, StiffnessWarning
-from .model import EquationSpec, MarkSpace, Nonlinearity
+from .model import DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace, Nonlinearity
 from .noise import NoiseBatch, TimeGrid, _check_step_process, quadratic_mark_sum
 from .space import SpectralOperator
 
@@ -54,7 +59,8 @@ _BLOCK_VALUES = 1 << 15
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme identifier plus its step size; epsilon only for yosida_explicit."""
+    """Scheme identifier plus its step size; epsilon only for yosida_explicit, whose
+    epsilon = 0 is plain explicit Euler with A itself."""
 
     scheme: str
     dt: float
@@ -65,9 +71,10 @@ class SchemeConfig:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not 0.0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}")
-        if self.scheme == "yosida_explicit" and not 0.0 < (self.epsilon or 0.0) < math.inf:
+        if self.scheme == "yosida_explicit" and not (
+                self.epsilon is not None and 0.0 <= self.epsilon < math.inf):
             raise ConfigurationError(
-                f"yosida_explicit requires a finite epsilon > 0, got {self.epsilon}")
+                f"yosida_explicit requires a finite epsilon >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,35 +121,26 @@ def _validate_noise(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> Ti
     return grid
 
 
-def _linear_factors(A: SpectralOperator, scheme: str, dt: float) -> np.ndarray:
-    """Eigenvalue factors of a diagonal one-step map: exp(-dt lam) or 1/(1 + dt lam)."""
-    if scheme == "exp_euler":
-        return A.semigroup_factors(dt)
-    if scheme == "resolvent_implicit":
-        return A.resolvent_factors(dt)
-    raise ConfigurationError(f"diagonal one-step maps exist for exp_euler and "
-                             f"resolvent_implicit, got {scheme!r}")
-
-
-def _explicit_rates(A: SpectralOperator, dt: float, epsilon: float | None = None) -> np.ndarray:
-    """The eigenvalues of A, or of A_eps for an ``epsilon``, if an explicit Euler step
-    of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
-    rates = A.eigenvalues if epsilon is None else A.yosida_factors(epsilon)
+def _explicit_rates(A: SpectralOperator, dt: float, epsilon: float) -> np.ndarray:
+    """The eigenvalues of A_eps (of A itself at epsilon = 0) if an explicit Euler
+    step of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
+    rates = A.yosida_factors(epsilon)
     cap = dt * float(rates.max())
     if cap >= 2.0:
-        bound, given = ("dt*lam_max", f"dt={dt}") if epsilon is None else (
+        bound, given = ("dt*lam_max", f"dt={dt}") if epsilon == 0 else (
             "dt*lam_max/(1+eps*lam_max)", f"dt={dt}, eps={epsilon}")
         raise ConfigurationError(f"explicit Euler unstable: {bound} = {cap:.3g} >= 2 ({given})")
     return rates
 
 
 def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
-    """Dense matrix of the scheme's linear one-step map in state coordinates."""
-    V, w = A.eigenvectors, A.space.weight
-    if config.scheme != "yosida_explicit":
-        return (V * _linear_factors(A, config.scheme, config.dt)) @ (w * V.T)
-    yos = _explicit_rates(A, config.dt, config.epsilon)
-    return np.eye(A.dim) - config.dt * (V * yos) @ (w * V.T)
+    """Dense matrix of the scheme's linear one-step map in state coordinates:
+    exp(-dt A), (I + dt A)^{-1} or I - dt A_eps."""
+    V, w, dt = A.eigenvectors, A.space.weight, config.dt
+    if config.scheme == "yosida_explicit":
+        return np.eye(A.dim) - dt * (V * _explicit_rates(A, dt, config.epsilon)) @ (w * V.T)
+    factors = A.semigroup_factors(dt) if config.scheme == "exp_euler" else A.resolvent_factors(dt)
+    return (V * factors) @ (w * V.T)
 
 
 def _derivative_bound(abs_coeffs: tuple, r: float) -> float:
@@ -399,12 +397,16 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
 
 # ---------------------------------------------------------------------------
 # Linear-data equations: dy + Ay dt + g dt = C dW + D dmu_bar, y(0) = 0.
-# Coefficients are per-cell arrays with no state dependence, which is what
-# makes the resolvent-commutation identity below exact at the discrete level.
+# Coefficients are per-cell arrays with no state dependence, so the equation is
+# the mild form with F = 0, u0 = 0 and B = I fed the per-cell drive
+# xi_n = C_n dW_n + D_n (dN_n - dt m) - dt g_n in place of Wiener increments:
+# step_ensemble steps it as any additive noise, and I xi is exact.
 # ---------------------------------------------------------------------------
 
 
-def _as_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace):
+def _linear_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace):
+    """(g, D, C_n dW_n, D_n (dN_n - dt m), drive xi_n) on every member of ``noise``,
+    the last three (M, N, n), after checking that the data are per-cell arrays."""
     for name, val in (("g", g), ("C", C), ("D", D)):
         if callable(val):
             raise TypeError(f"{name} must be a per-cell array; state-dependent "
@@ -413,8 +415,22 @@ def _as_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Mark
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.steps, A.dim):
         raise ValueError(f"g must have shape ({grid.steps}, {A.dim}), got {g.shape}")
-    return (g, _check_step_process(C, grid, "C", noise.wiener.q.shape[0], A.dim),
-            _check_step_process(D, grid, "D", marks.atom_count, A.dim))
+    C = _check_step_process(C, grid, "C", noise.wiener.q.shape[0], A.dim)
+    D = _check_step_process(D, grid, "D", marks.atom_count, A.dim)
+    wiener = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
+    jump = np.einsum("nij,mnj->mni", D, noise.cell_counts) - grid.dt * (D @ marks.weight_array)
+    return g, D, wiener, jump, wiener + jump - grid.dt * g
+
+
+def _linear_steps(A: SpectralOperator, drive, mats: tuple, config: SchemeConfig) -> np.ndarray:
+    """States (G, M, N+1, n) from y_0 = 0 of one step_ensemble call fed ``drive``
+    (M, N, n) as the Wiener increments of B = K, q = 1, one group per K in ``mats``."""
+    members, steps, n = drive.shape
+    groups = tuple((EquationSpec(A=A, F=Nonlinearity.zero(),
+                                 B=DiffusionCoefficient.constant(K, np.ones(n)),
+                                 G=JumpCoefficient.zero(n), u0=np.zeros(n), T=steps * config.dt),
+                    config) for K in mats)
+    return step_ensemble(drive, np.zeros((members, steps, 1)), groups)
 
 
 def solve_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace,
@@ -422,46 +438,35 @@ def solve_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Ma
     """Solve the linear-data equation on one noise path (a NoiseBatch of one) from
     y(0) = 0; returns states (steps+1, n)."""
     grid = _one_path(noise)
-    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
-    factors = _linear_factors(A, scheme, grid.dt)
-    dW, counts, dt = noise.wiener.increments[0], noise.cell_counts[0], grid.dt
-    # every step's increment at once: row n of C @ dW[:, :, None] is C[n] @ dW[n]
-    inc = (-dt * g + (C @ dW[:, :, None])[..., 0] + (D @ counts[:, :, None])[..., 0]
-           - dt * (D @ marks.weight_array))
-    states = np.zeros((grid.steps + 1, A.dim))
-    for n in range(grid.steps):
-        states[n + 1] = A.synthesize(factors * A.coords(states[n] + inc[n]))
-    return states
+    *_, drive = _linear_terms(A, g, C, D, noise, marks)
+    return _linear_steps(A, drive, (np.eye(A.dim),), SchemeConfig(scheme, grid.dt))[0, 0]
 
 
 def regularized_coupling_identity(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace,
                                   epsilon: float, scheme: str = "exp_euler") -> float:
     """Residual of the exact discrete regularization identity.
 
-    Solves the linear-data equation once with (g, C, D) giving y and once
-    with the resolvent-mollified data giving y_eps, on the same path (a
-    NoiseBatch of one) and scheme, and returns
-    sup_n |y_eps(t_n) - (I + eps A)^{-1} y(t_n)|.  The
-    identity is exact at the discrete level because the resolvent commutes
-    with the diagonal one-step map, so the residual is floating-point noise.
+    Steps y of the data (g, C, D) and y_eps of the mollified data (J g, J C, J D),
+    J = (I + eps A)^{-1}, on one path (a NoiseBatch of one) and scheme, as the
+    groups B = I and B = J of one call on one drive: J xi is the mollified drive.
+    Returns sup_n |y_eps(t_n) - J y(t_n)|, exactly 0 at the discrete level as J
+    commutes with the one-step map, so the residual is floating-point noise.
     """
-    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
+    grid = _one_path(noise)
+    *_, drive = _linear_terms(A, g, C, D, noise, marks)
     J = A.resolvent_matrix(epsilon)
-    g_eps = g @ J  # J is symmetric, so right-multiplication applies it rowwise
-    C_eps = np.einsum("ij,mjd->mid", J, C)
-    D_eps = np.einsum("ij,mjd->mid", J, D)
-    y = solve_linear_data(A, g, C, D, noise, marks, scheme)
-    y_eps = solve_linear_data(A, g_eps, C_eps, D_eps, noise, marks, scheme)
-    gap = y_eps - y @ J
+    y, y_eps = _linear_steps(A, drive, (np.eye(A.dim), J), SchemeConfig(scheme, grid.dt))[:, 0]
+    gap = y_eps - y @ J   # J is symmetric, so right-multiplication applies it rowwise
     return float(np.sqrt(A.space.sq_norms(gap)).max())
 
 
 def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace) -> dict:
     """Both sides of the discrete energy identity for the square of the norm.
 
-    The path is stepped with plain explicit Euler (A is bounded here), for
-    which the identity |y_N|^2 = 2 sum <y_n, b_n> + sum |b_n|^2 telescopes
-    exactly; the reported sides are
+    The path is stepped with plain explicit Euler (A is bounded here), which
+    is yosida_explicit at eps = 0, y_{n+1} = (I - dt A) y_n + xi_n; for it the
+    identity |y_N|^2 = 2 sum <y_n, b_n> + sum |b_n|^2 telescopes exactly; the
+    reported sides are
 
       lhs = |y(T)|^2 + 2 sum <A y_n, y_n> dt + 2 sum <g_n, y_n> dt
       rhs = martingale terms + sum |C_n dW_n|^2 + sum over jumps |D|^2
@@ -475,19 +480,11 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Mar
     members are stepped together and every term is an array of M values.
     """
     grid = noise.grid
-    g, C, D = _as_linear_data(A, g, C, D, noise, marks)
+    g, D, wiener_inc, jump_inc, drive = _linear_terms(A, g, C, D, noise, marks)
     dt = grid.dt
-    _explicit_rates(A, dt)
-    wiener_inc = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
-    jump_inc = np.einsum("nij,mnj->mni", D, noise.cell_counts) - dt * (D @ marks.weight_array)
-    drive = wiener_inc + jump_inc - dt * g
-    Amat = A.matrix
-    y = np.zeros((len(noise), grid.steps + 1, A.dim))                   # y_0 = 0
-    Ay = np.empty_like(drive)
-    for n in range(grid.steps):
-        Ay[:, n] = y[:, n] @ Amat.T
-        y[:, n + 1] = y[:, n] - dt * Ay[:, n] + drive[:, n]
+    y, = _linear_steps(A, drive, (np.eye(A.dim),), SchemeConfig("yosida_explicit", dt, 0.0))
     left, final = y[:, :-1], y[:, -1]
+    Ay = left @ A.matrix.T
     w = A.space.weight
     drift = 2.0 * dt * w * (np.einsum("mni,mni->m", Ay, left) + np.einsum("ni,mni->m", g, left))
     mart_wiener = 2.0 * w * np.einsum("mni,mni->m", left, wiener_inc)

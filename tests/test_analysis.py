@@ -845,11 +845,11 @@ class TestCheckExperiments:
         config = parse_config(ACCEPTANCE)
         energy = {(r.label, r.params): r.value
                   for r in EXPERIMENTS["energy_identity"](config).rows}
-        expected = {("residual", "dt=0.0078125"): 0.10556700672391059,
-                    ("residual", "dt=0.00390625"): 0.038116433678555967,
-                    ("residual", "dt=0.001953125"): 0.017572670643388747,
-                    ("residual", "dt=0.0009765625"): 0.0084230767209181236,
-                    ("order", "-"): 1.2060083367412033}
+        expected = {("residual", "dt=0.0078125"): 0.09214795326736523,
+                    ("residual", "dt=0.00390625"): 0.0334151631196721,
+                    ("residual", "dt=0.001953125"): 0.015244291810593162,
+                    ("residual", "dt=0.0009765625"): 0.007085213703354472,
+                    ("order", "-"): 1.223544033287061}
         assert energy.keys() == expected.keys()
         for key, value in expected.items():
             assert energy[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -858,6 +858,23 @@ class TestCheckExperiments:
         isometry = EXPERIMENTS["poisson_isometry"](config).rows
         assert isometry[0].value == pytest.approx(0.9617596853428062, rel=1e-12, abs=0.0)
         assert isometry[3].value == pytest.approx(0.00047439017699545333, rel=1e-12, abs=0.0)
+
+    def test_energy_identity_with_zero_data_plots_no_log_of_zero(self):
+        # every residual is exactly 0: the order reads inf (PASS) and no plot row
+        # carries log2(0) = -inf or 0/0, nor warns computing them
+        report = analysis.energy_identity_experiment(
+            dirichlet_laplacian(3), MarkSpace((-1.0, 1.0), (2.0, 2.0)), [1.0, 0.5],
+            [2.0**-6, 2.0**-7, 2.0**-8], 0.25, 4, 3, g_amp=0.0, c_amp=0.0, d_amp=0.0)
+        assert [r.value for r in report.rows[:3]] == [0.0, 0.0, 0.0]
+        assert report.verdict == PASS
+        assert report.curve_map == {}
+
+    def test_log2_curve_keeps_the_relative_error_of_the_points_kept(self):
+        (x, y, err), = analysis._log2_curve("c", [0.5, 0.25, 1.0], np.array([0.0, 4.0, 2.0]),
+                                            np.array([0.0, 1.0, 0.5])).values()
+        assert np.array_equal(x, [-2.0, 0.0])
+        assert np.array_equal(y, [2.0, 1.0])
+        assert np.array_equal(err, [0.25, 0.25])
 
     def test_regularization_identity(self):
         A = dirichlet_laplacian(8)

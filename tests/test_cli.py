@@ -572,6 +572,29 @@ class TestRun:
         assert draw_counts == {"wiener": 0, "poisson": 300}
 
 
+@pytest.mark.parametrize("name, target, pick", [
+    ("wiener_isometry", "step_q_integral", lambda args: args[0] / 0.5),   # amplitude 0.5
+    ("regularization_identity", "regularized_coupling_identity", lambda args: args[1]),
+    ("energy_identity", "ito_energy_residual", lambda args: args[1]),      # g_amp 1.0
+])
+def test_member_zero_increments_are_not_the_data_normals(tmp_path, monkeypatch, name, target,
+                                                         pick):
+    # member 0 draws its Wiener path from default_rng(seed); the data draw elsewhere
+    seen, real = [], getattr(analysis, target)
+
+    def spy(*args, **kwargs):
+        seen.append(pick(args))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(analysis, target, spy)
+    cfg = parse_config(write_cfg(tmp_path, MINIMAL.replace("experiments =",
+                                                           f"experiments = {name}")))
+    assert cli.EXPERIMENTS[name](cfg).verdict == "PASS"
+    data = np.concatenate([x.ravel() for x in seen])
+    # q = 1 and dt = 1 make member 0's increments its normals, exactly
+    member0 = noise.sample_wiener_rows(np.ones(1), noise.TimeGrid(4096.0, 4096), cfg.seed, 1)
+    assert data.size > 40 and not np.isin(data, member0).any()
+
+
 class TestEmitPlotData:
     def make_coupling_report(self, spec):
         from mildsde.analysis import coupling_uniqueness_experiment
@@ -1063,6 +1086,16 @@ class TestMainEntry:
                   "--output-dir", str(tmp_path / "out")])
         assert status.value.code == 0
         assert "seed = 18446744073709551615" in (tmp_path / "out" / "manifest.txt").read_text()
+
+    def test_energy_identity_with_zero_data_writes_no_infinite_rows(self, tmp_path):
+        text = MINIMAL.replace("experiments =", "experiments = energy_identity")
+        text += "\n[experiment.energy_identity]\ng_amp = 0\nc_amp = 0\nd_amp = 0\n"
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 0
+        out = tmp_path / "out"
+        assert "# verdict: PASS" in (out / "energy_identity.report.txt").read_text()
+        assert not (out / "energy_identity.residual_vs_dt.dat").exists()
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")

@@ -724,6 +724,31 @@ class TestYosidaExplicit:
         with pytest.raises(ConfigurationError):
             SchemeConfig("yosida_explicit", 0.1)
 
+    def test_epsilon_zero_steps_explicit_euler_with_the_operator(self):
+        # A_0 = A, so each step is u - dt A u + inc with A's dense matrix
+        dt = 2.0**-8
+        spec, dW, counts = stepper_case((), 5, 3, 16, dt=dt, b_scale=(0.0, 0.0),
+                                        g_scale=(0.0, 0.0))
+        states = step_one(spec, dW, counts, SchemeConfig("yosida_explicit", dt, 0.0))
+        A, B, G = spec.A.matrix, spec.B.base, spec.G.base
+        u = np.tile(spec.u0, (3, 1))
+        for n in range(16):
+            inc = dW[:, n] @ B.T + counts[:, n] @ G.T - dt * (G @ spec.marks.weight_array)
+            u = u - dt * u @ A.T + inc
+            assert np.abs(states[:, n + 1] - u).max() <= 1e-13
+
+    def test_epsilon_zero_refuses_dt_lam_max_of_two(self):
+        A = SpectralOperator.diagonal([1.0, 4.0])
+        with pytest.raises(ConfigurationError) as refused:
+            solver._explicit_rates(A, 0.5, 0.0)
+        assert str(refused.value) == "explicit Euler unstable: dt*lam_max = 2 >= 2 (dt=0.5)"
+        assert np.array_equal(solver._explicit_rates(A, np.nextafter(0.5, 0.0), 0.0),
+                              A.eigenvalues)
+        spec = noise_free_spec(A, np.ones(2), T=1.0)
+        with pytest.raises(ConfigurationError, match=r"dt\*lam_max = 2 >= 2"):
+            step_one(spec, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)),
+                     SchemeConfig("yosida_explicit", 0.5, 0.0))
+
 
 class TestTrajectoryContracts:
     def test_pathwise_determinism(self):
@@ -830,6 +855,21 @@ def linear_test_data(n=8, steps=16, d=2, atoms=2, seed=0, amp=1.0):
     return g, C, D
 
 
+def reference_linear_data(A, g, C, D, noise, marks, scheme):
+    """The per-step loop solve_linear_data replaced: y_{n+1} = V f V^T w (y_n + inc_n)
+    in eigen-coordinates, f = exp(-dt lam) or 1/(1 + dt lam)."""
+    grid = noise.grid
+    dt = grid.dt
+    factors = A.semigroup_factors(dt) if scheme == "exp_euler" else A.resolvent_factors(dt)
+    dW, counts = noise.wiener.increments[0], noise.cell_counts[0]
+    inc = (-dt * g + (C @ dW[:, :, None])[..., 0] + (D @ counts[:, :, None])[..., 0]
+           - dt * (D @ marks.weight_array))
+    states = np.zeros((grid.steps + 1, A.dim))
+    for n in range(grid.steps):
+        states[n + 1] = A.synthesize(factors * A.coords(states[n] + inc[n]))
+    return states
+
+
 class TestRegularizedCouplingIdentity:
     def setup_method(self):
         self.A = dirichlet_laplacian(8)
@@ -873,6 +913,16 @@ class TestRegularizedCouplingIdentity:
             epsilons.append(eps)
         slope = np.polyfit(np.log2(epsilons), np.log2(gaps), 1)[0]
         assert 0.9 <= slope <= 1.1
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit"])
+    def test_solve_matches_the_per_step_loop(self, scheme):
+        for seed in range(5):
+            g, C, D = linear_test_data(seed=seed)
+            noise = self._noise(seed)
+            y = solve_linear_data(self.A, g, C, D, noise, self.marks, scheme)
+            want = reference_linear_data(self.A, g, C, D, noise, self.marks, scheme)
+            assert y.shape == want.shape == (17, 8)
+            assert np.abs(y - want).max() <= 1e-13
 
     def test_rejects_callable_data(self):
         with pytest.raises(TypeError):
