@@ -125,11 +125,11 @@ def _explicit_rates(A: SpectralOperator, dt: float, epsilon: float) -> np.ndarra
     """The eigenvalues of A_eps (of A itself at epsilon = 0) if an explicit Euler
     step of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
     rates = A.yosida_factors(epsilon)
-    cap = dt * float(rates.max())
-    if cap >= 2.0:
+    peak = dt * float(rates.max())
+    if peak >= 2.0:
         bound, given = ("dt*lam_max", f"dt={dt}") if epsilon == 0 else (
             "dt*lam_max/(1+eps*lam_max)", f"dt={dt}, eps={epsilon}")
-        raise ConfigurationError(f"explicit Euler unstable: {bound} = {cap:.3g} >= 2 ({given})")
+        raise ConfigurationError(f"explicit Euler unstable: {bound} = {peak:.3g} >= 2 ({given})")
     return rates
 
 
@@ -141,17 +141,6 @@ def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
         return np.eye(A.dim) - dt * (V * _explicit_rates(A, dt, config.epsilon)) @ (w * V.T)
     factors = A.semigroup_factors(dt) if config.scheme == "exp_euler" else A.resolvent_factors(dt)
     return (V * factors) @ (w * V.T)
-
-
-def _derivative_bound(abs_coeffs: tuple, r: float) -> float:
-    """sum_p |a_p| r**p by Horner's rule, a bound on |f'(u)| for |u| <= r.
-
-    Python float products overflow to inf, which the screen reads as unbounded.
-    """
-    bound = 0.0
-    for c in reversed(abs_coeffs):
-        bound = bound * r + c
-    return bound
 
 
 def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
@@ -200,17 +189,18 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     nodes node to node + K - 1, members ``cols`` in order (views of reused
     buffers); its first call takes the initial states.
 
-    Checks run once per block and group, on r = max|u| of each new state over
-    all slices.  A non-finite r (it propagates nan and inf) is a blow-up; the
-    call raises the BlowUpError, with the text of its own call, of the group
-    that blew up first.  Stiffness policy, per group: one StiffnessWarning at
-    the first step where dt * max|f'(u)|, over every member and component,
-    reaches 1 (a constant f' is checked once).  |f'(u)| <= sum_p |a_p| r**p
-    grows with r, so a block whose largest r keeps dt times that bound below
-    1/2 is clean; any other is checked step by step, exactly on the stored
-    state where the bound reaches 1/2 (the factor 2 absorbs rounding), and
-    only before the group's blow-up.  yosida_explicit raises
-    ConfigurationError unless dt * lam_max / (1 + eps * lam_max) < 2.
+    Checks run once per block, on the (K, G) array of r = max|u| of each new
+    state over all slices.  A non-finite r (it propagates nan and inf) is a
+    blow-up; the call raises the BlowUpError, with the text of its own call,
+    of the group that blew up first, the lowest on a tie.  Stiffness policy,
+    per group: one StiffnessWarning at the first step where dt * max|f'(u)|,
+    over every member and component, reaches 1; a constant f' below 1/dt is
+    never checked.  As |f'(u)| <= sum_p |a_p| r**p, a block where dt times
+    that bound stays below 1/2 on the group's left states before its blow-up
+    is clean (the factor 2 absorbs rounding; an overflow reads as inf); on
+    any other, dt * max|f'(u)| is evaluated exactly on all those states.
+    yosida_explicit raises ConfigurationError unless
+    dt * lam_max / (1 + eps * lam_max) < 2.
     """
     specs, configs = tuple(s for s, _ in groups), tuple(c for _, c in groups)
     if len({(c.dt, c.scheme == "yosida_explicit") for c in configs}) != 1:
@@ -235,10 +225,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     prop = np.stack([_propagator(spec.A, config) for config in configs])
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
-    drift_varies = len(fprime.coefficients) > 1
-    fprime_abs = tuple(abs(c) for c in fprime.coefficients)
-    cap = [dt * fprime_abs[0] if len(fprime_abs) == 1 else 0.0] * n_groups
-    checking = [drift_varies or cap[0] >= 1.0] * n_groups   # until the group's warning
+    f_bound = Nonlinearity(tuple(abs(c) for c in fprime.coefficients))   # of |f'| on |u| <= r
+    # until the group's warning; a constant f' only if it warns at step 0
+    checking = [len(fprime.coefficients) > 1 or dt * f_bound(0.0) >= 1.0] * n_groups
     additive = all(s.B.additive and s.G.additive for s in specs)
     b_base, g_base = shared([s.B.base for s in specs]), shared([s.G.base for s in specs])
     b_scale = shared([s.B.state_scale[None] for s in specs])
@@ -312,31 +301,25 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
                 U[i] = Ui
                 news.append(buf)
             r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
-            blown = not math.isfinite(r[1:K + 1].max())               # in some group
-            blowups = []
-            for g, rg in enumerate(r.T):
-                # the steps whose left state may be checked: those before a blow-up
-                checked = K
-                if blown and not np.isfinite(rg[1:K + 1]).all():
-                    checked = int(np.isfinite(rg[1:K + 1]).argmin()) + 1
-                    blowups.append((first + checked, g))
-                if checking[g] and drift_varies:
-                    cap[g] = dt * _derivative_bound(fprime_abs, float(rg[:checked].max()))
-                for k in range(checked if checking[g] and not cap[g] < 0.5 else 0):
-                    if drift_varies:
-                        cap[g] = dt * _derivative_bound(fprime_abs, float(rg[k]))
-                        if not cap[g] < 0.5:
-                            lefts = [new[k - 1, g] if k else u[g] for new, u in zip(news, starts)]
-                            cap[g] = dt * float(np.max([np.abs(fprime(x)).max() for x in lefts]))
-                    if cap[g] >= 1.0:
-                        warnings.warn(
-                            f"explicit drift step outside safety region at step {first + k}: "
-                            f"dt*max|f'(u)| = {cap[g]:.3g} >= 1",
-                            StiffnessWarning, stacklevel=2)
-                        checking[g] = False
-                        break
-            if blowups:
-                step, g = min(blowups)
+            finite = np.isfinite(r[1:K + 1])
+            for g in np.flatnonzero(checking):
+                # the left states group g checks: those of the steps before its blow-up
+                m = K if finite[:, g].all() else int(finite[:, g].argmin()) + 1
+                if dt * f_bound(r[:m, g]).max() < 0.5:   # inf where the bound overflows
+                    continue
+                lefts = [np.concatenate((u[g][None], new[:m - 1, g]))
+                         for new, u in zip(news, starts)]
+                exact = dt * np.max([np.abs(fprime(x)).max(axis=(1, 2)) for x in lefts], axis=0)
+                k = int(np.argmax(exact >= 1.0))
+                if exact[k] >= 1.0:
+                    warnings.warn(
+                        f"explicit drift step outside safety region at step {first + k}: "
+                        f"dt*max|f'(u)| = {exact[k]:.3g} >= 1",
+                        StiffnessWarning, stacklevel=2)
+                    checking[g] = False
+            if not finite.all():   # the earliest blow-up, the lowest group on ties
+                k, g = divmod(int(finite.argmin()), n_groups)
+                step = first + k + 1
                 t = step * (spec.T / steps)
                 raise BlowUpError(f"{configs[g].scheme} produced a non-finite state at step "
                                   f"{step} (t={t:.6g})", step=step, time=t)

@@ -122,10 +122,6 @@ class SpectralOperator:
         return self.space.dim
 
     @cached_property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues.max())
-
-    @cached_property
     def matrix(self) -> np.ndarray:
         """Dense coordinate representation V diag(lam) (weight V^T)."""
         return (self.eigenvectors * self.eigenvalues) @ (self.space.weight * self.eigenvectors.T)
@@ -165,7 +161,7 @@ class SpectralOperator:
     def __repr__(self):
         return (
             f"SpectralOperator(dim={self.dim}, weight={self.space.weight:g}, "
-            f"lambda in [{self.eigenvalues.min():g}, {self.lambda_max:g}])"
+            f"lambda in [{self.eigenvalues.min():g}, {self.eigenvalues.max():g}])"
         )
 
 

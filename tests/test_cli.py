@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -321,6 +322,30 @@ def test_library_defaults_match_the_option_table():
         function = getattr(analysis, name)
         if callable(function):
             assert not everywhere & set(inspect.signature(function).parameters), name
+
+
+def _bench_spans(monkeypatch):
+    """bench/spans.py, the benchmark's tracer, loaded as it stands."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the tracer wraps these names from outside the package, so deleting or
+    # renaming one breaks every traced benchmark run
+    for target in _bench_spans(monkeypatch).TARGETS:
+        module = importlib.import_module(target.module)
+        assert hasattr(module, target.attr), f"{target.module}.{target.attr}"
+
+
+@pytest.mark.parametrize("source", FUZZ_SOURCES, ids=lambda path: path.stem)
+def test_benchmark_margin_key_reads_the_shipped_equation(monkeypatch, source):
+    spec = parse_config(source).equation
+    key = _bench_spans(monkeypatch)._margin_key((spec,), {})
+    assert key[0] == spec.fingerprint()
 
 
 def assert_recorded_digests(config_path, digests_name, output_dir):

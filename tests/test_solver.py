@@ -511,6 +511,29 @@ class TestDataGroups:
         assert sorted(caught) == sorted(w for warned in separate for w in warned)
         assert all("at step 18:" in text for _, text in caught)
 
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_blow_ups_and_warnings_at_different_steps_in_one_block(self, scheme):
+        # dt * f'(u) = -3 u**2 under f = -8 u**3 at dt = 1/8: the second group,
+        # from u0 = 0.8, warns at step 0 and runs away first; the first, from
+        # u0 = 0.55, warns a few steps later and blows up later still, all in
+        # one block.  The grouped call raises the second group's error and
+        # issues each group's warning at its own step.
+        dt = 0.125
+        spec = EquationSpec(A=SpectralOperator.diagonal([2.0]),
+                            F=Nonlinearity((0.0, 0.0, 0.0, -8.0)),
+                            B=DiffusionCoefficient.constant(0.1 * np.ones((1, 1)), np.ones(1)),
+                            G=JumpCoefficient.zero(1), u0=np.array([0.55]), T=400 * dt)
+        specs = (spec, spec.with_data(u0=np.array([0.8])))
+        dW = np.sqrt(dt) * np.random.default_rng(0).standard_normal((3, 400, 1))
+        counts, config = np.zeros((3, 400, 1)), scheme_config(scheme, dt)
+        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, config)
+        blowups = [stepper_outcome(reference_step_ensemble, s, dW, counts, config)[0][0]
+                   for s in specs]
+        assert blowups[1] < blowups[0]
+        assert caught == separate[0] + separate[1]
+        steps = [int(text.split("at step ")[1].split(":")[0]) for _, text in caught]
+        assert steps[1] == 0 < steps[0] < blowups[1]
+
     @pytest.mark.parametrize("other,message", [
         (lambda s: s.with_data(F=Nonlinearity((0.0, 1.0))), "shared drift"),
         (lambda s: EquationSpec(A=s.A.scaled(2.0), F=s.F, B=s.B, G=s.G, u0=s.u0, T=s.T),
@@ -1129,7 +1152,8 @@ class TestStiffnessPolicy:
         assert caught == []
 
     def test_overflowing_bound_is_not_an_error(self):
-        # r**4 overflows a Python float for r = 1e120; the screen reads that as inf
+        # r**4 overflows float64 for r = 1e120, silently under the step loop's
+        # errstate: the bound reads as inf, and so does the exact dt * max|f'(u0)|
         spec = EquationSpec(A=SpectralOperator.diagonal([0.0]),
                             F=Nonlinearity((0.0, -1.0, 0.0, 0.0, 0.0, 1.0)),
                             B=DiffusionCoefficient.zero(1), G=JumpCoefficient.zero(1),
