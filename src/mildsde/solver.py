@@ -53,7 +53,7 @@ __all__ = [
 SCHEMES = ("exp_euler", "resolvent_implicit", "yosida_explicit")
 
 _REL_TOL = 1e-12
-# values held per (K, n, M) block array (noise projections, new states) in step_ensemble
+# values per (K, n, M) block array in step_ensemble and per time chunk of the linear-data drive
 _BLOCK_VALUES = 1 << 15
 
 
@@ -388,8 +388,8 @@ def solve_yosida_explicit(spec: EquationSpec, noise, dt: float, epsilon: float) 
 
 
 def _linear_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace):
-    """(g, D, C_n dW_n, D_n (dN_n - dt m), drive xi_n) on every member of ``noise``,
-    the last three (M, N, n), after checking that the data are per-cell arrays."""
+    """(g, C, D, dt D m, drive xi = (C dW + (D dN - dt D m)) - dt g (M, N, n), the jump
+    part formed in time chunks) on every member of ``noise``; the data must be per-cell arrays."""
     for name, val in (("g", g), ("C", C), ("D", D)):
         if callable(val):
             raise TypeError(f"{name} must be a per-cell array; state-dependent "
@@ -400,20 +400,26 @@ def _linear_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSp
         raise ValueError(f"g must have shape ({grid.steps}, {A.dim}), got {g.shape}")
     C = _check_step_process(C, grid, "C", noise.wiener.q.shape[0], A.dim)
     D = _check_step_process(D, grid, "D", marks.atom_count, A.dim)
-    wiener = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
-    jump = np.einsum("nij,mnj->mni", D, noise.cell_counts) - grid.dt * (D @ marks.weight_array)
-    return g, D, wiener, jump, wiener + jump - grid.dt * g
+    drive = np.einsum("nij,mnj->mni", C, noise.wiener.increments)
+    comp = grid.dt * (D @ marks.weight_array)
+    chunk = max(1, _BLOCK_VALUES // (len(noise) * A.dim))
+    for lo in range(0, grid.steps, chunk):
+        cells = slice(lo, lo + chunk)
+        jump = np.einsum("nij,mnj->mni", D[cells], noise.cell_counts[:, cells])
+        drive[:, cells] += jump - comp[cells]
+    drive -= grid.dt * g
+    return g, C, D, comp, drive
 
 
-def _linear_steps(A: SpectralOperator, drive, mats: tuple, config: SchemeConfig) -> np.ndarray:
-    """States (G, M, N+1, n) from y_0 = 0 of one step_ensemble call fed ``drive``
-    (M, N, n) as the Wiener increments of B = K, q = 1, one group per K in ``mats``."""
+def _linear_steps(A: SpectralOperator, drive, mats: tuple, config: SchemeConfig, reduce=None):
+    """step_ensemble(..., reduce) from y_0 = 0 fed ``drive`` (M, N, n) as the Wiener
+    increments of B = K, q = 1, one group per K in ``mats``: states (G, M, N+1, n)."""
     members, steps, n = drive.shape
     groups = tuple((EquationSpec(A=A, F=Nonlinearity.zero(),
                                  B=DiffusionCoefficient.constant(K, np.ones(n)),
                                  G=JumpCoefficient.zero(n), u0=np.zeros(n), T=steps * config.dt),
                     config) for K in mats)
-    return step_ensemble(drive, np.zeros((members, steps, 1)), groups)
+    return step_ensemble(drive, np.zeros((members, steps, 1)), groups, reduce)
 
 
 def solve_linear_data(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: MarkSpace,
@@ -460,30 +466,37 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Mar
     isometry/compensator identity tested elsewhere.
 
     ``noise`` is a NoiseBatch of M paths sharing the data (g, C, D).  All
-    members are stepped together and every term is an array of M values.
+    members are stepped together and every term is an array of M values, summed
+    block by block of steps by a reducer on the block's noise: no trajectory is kept.
     """
     grid = noise.grid
-    g, D, wiener_inc, jump_inc, drive = _linear_terms(A, g, C, D, noise, marks)
-    dt = grid.dt
-    y, = _linear_steps(A, drive, (np.eye(A.dim),), SchemeConfig("yosida_explicit", dt, 0.0))
-    left, final = y[:, :-1], y[:, -1]
-    Ay = left @ A.matrix.T
+    g, C, D, comp, drive = _linear_terms(A, g, C, D, noise, marks)
+    dt, steps, dW, counts = grid.dt, grid.steps, noise.wiener.increments, noise.cell_counts
+    # per member: sum <A y_n + g_n, y_n>, <y_n, C dW>, <y_n, D dN - dt D m>, |C dW|^2; |y_N|^2
+    sums = np.zeros((5, len(noise)))
+
+    def reduce(node, cols, states):   # states (K, 1, n, w): y of nodes node to node + K - 1
+        y = states[:, 0]
+        if node + len(y) > steps:
+            sums[4, cols] = np.einsum("im,im->m", y[-1], y[-1])
+        left = y[:steps - node]       # the left states of cells node, node + 1, ...
+        cells = slice(node, node + len(left))
+        wiener = C[cells] @ dW[cols, cells].transpose(1, 2, 0)
+        jump = D[cells] @ counts[cols, cells].transpose(1, 2, 0) - comp[cells, :, None]
+        sums[0, cols] += (np.einsum("kim,kim->m", A.matrix @ left, left)
+                          + np.einsum("ki,kim->m", g[cells], left))
+        sums[1, cols] += np.einsum("kim,kim->m", left, wiener)
+        sums[2, cols] += np.einsum("kim,kim->m", left, jump)
+        sums[3, cols] += np.einsum("kim,kim->m", wiener, wiener)
+
+    _linear_steps(A, drive, (np.eye(A.dim),), SchemeConfig("yosida_explicit", dt, 0.0), reduce)
     w = A.space.weight
-    drift = 2.0 * dt * w * (np.einsum("mni,mni->m", Ay, left) + np.einsum("ni,mni->m", g, left))
-    mart_wiener = 2.0 * w * np.einsum("mni,mni->m", left, wiener_inc)
-    mart_jump = 2.0 * w * np.einsum("mni,mni->m", left, jump_inc)
-    bracket_wiener = w * np.einsum("mni,mni->m", wiener_inc, wiener_inc)
+    drift, mart_wiener, mart_jump, bracket_wiener, final_sq = (
+        sums * np.array([2.0 * dt * w, 2.0 * w, 2.0 * w, w, w])[:, None])
     jump_sq, _ = quadratic_mark_sum(D, noise.jumps, marks, grid, grid.horizon, A.space)
-    final_sq = w * np.einsum("mi,mi->m", final, final)
-    return {
-        "lhs": final_sq + drift,
-        "rhs": mart_wiener + mart_jump + bracket_wiener + jump_sq,
-        "martingale_wiener": mart_wiener,
-        "martingale_jump": mart_jump,
-        "bracket_wiener": bracket_wiener,
-        "jump_square_sum": jump_sq,
-        "final_sq_norm": final_sq,
-    }
+    return {"lhs": final_sq + drift, "rhs": mart_wiener + mart_jump + bracket_wiener + jump_sq,
+            "martingale_wiener": mart_wiener, "martingale_jump": mart_jump,
+            "bracket_wiener": bracket_wiener, "jump_square_sum": jump_sq, "final_sq_norm": final_sq}
 
 
 def ito_energy_residual(A: SpectralOperator, g, C, D, noise: NoiseBatch,

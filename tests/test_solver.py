@@ -1068,6 +1068,38 @@ class TestItoEnergyIdentity:
         residuals = ito_energy_residual(self.A, g, C, D, batch, self.marks)
         assert np.array_equal(residuals, np.abs(terms["lhs"] - terms["rhs"]))
 
+    @pytest.mark.parametrize("values", [300, 240, 5], ids=["tail", "even", "one_step"])
+    def test_block_edges_match_per_path_reference(self, values, monkeypatch):
+        # 3 members of n = 5 step in blocks of K = values // 15: 20, 20, 20 and
+        # 4 steps; 4 blocks of 16; one-step blocks, in slices of 1 and 2 members
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", values)
+        self.test_batch_matches_per_path_reference()
+
+    def test_memory_does_not_hold_trajectories(self):
+        # 100 members of n = 5: from 128 to 1,024 steps the traced peak grows by
+        # less than twice the drive (M, N, n) grows; holding the trajectories,
+        # A y and the noise increments for whole-array sums grows by about 4.7
+        members, rng = 100, np.random.default_rng(13)
+        cases = {}
+        for steps in (128, 1024):
+            noise = sample_noise_batch(self.q, self.marks, TimeGrid(0.5, steps), 5, members)
+            noise.cell_counts   # binned before tracing
+            cases[steps] = (rng.standard_normal((steps, 5)),
+                            0.3 * rng.standard_normal((steps, 5, 2)),
+                            0.3 * rng.standard_normal((steps, 5, 2)), noise)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                ito_energy_terms(self.A, *cases[steps], self.marks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)  # leaves out one-time allocations of a first call
+        drive_growth = members * (1024 - 128) * 5 * 8
+        assert peak(1024) - peak(128) < 2 * drive_growth
+
     def test_batch_needs_one_jump_path_per_member(self):
         grid = TimeGrid(0.5, 16)
         w = sample_wiener(self.q, grid, 1)
