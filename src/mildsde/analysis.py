@@ -20,9 +20,9 @@ from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
 from .noise import (NoiseBatch, TimeGrid, data_rng, poisson_integral, quadratic_mark_sum,
                     run_memo, sample_jump_table, sample_noise_batch, sample_wiener_rows,
-                    step_m_integral, step_q_integral)
-from .solver import (SchemeConfig, Trajectory, _require_shared_frame, ito_energy_residual,
-                     regularized_coupling_identity, solve, step_ensemble)
+                    shared_draws, step_m_integral, step_q_integral)
+from .solver import (_BLOCK_VALUES, SchemeConfig, Trajectory, _require_shared_frame,
+                     ito_energy_residual, regularized_coupling_identity, solve, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
 from .textio import Record, fmt
 
@@ -138,6 +138,14 @@ def _mean_stderr(samples: np.ndarray, axis: int = 0):
     return mean, samples.std(axis=axis, ddof=1) / math.sqrt(count)
 
 
+# _coupled_moments reduces the gaps of at least this many nodes at a time
+# rather than padding a one-node block to two columns: two is the fewest that
+# keep the bits of the whole array, and the held array is then no larger than
+# the padded one (holding 3 or 4 raised acceptance's peak RSS by about 1.2 MB,
+# measured with bench/repetition.py on an x86-64 Xeon).
+_HELD_NODES = 2
+
+
 def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: int):
     """A function returning the per-node mean and standard error of |u_p - u_{p+1}|^2
     over the members, each of shape (pairs, nodes), for consecutive specs stepped
@@ -148,11 +156,12 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
     weights and mark space, so that the specs differ only in their data (u0,
     B, G).  This and ``members >= 1`` are checked at the call; nothing is
     sampled until the returned function is called.  It draws one batch of
-    ``members`` paths with ``frame``.  A reducer holds the gaps of one block
-    of nodes, (pairs, members, max(2, K)), and reduces each completed block
-    with _mean_stderr: two or more columns keep the bits of the moments of the
-    whole (members, nodes) array, a bare column would not, so a one-node block
-    is padded.  No trajectory or gap array exists.  Within a run each pair's
+    ``members`` paths with ``frame``.  A reducer holds the gaps of completed
+    blocks of nodes, (pairs, members, columns), until it holds _HELD_NODES
+    nodes or the last one, and then reduces them with _mean_stderr: two or
+    more columns keep the bits of the moments of the whole (members, nodes)
+    array, a bare column would not, so the held array has at least two
+    columns.  No trajectory or gap array exists.  Within a run each pair's
     moments are kept in the run memo, keyed on the two spec payloads, grid,
     dt, seed and members, and a call whose pairs are all held steps nothing.
     """
@@ -170,19 +179,24 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
             return tuple(np.array(rows) for rows in zip(*(memo[key] for key in keys)))
         paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
         mean, se = np.empty((2, len(keys), grid.steps + 1))
-        held = np.zeros((len(keys), members, 2))
+        held, filled = np.zeros((len(keys), members, 2)), 0
 
         def reduce(node, cols, states):
-            nonlocal held
+            nonlocal held, filled
             K = len(states)
-            if held.shape[2] != max(2, K):
-                held = np.zeros((len(keys), members, max(2, K)))
+            if held.shape[2] < filled + K:      # room for the block after the held nodes
+                held = np.concatenate(
+                    (held[:, :, :filled], np.zeros((len(keys), members, K))), axis=2)
             # contiguous, so that sq_norms sums as over a trajectory array
             gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
-            held[:, cols, :K] = frame.space.sq_norms(gap)
+            held[:, cols, filled:filled + K] = frame.space.sq_norms(gap)
             if cols.stop == members:            # the block's last slice
-                m, s = _mean_stderr(held, axis=1)
-                mean[:, node:node + K], se[:, node:node + K] = m[:, :K], s[:, :K]
+                filled += K
+                if filled >= _HELD_NODES or node + K > grid.steps:
+                    m, s = _mean_stderr(held, axis=1)
+                    done = slice(node + K - filled, node + K)
+                    mean[:, done], se[:, done] = m[:, :filled], s[:, :filled]
+                    filled = 0
 
         step_ensemble(paths.wiener.increments, paths.cell_counts,
                       tuple((spec, SchemeConfig(_COUPLED_SCHEME, dt)) for spec in specs), reduce)
@@ -228,6 +242,92 @@ def _grid(T: float, dt: float) -> TimeGrid:
 # ---------------------------------------------------------------------------
 
 
+class _PathSums:
+    """The per-path reductions of coupling and weak_residual, collected as the
+    ``reduce`` of one step_ensemble call on ``noise`` (a NoiseBatch of one) in
+    ``groups`` groups of ``spec``: no trajectory is kept.
+
+    Per group g: ``integrability[g]``, the pathwise integral dt * sum over the
+    left states of |F(u)| + |B(u)|_Q^2 + |G(u)|_m^2, and ``weak_terms(g)``,
+    _weak_residual's reductions.  Over groups 0 and 1: ``sq_gap``, the largest
+    |u - v|^2 over the nodes.  A call takes states (K, G, n, 1) of nodes node to
+    node + K - 1 (a block of step_ensemble, or a whole trajectory as one block)
+    and reduces them about _BLOCK_VALUES values at a time.  Every sum runs node
+    by node: np.add.reduce over the rows [carry; block] of one contiguous array
+    of two or more columns adds them in order, so any split of the nodes into
+    blocks gives the same bits.
+
+    For column weights c_k, sum_k c_k |base_k + s_k u|^2 expands to
+    sum_k c_k |base_k|^2 + 2 <u, base (c s)> + |u|^2 sum_k c_k s_k^2.
+    """
+
+    def __init__(self, spec: EquationSpec, noise: NoiseBatch, groups: int = 1):
+        self.spec, self.groups, self.dt, self.steps = spec, groups, noise.grid.dt, noise.grid.steps
+        self.dW, self.counts = noise.wiener.increments[0], noise.cell_counts[0]
+        coeffs, w = (spec.B, spec.G), spec.space.weight
+        cs = [c.weights * c.state_scale for c in coeffs]
+        self.const = w * sum(float((c.base * c.base).sum(axis=0) @ c.weights) for c in coeffs)
+        self.linear = 2.0 * w * sum(c.base @ x for c, x in zip(coeffs, cs))
+        self.square = sum(float(x @ c.state_scale) for c, x in zip(coeffs, cs))
+        # the sums of u, F(u), u (s_B . dW) and u (s_G . dN), each (G, n), of the integrand
+        # (G) and of dW and dN.  Row 0 of the reused block is the carry.
+        n, d, J = spec.A.dim, self.dW.shape[1], self.counts.shape[1]
+        size = groups * (4 * n + 1) + d + J
+        self.block = np.zeros((max(1, _BLOCK_VALUES // size) + 1, size))
+        self.sums = self.block[0]
+        self.ends = np.zeros((2, groups, n))    # u_0 and u_N of each group
+        self.sq_gap = 0.0
+
+    def __call__(self, node, cols, states):
+        spec, space, G, n = self.spec, self.spec.space, self.groups, self.spec.A.dim
+        for first in range(node, node + len(states), len(self.block) - 1):
+            u = states[first - node:first - node + len(self.block) - 1, :, :, 0]
+            if first == 0:
+                self.ends[0] = u[0]
+            if first + len(u) > self.steps:
+                self.ends[1] = u[-1]
+            if G > 1:
+                self.sq_gap = max(self.sq_gap, float(space.sq_norms(u[:, 0] - u[:, 1]).max()))
+            cells = slice(first, min(first + len(u), self.steps))   # those of the left states
+            dW, dN = self.dW[cells], self.counts[cells] - self.dt * spec.marks.weight_array
+            # contiguous (K, G, n): each row's dot products keep their bits in any block
+            x = np.ascontiguousarray(u[:len(dW)])
+            fx = spec.F(x)
+            rows = self.block[1:len(x) + 1]
+            terms = rows[:, :4 * G * n].reshape(len(x), 4, G, n)
+            terms[:, 0], terms[:, 1] = x, fx
+            np.multiply(x, np.einsum("kj,j->k", dW, spec.B.state_scale)[:, None, None],
+                        out=terms[:, 2])
+            np.multiply(x, np.einsum("kj,j->k", dN, spec.G.state_scale)[:, None, None],
+                        out=terms[:, 3])
+            rows[:, 4 * G * n:(4 * n + 1) * G] = (
+                np.sqrt(space.sq_norms(fx)) + self.const + np.einsum("kgi,i->kg", x, self.linear)
+                + self.square * space.sq_norms(x))
+            rows[:, (4 * n + 1) * G:] = np.concatenate((dW, dN), axis=1)
+            self.sums[...] = np.add.reduce(self.block[:len(x) + 1], axis=0)
+
+    @property
+    def integrability(self) -> np.ndarray:
+        """Per group, dt * the sum of the integrand over the left states taken so far."""
+        G, n = self.groups, self.spec.A.dim
+        return self.dt * self.sums[4 * G * n:(4 * n + 1) * G]
+
+    def weak_terms(self, g: int) -> tuple:
+        """The reductions of the weak residual that depend on neither eps nor k_max: dt
+        and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
+        states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n of group g
+        (ValueError unless its integrability is finite)."""
+        if not np.isfinite(self.integrability[g]):
+            raise ValueError("trajectory fails the pathwise integrability check")
+        spec, A, G = self.spec, self.spec.A, self.groups
+        u_sum, f_sum, u_w, u_j = self.sums[:4 * G * A.dim].reshape(4, G, A.dim)[:, g]
+        dW_sum, dN_sum = np.split(self.sums[(4 * A.dim + 1) * G:], [self.dW.shape[1]])
+        # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
+        return (self.dt, A.coords(self.ends[0, g]), A.coords(self.ends[1, g]), A.coords(u_sum),
+                A.coords(f_sum), A.coords(spec.B.base @ dW_sum + u_w),
+                A.coords(spec.G.base @ dN_sum + u_j))
+
+
 def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
                                    scheme_pair=("exp_euler", "resolvent_implicit")
                                    ) -> ExperimentReport:
@@ -235,32 +335,33 @@ def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,
 
     The sup-norm gap between the two numerical solutions must vanish with
     order at least 0.9 for the run to PASS; a blow-up in either scheme makes
-    the experiment INCONCLUSIVE.  Both trajectories, one solve call per step
-    size, need a finite pathwise integrability to enter the comparison; in a
-    run their weak-residual reductions are kept for weak_residual_experiment.
-    The path is ensemble member 0 of ``sample_noise_batch`` on the finest grid.
-    Summary: ``gaps``, ``fitted_order`` and ``integrability`` (NaN where a
-    step size blew up).
+    the experiment INCONCLUSIVE.  Both schemes step as the groups of one
+    step_ensemble call per step size, reduced block by block by _PathSums, so
+    no trajectory is kept; both need a finite pathwise integrability to enter
+    the comparison, and in a run their weak-residual reductions are kept for
+    weak_residual_experiment.  The path is ensemble member 0 of
+    ``sample_noise_batch`` on the finest grid.  Summary: ``gaps``,
+    ``fitted_order`` and ``integrability`` (NaN where a step size blew up).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     fine, memo = _grid(spec.T, dts[-1]), run_memo()
     fine_noise = sample_noise_batch(spec.B.q, spec.marks, fine, seed, 1)
     gaps, integs = [], []
-    space = spec.space
     inconclusive = False
     for dt in dts:
         noise = fine_noise.coarsen(round(dt / dts[-1]))
+        sums = _PathSums(spec, noise, len(scheme_pair))
         try:
-            t1, t2 = solve(spec, noise, [SchemeConfig(s, dt) for s in scheme_pair])
-            finite = np.isfinite(t1.integrability) and np.isfinite(t2.integrability)
+            step_ensemble(noise.wiener.increments, noise.cell_counts,
+                          tuple((spec, SchemeConfig(s, dt)) for s in scheme_pair), sums)
+            finite = bool(np.isfinite(sums.integrability).all())
         except BlowUpError:
             finite = False
         inconclusive |= not finite
-        gaps.append(float(np.sqrt(space.sq_norms(t1.states - t2.states)).max())
-                    if finite else np.nan)
-        integs.append(max(t1.integrability, t2.integrability) if finite else np.nan)
-        for scheme, traj in zip(scheme_pair, (t1, t2)) if finite and memo is not None else ():
-            memo[_weak_key(spec, seed, fine, dt, scheme)] = _weak_terms(spec, traj, noise)
+        gaps.append(math.sqrt(sums.sq_gap) if finite else np.nan)
+        integs.append(float(sums.integrability.max()) if finite else np.nan)
+        for g, scheme in enumerate(scheme_pair) if finite and memo is not None else ():
+            memo[_weak_key(spec, seed, fine, dt, scheme)] = sums.weak_terms(g)
     gaps = np.array(gaps)
     order = fit_order(dts, gaps) if not inconclusive else math.nan
     decays = np.all(gaps <= _ZERO_FLOOR) or (np.all(np.diff(gaps) < 0.0) and order >= 0.9)
@@ -469,31 +570,14 @@ def generalized_solution_cauchy(spec: EquationSpec, data_sequence, seed: int, *,
 # ---------------------------------------------------------------------------
 
 
-def _weak_terms(spec: EquationSpec, traj: Trajectory, noise: NoiseBatch) -> tuple:
-    """The reductions of the weak residual that depend on neither eps nor k_max: dt
-    and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
-    states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n (dW and dN
-    of ``noise``, the one path ``traj`` was stepped on)."""
-    if not np.isfinite(traj.integrability):
-        raise ValueError("trajectory fails the pathwise integrability check")
-    dt, u, A, dW = traj.grid.dt, traj.states, spec.A, noise.wiener.increments[0]
-    dN = noise.cell_counts[0] - dt * spec.marks.weight_array
-    # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
-    wiener_total = spec.B.base @ dW.sum(axis=0) + u[:-1].T @ (dW @ spec.B.state_scale)
-    jump_total = spec.G.base @ dN.sum(axis=0) + u[:-1].T @ (dN @ spec.G.state_scale)
-    f_sum = A.coords(spec.F(u[:-1])).sum(axis=0)
-    coords_u = A.coords(u)          # (N+1, n) eigen-coordinates; only copies of rows are kept
-    return (dt, coords_u[0].copy(), coords_u[-1].copy(), coords_u[:-1].sum(axis=0), f_sum,
-            A.coords(wiener_total), A.coords(jump_total))
-
-
 def _weak_key(spec: EquationSpec, seed: int, fine: TimeGrid, dt: float, scheme: str) -> tuple:
-    """Run-memo key of _weak_terms: exact in the spec payload, seed, fine grid, dt, scheme."""
+    """Run-memo key of _PathSums.weak_terms: exact in the spec payload, seed, fine grid,
+    dt and scheme."""
     return ("weak_terms", spec.payload(), seed, fine.horizon, fine.steps, dt, scheme)
 
 
 def _weak_residual(spec: EquationSpec, terms: tuple, epsilon: float, k_max: int) -> np.ndarray:
-    """The per-mode residual of the reductions ``terms`` (_weak_terms), k < k_max."""
+    """The per-mode residual of the reductions ``terms`` (_PathSums.weak_terms), k < k_max."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 1 <= k_max <= spec.A.dim:
@@ -513,11 +597,15 @@ def weak_solution_residual(traj: Trajectory, spec: EquationSpec, noise: NoiseBat
     the value of the diagnostic is the per-mode residual decomposition.  The
     residual uses the same left-state discrete stochastic integrals the
     solvers use and vanishes with the step size.  ``noise`` is the NoiseBatch of
-    one that ``traj`` was stepped on.
+    one that ``traj`` was stepped on; _PathSums takes ``traj`` as one block.
     """
     if noise.grid != traj.grid:
         raise ValueError("noise grid does not match the trajectory grid")
-    return _weak_residual(spec, _weak_terms(spec, traj, noise), epsilon, k_max)
+    if not np.isfinite(traj.integrability):
+        raise ValueError("trajectory fails the pathwise integrability check")
+    sums = _PathSums(spec, noise)
+    sums(0, slice(0, 1), traj.states[:, None, :, None])
+    return _weak_residual(spec, sums.weak_terms(0), epsilon, k_max)
 
 
 def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
@@ -525,10 +613,12 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
                              scheme: str = "resolvent_implicit") -> ExperimentReport:
     """Weak residual decay across dyadic step sizes on one coupled path.
 
-    Within a run, a step size is not solved again when coupling kept its
-    reductions (same spec payload, seed, step sizes and scheme).  PASS requires
-    every one of the first ``k_max`` modes to decay with fitted order at least
-    0.9.  Summary: ``residuals`` (modes x step sizes) and ``orders`` (per mode).
+    A step size steps its path in one step_ensemble call reduced by _PathSums,
+    so no trajectory is kept; within a run it is not stepped again when
+    coupling kept its reductions (same spec payload, seed, step sizes and
+    scheme).  PASS requires every one of the first ``k_max`` modes to decay
+    with fitted order at least 0.9.  Summary: ``residuals`` (modes x step
+    sizes) and ``orders`` (per mode).
     """
     dts = step_sizes(dt_list, spec.T, minimum=3)
     fine = _grid(spec.T, dts[-1])
@@ -539,8 +629,10 @@ def weak_residual_experiment(spec: EquationSpec, seed: int, dt_list,
         terms = memo.get(_weak_key(spec, seed, fine, dt, scheme))
         if terms is None:
             noise = fine_noise.coarsen(round(dt / dts[-1]))
-            traj, = solve(spec, noise, (SchemeConfig(scheme, dt),))
-            terms = _weak_terms(spec, traj, noise)
+            sums = _PathSums(spec, noise)
+            step_ensemble(noise.wiener.increments, noise.cell_counts,
+                          ((spec, SchemeConfig(scheme, dt)),), sums)
+            terms = sums.weak_terms(0)
         residuals[:, j] = _weak_residual(spec, terms, epsilon, k_max)
     orders = np.array([fit_order(dts, residuals[k]) for k in range(k_max)])
     rows, curves = [], {}
@@ -778,7 +870,9 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     The step data is drawn once on the coarsest grid and refined exactly (a
     step function is resolution-independent); paths are coupled across
     resolutions by coarsening one fine realization, and all paths are
-    stepped together, one batched call per step size.  The data draw from
+    stepped together, one batched call per step size.  The batch is drawn in
+    a nested ``shared_draws()``, whose memo is dropped when the experiment
+    returns.  The data draw from
     ``data_rng(seed)``; a step size whose mean residual is exactly 0 writes no
     plot row.
     """
@@ -788,12 +882,13 @@ def energy_identity_experiment(A: SpectralOperator, marks: MarkSpace, q, dt_list
     g0 = g_amp * rng.standard_normal(shape)
     c0 = c_amp * rng.standard_normal((*shape, q.shape[0]))
     d0 = d_amp * rng.standard_normal((*shape, marks.atom_count))
-    noise = sample_noise_batch(q, marks, TimeGrid(T, round(T / dts[-1])), seed, paths)
     residuals = np.empty((len(dts), paths))
-    for j, dt in enumerate(dts):
-        g, C, D = (np.repeat(x, round(dts[0] / dt), axis=0) for x in (g0, c0, d0))
-        residuals[j] = ito_energy_residual(A, g, C, D, noise.coarsen(round(dt / dts[-1])),
-                                           marks)
+    with shared_draws():   # a memo of its own: the run's memo never holds this batch
+        noise = sample_noise_batch(q, marks, TimeGrid(T, round(T / dts[-1])), seed, paths)
+        for j, dt in enumerate(dts):
+            g, C, D = (np.repeat(x, round(dts[0] / dt), axis=0) for x in (g0, c0, d0))
+            residuals[j] = ito_energy_residual(A, g, C, D, noise.coarsen(round(dt / dts[-1])),
+                                               marks)
     mean_res, se_res = _mean_stderr(residuals, axis=1)
     order = fit_order(np.array(dts), mean_res)
     rows = [Record("residual", f"dt={fmt(d)}", r, s)

@@ -464,8 +464,9 @@ class NoiseBatch:
         return self.wiener.grid
 
     def coarsen(self, factor: int) -> "NoiseBatch":
-        """The same noise on the grid coarsened by ``factor`` (``coarsen_wiener``)."""
-        return NoiseBatch(coarsen_wiener(self.wiener, factor), self.jumps)
+        """The same noise on the grid coarsened by ``factor`` (``coarsen_wiener``); the
+        batch itself at factor 1."""
+        return self if factor == 1 else NoiseBatch(coarsen_wiener(self.wiener, factor), self.jumps)
 
     def rows(self, start: int, stop: int) -> "NoiseBatch":
         """The batch of members start..stop-1, sharing this batch's arrays."""

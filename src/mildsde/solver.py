@@ -181,13 +181,18 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     product on the tested sizes.  Steps run in blocks of K, about 2**15 values
     per (K, G, n, M) array; a block projects the state-free noise factors once
     (when B and G are additive, the whole increment, formed in place in the
-    projection that has every group).  Each slice's new states go into two
-    (K, G, n, w) buffers used in turn, u0 into the second, and the implicit
-    forms share one (G, n, w) scratch array across the slices, which step one
-    after another.  Once a block's slices are stepped and checked,
-    ``reduce(node, cols, states)`` takes each slice's states (K, G, n, w) of
-    nodes node to node + K - 1, members ``cols`` in order (views of reused
-    buffers); its first call takes the initial states.
+    projection that has every group).  The projections span all M members, not
+    one slice: a tail slice of unaligned width need not keep the bits of the
+    same columns of the full product (measured with numpy 2.4's OpenBLAS
+    0.3.31 on an x86-64 Xeon: (31, d) @ (d, 44) at members 256-299 of 300
+    differ for d = 2, 3, 5; aligned widths from 2 to 512 agree), so per-slice
+    projections would tie a member's bits to the slicing.  Each slice's new
+    states go into two (K, G, n, w) buffers used in turn, u0 into the second,
+    and the implicit forms share one (G, n, w) scratch array across the
+    slices, which step one after another.  Once a block's slices are stepped
+    and checked, ``reduce(node, cols, states)`` takes each slice's states
+    (K, G, n, w) of nodes node to node + K - 1, members ``cols`` in order
+    (views of reused buffers); its first call takes the initial states.
 
     Checks run once per block, on the (K, G) array of r = max|u| of each new
     state over all slices.  A non-finite r (it propagates nan and inf) is a
@@ -329,31 +334,18 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     return states
 
 
-def _integrability(spec: EquationSpec, states: np.ndarray, dt: float) -> float:
-    """dt * sum over left states of |F(u)| + |B(u)|_Q^2 + |G(u)|_m^2.
-
-    For column weights c_k, sum_k c_k |base_k + s_k u|^2 expands to
-    sum_k c_k |base_k|^2 + 2 <u, base (c s)> + |u|^2 sum_k c_k s_k^2.
-    """
-    u = states[:-1]
-    space = spec.space
-    total = np.sqrt(space.sq_norms(spec.F(u)))
-    for coeff in (spec.B, spec.G):
-        cs = coeff.weights * coeff.state_scale
-        total += space.weight * ((coeff.base * coeff.base).sum(axis=0) @ coeff.weights
-                                 + 2.0 * (u @ (coeff.base @ cs)))
-        total += float(cs @ coeff.state_scale) * space.sq_norms(u)
-    return float(dt * total.sum())
-
-
 def solve(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> tuple:
     """One noise path (a NoiseBatch of one) stepped under each config (one dt and
-    step form) by one step_ensemble call; a Trajectory per config."""
+    step form) by one step_ensemble call; a Trajectory per config, its
+    integrability that of ``analysis._PathSums`` fed the states as one block."""
+    from .analysis import _PathSums   # analysis imports this module
     grid = _validate_noise(spec, noise, configs)
     states = step_ensemble(noise.wiener.increments, noise.cell_counts,
                            tuple((spec, config) for config in configs))[:, 0]
     states.setflags(write=False)
-    return tuple(Trajectory(grid, s, _integrability(spec, s, configs[0].dt)) for s in states)
+    sums = _PathSums(spec, noise, len(configs))
+    sums(0, slice(0, 1), states.transpose(1, 0, 2)[..., None])
+    return tuple(Trajectory(grid, s, float(i)) for s, i in zip(states, sums.integrability))
 
 
 def solve_exp_euler(spec: EquationSpec, noise, dt: float) -> Trajectory:

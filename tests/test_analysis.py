@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mildsde import analysis, cli, noise
+from mildsde import analysis, cli, noise, solver
 from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, ExperimentReport, _solve_ensemble,
                               compensator_experiment, contraction_experiment,
                               coupling_uniqueness_experiment, fit_order,
@@ -14,7 +14,7 @@ from mildsde.analysis import (FAIL, INCONCLUSIVE, PASS, ExperimentReport, _solve
                               stability_estimate_experiment, weak_residual_experiment,
                               weak_solution_residual, wiener_isometry_experiment,
                               yosida_convergence_experiment, yosida_coupling_bound)
-from mildsde.errors import ConfigurationError, HypothesisError
+from mildsde.errors import BlowUpError, ConfigurationError, HypothesisError
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                            Nonlinearity, check_dissipativity_triplet)
 from mildsde.cli import EXPERIMENTS, parse_config
@@ -619,6 +619,152 @@ class TestEnsembleSeeding:
             assert np.abs(states[i] - single).max() <= 1e-12
 
 
+def whole_path_reductions(spec, left, dW, dN, dt):
+    """The sums of u, F(u) and the two noise totals in eigen-coordinates and the
+    integrability over the left states ``left`` (cells' dW and dN = counts - dt m),
+    by the whole-trajectory formulas that _PathSums replaced: the reference it
+    must agree with."""
+    A, space = spec.A, spec.space
+    wiener = spec.B.base @ dW.sum(axis=0) + left.T @ (dW @ spec.B.state_scale)
+    jump = spec.G.base @ dN.sum(axis=0) + left.T @ (dN @ spec.G.state_scale)
+    total = np.sqrt(space.sq_norms(spec.F(left)))
+    for coeff in (spec.B, spec.G):
+        cs = coeff.weights * coeff.state_scale
+        total += space.weight * ((coeff.base * coeff.base).sum(axis=0) @ coeff.weights
+                                 + 2.0 * (left @ (coeff.base @ cs)))
+        total += float(cs @ coeff.state_scale) * space.sq_norms(left)
+    sums = (A.coords(left).sum(axis=0), A.coords(spec.F(left)).sum(axis=0), A.coords(wiener),
+            A.coords(jump))
+    return sums, float(dt * total.sum())
+
+
+def stepped_path_sums(spec, noise, configs):
+    """_PathSums of one step_ensemble call in the groups ``configs``, the states
+    (nodes, G, n) it took and the step of a BlowUpError (None without one)."""
+    sums, fed = analysis._PathSums(spec, noise, len(configs)), []
+
+    def reduce(node, cols, states):
+        fed.append(states[..., 0].copy())
+        sums(node, cols, states)
+    try:
+        step_ensemble(noise.wiener.increments, noise.cell_counts,
+                      tuple((spec, config) for config in configs), reduce)
+    except BlowUpError as err:
+        return sums, np.concatenate(fed), err.step
+    return sums, np.concatenate(fed), None
+
+
+def assert_same_bits(a, b):
+    for x, y in zip((a.sums, a.ends, a.sq_gap), (b.sums, b.ends, b.sq_gap)):
+        assert np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+class TestPathSums:
+    # (solver._BLOCK_VALUES, analysis._BLOCK_VALUES): one-step blocks and one-row
+    # sums; blocks of 5 steps (37 = 7 x 5 + 2, an uneven tail) summed 3 rows at a
+    # time; the shipped sizes
+    BLOCKS = [(1, 1), (5 * 2 * 7, 3 * 62), (solver._BLOCK_VALUES, solver._BLOCK_VALUES)]
+
+    def test_agrees_with_the_whole_path_formulas_on_any_blocks(self, monkeypatch):
+        spec = make_cubic_spec(n=7, multiplicative=True)
+        assert not spec.B.additive and not spec.G.additive
+        grid = TimeGrid(spec.T, 37)
+        noise = sample_noise_batch(spec.B.q, spec.marks, grid, 4, 1)
+        configs = (SchemeConfig("exp_euler", grid.dt), SchemeConfig("resolvent_implicit", grid.dt))
+        dW = noise.wiener.increments[0]
+        dN = noise.cell_counts[0] - grid.dt * spec.marks.weight_array
+        runs = []
+        for stepped, summed in self.BLOCKS:
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", stepped)
+            monkeypatch.setattr(analysis, "_BLOCK_VALUES", summed)
+            sums, states, blow_up = stepped_path_sums(spec, noise, configs)
+            assert blow_up is None and len(states) == grid.steps + 1
+            for g in range(2):
+                u = states[:, g]
+                want, integrability = whole_path_reductions(spec, u[:-1], dW, dN, grid.dt)
+                dt, first, last, *got = sums.weak_terms(g)
+                assert dt == grid.dt
+                assert np.array_equal(first, spec.A.coords(u[0]))
+                assert np.array_equal(last, spec.A.coords(u[-1]))
+                for x, y in zip(got, want):
+                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-14 * np.abs(y).max())
+                assert sums.integrability[g] == pytest.approx(integrability, rel=1e-13)
+            # coupling's gap keeps the bits of the gap of the two trajectories
+            whole_gap = np.sqrt(spec.space.sq_norms(states[:, 0] - states[:, 1])).max()
+            assert math.sqrt(sums.sq_gap) == whole_gap
+            runs.append(sums)
+        for other in runs[1:]:
+            assert_same_bits(runs[0], other)
+        # a trajectory handed over as one block takes the same path: the bits of solve's
+        # integrability and of weak_solution_residual
+        for g, traj in enumerate(solve(spec, noise, configs)):
+            assert traj.integrability == runs[0].integrability[g]
+            stepped = analysis._weak_residual(spec, runs[0].weak_terms(g), 0.1, 7)
+            handed = weak_solution_residual(traj, spec, noise, 0.1, 7)
+            assert np.array_equal(handed.view(np.int64), stepped.view(np.int64))
+
+    @pytest.mark.filterwarnings("ignore::mildsde.errors.StiffnessWarning")
+    def test_a_blow_up_keeps_the_sums_of_the_nodes_before_it(self, monkeypatch):
+        # u**2 = 0.27 runs away under resolvent_implicit alone, 16 steps into 40
+        # (dt * lam = 1/4, dt * f = -u**3); on one-step blocks, 6-step blocks summed
+        # 3 rows at a time and the shipped sizes, the sums hold the nodes reduced
+        # before the blow-up, agree with the whole-path formulas there and keep
+        # their bits when those nodes are handed over as one block
+        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+        spec = EquationSpec(A=SpectralOperator.diagonal([2.0]),
+                            F=Nonlinearity((0.0, 0.0, 0.0, -8.0)),
+                            B=DiffusionCoefficient([[1e-3]], [1e-3], np.ones(1)),
+                            G=JumpCoefficient([[1e-3, -1e-3]], [1e-3, 1e-3], marks),
+                            u0=np.array([0.27 ** 0.5]), T=40 * 0.125)
+        grid = TimeGrid(spec.T, 40)
+        noise = sample_noise_batch(spec.B.q, marks, grid, 2, 1)
+        configs = (SchemeConfig("exp_euler", 0.125), SchemeConfig("resolvent_implicit", 0.125))
+        dW = noise.wiener.increments[0]
+        dN = noise.cell_counts[0] - grid.dt * marks.weight_array
+        steps, reduced = set(), []
+        for stepped, summed in [(1, 1), (6 * 2, 3 * 13), self.BLOCKS[-1]]:
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", stepped)
+            monkeypatch.setattr(analysis, "_BLOCK_VALUES", summed)
+            sums, states, blow_up = stepped_path_sums(spec, noise, configs)
+            steps.add(blow_up)
+            assert len(states) <= blow_up    # every reduced node is a left state
+            reduced.append(len(states))
+            cells = slice(0, len(states))
+            with np.errstate(over="ignore", invalid="ignore"):
+                integrability = [whole_path_reductions(spec, states[:, g], dW[cells], dN[cells],
+                                                       grid.dt)[1] for g in range(2)]
+                np.testing.assert_allclose(sums.integrability, integrability, rtol=1e-13)
+                again = analysis._PathSums(spec, noise, 2)
+                again(0, slice(0, 1), states[..., None])
+            assert_same_bits(sums, again)
+        assert steps == {16} and reduced == [16, 13, 1]
+
+    def test_coupling_memory_does_not_grow_with_the_step_count(self, monkeypatch):
+        # both schemes are reduced block by block: 16,384 finest steps peak less
+        # than 0.5 MiB above 1,024, where the two (N+1, n) trajectories alone
+        # would add 1.8 MB.  The noise is drawn and binned before tracing.
+        spec = make_linear_spec(n=7, jump_amp=0.3)
+        paths = {steps: sample_noise_batch(spec.B.q, spec.marks, TimeGrid(spec.T, steps), 3, 1)
+                 for steps in (1024, 16384)}
+        for path in paths.values():
+            path.cell_counts
+        monkeypatch.setattr(analysis, "sample_noise_batch",
+                            lambda q, marks, grid, seed, members: paths[grid.steps])
+
+        def peak(steps):
+            dt = spec.T / steps
+            tracemalloc.start()
+            try:
+                report = coupling_uniqueness_experiment(spec, 3, [4 * dt, 2 * dt, dt])
+                assert report.verdict == PASS
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)  # leaves out one-time allocations of a first call
+        assert peak(16384) - peak(1024) < 2**19
+
+
 class TestWeakResidual:
     def make_setup(self, dt=2.0**-7, spec=None):
         spec = spec if spec is not None else make_cubic_spec(n=9)
@@ -703,13 +849,15 @@ class TestWeakResidual:
     @pytest.mark.parametrize("scheme", ["resolvent_implicit", "exp_euler"])
     def test_reuses_the_coupling_reductions_bit_for_bit(self, scheme, monkeypatch):
         # in a run, a fresh spec object with coupling's payload, seed, dts and
-        # scheme takes coupling's reductions; another payload or seed solves
+        # scheme takes coupling's reductions; another payload or seed steps its
+        # path, one step_ensemble call per step size
         spec = make_cubic_spec(n=9)
         dts = [2.0**-6, 2.0**-7, 2.0**-8]
         alone = weak_residual_experiment(spec, 5, dts, scheme=scheme).summary["residuals"]
         solves = []
-        original = analysis.solve
-        monkeypatch.setattr(analysis, "solve", lambda *args: solves.append(1) or original(*args))
+        original = analysis.step_ensemble
+        monkeypatch.setattr(analysis, "step_ensemble",
+                            lambda *args: solves.append(1) or original(*args))
         with shared_draws():
             coupling_uniqueness_experiment(spec, 5, dts)
             solves.clear()
