@@ -2,7 +2,9 @@
 
 Three one-step maps share one stepper, ``step_ensemble``, which advances
 an ensemble of noise paths in (spec, scheme config) groups of one step size
-at once; ``solve`` steps one path, a ``NoiseBatch`` of one, under configs:
+at once, each group in its own scheme, so one call can step the exact and
+the regularized schemes on one path; ``solve`` steps one path, a
+``NoiseBatch`` of one, under configs:
 
 * ``exp_euler``: exponential Euler, u_{n+1} = exp(-dt A)[u_n + increments],
   the direct discretization of the variation-of-constants form;
@@ -160,19 +162,24 @@ def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
 def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None):
     """Step M members of the mild form in G (EquationSpec, SchemeConfig) groups at
     once, whose specs share the first one's operator, drift, horizon, covariance
-    weights and mark space and whose configs share one dt and step form (else
-    ConfigurationError).  Returns states (G, M, N+1, n), unless ``reduce``.
+    weights and mark space and whose configs share one dt (else
+    ConfigurationError; so does a call of no group).  Returns states
+    (G, M, N+1, n), unless ``reduce``.
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member, float64 or exact whole numbers in
     float32 (``NoiseBatch.cell_counts``), which the projections read as the
     same float64 values.  The noise increment of a step is
     B(u) dW + G(u) counts - dt G(u) m, with B and G evaluated at the left
-    state, so the jump part is exactly centered.  exp_euler and
-    resolvent_implicit step V = P_g(U - dt F(U) + inc), yosida_explicit
-    V = P_g U - dt F(U) + inc.  Each group keeps the bits of a call with it
-    alone: a stacked (G, n, n) product has the bits of the 2-D one, and each
-    spec projects the noise of all members with its own 2-D products.
+    state, so the jump part is exactly centered.  Each group carries its own
+    step form: exp_euler and resolvent_implicit step V = P_g(U - dt F(U) + inc),
+    yosida_explicit V = P_g U - dt F(U) + inc.  Each run of consecutive groups
+    of one form steps a block on its own, with its stacked (g, n, n) product
+    and F and the increment evaluated on its groups (elementwise, so with the
+    bits of an evaluation on all groups); a call of one form is one run.  Each
+    group keeps the bits of a call with it alone: a stacked (g, n, n) product
+    has the bits of the 2-D one, and each spec projects the noise of all
+    members with its own 2-D products.
 
     Members step in slices of contiguous (G, n, w) arrays, w the largest power
     of two at most _BLOCK_VALUES // (G n); a one-member tail, which would take
@@ -189,10 +196,11 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     projections would tie a member's bits to the slicing.  Each slice's new
     states go into two (K, G, n, w) buffers used in turn, u0 into the second,
     and the implicit forms share one (G, n, w) scratch array across the
-    slices, which step one after another.  Once a block's slices are stepped
+    slices and runs, which step one after another.  Once a block's slices are stepped
     and checked, ``reduce(node, cols, states)`` takes each slice's states
     (K, G, n, w) of nodes node to node + K - 1, members ``cols`` in order
-    (views of reused buffers); its first call takes the initial states.
+    (views of reused buffers), all groups of every run; its first call takes
+    the initial states.
 
     Checks run once per block, on the (K, G) array of r = max|u| of each new
     state over all slices.  A non-finite r (it propagates nan and inf) is a
@@ -208,15 +216,15 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     dt * lam_max / (1 + eps * lam_max) < 2.
     """
     specs, configs = tuple(s for s, _ in groups), tuple(c for _, c in groups)
-    if len({(c.dt, c.scheme == "yosida_explicit") for c in configs}) != 1:
-        raise ConfigurationError(f"one step_ensemble call takes configs of one dt and one "
-                                 f"step form, got {configs}")
+    if len({c.dt for c in configs}) != 1:
+        raise ConfigurationError(f"one step_ensemble call takes one or more groups of one dt, "
+                                 f"got {configs}")
     spec = specs[0]
     for other in specs[1:]:
         _require_shared_frame(spec, other)
     members, steps = dW.shape[:2]
     n_groups, n = len(groups), spec.A.dim
-    dt, explicit = configs[0].dt, configs[0].scheme == "yosida_explicit"
+    dt = configs[0].dt
 
     def shared(mats):   # a coefficient that every spec shares is projected once
         return mats[:1] if all(np.array_equal(m, mats[0]) for m in mats) else mats
@@ -227,7 +235,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
             np.matmul(m, noise, out=out[:, i])
         return out
 
-    prop = np.stack([_propagator(spec.A, config) for config in configs])
+    def part(x, run, axis=0):   # the run's groups of a per-group array; a shared one whole
+        return x[(slice(None),) * axis + (run,)] if x.shape[axis] > 1 else x
+
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
     f_bound = Nonlinearity(tuple(abs(c) for c in fprime.coefficients))   # of |f'| on |u| <= r
@@ -240,6 +250,13 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     mark_w = spec.marks.weight_array
     g_comp = np.stack([dt * (base @ mark_w)[:, None] for base in g_base])
     s_comp = np.stack([np.full((1, 1), dt * float(scale[0] @ mark_w)) for scale in g_scale])
+    props = np.stack([_propagator(spec.A, config) for config in configs])
+    forms = [c.scheme == "yosida_explicit" for c in configs]   # explicit or not
+    edges = [0] + [g for g in range(1, n_groups) if forms[g] != forms[g - 1]] + [n_groups]
+    # each run of consecutive groups of one step form: its groups, their propagators, whether
+    # explicit, and their jump compensators
+    runs = [(slice(a, b), props[a:b], forms[a], part(g_comp, slice(a, b)),
+             part(s_comp, slice(a, b))) for a, b in zip(edges, edges[1:])]
     block = max(1, _BLOCK_VALUES // (n_groups * members * n))
     width = 1 << max(1, _BLOCK_VALUES // (n_groups * n)).bit_length() - 1
     slices = [slice(lo, lo + width if members - lo > width + 1 else members)
@@ -250,10 +267,44 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     for buf in bufs:
         buf[1, 0] = u0
     U = [buf[1, 0] for buf in bufs]
-    scratch = np.empty(max(buf[0, 0].size for buf in bufs))   # U - dt F(U) + inc, per slice
+    scratch = np.empty(max(buf[0, 0].size for buf in bufs))   # U - dt F(U) + inc, per run
     r = np.empty((block + 1, n_groups))    # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(u0).max(axis=(-2, -1))
     states = np.empty((n_groups, members, steps + 1, n)) if reduce is None else None
+
+    def step_run(prop, explicit, Ui, block_states, factors, comp, scomp):
+        # steps the states Ui (g, n, w) of one run through a block, into block_states (K, g, n, w);
+        # returns its last dt F(U) (None without a drift), for the caller to hold.
+        # A function of its own, as CPython 3.11's tracemalloc finds each traced allocation's
+        # line by scanning the line table of its code: traced, this loop ran about 6 times
+        # slower in step_ensemble's long body (the memory tests trace it)
+        Si, fu = scratch[:Ui.size].reshape(Ui.shape), None
+        for V, step_factors in zip(block_states, zip(*factors)):
+            if additive:
+                inc, = step_factors
+            else:
+                b_k, s_b, g_k, s_g = step_factors
+                inc = b_k + Ui * s_b
+                inc += g_k + Ui * s_g
+                inc -= comp + scomp * Ui
+            if explicit:
+                np.matmul(prop, Ui, out=V)
+                if F.coefficients:
+                    fu = F(Ui)
+                    fu *= dt
+                    V -= fu
+                V += inc
+            else:
+                if F.coefficients:
+                    fu = F(Ui)
+                    fu *= dt
+                    np.subtract(Ui, fu, out=Si)
+                    Si += inc
+                else:
+                    np.add(Ui, inc, out=Si)
+                np.matmul(prop, Si, out=V)
+            Ui = V
+        return fu
 
     def fill(node, cols, block_states):   # the default reducer
         states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
@@ -276,34 +327,14 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
             K = len(b_dW)
             starts, news = list(U), []
             for i, cols in enumerate(slices):
-                buf, Ui = bufs[i][(first // block) % 2, :K], U[i]
-                Si = scratch[:Ui.size].reshape(Ui.shape)
-                for V, step_factors in zip(buf, zip(*(x[..., cols] for x in factors))):
-                    if additive:
-                        inc, = step_factors
-                    else:
-                        b_k, s_b, g_k, s_g = step_factors
-                        inc = b_k + Ui * s_b
-                        inc += g_k + Ui * s_g
-                        inc -= g_comp + s_comp * Ui
-                    if explicit:
-                        np.matmul(prop, Ui, out=V)
-                        if F.coefficients:
-                            fu = F(Ui)
-                            fu *= dt
-                            V -= fu
-                        V += inc
-                    else:
-                        if F.coefficients:
-                            fu = F(Ui)
-                            fu *= dt
-                            np.subtract(Ui, fu, out=Si)
-                            Si += inc
-                        else:
-                            np.add(Ui, inc, out=Si)
-                        np.matmul(prop, Si, out=V)
-                    Ui = V
-                U[i] = Ui
+                buf = bufs[i][(first // block) % 2, :K]
+                for run, prop, explicit, comp, scomp in runs:
+                    # the last dt F(U) stays allocated until the next call has made its own:
+                    # freed on return, glibc trimmed and regrew the heap for every call of
+                    # cubic-rd's one-step blocks (3.6 times the page faults of a run)
+                    held_fu = step_run(prop, explicit, U[i][run], buf[:, run],
+                                       [part(x, run, 1)[..., cols] for x in factors], comp, scomp)
+                U[i] = buf[K - 1]
                 news.append(buf)
             r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
             finite = np.isfinite(r[1:K + 1])
@@ -335,8 +366,8 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
 
 
 def solve(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> tuple:
-    """One noise path (a NoiseBatch of one) stepped under each config (one dt and
-    step form) by one step_ensemble call; a Trajectory per config, its
+    """One noise path (a NoiseBatch of one) stepped under each config (of one dt,
+    in any schemes) by one step_ensemble call; a Trajectory per config, its
     integrability that of ``analysis._PathSums`` fed the states as one block."""
     from .analysis import _PathSums   # analysis imports this module
     grid = _validate_noise(spec, noise, configs)

@@ -904,6 +904,32 @@ class TestYosidaExperiments:
         assert np.array_equal(report.summary["gaps"].view(np.int64),
                               np.array(want).view(np.int64))
 
+    def test_convergence_memory_does_not_grow_with_the_step_count(self, monkeypatch):
+        # the reference and the six eps are the groups of one call, reduced block
+        # by block: 16,384 steps peak less than 0.5 MiB above 1,024, where the
+        # reference trajectory alone would add 0.86 MiB.  The noise is drawn
+        # and binned before tracing.
+        spec = make_linear_spec(n=7, jump_amp=0.3)
+        paths = {steps: sample_noise_batch(spec.B.q, spec.marks, TimeGrid(spec.T, steps), 3, 1)
+                 for steps in (1024, 16384)}
+        for path in paths.values():
+            path.cell_counts
+        monkeypatch.setattr(analysis, "sample_noise_batch",
+                            lambda q, marks, grid, seed, members: paths[grid.steps])
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                report = yosida_convergence_experiment(spec, 3, spec.T / steps,
+                                                       [2.0**-j for j in range(1, 7)])
+                assert np.all(report.summary["gaps"] > 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)  # leaves out one-time allocations of a first call
+        assert peak(16384) - peak(1024) < 2**19
+
     def test_coupling_bound_holds_along_trajectory(self):
         spec = make_cubic_spec(n=9, T=0.5, f_coeffs=(0.0, 0.0, 0.0, 1.0), eta=0.0,
                                multiplicative=False)

@@ -465,9 +465,9 @@ class TestRun:
     def test_fine_path_steps_and_bins_each_path_once(self, tmp_path, monkeypatch):
         # coupling steps its scheme pair in one loop per dt (256 + ... + 4,096 =
         # 7,936 steps) and bins each dt's path once, trotter_kato steps 4,096
-        # steps twice on one path binned once, the reference and then its six
-        # eps as groups, and weak_residual reuses coupling's reductions: no step
-        # loop, no binning
+        # steps once on one path binned once, the reference and its six eps as
+        # the groups of one call, and weak_residual reuses coupling's
+        # reductions: no step loop, no binning
         steps, binnings, current = {}, [], [None]
         originals = {"step_ensemble": solver.step_ensemble,
                      "jump_cell_counts": noise.jump_cell_counts}
@@ -497,9 +497,9 @@ class TestRun:
             monkeypatch.setitem(cli.EXPERIMENTS, name, entered(name, builder))
         cfg = replace(parse_config(BENCH_DIR / "fine-path.cfg"), output_dir=tmp_path)
         assert run(cfg) == 0
-        assert sum(steps.values()) == 16_128
+        assert sum(steps.values()) == 12_032
         assert steps.get("weak_residual", 0) == 0
-        assert steps == {"coupling": 7_936, "trotter_kato": 2 * 4_096}
+        assert steps == {"coupling": 7_936, "trotter_kato": 4_096}
         assert binnings == ["coupling"] * 5 + ["trotter_kato"]
 
     @staticmethod

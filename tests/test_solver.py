@@ -156,6 +156,15 @@ def scheme_config(scheme, dt=2.0**-12):
     return SchemeConfig(scheme, dt, 8 * dt if scheme == "yosida_explicit" else None)
 
 
+def scheme_configs(scheme, count, dt=2.0**-12):
+    """``count`` configs of ``scheme``; "mixed" alternates the step forms,
+    yosida_explicit, resolvent_implicit, yosida_explicit, ..."""
+    if scheme != "mixed":
+        return (scheme_config(scheme, dt),) * count
+    return tuple(scheme_config(("yosida_explicit", "resolvent_implicit")[g % 2], dt)
+                 for g in range(count))
+
+
 CUBIC = (0.0, -1.0, 0.0, 1.0)
 
 
@@ -303,6 +312,9 @@ GROUPS = {
                        SchemeConfig("resolvent_implicit", 2.0**-12)),
     "yosida_two_eps": (SchemeConfig("yosida_explicit", 2.0**-12, 8 * 2.0**-12),
                        SchemeConfig("yosida_explicit", 2.0**-12, 32 * 2.0**-12)),
+    "mixed_interleaved": (SchemeConfig("yosida_explicit", 2.0**-12, 8 * 2.0**-12),
+                          SchemeConfig("resolvent_implicit", 2.0**-12),
+                          SchemeConfig("yosida_explicit", 2.0**-12, 32 * 2.0**-12)),
 }
 
 
@@ -341,17 +353,33 @@ class TestGroupedSteps:
         (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("yosida_explicit", 2.0**-12, 0.1)),
         (SchemeConfig("yosida_explicit", 2.0**-12, 0.1), SchemeConfig("resolvent_implicit",
                                                                       2.0**-12)),
+    ], ids=["exp_and_yosida", "yosida_and_resolvent"])
+    def test_mixed_forms_match_the_single_form_calls(self, configs):
+        spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
+        for states, config in zip(step_configs(spec, dW, counts, configs), configs):
+            want = step_one(spec, dW, counts, config)
+            assert np.array_equal(states.view(np.int64), want.view(np.int64))
+        # and solve's trajectories are those of one-config solves
+        noise = noise_for(spec, spec.T / 40)
+        for traj, config in zip(solve(spec, noise, configs), configs):
+            alone, = solve(spec, noise, (config,))
+            assert np.array_equal(traj.states.view(np.int64), alone.states.view(np.int64))
+            assert traj.integrability == alone.integrability
+
+    @pytest.mark.parametrize("configs", [
         (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("resolvent_implicit", 2.0**-11)),
         (SchemeConfig("yosida_explicit", 2.0**-12, 0.1),
          SchemeConfig("yosida_explicit", 2.0**-13, 0.1)),
+        (SchemeConfig("exp_euler", 2.0**-12), SchemeConfig("yosida_explicit", 2.0**-13, 0.1)),
         (),
-    ], ids=["exp_and_yosida", "yosida_and_resolvent", "two_dts", "yosida_two_dts", "empty"])
-    def test_mixed_forms_or_dts_are_refused(self, configs):
+    ], ids=["two_dts", "yosida_two_dts", "mixed_two_dts", "empty"])
+    def test_two_dts_or_no_group_are_refused(self, configs):
         spec, dW, counts = stepper_case(CUBIC, 9, 3, 40)
-        with pytest.raises(ConfigurationError, match="one dt and one step form"):
+        with pytest.raises(ConfigurationError, match="one or more groups of one dt"):
             step_configs(spec, dW, counts, configs)
         # so does solve; no configs at all take the stepper's own error
-        with pytest.raises(ConfigurationError, match=None if configs else "one dt and one step"):
+        with pytest.raises(ConfigurationError,
+                           match=None if configs else "one or more groups of one dt"):
             solve(spec, noise_for(spec, spec.T / 40), configs)
 
     @staticmethod
@@ -414,17 +442,19 @@ def data_specs(spec, count, noise):
     return tuple(specs)
 
 
-def assert_groups_match_reference(spec, specs, dW, counts, config):
-    """One data-group call and a reference call per spec agree bit for bit: states,
-    or the first group's BlowUpError; returns the grouped warnings."""
-    def step_specs(_, dW, counts, config):
-        return step_ensemble(dW, counts, tuple((s, config) for s in specs))
+def assert_groups_match_reference(spec, specs, dW, counts, configs):
+    """One call of the groups zip(specs, configs) and a reference call per group
+    agree bit for bit: states, or the first group's BlowUpError; returns the
+    grouped warnings and those of each reference call."""
+    def step_groups(_, dW, counts, configs):
+        return step_ensemble(dW, counts, tuple(zip(specs, configs)))
 
-    grouped, caught = stepper_outcome(step_specs, spec, dW, counts, config)
-    separate = [stepper_outcome(reference_step_ensemble, s, dW, counts, config) for s in specs]
+    grouped, caught = stepper_outcome(step_groups, spec, dW, counts, configs)
+    separate = [stepper_outcome(reference_step_ensemble, s, dW, counts, c)
+                for s, c in zip(specs, configs)]
     errors = [outcome for outcome, _ in separate if isinstance(outcome, tuple)]
-    if errors:
-        assert grouped == min(errors)
+    if errors:   # the earliest blow-up, the lowest group on ties
+        assert grouped == min(errors, key=lambda error: error[0])
     else:
         assert grouped.shape == (len(specs),) + separate[0][0].shape
         for states, (want, _) in zip(grouped, separate):
@@ -433,18 +463,19 @@ def assert_groups_match_reference(spec, specs, dW, counts, config):
 
 
 class TestDataGroups:
-    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit",
+                                        "mixed"])
     @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
     @pytest.mark.parametrize("groups,members", [(2, 3), (5, 300)],
                              ids=["one_slice", "three_slices"])
     def test_each_group_matches_a_reference_call(self, scheme, noise, groups, members):
         # 2 groups of 3 members cross a block boundary; 5 groups of 300 step in
-        # slices of 128, 128 and 44 members
+        # slices of 128, 128 and 44 members; "mixed" interleaves the step forms
         steps = _BLOCK_VALUES // (groups * members * 31) + 6
         spec, dW, counts = stepper_case(CUBIC, 31, members, steps, seed=groups)
         specs = data_specs(spec, groups, noise)
         caught, _ = assert_groups_match_reference(spec, specs, dW, counts,
-                                                  scheme_config(scheme))
+                                                  scheme_configs(scheme, groups))
         assert not caught
 
     @staticmethod
@@ -452,7 +483,8 @@ class TestDataGroups:
         # slices of 4 members, so 11 members step as 4 + 4 + 3
         monkeypatch.setattr(solver, "_BLOCK_VALUES", 4 * groups * n)
 
-    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit",
+                                        "mixed"])
     @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
     @pytest.mark.parametrize("members", [9, 11])
     def test_narrow_slices_keep_the_bits(self, scheme, noise, members, monkeypatch):
@@ -462,10 +494,10 @@ class TestDataGroups:
         spec, dW, counts = stepper_case(CUBIC, 9, members, 40, seed=4)
         specs = data_specs(spec, 3, noise)
         caught, _ = assert_groups_match_reference(spec, specs, dW, counts,
-                                                  scheme_config(scheme))
+                                                  scheme_configs(scheme, 3))
         assert not caught
-        # config groups slice the same way
-        configs = GROUPS["implicit_pair"]
+        # config groups, whose projections all specs share, slice the same way
+        configs = GROUPS["mixed_interleaved" if scheme == "mixed" else "implicit_pair"]
         self.narrow_slices(monkeypatch, len(configs))
         grouped = step_configs(spec, dW, counts, configs)
         for states, config in zip(grouped, configs):
@@ -490,23 +522,25 @@ class TestDataGroups:
         assert [s[1:] for s in seen[:3]] == [(0, 4), (4, 8), (8, 11)]
         assert [s[0] for s in seen] == [node for node in range(41) for _ in range(3)]
 
-    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit",
+                                        "mixed"])
     def test_blow_up_in_the_last_slice_matches_reference(self, scheme, monkeypatch):
         self.narrow_slices(monkeypatch, 2)
         spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
         dW[10, 17] = np.inf
         caught, separate = assert_groups_match_reference(
-            spec, data_specs(spec, 2, "multiplicative"), dW, counts, scheme_config(scheme))
+            spec, data_specs(spec, 2, "multiplicative"), dW, counts, scheme_configs(scheme, 2))
         assert not caught and not any(separate)
 
-    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit",
+                                        "mixed"])
     def test_stiffness_in_a_later_slice_warns_once_per_group(self, scheme, monkeypatch):
         # a kick to member 10, in the last slice, lifts dt*max|f'(u)| past 1
         self.narrow_slices(monkeypatch, 2)
         spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
         dW[10, 17] = 150.0
         caught, separate = assert_groups_match_reference(
-            spec, data_specs(spec, 2, "additive"), dW, counts, scheme_config(scheme))
+            spec, data_specs(spec, 2, "additive"), dW, counts, scheme_configs(scheme, 2))
         assert all(len(warned) == 1 for warned in separate)
         assert sorted(caught) == sorted(w for warned in separate for w in warned)
         assert all("at step 18:" in text for _, text in caught)
@@ -525,14 +559,47 @@ class TestDataGroups:
                             G=JumpCoefficient.zero(1), u0=np.array([0.55]), T=400 * dt)
         specs = (spec, spec.with_data(u0=np.array([0.8])))
         dW = np.sqrt(dt) * np.random.default_rng(0).standard_normal((3, 400, 1))
-        counts, config = np.zeros((3, 400, 1)), scheme_config(scheme, dt)
-        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, config)
-        blowups = [stepper_outcome(reference_step_ensemble, s, dW, counts, config)[0][0]
-                   for s in specs]
+        counts, configs = np.zeros((3, 400, 1)), scheme_configs(scheme, 2, dt)
+        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, configs)
+        blowups = [stepper_outcome(reference_step_ensemble, s, dW, counts, c)[0][0]
+                   for s, c in zip(specs, configs)]
         assert blowups[1] < blowups[0]
         assert caught == separate[0] + separate[1]
         steps = [int(text.split("at step ")[1].split(":")[0]) for _, text in caught]
         assert steps[1] == 0 < steps[0] < blowups[1]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["implicit_first", "explicit_first"])
+    def test_an_explicit_blow_up_beside_an_implicit_group(self, order):
+        # f = -8 u**3, A = 8 and dt = 1/8: exp_euler steps u -> (u + u**3) / e,
+        # which decays from u0 = 0.9, while yosida_explicit at eps = 1 steps
+        # u -> (8/9) u + u**3, which runs away from u0 = 0.8.  Both warn at
+        # step 0 (dt * f'(u0) = -3 u0**2), each with the text of its own call,
+        # and the call raises the explicit group's error.
+        dt = 0.125
+        spec = EquationSpec(A=SpectralOperator.diagonal([8.0]),
+                            F=Nonlinearity((0.0, 0.0, 0.0, -8.0)),
+                            B=DiffusionCoefficient.constant(0.1 * np.ones((1, 1)), np.ones(1)),
+                            G=JumpCoefficient.zero(1), u0=np.array([0.9]), T=400 * dt)
+        specs = (spec, spec.with_data(u0=np.array([0.8])))[::order]
+        configs = (SchemeConfig("exp_euler", dt),
+                   SchemeConfig("yosida_explicit", dt, 1.0))[::order]
+        dW = np.sqrt(dt) * np.random.default_rng(1).standard_normal((3, 400, 1))
+        counts = np.zeros((3, 400, 1))
+        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, configs)
+        outcomes = [stepper_outcome(step_one, s, dW, counts, c)
+                    for s, c in zip(specs, configs)]
+        error, = [outcome for outcome, _ in outcomes if isinstance(outcome, tuple)]
+        assert error[2].startswith("yosida_explicit produced a non-finite state")
+        with pytest.raises(BlowUpError) as raised:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StiffnessWarning)
+                step_ensemble(dW, counts, tuple(zip(specs, configs)))
+        assert (raised.value.step, raised.value.time, str(raised.value)) == error
+        # one warning per group, in group order, each that of its own call
+        assert caught == separate[0] + separate[1] == [w for _, warned in outcomes for w in warned]
+        assert [category for category, _ in caught] == [StiffnessWarning] * 2
+        for (_, text), u0 in zip(caught, (0.9, 0.8)[::order]):
+            assert text.endswith(f"at step 0: dt*max|f'(u)| = {3 * u0**2:.3g} >= 1")
 
     @pytest.mark.parametrize("other,message", [
         (lambda s: s.with_data(F=Nonlinearity((0.0, 1.0))), "shared drift"),
@@ -584,9 +651,9 @@ class TestDataGroups:
         for s, got in zip(specs, grouped):
             assert np.array_equal(got, folded_states(((s, config),))[0])
 
-    @pytest.mark.parametrize("group", ["implicit_three", "yosida_two_eps"])
+    @pytest.mark.parametrize("group", ["implicit_three", "yosida_two_eps", "mixed_interleaved"])
     def test_mixed_specs_and_schemes_match_the_reference(self, group):
-        # each group pairs its own spec with its own config
+        # each group pairs its own spec with its own config, in any step form
         configs = GROUPS[group]
         spec, dW, counts = stepper_case(CUBIC, 9, 5, 40, seed=6)
         specs = data_specs(spec, len(configs), "multiplicative")
