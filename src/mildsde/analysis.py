@@ -179,16 +179,19 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
             return tuple(np.array(rows) for rows in zip(*(memo[key] for key in keys)))
         paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
         mean, se = np.empty((2, len(keys), grid.steps + 1))
-        held, filled = np.zeros((len(keys), members, 2)), 0
+        held, filled, gaps = np.zeros((len(keys), members, 2)), 0, np.empty(0)
 
         def reduce(node, cols, states):
-            nonlocal held, filled
+            nonlocal held, filled, gaps
             K = len(states)
             if held.shape[2] < filled + K:      # room for the block after the held nodes
                 held = np.concatenate(
                     (held[:, :, :filled], np.zeros((len(keys), members, K))), axis=2)
-            # contiguous, so that sq_norms sums as over a trajectory array
-            gap = (states[:, :-1] - states[:, 1:]).transpose(1, 3, 0, 2).copy()
+            # the gaps (pairs, w, K, n), contiguous so that sq_norms sums as over a trajectory
+            # array, in one buffer that grows to the largest block
+            t = states.transpose(1, 3, 0, 2)
+            gaps = gaps if gaps.size >= t[1:].size else np.empty(t[1:].size)
+            gap = np.subtract(t[:-1], t[1:], out=gaps[:t[1:].size].reshape(t[1:].shape))
             held[:, cols, filled:filled + K] = frame.space.sq_norms(gap)
             if cols.stop == members:            # the block's last slice
                 filled += K

@@ -67,12 +67,15 @@ class Nonlinearity:
     def linear(cls, slope: float) -> "Nonlinearity":
         return cls((0.0, float(slope)))
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """f(u), into ``out`` if given (an array of u's shape, not u itself)."""
         u = np.asarray(u, dtype=float)
         coeffs = self.coefficients
         if len(coeffs) < 2:
-            return np.full_like(u, coeffs[0] if coeffs else 0.0)
-        out = u * coeffs[-1]            # Horner's rule in place
+            out = np.empty_like(u) if out is None else out
+            out[...] = coeffs[0] if coeffs else 0.0
+            return out
+        out = np.multiply(u, coeffs[-1], out=out)   # Horner's rule in place
         out += coeffs[-2]
         for c in coeffs[-3::-1]:
             out *= u

@@ -188,19 +188,22 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     product on the tested sizes.  Steps run in blocks of K, about 2**15 values
     per (K, G, n, M) array; a block projects the state-free noise factors once
     (when B and G are additive, the whole increment, formed in place in the
-    projection that has every group).  The projections span all M members, not
-    one slice: a tail slice of unaligned width need not keep the bits of the
-    same columns of the full product (measured with numpy 2.4's OpenBLAS
-    0.3.31 on an x86-64 Xeon: (31, d) @ (d, 44) at members 256-299 of 300
-    differ for d = 2, 3, 5; aligned widths from 2 to 512 agree), so per-slice
-    projections would tie a member's bits to the slicing.  Each slice's new
-    states go into two (K, G, n, w) buffers used in turn, u0 into the second,
-    and the implicit forms share one (G, n, w) scratch array across the
-    slices and runs, which step one after another.  Once a block's slices are stepped
-    and checked, ``reduce(node, cols, states)`` takes each slice's states
-    (K, G, n, w) of nodes node to node + K - 1, members ``cols`` in order
-    (views of reused buffers), all groups of every run; its first call takes
-    the initial states.
+    projection that has every group), into buffers that every block reuses.
+    The projections span all M members, not one slice: a tail slice of
+    unaligned width need not keep the bits of the same columns of the full
+    product (measured with numpy 2.4's OpenBLAS 0.3.31 on an x86-64 Xeon:
+    (31, d) @ (d, 44) at members 256-299 of 300 differ for d = 2, 3, 5;
+    aligned widths from 2 to 512 agree), so per-slice projections would tie a
+    member's bits to the slicing.  Each slice steps in place in one
+    (K, G, n, w) buffer: u0 goes into its last row, and step k of a block
+    writes row k from row k - 1, row 0 from row K - 1, so a one-step block
+    overwrites its own left state.  Each per-step array goes into a (G, n, w)
+    one allocated once per call and shared by the slices and runs, which step
+    one after another.  Once a block's slices are stepped and checked,
+    ``reduce(node, cols, states)`` takes each slice's states (K, G, n, w) of
+    nodes node to node + K - 1, members ``cols`` in order (views of reused
+    buffers), all groups of every run; its first call takes the initial
+    states.
 
     Checks run once per block, on the (K, G) array of r = max|u| of each new
     state over all slices.  A non-finite r (it propagates nan and inf) is a
@@ -211,7 +214,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     never checked.  As |f'(u)| <= sum_p |a_p| r**p, a block where dt times
     that bound stays below 1/2 on the group's left states before its blow-up
     is clean (the factor 2 absorbs rounding; an overflow reads as inf); on
-    any other, dt * max|f'(u)| is evaluated exactly on all those states.
+    any other, dt * max|f'(u)| is evaluated exactly on all those states.  The
+    first of them, which the steps overwrite, is evaluated before the block
+    steps wherever its own bound reaches 1/2 (below that its value is below 1).
     yosida_explicit raises ConfigurationError unless
     dt * lam_max / (1 + eps * lam_max) < 2.
     """
@@ -229,8 +234,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     def shared(mats):   # a coefficient that every spec shares is projected once
         return mats[:1] if all(np.array_equal(m, mats[0]) for m in mats) else mats
 
-    def project(mats, noise):   # mats[s] @ noise (K, d, M) as (K, S, rows, M)
-        out = np.empty((len(noise), len(mats), len(mats[0]), noise.shape[2]))
+    def project(mats, noise, out):   # mats[s] @ noise (K, d, M) into out (K, S, rows, M)
         for i, m in enumerate(mats):
             np.matmul(m, noise, out=out[:, i])
         return out
@@ -261,81 +265,87 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     width = 1 << max(1, _BLOCK_VALUES // (n_groups * n)).bit_length() - 1
     slices = [slice(lo, lo + width if members - lo > width + 1 else members)
               for lo in range(0, max(1, members - 1), width)]
+    # each slice's states, stepped in place in one (K, G, n, w) buffer from u0 in its last row
     u0 = np.stack([s.u0[:, None] for s in specs])
-    # each slice's new states, in two (K, G, n, w) buffers used in turn; u0 starts in the second
-    bufs = [np.empty((2, block, n_groups, n, c.stop - c.start)) for c in slices]
+    bufs = [np.empty((block, n_groups, n, c.stop - c.start)) for c in slices]
     for buf in bufs:
-        buf[1, 0] = u0
-    U = [buf[1, 0] for buf in bufs]
-    scratch = np.empty(max(buf[0, 0].size for buf in bufs))   # U - dt F(U) + inc, per run
+        buf[-1] = u0
+    size = max(buf[0].size for buf in bufs)
+    scratch = np.empty(size)   # per run: U - dt F(U) + inc (implicit) or P U (explicit)
+    drift = np.empty(size) if F.coefficients and any(forms) else None   # dt F(U), explicit
+    incs = None if additive else np.empty((2, size))   # the increment and a term of it
+    # each block's noise projections, in (block, S, rows, M) buffers that every block reuses:
+    # B.base dW, G.base counts and, for multiplicative noise, dW b_scale and counts g_scale
+    coefs = ((b_base, 0), (g_base, 1)) + (() if additive else ((b_scale, 0), (g_scale, 1)))
+    projections = [(mats, i, np.empty((block, len(mats), len(mats[0]), members)))
+                   for mats, i in coefs]
     r = np.empty((block + 1, n_groups))    # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(u0).max(axis=(-2, -1))
     states = np.empty((n_groups, members, steps + 1, n)) if reduce is None else None
 
-    def step_run(prop, explicit, Ui, block_states, factors, comp, scomp):
-        # steps the states Ui (g, n, w) of one run through a block, into block_states (K, g, n, w);
-        # returns its last dt F(U) (None without a drift), for the caller to hold.
+    def step_run(prop, explicit, run_states, factors, comp, scomp):
+        # steps the states (block, g, n, w) of one run in place through the steps of factors.
         # A function of its own, as CPython 3.11's tracemalloc finds each traced allocation's
         # line by scanning the line table of its code: traced, this loop ran about 6 times
         # slower in step_ensemble's long body (the memory tests trace it)
-        Si, fu = scratch[:Ui.size].reshape(Ui.shape), None
-        for V, step_factors in zip(block_states, zip(*factors)):
+        shape = run_states.shape[1:]
+        Si = scratch[:math.prod(shape)].reshape(shape)
+        fu = None if drift is None else drift[:Si.size].reshape(shape)
+        inc, term = (None, None) if additive else incs[:, :Si.size].reshape((2,) + shape)
+        Ui = run_states[-1]
+        for V, step_factors in zip(run_states, zip(*factors)):
             if additive:
                 inc, = step_factors
             else:
-                b_k, s_b, g_k, s_g = step_factors
-                inc = b_k + Ui * s_b
-                inc += g_k + Ui * s_g
-                inc -= comp + scomp * Ui
+                b_k, g_k, s_b, s_g = step_factors   # b_k + U s_b + g_k + U s_g - comp - scomp U
+                np.add(b_k, np.multiply(Ui, s_b, out=inc), out=inc)
+                inc += np.add(g_k, np.multiply(Ui, s_g, out=term), out=term)
+                inc -= np.add(comp, np.multiply(scomp, Ui, out=term), out=term)
             if explicit:
-                np.matmul(prop, Ui, out=V)
+                np.matmul(prop, Ui, out=Si)
                 if F.coefficients:
-                    fu = F(Ui)
+                    F(Ui, out=fu)
                     fu *= dt
-                    V -= fu
-                V += inc
+                    Si -= fu
+                np.add(Si, inc, out=V)
             else:
                 if F.coefficients:
-                    fu = F(Ui)
-                    fu *= dt
-                    np.subtract(Ui, fu, out=Si)
+                    F(Ui, out=Si)
+                    Si *= dt
+                    np.subtract(Ui, Si, out=Si)
                     Si += inc
                 else:
                     np.add(Ui, inc, out=Si)
                 np.matmul(prop, Si, out=V)
             Ui = V
-        return fu
 
     def fill(node, cols, block_states):   # the default reducer
         states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
     reduce = reduce or fill
     for cols, buf in zip(slices, bufs):
-        reduce(0, cols, buf[1, :1])
+        reduce(0, cols, buf[-1:])
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
-            dW_k, dN_k = (x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts))
-            b_dW, g_counts = project(b_base, dW_k), project(g_base, dN_k)
+            noise = [x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts)]
+            K = len(noise[0])
+            factors = [project(mats, noise[i], out[:K]) for mats, i, out in projections]
             if additive:   # the increments, in the projection that has every group
+                b_dW, g_counts = factors
                 full, other = ((b_dW, g_counts) if b_dW.shape[1] >= g_counts.shape[1]
                                else (g_counts, b_dW))
                 full += other
                 full -= g_comp
                 factors = (full,)
-            else:
-                factors = (b_dW, project(b_scale, dW_k), g_counts, project(g_scale, dN_k))
-            K = len(b_dW)
-            starts, news = list(U), []
-            for i, cols in enumerate(slices):
-                buf = bufs[i][(first // block) % 2, :K]
+            # dt max|f'| on the block's first left state, which its steps overwrite, for
+            # each checking group whose bound there reaches 1/2
+            first_exact = {g: dt * np.max([np.abs(fprime(buf[-1, g])).max() for buf in bufs])
+                           for g in np.flatnonzero(checking) if not dt * f_bound(r[0, g]) < 0.5}
+            for cols, buf in zip(slices, bufs):
                 for run, prop, explicit, comp, scomp in runs:
-                    # the last dt F(U) stays allocated until the next call has made its own:
-                    # freed on return, glibc trimmed and regrew the heap for every call of
-                    # cubic-rd's one-step blocks (3.6 times the page faults of a run)
-                    held_fu = step_run(prop, explicit, U[i][run], buf[:, run],
-                                       [part(x, run, 1)[..., cols] for x in factors], comp, scomp)
-                U[i] = buf[K - 1]
-                news.append(buf)
+                    step_run(prop, explicit, buf[:, run],
+                             [part(x, run, 1)[..., cols] for x in factors], comp, scomp)
+            news = [buf[:K] for buf in bufs]
             r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
             finite = np.isfinite(r[1:K + 1])
             for g in np.flatnonzero(checking):
@@ -343,9 +353,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
                 m = K if finite[:, g].all() else int(finite[:, g].argmin()) + 1
                 if dt * f_bound(r[:m, g]).max() < 0.5:   # inf where the bound overflows
                     continue
-                lefts = [np.concatenate((u[g][None], new[:m - 1, g]))
-                         for new, u in zip(news, starts)]
-                exact = dt * np.max([np.abs(fprime(x)).max(axis=(1, 2)) for x in lefts], axis=0)
+                # the first reads 0 if not evaluated before the steps: it is below 1 then
+                rest = [np.abs(fprime(new[:m - 1, g])).max(axis=(1, 2)) for new in news]
+                exact = np.concatenate(([first_exact.get(g, 0.0)], dt * np.max(rest, axis=0)))
                 k = int(np.argmax(exact >= 1.0))
                 if exact[k] >= 1.0:
                     warnings.warn(

@@ -292,14 +292,17 @@ class TestStepperBitIdentity:
     @pytest.mark.parametrize("coefficients", [(), (-0.0,), (2.5,), (0.0, -1.0), (-0.0, 1.5, -0.0),
                                               (0.0, -1.0, 0.0, 1.0), (1e-3, -0.0, 2.0, -0.0, -4.0)])
     def test_polynomial_matches_reference_horner(self, coefficients):
+        # f(x, out=buf) returns buf, holding the same bytes
         u = np.concatenate(([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, np.inf],
                             np.random.default_rng(3).standard_normal(17))).reshape(4, 6)
         f = Nonlinearity(coefficients)
         for x in (u, -u, u[0, 1], np.float64(-0.0)):
+            buf = np.full(np.shape(x), 7.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                got, want = f(x), reference_polynomial(f.coefficients, x)
+                got, want, into = f(x), reference_polynomial(f.coefficients, x), f(x, out=buf)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert into is buf and buf.tobytes() == np.asarray(want).tobytes()
         if len(coefficients) == 1:
             assert np.array_equal(f(u), np.full(u.shape, coefficients[0]))
 
@@ -545,13 +548,11 @@ class TestDataGroups:
         assert sorted(caught) == sorted(w for warned in separate for w in warned)
         assert all("at step 18:" in text for _, text in caught)
 
-    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
-    def test_blow_ups_and_warnings_at_different_steps_in_one_block(self, scheme):
+    @staticmethod
+    def runaway_pair(scheme):
         # dt * f'(u) = -3 u**2 under f = -8 u**3 at dt = 1/8: the second group,
         # from u0 = 0.8, warns at step 0 and runs away first; the first, from
-        # u0 = 0.55, warns a few steps later and blows up later still, all in
-        # one block.  The grouped call raises the second group's error and
-        # issues each group's warning at its own step.
+        # u0 = 0.55, warns a few steps later and blows up later still
         dt = 0.125
         spec = EquationSpec(A=SpectralOperator.diagonal([2.0]),
                             F=Nonlinearity((0.0, 0.0, 0.0, -8.0)),
@@ -559,7 +560,13 @@ class TestDataGroups:
                             G=JumpCoefficient.zero(1), u0=np.array([0.55]), T=400 * dt)
         specs = (spec, spec.with_data(u0=np.array([0.8])))
         dW = np.sqrt(dt) * np.random.default_rng(0).standard_normal((3, 400, 1))
-        counts, configs = np.zeros((3, 400, 1)), scheme_configs(scheme, 2, dt)
+        return spec, specs, dW, np.zeros((3, 400, 1)), scheme_configs(scheme, 2, dt)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_blow_ups_and_warnings_at_different_steps_in_one_block(self, scheme):
+        # the runaway pair, all in one block: the grouped call raises the second
+        # group's error and issues each group's warning at its own step
+        spec, specs, dW, counts, configs = self.runaway_pair(scheme)
         caught, separate = assert_groups_match_reference(spec, specs, dW, counts, configs)
         blowups = [stepper_outcome(reference_step_ensemble, s, dW, counts, c)[0][0]
                    for s, c in zip(specs, configs)]
@@ -665,12 +672,70 @@ class TestDataGroups:
             assert np.array_equal(states.view(np.int64), want.view(np.int64))
 
 
+class TestInPlaceBlocks:
+    # a slice's states are stepped in place in one (K, G, n, w) buffer: step k writes row k
+    # from row k - 1 and row 0 from row K - 1, so a one-step block overwrites its own left
+    # state, whose exact stiffness value is taken before the block steps
+
+    @staticmethod
+    def blocks_of(monkeypatch, K, groups=2, members=11, n=9):
+        # blocks of K steps; for K = 1, slices of 8 and 3 members
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", K * groups * members * n)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "yosida_explicit", "mixed"],
+                             ids=["implicit", "explicit", "mixed"])
+    @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("kick", [17, 18], ids=["node_18", "node_19"])
+    def test_stiff_left_state_matches_reference(self, scheme, noise, K, kick, monkeypatch):
+        # a kick to member 10 at step `kick` lifts dt*max|f'(u)| past 1 at node kick + 1:
+        # node 18 is a block's first left state for K = 3, node 19 its second row; for K = 1
+        # every node is a block's first
+        self.blocks_of(monkeypatch, K)
+        spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
+        dW[10, kick] = 150.0
+        caught, separate = assert_groups_match_reference(
+            spec, data_specs(spec, 2, noise), dW, counts, scheme_configs(scheme, 2))
+        assert all(len(warned) == 1 for warned in separate)
+        assert caught == separate[0] + separate[1]
+        assert all(f"at step {kick + 1}:" in text for _, text in caught)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "yosida_explicit", "mixed"],
+                             ids=["implicit", "explicit", "mixed"])
+    @pytest.mark.parametrize("noise", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_blow_up_matches_reference(self, scheme, noise, K, monkeypatch):
+        # an infinite increment at step 17: state 18 is non-finite, the last row of a K = 3
+        # block and the only row of a K = 1 block
+        self.blocks_of(monkeypatch, K)
+        spec, dW, counts = stepper_case(CUBIC, 9, 11, 40)
+        dW[10, 17] = np.inf
+        caught, separate = assert_groups_match_reference(
+            spec, data_specs(spec, 2, noise), dW, counts, scheme_configs(scheme, 2))
+        assert not caught and not any(separate)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "resolvent_implicit", "yosida_explicit"])
+    def test_warnings_and_blow_ups_in_one_step_blocks(self, scheme, monkeypatch):
+        # TestDataGroups' runaway pair, one step per block: the second group warns on u0 in
+        # the first block, the first group in a later one, and the second blows up first
+        self.blocks_of(monkeypatch, 1, members=3, n=1)
+        spec, specs, dW, counts, configs = TestDataGroups.runaway_pair(scheme)
+        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, configs)
+        assert caught == separate[1] + separate[0]
+        assert "at step 0:" in caught[0][1] and "at step 0:" not in caught[1][1]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["implicit_first", "explicit_first"])
+    def test_an_explicit_blow_up_in_one_step_blocks(self, order, monkeypatch):
+        self.blocks_of(monkeypatch, 1, members=3, n=1)
+        TestDataGroups().test_an_explicit_blow_up_beside_an_implicit_group(order)
+
+
 @pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
                                              ((0.0, 0.0), (0.0, 0.0))],
                          ids=["multiplicative", "additive"])
 def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
     # beyond the returned states, stepping 1000 members of dimension 31 over
-    # 128 steps holds at most 2.4 MiB (2.24 MiB measured multiplicative, 1.91
+    # 128 steps holds at most 1.8 MiB (1.69 MiB measured multiplicative, 1.20
     # additive)
     spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
     tracemalloc.start()
@@ -679,7 +744,7 @@ def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - states.nbytes <= 2.4 * 2**20
+    assert peak - states.nbytes <= 1.8 * 2**20
 
 
 class TestExpEuler:
