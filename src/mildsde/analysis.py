@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
-from .model import (EquationSpec, MarkSpace, check_dissipativity_triplet, m_norm, q_norm)
+from .model import EquationSpec, MarkSpace, check_dissipativity_triplet, weighted_norm
 from .noise import (NoiseBatch, TimeGrid, data_rng, poisson_integral, quadratic_mark_sum,
                     run_memo, sample_jump_table, sample_noise_batch, sample_wiener_rows,
-                    shared_draws, step_m_integral, step_q_integral)
+                    shared_draws, step_sq_integral)
 from .solver import (_BLOCK_VALUES, SchemeConfig, Trajectory, _require_shared_frame,
                      ito_energy_residual, regularized_coupling_identity, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
@@ -446,17 +446,13 @@ def _data_distance_steps(spec1: EquationSpec, spec2: EquationSpec, grid: TimeGri
     Additive coefficients depend on neither t nor u, so every cell holds the
     same value.
     """
-    same_b = spec1.B is spec2.B
-    same_g = spec1.G is spec2.G
-    if not same_b and not (spec1.B.additive and spec2.B.additive):
-        raise ConfigurationError("data-distance comparisons need additive Wiener coefficients")
-    if not same_g and not (spec1.G.additive and spec2.G.additive):
-        raise ConfigurationError("data-distance comparisons need additive jump coefficients")
     total = 0.0
-    if not same_b:
-        total += q_norm(spec1.B.base - spec2.B.base, spec1.B.q, spec1.space) ** 2
-    if not same_g:
-        total += m_norm(spec1.G.base - spec2.G.base, spec1.marks, spec1.space) ** 2
+    for c1, c2, kind in ((spec1.B, spec2.B, "Wiener"), (spec1.G, spec2.G, "jump")):
+        if c1 is c2:
+            continue
+        if not (c1.additive and c2.additive):
+            raise ConfigurationError(f"data-distance comparisons need additive {kind} coefficients")
+        total += weighted_norm(c1.base - c2.base, c1.weights, spec1.space) ** 2
     return np.full(grid.steps, total)
 
 
@@ -766,16 +762,14 @@ def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
                             summary={"trials": trials})
 
 
-def wiener_isometry_experiment(phi, q, grid: TimeGrid, t: float, paths: int, seed: int,
+def wiener_isometry_experiment(phi, q, grid: TimeGrid, paths: int, seed: int,
                                space: HilbertSpace) -> ExperimentReport:
-    """Monte Carlo second moment of a Wiener integral against its closed form;
-    PASS within a relative error of _ISOMETRY_REL_TOL."""
+    """Monte Carlo second moment of a Wiener integral over the grid against its
+    closed form; PASS within a relative error of _ISOMETRY_REL_TOL."""
     phi = np.asarray(phi, dtype=float)
-    k = grid.node_index(t)
-    increments = sample_wiener_rows(q, grid, seed, paths)[:, :k]
-    values = np.einsum("mnd,pmd->pn", phi[:k], increments)
+    values = np.einsum("mnd,pmd->pn", phi, sample_wiener_rows(q, grid, seed, paths))
     est, se = map(float, _mean_stderr(space.sq_norms(values)))
-    exact = step_q_integral(phi, q, grid, t, space)
+    exact = step_sq_integral(phi, q, grid, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)
     rows = (
         Record("second_moment", f"paths={paths}", est, se),
@@ -799,10 +793,10 @@ def _jump_path_blocks(marks: MarkSpace, horizon: float, seed: int, paths: int):
         yield block, table.rows(block.start, block.stop)
 
 
-def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
-                                paths: int, seed: int, space: HilbertSpace) -> ExperimentReport:
-    """Second moment of a compensated jump integral against its closed form,
-    within a relative error of _ISOMETRY_REL_TOL.
+def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, paths: int, seed: int,
+                                space: HilbertSpace) -> ExperimentReport:
+    """Second moment of a compensated jump integral over the grid against its
+    closed form, within a relative error of _ISOMETRY_REL_TOL.
 
     Also checks the martingale property: the sample mean of the compensated
     integral must vanish within three standard errors, componentwise.
@@ -810,9 +804,9 @@ def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
     g = np.asarray(g, dtype=float)
     values = np.empty((paths, g.shape[1]))
     for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
-        values[block] = poisson_integral(g, jump_paths, marks, grid, t, compensated=True)
+        values[block] = poisson_integral(g, jump_paths, marks, grid)
     est, se = map(float, _mean_stderr(space.sq_norms(values)))
-    exact = step_m_integral(g, marks, grid, t, space)
+    exact = step_sq_integral(g, marks.weight_array, grid, space)
     rel = abs(est - exact) / exact if exact > 0 else abs(est)
     # martingale check on one scalar functional (the component sum), a single
     # three-standard-error test rather than a multiplicity-inflated family
@@ -828,14 +822,14 @@ def poisson_isometry_experiment(g, marks: MarkSpace, grid: TimeGrid, t: float,
                             summary={"relative_error": rel})
 
 
-def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, t: float, paths: int,
-                           seed: int, space: HilbertSpace) -> ExperimentReport:
-    """Paired test that the realized jump sum of |D|^2 matches its compensator."""
+def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, paths: int, seed: int,
+                           space: HilbertSpace) -> ExperimentReport:
+    """Paired test that the realized jump sum of |D|^2 over the grid matches its compensator."""
     D = np.asarray(D, dtype=float)
+    comp = step_sq_integral(D, marks.weight_array, grid, space)
     diffs = np.empty(paths)
     for block, jump_paths in _jump_path_blocks(marks, grid.horizon, seed, paths):
-        jump_sq, comp = quadratic_mark_sum(D, jump_paths, marks, grid, t, space)
-        diffs[block] = jump_sq - comp
+        diffs[block] = quadratic_mark_sum(D, jump_paths, marks, grid, space) - comp
     mean, se = map(float, _mean_stderr(diffs))
     ok = abs(mean) <= 3.0 * se if se > 0 else abs(mean) <= 1e-12
     rows = (Record("mean_difference", f"paths={paths}", mean, se, PASS if ok else FAIL),)

@@ -4,8 +4,9 @@ Configs are flat INI-style key-value trees with three fixed sections
 (equation, experiment, output) plus optional per-experiment override
 sections named ``experiment.<name>``; ``OPTIONS`` declares every key.  Values
 hold numbers only, with matrices listed row by row separated by ';'.  Seeds are
-explicit, every output byte is a pure function of (config, seeds), and the
-manifest alone suffices to re-run and reproduce any artifact.
+explicit, and for one numpy build and one BLAS kernel class every output byte
+is a pure function of (config, seeds): the manifest alone re-runs and reproduces
+any artifact.  Another kernel class moves low-order digits, never a verdict.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _isometry(name: str, experiment, coefficient: str):
         integrand = opt["amplitude"] * rng.standard_normal(
             (grid.steps, eq.A.dim, getattr(eq, coefficient).shape[1]))
         noise = eq.B.q if coefficient == "B" else eq.marks
-        return experiment(integrand, noise, grid, grid.horizon, opt["paths"], cfg.seed, eq.space)
+        return experiment(integrand, noise, grid, opt["paths"], cfg.seed, eq.space)
     return build
 
 

@@ -36,8 +36,7 @@ __all__ = [
     "MarkSpace",
     "EquationSpec",
     "check_dissipativity_triplet",
-    "q_norm",
-    "m_norm",
+    "weighted_norm",
 ]
 
 
@@ -180,6 +179,16 @@ class _AffineCoefficient:
         self.additive = bool(np.all(scale == 0.0))
 
 
+def _covariance(q) -> np.ndarray:
+    """``q`` as a 1-D float array of nonnegative covariance weights (ValueError otherwise)."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 1:
+        raise ValueError("q must be a 1-D array of covariance weights")
+    if np.any(q < 0.0):
+        raise ValueError(f"covariance weights must be nonnegative, got {q}")
+    return q
+
+
 class DiffusionCoefficient(_AffineCoefficient):
     """Wiener coefficient B(t, u) = base + u (x) state_scale, an n x d operator.
 
@@ -188,11 +197,7 @@ class DiffusionCoefficient(_AffineCoefficient):
     """
 
     def __init__(self, base, state_scale, q):
-        q = np.asarray(q, dtype=float).copy()
-        if q.ndim != 1:
-            raise ValueError("q must be a 1-D array of covariance weights")
-        if np.any(q < 0.0):
-            raise ValueError(f"covariance weights must be nonnegative, got {q}")
+        q = _covariance(q).copy()
         q.setflags(write=False)
         self.q = q
         super().__init__(base, state_scale, q, "d")
@@ -226,18 +231,12 @@ class JumpCoefficient(_AffineCoefficient):
         return cls.constant(np.zeros((n, marks.atom_count)), marks)
 
 
-def q_norm(matrix, q, space: HilbertSpace) -> float:
-    """Hilbert-Schmidt norm against the covariance: sqrt(sum_k q_k |col_k|_H^2)."""
+def weighted_norm(matrix, weights, space: HilbertSpace) -> float:
+    """sqrt(sum_k weights_k |col_k|_H^2): the Q-weighted Hilbert-Schmidt norm with
+    the covariance weights q, the L2(Z, m) norm with the mark weights m."""
     matrix = np.asarray(matrix, dtype=float)
     col_sq = space.weight * np.einsum("ik,ik->k", matrix, matrix)
-    return float(np.sqrt(np.sum(np.asarray(q, dtype=float) * col_sq)))
-
-
-def m_norm(matrix, marks: MarkSpace, space: HilbertSpace) -> float:
-    """L2(Z, m) norm of a mark-indexed family: sqrt(sum_j m_j |col_j|_H^2)."""
-    matrix = np.asarray(matrix, dtype=float)
-    col_sq = space.weight * np.einsum("ij,ij->j", matrix, matrix)
-    return float(np.sqrt(np.sum(marks.weight_array * col_sq)))
+    return float(np.sqrt(np.sum(np.asarray(weights, dtype=float) * col_sq)))
 
 
 @dataclass(frozen=True, eq=False)

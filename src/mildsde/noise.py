@@ -5,7 +5,9 @@ Integrands are restricted to step processes on the time grid (constant on
 each cell, mark-indexed for the jump part); general progressively
 measurable integrands are deliberately out of scope and this restriction is
 part of the contract.  Adaptedness of an integrand array is the caller's
-responsibility.
+responsibility.  Every quadrature runs over the whole grid, of the horizon of
+its jump paths: the jump integral is always compensated, and
+``step_sq_integral`` integrates |x|_Q^2 (weights q) or |x|_m^2 (weights m).
 
 Random number generation uses numpy's PCG64: member i of a batch draws the
 stream of ``default_rng(seed + i)``, from one reused generator positioned at
@@ -37,13 +39,15 @@ keep run-scoped results in the same memo, ``run_memo()``.
 
 from __future__ import annotations
 
+import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .model import MarkSpace
+from .model import MarkSpace, _covariance
 from .space import HilbertSpace
 
 __all__ = [
@@ -63,8 +67,7 @@ __all__ = [
     "poisson_integral",
     "quadratic_mark_sum",
     "jump_cell_counts",
-    "step_q_integral",
-    "step_m_integral",
+    "step_sq_integral",
     "POISSON_SEED_OFFSET",
 ]
 
@@ -73,7 +76,8 @@ __all__ = [
 # any realistic ensemble size.
 POISSON_SEED_OFFSET = 1 << 31
 
-_NODE_TOL = 1e-9
+# relative tolerance of a noise path's horizon and step against its grid's or spec's
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        object.__setattr__(self, "steps", operator.index(self.steps))
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -98,13 +103,6 @@ class TimeGrid:
         t = np.arange(self.steps + 1) * self.dt
         t.setflags(write=False)
         return t
-
-    def node_index(self, t: float) -> int:
-        """Index of the grid node equal to t; integrals do not interpolate."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.steps or abs(t - k * self.dt) > _NODE_TOL * max(self.dt, 1.0):
-            raise ValueError(f"t={t} is not a node of the grid with dt={self.dt}")
-        return k
 
     def coarsen(self, factor: int) -> "TimeGrid":
         if factor < 1 or self.steps % factor != 0:
@@ -131,15 +129,6 @@ class WienerPath:
                 f"increments shape {self.increments.shape} does not match "
                 f"paths x {self.grid.steps} steps x {self.q.shape[0]} modes"
             )
-
-
-def _covariance(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1:
-        raise ValueError("q must be a 1-D array of covariance weights")
-    if np.any(q < 0.0):
-        raise ValueError(f"covariance weights must be nonnegative, got {q}")
-    return q
 
 
 def sample_wiener(q, grid: TimeGrid, seed: int) -> WienerPath:
@@ -495,16 +484,17 @@ def sample_noise_batch(q, marks: MarkSpace, grid: TimeGrid, seed: int, members: 
     return NoiseBatch(WienerPath(grid, q, _wiener_rows(q, grid, seed, members), seed), jumps)
 
 
-def _completed_jumps(path: PoissonPath, grid: TimeGrid, k: int) -> tuple:
-    """(member, cell, atom) of every jump completed by node k, member by member in time order.
-
-    A jump at s lands in the cell (t_n, t_{n+1}] containing s, and node k
-    has completed the cells n < k.
-    """
+def _jump_cells(path: PoissonPath, grid: TimeGrid, marks: MarkSpace | None = None) -> tuple:
+    """(member, cell, atom) of every jump of the table, member by member in time order:
+    a jump at s lands in the cell (t_n, t_{n+1}] containing s, on a grid of the path's
+    horizon; the path's atoms index ``marks`` if given."""
+    if abs(path.horizon - grid.horizon) > _REL_TOL * max(grid.horizon, 1.0):
+        raise ValueError(f"jump path horizon {path.horizon} does not match grid {grid.horizon}")
+    if marks is not None and path.atom_count != marks.atom_count:
+        raise ValueError("path was sampled from a different mark space")
     cells = np.searchsorted(grid.times[1:-1], path.times, side="left")
     owner = np.repeat(np.arange(path.members), np.diff(path.offsets))
-    active = cells < k
-    return owner[active], cells[active], path.marks[active].astype(np.intp, copy=False)
+    return owner, cells, path.marks.astype(np.intp, copy=False)
 
 
 def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
@@ -513,7 +503,7 @@ def jump_cell_counts(path: PoissonPath, grid: TimeGrid) -> np.ndarray:
     exactly in float32 (up to 2**24 per cell), half the bytes of float64, and
     every product with float64 coefficients sees the same float64 values."""
     counts = np.zeros((path.members, grid.steps, path.atom_count), dtype=np.float32)
-    np.add.at(counts, _completed_jumps(path, grid, grid.steps), 1.0)
+    np.add.at(counts, _jump_cells(path, grid), 1.0)
     return counts
 
 
@@ -529,63 +519,40 @@ def _check_step_process(arr, grid: TimeGrid, name: str, columns: int | None = No
     return arr
 
 
-def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid, t: float,
-                     compensated: bool = True) -> np.ndarray:
-    """Integral of a mark-indexed step process against the jump measure up to node t.
+def poisson_integral(g, path, marks: MarkSpace, grid: TimeGrid) -> np.ndarray:
+    """Compensated integral of a mark-indexed step process over the grid.
 
-    The uncompensated value sums g over realized jumps (cell index, atom
-    index) in time order; with ``compensated=True`` the exact cellwise
-    compensator dt * sum_j m_j g[cell, :, j] is subtracted, which is
-    error-free for step integrands.  The values of a table of M paths are the
-    rows of an (M, n) array.
+    Sums g over the realized jumps (cell index, atom index) in time order and
+    subtracts the exact cellwise compensator dt * sum_j m_j g[cell, :, j],
+    which is error-free for step integrands.  The values of a table of M
+    paths are the rows of an (M, n) array.
     """
     g = _check_step_process(g, grid, "g", marks.atom_count)
-    if path.atom_count != marks.atom_count:
-        raise ValueError("path was sampled from a different mark space")
-    k = grid.node_index(t)
-    owner, cells, atoms = _completed_jumps(path, grid, k)
+    owner, cells, atoms = _jump_cells(path, grid, marks)
     out = np.zeros((path.members, g.shape[1]))
     np.add.at(out, owner, g[cells, :, atoms])
-    if compensated and k > 0:
-        out -= grid.dt * np.einsum("mnj,j->n", g[:k], marks.weight_array)
+    out -= grid.dt * np.einsum("mnj,j->n", g, marks.weight_array)
     return out
 
 
-def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid, t: float,
-                       space: HilbertSpace) -> tuple:
-    """Realized jump sum of |D|^2 and its exact compensator up to node t.
-
-    Returns (sum over jumps of |D(cell, z_j)|_H^2,
-             integral of |D(s, .)|_m^2 ds over completed cells); the two have
-    equal expectation because the deterministic measure dt x m compensates
-    the jump measure.  The jump sum is an array of M values, one per path of
-    the table; the compensator does not depend on the path.
-    """
+def quadratic_mark_sum(D, path, marks: MarkSpace, grid: TimeGrid,
+                       space: HilbertSpace) -> np.ndarray:
+    """Realized jump sum of |D(cell, z_j)|_H^2 over the grid, one value per path of
+    the table; its expectation is the compensator ``step_sq_integral(D,
+    marks.weight_array, grid, space)``, as dt x m compensates the jump measure."""
     D = _check_step_process(D, grid, "D", marks.atom_count)
-    k = grid.node_index(t)
-    owner, cells, atoms = _completed_jumps(path, grid, k)
+    owner, cells, atoms = _jump_cells(path, grid, marks)
     cols = D[cells, :, atoms]
     jump_sq = np.zeros(path.members)
     np.add.at(jump_sq, owner, space.weight * np.einsum("jn,jn->j", cols, cols))
-    comp = step_m_integral(D, marks, grid, t, space)
-    return jump_sq, comp
+    return jump_sq
 
 
-def step_q_integral(phi, q, grid: TimeGrid, t: float, space: HilbertSpace) -> float:
-    """Exact integral of |phi(s)|_Q^2 ds for a step integrand up to node t."""
-    phi = _check_step_process(phi, grid, "phi")
-    k = grid.node_index(t)
-    if k == 0:
-        return 0.0
-    col_sq = space.weight * np.einsum("mnd,mnd->md", phi[:k], phi[:k])
-    return float(grid.dt * np.sum(col_sq * np.asarray(q, dtype=float)))
-
-
-def step_m_integral(g, marks: MarkSpace, grid: TimeGrid, t: float, space: HilbertSpace) -> float:
-    """Exact integral of |g(s, .)|_m^2 ds for a step integrand up to node t."""
-    g = _check_step_process(g, grid, "g", marks.atom_count)
-    k = grid.node_index(t)
-    if k == 0:
-        return 0.0
-    col_sq = space.weight * np.einsum("mnj,mnj->mj", g[:k], g[:k])
-    return float(grid.dt * np.sum(col_sq * marks.weight_array))
+def step_sq_integral(x, weights, grid: TimeGrid, space: HilbertSpace) -> float:
+    """Exact integral over the grid of sum_k weights_k |x(s)[:, k]|_H^2 ds for a
+    step integrand x (steps, n, cols): the |x|_Q^2 integral with weights q, the
+    |x|_m^2 one with the mark weights m."""
+    weights = np.asarray(weights, dtype=float)
+    x = _check_step_process(x, grid, "x", weights.shape[0])
+    col_sq = space.weight * np.einsum("mnk,mnk->mk", x, x)
+    return float(grid.dt * np.sum(col_sq * weights))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, StiffnessWarning
 from .model import DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace, Nonlinearity
-from .noise import NoiseBatch, TimeGrid, _check_step_process, quadratic_mark_sum
+from .noise import _REL_TOL, NoiseBatch, TimeGrid, _check_step_process, quadratic_mark_sum
 from .space import SpectralOperator
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 
 SCHEMES = ("exp_euler", "resolvent_implicit", "yosida_explicit")
 
-_REL_TOL = 1e-12
 # values per (K, n, M) block array in step_ensemble and per time chunk of the linear-data drive
 _BLOCK_VALUES = 1 << 15
 
@@ -526,7 +525,7 @@ def ito_energy_terms(A: SpectralOperator, g, C, D, noise: NoiseBatch, marks: Mar
     w = A.space.weight
     drift, mart_wiener, mart_jump, bracket_wiener, final_sq = (
         sums * np.array([2.0 * dt * w, 2.0 * w, 2.0 * w, w, w])[:, None])
-    jump_sq, _ = quadratic_mark_sum(D, noise.jumps, marks, grid, grid.horizon, A.space)
+    jump_sq = quadratic_mark_sum(D, noise.jumps, marks, grid, A.space)
     return {"lhs": final_sq + drift, "rhs": mart_wiener + mart_jump + bracket_wiener + jump_sq,
             "martingale_wiener": mart_wiener, "martingale_jump": mart_jump,
             "bracket_wiener": bracket_wiener, "jump_square_sum": jump_sq, "final_sq_norm": final_sq}

@@ -20,7 +20,7 @@ from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, 
 from mildsde.cli import EXPERIMENTS, parse_config
 from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, TimeGrid, poisson_integral,
                            quadratic_mark_sum, sample_jump_table, sample_noise_batch, sample_poisson,
-                           sample_wiener, shared_draws)
+                           sample_wiener, shared_draws, step_sq_integral)
 from mildsde.solver import (SchemeConfig, Trajectory, solve, solve_resolvent_implicit,
                             step_ensemble)
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
@@ -958,8 +958,7 @@ class TestCheckExperiments:
         space = HilbertSpace(5, 1.0 / 6.0)
         grid = TimeGrid(1.0, 8)
         phi = 0.5 * np.random.default_rng(1).standard_normal((8, 5, 2))
-        report = wiener_isometry_experiment(phi, np.array([1.0, 0.5]), grid, 1.0,
-                                            4000, 3, space)
+        report = wiener_isometry_experiment(phi, np.array([1.0, 0.5]), grid, 4000, 3, space)
         assert report.verdict == PASS
         assert report.summary["relative_error"] < 0.05
 
@@ -968,9 +967,9 @@ class TestCheckExperiments:
         grid = TimeGrid(1.0, 8)
         marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
         g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
-        r1 = poisson_isometry_experiment(g, marks, grid, 1.0, 4000, 5, space)
+        r1 = poisson_isometry_experiment(g, marks, grid, 4000, 5, space)
         assert r1.verdict == PASS
-        r2 = compensator_experiment(g, marks, grid, 1.0, 4000, 5, space)
+        r2 = compensator_experiment(g, marks, grid, 4000, 5, space)
         assert r2.verdict == PASS
 
     def test_single_sample_has_zero_stderr(self):
@@ -981,9 +980,9 @@ class TestCheckExperiments:
         grid = TimeGrid(1.0, 8)
         marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
         g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
-        report = compensator_experiment(g, marks, grid, 1.0, 1, 5, space)
+        report = compensator_experiment(g, marks, grid, 1, 5, space)
         assert report.summary["stderr"] == 0.0
-        report = wiener_isometry_experiment(g, np.array([1.0, 0.25]), grid, 1.0, 1, 5, space)
+        report = wiener_isometry_experiment(g, np.array([1.0, 0.25]), grid, 1, 5, space)
         assert report.rows[0].stderr == 0.0
 
     def test_blocked_jump_checks_equal_per_path_loops(self):
@@ -993,23 +992,23 @@ class TestCheckExperiments:
         marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
         g = 0.5 * np.random.default_rng(2).standard_normal((8, 5, 2))
         paths = [sample_poisson(marks, 1.0, 5 + POISSON_SEED_OFFSET + i) for i in range(1234)]
-        values = np.concatenate([poisson_integral(g, p, marks, grid, 0.75) for p in paths])
-        diffs = np.concatenate([np.subtract(*quadratic_mark_sum(g, p, marks, grid, 0.75, space))
+        values = np.concatenate([poisson_integral(g, p, marks, grid) for p in paths])
+        comp = step_sq_integral(g, marks.weight_array, grid, space)
+        diffs = np.concatenate([quadratic_mark_sum(g, p, marks, grid, space) - comp
                                 for p in paths])
-        r1 = poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space)
+        r1 = poisson_isometry_experiment(g, marks, grid, 1234, 5, space)
         assert r1.rows[0].value == space.sq_norms(values).mean()
         assert r1.rows[3].value == values.sum(axis=1).mean()
-        r2 = compensator_experiment(g, marks, grid, 0.75, 1234, 5, space)
+        r2 = compensator_experiment(g, marks, grid, 1234, 5, space)
         assert r2.rows[0].value == pytest.approx(diffs.mean(), rel=1e-14, abs=0.0)
         # the blocks are slices of one table: on the whole table, and inside a
         # run where compensator reads poisson_isometry's table, nothing moves
         table = sample_jump_table(marks, 1.0, 5, 1234)
-        assert np.array_equal(poisson_integral(g, table, marks, grid, 0.75), values)
-        jump_sq, comp = quadratic_mark_sum(g, table, marks, grid, 0.75, space)
-        assert np.array_equal(jump_sq - comp, diffs)
+        assert np.array_equal(poisson_integral(g, table, marks, grid), values)
+        assert np.array_equal(quadratic_mark_sum(g, table, marks, grid, space) - comp, diffs)
         with shared_draws():
-            shared = (poisson_isometry_experiment(g, marks, grid, 0.75, 1234, 5, space),
-                      compensator_experiment(g, marks, grid, 0.75, 1234, 5, space))
+            shared = (poisson_isometry_experiment(g, marks, grid, 1234, 5, space),
+                      compensator_experiment(g, marks, grid, 1234, 5, space))
         for fresh, served in zip((r1, r2), shared):
             assert [r.value for r in served.rows] == [r.value for r in fresh.rows]
 

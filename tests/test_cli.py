@@ -254,7 +254,8 @@ def test_readme_key_table_matches_the_option_table():
 
 
 def test_readme_library_tour_names_only_exported_identifiers():
-    # every identifier in backticks of a "Library tour" row is in its module's __all__
+    # every identifier in backticks of a "Library tour" row is in its module's
+    # __all__, and every name in a module's __all__ is in its row
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     body = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
     rows = 0
@@ -264,8 +265,9 @@ def test_readme_library_tour_names_only_exported_identifiers():
             continue
         rows += 1
         exported = importlib.import_module(f"mildsde.{cells[0].strip('`')}").__all__
-        for name in re.findall(r"`([A-Za-z_][\w.]*)`", cells[1]):
-            assert name.partition(".")[0] in exported, (cells[0], name)
+        named = {name.partition(".")[0] for name in re.findall(r"`([A-Za-z_][\w.]*)`", cells[1])}
+        assert named <= set(exported), (cells[0], named - set(exported))
+        assert set(exported) <= named, (cells[0], set(exported) - named)
     assert rows == 7  # one per module: a row the split misreads would be skipped unchecked
 
 
@@ -598,7 +600,7 @@ class TestRun:
 
 
 @pytest.mark.parametrize("name, target, pick", [
-    ("wiener_isometry", "step_q_integral", lambda args: args[0] / 0.5),   # amplitude 0.5
+    ("wiener_isometry", "step_sq_integral", lambda args: args[0] / 0.5),  # amplitude 0.5
     ("regularization_identity", "regularized_coupling_identity", lambda args: args[1]),
     ("energy_identity", "ito_energy_residual", lambda args: args[1]),      # g_amp 1.0
 ])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mildsde.model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
-                           Nonlinearity, check_dissipativity_triplet, m_norm, q_norm)
+                           Nonlinearity, check_dissipativity_triplet, weighted_norm)
+from mildsde.noise import TimeGrid, sample_wiener
 from mildsde.space import HilbertSpace, SpectralOperator, dirichlet_laplacian
 
 from conftest import make_cubic_spec
@@ -103,24 +104,22 @@ class TestDissipativityTriplet:
 
 
 class TestNorms:
-    @given(st.integers(min_value=0, max_value=10**6))
+    @pytest.mark.parametrize("kind", ["q", "m"])
+    @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
-    def test_q_norm_two_ways(self, seed):
+    def test_weighted_norm_two_ways(self, kind, seed):
+        # covariance weights q or the weights m of a mark space, against the
+        # Frobenius norm and the column-by-column sum
         rng = np.random.default_rng(seed)
         space = HilbertSpace(5, 1.0 / 6.0)
         mat = rng.standard_normal((5, 3))
-        q = rng.uniform(0.0, 2.0, 3)
-        direct = q_norm(mat, q, space)
-        frobenius = np.sqrt(space.weight) * np.linalg.norm(mat * np.sqrt(q), "fro")
+        weights = (rng.uniform(0.0, 2.0, 3) if kind == "q"
+                   else MarkSpace((0.0, 1.0, 3.0), (0.5, 1.5, 2.0)).weight_array)
+        direct = weighted_norm(mat, weights, space)
+        frobenius = np.sqrt(space.weight) * np.linalg.norm(mat * np.sqrt(weights), "fro")
+        brute = sum(w * space.norm(mat[:, k]) ** 2 for k, w in enumerate(weights))
         assert direct == pytest.approx(frobenius, abs=1e-10)
-
-    def test_m_norm_brute_force(self):
-        rng = np.random.default_rng(11)
-        space = HilbertSpace(4, 0.2)
-        marks = MarkSpace((0.0, 1.0, 3.0), (0.5, 1.5, 2.0))
-        mat = rng.standard_normal((4, 3))
-        brute = sum(w * space.norm(mat[:, j]) ** 2 for j, w in enumerate(marks.weights))
-        assert m_norm(mat, marks, space) ** 2 == pytest.approx(brute, rel=1e-12)
+        assert direct ** 2 == pytest.approx(brute, rel=1e-12)
 
     def test_sampled_lipschitz_bounds_hold(self):
         rng = np.random.default_rng(12)
@@ -135,8 +134,9 @@ class TestNorms:
         for _ in range(200):
             u, v = rng.standard_normal((2, 6))
             gap = space.norm(u - v)
-            assert q_norm(at(B, u) - at(B, v), q, space) <= B.lipschitz * gap + 1e-12
-            assert m_norm(at(G, u) - at(G, v), marks, space) <= G.lipschitz * gap + 1e-12
+            assert weighted_norm(at(B, u) - at(B, v), q, space) <= B.lipschitz * gap + 1e-12
+            assert (weighted_norm(at(G, u) - at(G, v), marks.weight_array, space)
+                    <= G.lipschitz * gap + 1e-12)
 
 
 class TestCoefficientsAndSpec:
@@ -155,6 +155,17 @@ class TestCoefficientsAndSpec:
         with pytest.raises(ValueError):
             DiffusionCoefficient(np.zeros((3, 2)), [0.1], np.array([1.0, 1.0]))
         assert DiffusionCoefficient.constant(np.zeros((3, 2)), np.array([1.0, 0.0])).additive
+
+    @pytest.mark.parametrize("q, message", [
+        (np.array([1.0, -1.0]), "covariance weights must be nonnegative"),
+        (np.ones((2, 1)), "q must be a 1-D array"),
+    ])
+    def test_coefficient_and_sampler_refuse_q_alike(self, q, message):
+        # one covariance check serves the coefficient and the noise samplers
+        with pytest.raises(ValueError, match=message):
+            DiffusionCoefficient.constant(np.zeros((3, 2)), q)
+        with pytest.raises(ValueError, match=message):
+            sample_wiener(q, TimeGrid(1.0, 4), 0)
 
     def test_additive_flag_tracks_state_scale(self):
         q = np.array([1.0])

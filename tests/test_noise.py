@@ -10,7 +10,7 @@ from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGri
                            _resolve_time_ties, coarsen_wiener, jump_cell_counts,
                            poisson_integral, quadratic_mark_sum, sample_jump_table,
                            sample_noise_batch, sample_poisson, sample_wiener,
-                           sample_wiener_rows, shared_draws, step_m_integral, step_q_integral)
+                           sample_wiener_rows, shared_draws, step_sq_integral)
 from mildsde.space import HilbertSpace
 
 
@@ -33,15 +33,21 @@ class TestTimeGrid:
         assert grid.times[0] == 0.0 and grid.times[-1] == 1.0
         assert np.all(np.diff(grid.times) > 0)
 
-    def test_node_index(self):
-        grid = TimeGrid(1.0, 8)
-        assert grid.node_index(0.0) == 0
-        assert grid.node_index(0.5) == 4
-        assert grid.node_index(1.0) == 8
-        with pytest.raises(ValueError):
-            grid.node_index(0.3)
-        with pytest.raises(ValueError):
-            grid.node_index(1.125)
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, -1.0])
+    def test_refuses_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        # an infinite horizon gave the nodes [nan, inf, inf, ...]
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            TimeGrid(horizon, 4)
+
+    def test_refuses_a_fractional_step_count(self):
+        # 2.5 steps gave the nodes [0, 0.4, 0.8, 1.2], past the horizon
+        with pytest.raises(TypeError):
+            TimeGrid(1.0, 2.5)
+
+    def test_takes_numpy_integer_steps(self):
+        grid = TimeGrid(1.0, np.int64(4))
+        assert grid == TimeGrid(1.0, 4) and type(grid.steps) is int
+        assert np.array_equal(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_coarsen_refine(self):
         grid = TimeGrid(2.0, 8)
@@ -202,37 +208,43 @@ class TestPoissonSampling:
             sample_poisson(MarkSpace((0.0,), (1.0,)), 0.0, seed=0)
 
 
-def _wiener_integral(phi, path: WienerPath, k: int) -> np.ndarray:
+def _wiener_integral(phi, path: WienerPath) -> np.ndarray:
     """Integral of a grid step process against the increments of a one-path
-    WienerPath up to node k."""
-    return np.einsum("mnd,md->n", phi[:k], path.increments[0, :k])
+    WienerPath over its grid."""
+    return np.einsum("mnd,md->n", phi, path.increments[0])
 
 
 class TestItoIntegral:
     def test_zero_integrand(self):
-        grid = TimeGrid(1.0, 8)
-        q = np.array([1.0, 1.0])
         space = HilbertSpace(3, 1.0)
-        for t in (0.0, 0.5, 1.0):
-            assert step_q_integral(np.zeros((8, 3, 2)), q, grid, t, space) == 0.0
+        assert step_sq_integral(np.zeros((8, 3, 2)), [1.0, 1.0], TimeGrid(1.0, 8), space) == 0.0
 
-    def test_isometry(self):
-        # Monte Carlo oracle over 1e4 paths for a deterministic step integrand
-        space = HilbertSpace(5, 1.0 / 6.0)
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_isometry(self, kind):
+        # Monte Carlo oracle over 1e4 paths for a deterministic step integrand x:
+        # E|int x dW|^2 is the integral of |x|_Q^2 (weights q), and the second
+        # moment of the compensated jump integral that of |x|_m^2 (weights m)
         grid = TimeGrid(1.0, 8)
-        q = np.array([1.0, 0.3])
-        phi = 0.7 * np.random.default_rng(3).standard_normal((8, 5, 2))
-        sq = np.empty(10_000)
-        for s in range(10_000):
-            path = sample_wiener(q, grid, seed=s)
-            sq[s] = space.sq_norms(_wiener_integral(phi, path, 8))
-        exact = step_q_integral(phi, q, grid, 1.0, space)
+        rng = np.random.default_rng(3)
+        if kind == "wiener":
+            space, weights = HilbertSpace(5, 1.0 / 6.0), np.array([1.0, 0.3])
+            x = 0.7 * rng.standard_normal((8, 5, 2))
+            def integral(s):
+                return _wiener_integral(x, sample_wiener(weights, grid, seed=s))
+        else:
+            marks = MarkSpace((-1.0, 1.0), (1.0, 3.0))
+            space, weights = HilbertSpace(4, 0.2), marks.weight_array
+            x = 0.5 * rng.standard_normal((8, 4, 2))
+            def integral(s):
+                return poisson_integral(x, sample_poisson(marks, 1.0, seed=s), marks, grid)[0]
+        sq = np.array([space.sq_norms(integral(s)) for s in range(10_000)])
+        exact = step_sq_integral(x, weights, grid, space)
         assert abs(sq.mean() - exact) / exact < 0.05
 
-    def test_rejects_off_grid_time(self):
-        grid = TimeGrid(1.0, 8)
-        with pytest.raises(ValueError):
-            step_q_integral(np.zeros((8, 2, 1)), np.array([1.0]), grid, 0.3, HilbertSpace(2, 1.0))
+    def test_refuses_a_column_count_other_than_the_weights(self):
+        # three columns against one weight once broadcast to 6.0
+        with pytest.raises(ValueError, match="3 columns, expected 1"):
+            step_sq_integral(np.ones((8, 2, 3)), [1.0], TimeGrid(1.0, 8), HilbertSpace(2, 1.0))
 
     def test_refinement_consistency(self):
         # a coarse-cell step integrand integrates identically on the refined
@@ -242,8 +254,8 @@ class TestItoIntegral:
         coarse = coarsen_wiener(fine, 4)
         phi_coarse = np.random.default_rng(8).standard_normal((8, 3, 2))
         phi_fine = np.repeat(phi_coarse, 4, axis=0)
-        a = _wiener_integral(phi_fine, fine, 32)
-        b = _wiener_integral(phi_coarse, coarse, 8)
+        a = _wiener_integral(phi_fine, fine)
+        b = _wiener_integral(phi_coarse, coarse)
         assert np.allclose(a, b, atol=1e-13)
 
 
@@ -255,15 +267,19 @@ class TestPoissonIntegral:
 
     def test_zero_integrand(self):
         path = sample_poisson(self.marks, 1.0, seed=0)
-        out = poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid, 1.0)
+        out = poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid)
         assert np.all(out == 0.0)
+
+    def _compensator(self, g):
+        """dt * sum_j m_j g[cell, :, j] summed over the cells."""
+        return self.grid.dt * np.einsum("mnj,j->n", g, self.marks.weight_array)
 
     def test_uncompensated_counts_atoms(self):
         path = sample_poisson(self.marks, 1.0, seed=1)
         g = np.zeros((8, 4, 2))
         g[:, 0, 0] = 1.0
         g[:, 1, 1] = 1.0
-        out = poisson_integral(g, path, self.marks, self.grid, 1.0, compensated=False)
+        out = poisson_integral(g, path, self.marks, self.grid) + self._compensator(g)
         assert out.shape == (1, 4)
         assert out[0, 0] == np.sum(path.marks == 0)
         assert out[0, 1] == np.sum(path.marks == 1)
@@ -273,28 +289,22 @@ class TestPoissonIntegral:
         vals = np.empty((10_000, 4))
         for s in range(10_000):
             path = sample_poisson(self.marks, 1.0, seed=s)
-            vals[s] = poisson_integral(g, path, self.marks, self.grid, 1.0)
+            vals[s] = poisson_integral(g, path, self.marks, self.grid)
         proj = vals.sum(axis=1)
         se = proj.std(ddof=1) / np.sqrt(proj.shape[0])
         assert abs(proj.mean()) < 3 * se
-
-    def test_compensated_isometry(self):
-        g = 0.5 * np.random.default_rng(3).standard_normal((8, 4, 2))
-        sq = np.empty(10_000)
-        for s in range(10_000):
-            path = sample_poisson(self.marks, 1.0, seed=s)
-            sq[s], = self.space.sq_norms(poisson_integral(g, path, self.marks, self.grid, 1.0))
-        exact = step_m_integral(g, self.marks, self.grid, 1.0, self.space)
-        assert abs(sq.mean() - exact) / exact < 0.05
 
     def test_rejects_mismatched_mark_space(self):
         other = MarkSpace((0.0,), (1.0,))
         path = sample_poisson(other, 1.0, seed=4)
         with pytest.raises(ValueError):
-            poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid, 1.0)
+            poisson_integral(np.zeros((8, 4, 2)), path, self.marks, self.grid)
+        # the jump sum read every jump of this one-atom path as atom 0 of two
+        with pytest.raises(ValueError, match="different mark space"):
+            quadratic_mark_sum(np.zeros((8, 4, 2)), path, self.marks, self.grid, self.space)
         with pytest.raises(ValueError):
             poisson_integral(np.zeros((8, 4, 2)), PoissonPath.stack([path, path]),
-                             self.marks, self.grid, 1.0)
+                             self.marks, self.grid)
         with pytest.raises(ValueError):
             PoissonPath.stack([sample_poisson(self.marks, 1.0, seed=4), path])
 
@@ -302,26 +312,21 @@ class TestPoissonIntegral:
         g = np.random.default_rng(5).standard_normal((8, 4, 2))
         path = sample_poisson(self.marks, 1.0, seed=6)
         assert path.count > 2
-        for t in (0.375, 1.0):
-            expected = np.zeros(4)
-            for s, j in zip(path.times, path.marks):
-                if s <= t:
-                    expected += g[int(np.ceil(s / 0.125)) - 1, :, j]
-            got = poisson_integral(g, path, self.marks, self.grid, t, compensated=False)
-            assert np.array_equal(got, expected[None])
+        expected = np.zeros(4)
+        for s, j in zip(path.times, path.marks):
+            expected += g[int(np.ceil(s / 0.125)) - 1, :, j]
+        got = poisson_integral(g, path, self.marks, self.grid)
+        assert np.array_equal(got, expected[None] - self._compensator(g))
 
     def test_batch_equals_single_paths_exactly(self):
         g = np.random.default_rng(4).standard_normal((8, 4, 2))
         empty = _one_path_table([], [])
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
-        for t in (0.5, 1.0):
-            for compensated in (True, False):
-                batch = poisson_integral(g, PoissonPath.stack(paths), self.marks, self.grid, t,
-                                         compensated)
-                assert batch.shape == (21, 4)
-                for row, path in zip(batch, paths):
-                    single = poisson_integral(g, path, self.marks, self.grid, t, compensated)
-                    assert np.array_equal(row[None], single)
+        batch = poisson_integral(g, PoissonPath.stack(paths), self.marks, self.grid)
+        assert batch.shape == (21, 4)
+        for row, path in zip(batch, paths):
+            single = poisson_integral(g, path, self.marks, self.grid)
+            assert np.array_equal(row[None], single)
 
 
 class TestQuadraticMarkSum:
@@ -333,44 +338,38 @@ class TestQuadraticMarkSum:
     def test_no_jumps(self):
         empty = _one_path_table([], [])
         D = np.random.default_rng(0).standard_normal((8, 3, 2))
-        jump_sq, comp = quadratic_mark_sum(D, empty, self.marks, self.grid, 1.0, self.space)
+        jump_sq = quadratic_mark_sum(D, empty, self.marks, self.grid, self.space)
         assert np.array_equal(jump_sq, [0.0])
-        assert comp == pytest.approx(step_m_integral(D, self.marks, self.grid, 1.0, self.space))
 
     def test_unit_magnitude_compensator(self):
-        # columns of unit H-norm make the compensator exactly mass * t
+        # columns of unit H-norm make the compensator exactly mass * T
         D = np.zeros((8, 3, 2))
         D[:, 0, :] = 1.0  # |column|_H = 1 with weight 1
-        path = sample_poisson(self.marks, 1.0, seed=1)
-        _, comp = quadratic_mark_sum(D, path, self.marks, self.grid, 0.5, self.space)
-        assert comp == pytest.approx(self.marks.total_mass * 0.5, rel=1e-12)
+        comp = step_sq_integral(D, self.marks.weight_array, self.grid, self.space)
+        assert comp == pytest.approx(self.marks.total_mass * 1.0, rel=1e-12)
 
     def test_batch_matches_a_per_jump_reference(self):
         D = np.random.default_rng(3).standard_normal((8, 3, 2))
         empty = _one_path_table([], [])
         paths = [sample_poisson(self.marks, 1.0, seed=s) for s in range(20)] + [empty]
-        for t in (0.5, 1.0):
-            batch, comp = quadratic_mark_sum(D, PoissonPath.stack(paths), self.marks, self.grid, t,
-                                             self.space)
-            assert batch.shape == (21,) and batch[-1] == 0.0
-            for value, path in zip(batch, paths):
-                expected = 0.0
-                for s, j in zip(path.times, path.marks):
-                    if s <= t:
-                        col = D[int(np.ceil(s / 0.125)) - 1, :, j]
-                        expected += self.space.weight * float(np.dot(col, col))
-                assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
-                single, single_comp = quadratic_mark_sum(D, path, self.marks, self.grid, t,
-                                                         self.space)
-                assert np.array_equal(single, [value]) and single_comp == comp
+        batch = quadratic_mark_sum(D, PoissonPath.stack(paths), self.marks, self.grid, self.space)
+        assert batch.shape == (21,) and batch[-1] == 0.0
+        for value, path in zip(batch, paths):
+            expected = 0.0
+            for s, j in zip(path.times, path.marks):
+                col = D[int(np.ceil(s / 0.125)) - 1, :, j]
+                expected += self.space.weight * float(np.dot(col, col))
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+            single = quadratic_mark_sum(D, path, self.marks, self.grid, self.space)
+            assert np.array_equal(single, [value])
 
     def test_expectation_identity(self):
         D = 0.6 * np.random.default_rng(2).standard_normal((8, 3, 2))
+        comp = step_sq_integral(D, self.marks.weight_array, self.grid, self.space)
         diffs = np.empty(10_000)
         for s in range(10_000):
             path = sample_poisson(self.marks, 1.0, seed=s)
-            jump_sq, comp = quadratic_mark_sum(D, path, self.marks, self.grid, 1.0, self.space)
-            diffs[s], = jump_sq - comp
+            diffs[s], = quadratic_mark_sum(D, path, self.marks, self.grid, self.space) - comp
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
         assert abs(diffs.mean()) < 3 * se
 
@@ -384,6 +383,24 @@ class TestJumpBinning:
         assert counts[0, 0] == 1.0   # t = 0.25 -> cell (0, 0.25]
         assert counts[1, 1] == 1.0   # t = 0.30 -> cell (0.25, 0.5]
         assert counts[3, 0] == 1.0   # t = 1.0  -> cell (0.75, 1.0]
+
+    def test_refuses_a_grid_of_another_horizon(self):
+        # binned on a grid of half its horizon, this path's 6 jumps once gave the
+        # per-cell counts [0, 2, 0, 4], 4 of them from after 0.5
+        marks = MarkSpace((-1.0, 1.0), (2.0, 2.0))
+        path = sample_poisson(marks, 1.0, 7)
+        assert path.count == 6
+        grid = TimeGrid(0.5, 4)
+        g = np.zeros((4, 3, 2))
+        for reduce in (lambda: jump_cell_counts(path, grid),
+                       lambda: poisson_integral(g, path, marks, grid),
+                       lambda: quadratic_mark_sum(g, path, marks, grid, HilbertSpace(3, 1.0))):
+            with pytest.raises(ValueError, match="horizon 1.0 does not match grid 0.5"):
+                reduce()
+        # a horizon within the relative tolerance bins as the grid's own
+        near = _one_path_table(path.times, path.marks, horizon=1.0 + 1e-15)
+        assert np.array_equal(jump_cell_counts(near, TimeGrid(1.0, 4)),
+                              jump_cell_counts(path, TimeGrid(1.0, 4)))
 
     def test_total_count_preserved(self):
         marks = MarkSpace((0.0, 1.0), (3.0, 1.0))

@@ -1143,8 +1143,7 @@ class TestItoEnergyIdentity:
         D = 0.5 * rng.standard_normal((steps, 5, 2))
         noise = self._noise(steps)
         terms = ito_energy_terms(self.A, g, C, D, noise, self.marks)
-        jump_sq, _ = quadratic_mark_sum(D, noise[1], self.marks, noise[0].grid, 0.5,
-                                        self.A.space)
+        jump_sq = quadratic_mark_sum(D, noise[1], self.marks, noise[0].grid, self.A.space)
         assert np.array_equal(terms["jump_square_sum"], jump_sq)
 
     def _reference_terms(self, g, C, D, wiener, poisson):
