@@ -22,6 +22,7 @@ hypothesis for the configured data; it is -inf when f' is unbounded below.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,19 +68,26 @@ class Nonlinearity:
         return cls((0.0, float(slope)))
 
     def __call__(self, u, out=None):
-        """f(u), into ``out`` if given (an array of u's shape, not u itself)."""
+        """f(u), into ``out`` if given (an array of u's shape, not u itself), with the bits
+        of textbook Horner x = c_N, x = x u + c_p for p = N-1, ..., 0.  It skips the
+        multiply by a leading c_N of exactly 1 (1 u is u) and, unless c_0 is -0.0, the add
+        of a zero c_p above c_0: x + (-0.0) is x, x + 0.0 only turns -0.0 into +0.0, a
+        zero's sign reaches f only through zeros (0 inf is one nan for either sign), and
+        the add of a c_0 other than -0.0 gives both zeros one result."""
         u = np.asarray(u, dtype=float)
+        out = np.empty_like(u) if out is None else out
         coeffs = self.coefficients
         if len(coeffs) < 2:
-            out = np.empty_like(u) if out is None else out
             out[...] = coeffs[0] if coeffs else 0.0
             return out
-        out = np.multiply(u, coeffs[-1], out=out)   # Horner's rule in place
-        out += coeffs[-2]
-        for c in coeffs[-3::-1]:
-            out *= u
-            out += c
-        return out
+        keep_zeros = coeffs[0] == 0.0 and math.copysign(1.0, coeffs[0]) < 0.0   # c_0 = -0.0
+        x = u if coeffs[-1] == 1.0 else np.multiply(u, coeffs[-1], out=out)
+        for p in range(len(coeffs) - 2, -1, -1):
+            if coeffs[p] != 0.0 or p == 0 or keep_zeros:
+                x = np.add(x, coeffs[p], out=out)
+            if p:
+                x = np.multiply(x, u, out=out)
+        return x
 
     def derivative_coefficients(self) -> tuple:
         return tuple((p + 1) * c for p, c in enumerate(self.coefficients[1:]))

@@ -185,9 +185,12 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     a matrix-vector product, joins the slice before.  Slice edges so fall on
     the column panels of the BLAS kernels, keeping the bits of an unsliced
     product on the tested sizes.  Steps run in blocks of K, about 2**15 values
-    per (K, G, n, M) array; a block projects the state-free noise factors once
-    (when B and G are additive, the whole increment, formed in place in the
-    projection that has every group), into buffers that every block reuses.
+    per (K, G, n, M) array.  A block forms the increment's state-free factors
+    base = B.base dW + G.base counts - dt G.base m and the per-member scalar
+    scale = dW b_scale + counts g_scale - dt (g_scale m), each from its two
+    projected terms folded in place in the one that has every group, into
+    buffers that every block reuses; a step adds u scale to base (scale is 0
+    and not formed when B and G are additive).
     The projections span all M members, not one slice: a tail slice of
     unaligned width need not keep the bits of the same columns of the full
     product (measured with numpy 2.4's OpenBLAS 0.3.31 on an x86-64 Xeon:
@@ -204,8 +207,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     buffers), all groups of every run; its first call takes the initial
     states.
 
-    Checks run once per block, on the (K, G) array of r = max|u| of each new
-    state over all slices.  A non-finite r (it propagates nan and inf) is a
+    Checks run once per block, on the (K, G) array of r = max|u| =
+    max(max u, -min u) of each new state over all slices.  A non-finite r
+    (it propagates nan and inf) is a
     blow-up; the call raises the BlowUpError, with the text of its own call,
     of the group that blew up first, the lowest on a tie.  Stiffness policy,
     per group: one StiffnessWarning at the first step where dt * max|f'(u)|,
@@ -238,8 +242,8 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
             np.matmul(m, noise, out=out[:, i])
         return out
 
-    def part(x, run, axis=0):   # the run's groups of a per-group array; a shared one whole
-        return x[(slice(None),) * axis + (run,)] if x.shape[axis] > 1 else x
+    def part(x, run):   # the run's groups of a (K, S, rows, M) factor; a shared one whole
+        return x[:, run] if x.shape[1] > 1 else x
 
     F = spec.F
     fprime = Nonlinearity(F.derivative_coefficients())
@@ -256,10 +260,8 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     props = np.stack([_propagator(spec.A, config) for config in configs])
     forms = [c.scheme == "yosida_explicit" for c in configs]   # explicit or not
     edges = [0] + [g for g in range(1, n_groups) if forms[g] != forms[g - 1]] + [n_groups]
-    # each run of consecutive groups of one step form: its groups, their propagators, whether
-    # explicit, and their jump compensators
-    runs = [(slice(a, b), props[a:b], forms[a], part(g_comp, slice(a, b)),
-             part(s_comp, slice(a, b))) for a, b in zip(edges, edges[1:])]
+    # each run of consecutive groups of one step form: its groups, propagators, explicit or not
+    runs = [(slice(a, b), props[a:b], forms[a]) for a, b in zip(edges, edges[1:])]
     block = max(1, _BLOCK_VALUES // (n_groups * members * n))
     width = 1 << max(1, _BLOCK_VALUES // (n_groups * n)).bit_length() - 1
     slices = [slice(lo, lo + width if members - lo > width + 1 else members)
@@ -272,17 +274,17 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     size = max(buf[0].size for buf in bufs)
     scratch = np.empty(size)   # per run: U - dt F(U) + inc (implicit) or P U (explicit)
     drift = np.empty(size) if F.coefficients and any(forms) else None   # dt F(U), explicit
-    incs = None if additive else np.empty((2, size))   # the increment and a term of it
-    # each block's noise projections, in (block, S, rows, M) buffers that every block reuses:
-    # B.base dW, G.base counts and, for multiplicative noise, dW b_scale and counts g_scale
-    coefs = ((b_base, 0), (g_base, 1)) + (() if additive else ((b_scale, 0), (g_scale, 1)))
-    projections = [(mats, i, np.empty((block, len(mats), len(mats[0]), members)))
-                   for mats, i in coefs]
+    increment = None if additive else np.empty(size)   # base + U scale, multiplicative
+    # the dW and the counts term of each increment factor, base and (multiplicative noise)
+    # scale, and its compensator; the terms go into (block, S, rows, M) buffers for every block
+    terms = [(b_base, g_base, g_comp)] + ([] if additive else [(b_scale, g_scale, s_comp)])
+    projections = [(b, g, comp, *(np.empty((block, len(m), len(m[0]), members)) for m in (b, g)))
+                   for b, g, comp in terms]
     r = np.empty((block + 1, n_groups))    # r[k, g]: max|u| of group g before step first + k
     r[0] = np.abs(u0).max(axis=(-2, -1))
     states = np.empty((n_groups, members, steps + 1, n)) if reduce is None else None
 
-    def step_run(prop, explicit, run_states, factors, comp, scomp):
+    def step_run(prop, explicit, run_states, factors):
         # steps the states (block, g, n, w) of one run in place through the steps of factors.
         # A function of its own, as CPython 3.11's tracemalloc finds each traced allocation's
         # line by scanning the line table of its code: traced, this loop ran about 6 times
@@ -290,16 +292,15 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
         shape = run_states.shape[1:]
         Si = scratch[:math.prod(shape)].reshape(shape)
         fu = None if drift is None else drift[:Si.size].reshape(shape)
-        inc, term = (None, None) if additive else incs[:, :Si.size].reshape((2,) + shape)
+        inc = None if additive else increment[:Si.size].reshape(shape)
         Ui = run_states[-1]
         for V, step_factors in zip(run_states, zip(*factors)):
             if additive:
                 inc, = step_factors
-            else:
-                b_k, g_k, s_b, s_g = step_factors   # b_k + U s_b + g_k + U s_g - comp - scomp U
-                np.add(b_k, np.multiply(Ui, s_b, out=inc), out=inc)
-                inc += np.add(g_k, np.multiply(Ui, s_g, out=term), out=term)
-                inc -= np.add(comp, np.multiply(scomp, Ui, out=term), out=term)
+            else:   # base + U scale
+                base, scale = step_factors
+                np.multiply(Ui, scale, out=inc)
+                inc += base
             if explicit:
                 np.matmul(prop, Ui, out=Si)
                 if F.coefficients:
@@ -318,6 +319,12 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
                 np.matmul(prop, Si, out=V)
             Ui = V
 
+    def fold(a, b, comp):   # a + b - comp, in place in the one of a, b that has every group
+        full, other = (a, b) if a.shape[1] >= b.shape[1] else (b, a)
+        full += other
+        full -= comp
+        return full
+
     def fill(node, cols, block_states):   # the default reducer
         states[:, cols, node:node + len(block_states)] = block_states.transpose(1, 3, 0, 2)
     reduce = reduce or fill
@@ -326,26 +333,21 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     # an overflowing state is reported as BlowUpError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, block):
-            noise = [x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts)]
-            K = len(noise[0])
-            factors = [project(mats, noise[i], out[:K]) for mats, i, out in projections]
-            if additive:   # the increments, in the projection that has every group
-                b_dW, g_counts = factors
-                full, other = ((b_dW, g_counts) if b_dW.shape[1] >= g_counts.shape[1]
-                               else (g_counts, b_dW))
-                full += other
-                full -= g_comp
-                factors = (full,)
+            dW_k, counts_k = (x[:, first:first + block].transpose(1, 2, 0) for x in (dW, counts))
+            K = len(dW_k)
+            factors = [fold(project(b, dW_k, b_out[:K]), project(g, counts_k, g_out[:K]), comp)
+                       for b, g, comp, b_out, g_out in projections]
             # dt max|f'| on the block's first left state, which its steps overwrite, for
             # each checking group whose bound there reaches 1/2
             first_exact = {g: dt * np.max([np.abs(fprime(buf[-1, g])).max() for buf in bufs])
                            for g in np.flatnonzero(checking) if not dt * f_bound(r[0, g]) < 0.5}
             for cols, buf in zip(slices, bufs):
-                for run, prop, explicit, comp, scomp in runs:
+                for run, prop, explicit in runs:
                     step_run(prop, explicit, buf[:, run],
-                             [part(x, run, 1)[..., cols] for x in factors], comp, scomp)
+                             [part(x, run)[..., cols] for x in factors])
             news = [buf[:K] for buf in bufs]
-            r[1:K + 1] = np.max([np.abs(new).max(axis=(2, 3)) for new in news], axis=0)
+            r[1:K + 1] = np.max([np.maximum(new.max(axis=(2, 3)), -new.min(axis=(2, 3)))
+                                 for new in news], axis=0)
             finite = np.isfinite(r[1:K + 1])
             for g in np.flatnonzero(checking):
                 # the left states group g checks: those of the steps before its blow-up

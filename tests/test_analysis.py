@@ -399,11 +399,11 @@ class TestCoupledEnsembles:
         u0_b = spec.u0 + 0.1 * spec.A.eigenvectors[:, 1]
         report = contraction_experiment(spec, u0_b, 6, 17, dt=2.0**-4)
         assert report.summary["mean_sq"].tolist() == [
-            0.010000000000000002, 9.405502979089324e-05, 2.0956337011382744e-06,
-            3.472600196531088e-07, 9.721593593604015e-08]
+            0.010000000000000002, 9.405502979089322e-05, 2.095633701138269e-06,
+            3.4726001965310657e-07, 9.721593593603986e-08]
         assert report.summary["stderr"].tolist() == [
-            0.0, 8.590420515156977e-07, 4.657214532284441e-08, 1.4394992474417491e-08,
-            4.645134756116092e-09]
+            0.0, 8.590420515156863e-07, 4.657214532284711e-08, 1.4394992474418957e-08,
+            4.645134756116505e-09]
         spec1, spec2, delta = additive_pair(n=5)
         spec1, spec2 = spec1.with_data(T=0.25), spec2.with_data(T=0.25)
         report = stability_estimate_experiment(spec1, spec2, 6, 17, dt=2.0**-4)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -37,9 +38,11 @@ def noise_for(spec, dt, seed=0):
 
 # ---------------------------------------------------------------------------
 # Reference stepper: the plain loop step_ensemble must reproduce bit for bit.
-# It projects the noise factors every step, evaluates dt * max|f'(u)| every
-# step until it warns, checks isfinite for blow-up, and evaluates f by
-# Horner's rule on fresh arrays.
+# It projects the noise factors every step and forms the increment as
+# u * scale + base, evaluates dt * max|f'(u)| every step until it warns,
+# checks isfinite for blow-up, and evaluates f by textbook Horner's rule on
+# fresh arrays.  The increment's earlier association, which moves the last
+# bits, is kept as a tolerance oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -83,9 +86,9 @@ def reference_step_ensemble(spec, dW, counts, config):
                         StiffnessWarning, stacklevel=2)
                     warned = True
             fu = reference_polynomial(f, U)
-            inc = b_base @ dW[:, n, :].T + U * (dW[:, n, :] @ b_scale)
-            inc += g_base @ counts[:, n, :].T + U * (counts[:, n, :] @ g_scale)
-            inc -= g_comp[:, None] + s_comp * U
+            base = b_base @ dW[:, n, :].T + g_base @ counts[:, n, :].T - g_comp[:, None]
+            scale = dW[:, n, :] @ b_scale + counts[:, n, :] @ g_scale - s_comp
+            inc = U * scale + base
             if explicit:
                 U = prop @ U - dt * fu + inc
             else:
@@ -97,6 +100,53 @@ def reference_step_ensemble(spec, dW, counts, config):
                     step=n + 1, time=t)
             states[:, n + 1, :] = U.T
     return states
+
+
+def old_association_oracle(spec, dW, counts, config):
+    """States (M, N+1, n) of the increment in its earlier association,
+    (b + U s_b) + (g + U s_g) - (comp + s_comp U), and a bound (M, N+1) on each
+    member's distance |.|_2 at each node from the states of base + U scale.
+
+    First order in eps, per member: each association is within 4 eps mag of the
+    exact increment (five terms, mag = |b| + |g| + |comp| + |U| (|s_b| + |s_g| +
+    |s_comp|)); the rest of a step, the same operations on inputs that differ,
+    rounds each run by at most (n + 3) eps |P| (|U| + dt |F(U)| + |inc|); and the
+    step map is Lipschitz with lam = |P|_2 max|1 - dt f'(U) + scale| (implicit forms)
+    or the lesser of |P|_2 + max|dt f'(U) - scale| and max|1 - dt f'(U) + scale| +
+    |I - P|_2 (explicit, P + diag(scale - dt f'(U)) written two ways).  So e_0 = 0 and
+    e_{k+1} <= lam e_k + r_k: relative to |U|, the bound is a sum over the steps of
+    eps times a condition number r_k / (eps |U|) of one step, amplified by the
+    product of lam, so it grows with the step count and the conditioning.
+    """
+    members, steps = dW.shape[:2]
+    dt, eps, n = config.dt, np.finfo(float).eps, spec.A.dim
+    explicit = config.scheme == "yosida_explicit"
+    prop = _propagator(spec.A, config)
+    norm_p, norm_abs_p = np.linalg.norm(prop, 2), np.linalg.norm(np.abs(prop), 2)
+    norm_rest = np.linalg.norm(np.eye(n) - prop, 2)
+    f, fprime = spec.F.coefficients, spec.F.derivative_coefficients()
+    mark_w = spec.marks.weight_array
+    g_comp = dt * (spec.G.base @ mark_w)[:, None]
+    s_comp = dt * float(spec.G.state_scale @ mark_w)
+    U = np.repeat(spec.u0[:, None], members, axis=1)
+    states, bound = np.empty((members, steps + 1, n)), np.zeros((members, steps + 1))
+    states[:, 0] = spec.u0
+    for k in range(steps):
+        b, g = spec.B.base @ dW[:, k].T, spec.G.base @ counts[:, k].T
+        s_b, s_g = dW[:, k] @ spec.B.state_scale, counts[:, k] @ spec.G.state_scale
+        inc = (b + U * s_b) + (g + U * s_g) - (g_comp + s_comp * U)
+        mag = abs(b) + abs(g) + abs(g_comp) + abs(U) * (abs(s_b) + abs(s_g) + abs(s_comp))
+        fu = dt * reference_polynomial(f, U)
+        slope = dt * reference_polynomial(fprime, U) - (s_b + s_g - s_comp)
+        lam = abs(1.0 - slope).max(axis=0)
+        lam = (np.minimum(norm_p + abs(slope).max(axis=0), lam + norm_rest) if explicit
+               else norm_p * lam)
+        norms = [np.linalg.norm(x, axis=0) for x in (mag, U, fu, inc)]
+        r = 8 * eps * norms[0] + 2 * (n + 3) * eps * norm_abs_p * sum(norms[1:])
+        bound[:, k + 1] = lam * bound[:, k] + r
+        U = prop @ U - fu + inc if explicit else prop @ (U - fu + inc)
+        states[:, k + 1] = U.T
+    return states, bound
 
 
 def stepper_outcome(stepper, spec, dW, counts, config):
@@ -130,6 +180,9 @@ def assert_same_outcome(spec, dW, counts, config):
     else:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if not (spec.B.additive and spec.G.additive):
+            old, bound = old_association_oracle(spec, dW, counts, config)
+            assert (np.linalg.norm(got - old, axis=2) <= bound).all()
     return want, want_warnings
 
 
@@ -305,6 +358,24 @@ class TestStepperBitIdentity:
             assert into is buf and buf.tobytes() == np.asarray(want).tobytes()
         if len(coefficients) == 1:
             assert np.array_equal(f(u), np.full(u.shape, coefficients[0]))
+
+    def test_polynomial_keeps_the_bits_of_textbook_horner_exhaustively(self):
+        # every coefficient tuple of degree 1 to 4 over six values, signed zeros among
+        # them, on inputs with signed zeros, infinities, nan and 1e+-300, each also
+        # negated: skipping the multiply by a leading 1 and the adds of zeros above the
+        # constant term keeps every bit (18,648 cases)
+        values = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-3)
+        u = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 1.0, -1.0,
+                      0.5, 2.5, 3.0, -1e-3])
+        buf = np.empty_like(u)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for degree in range(1, 5):
+                for coefficients in itertools.product(values, repeat=degree + 1):
+                    f = Nonlinearity(coefficients)
+                    for x in (u, -u):
+                        want = reference_polynomial(f.coefficients, x).tobytes()
+                        assert f(x).tobytes() == want, (coefficients, x)
+                        assert f(x, out=buf) is buf and buf.tobytes() == want, (coefficients, x)
 
 
 GROUPS = {
@@ -735,7 +806,7 @@ class TestInPlaceBlocks:
                          ids=["multiplicative", "additive"])
 def test_working_memory_of_a_thousand_member_ensemble(b_scale, g_scale):
     # beyond the returned states, stepping 1000 members of dimension 31 over
-    # 128 steps holds at most 1.8 MiB (1.69 MiB measured multiplicative, 1.20
+    # 128 steps holds at most 1.8 MiB (1.28 MiB measured multiplicative, 1.02
     # additive)
     spec, dW, counts = stepper_case(CUBIC, 31, 1000, 128, b_scale=b_scale, g_scale=g_scale)
     tracemalloc.start()
