@@ -139,10 +139,12 @@ def _mean_stderr(samples: np.ndarray, axis: int = 0):
 
 
 # _coupled_moments reduces the gaps of at least this many nodes at a time
-# rather than padding a one-node block to two columns: two is the fewest that
-# keep the bits of the whole array, and the held array is then no larger than
-# the padded one (holding 3 or 4 raised acceptance's peak RSS by about 1.2 MB,
-# measured with bench/repetition.py on an x86-64 Xeon).
+# rather than padding a one-node block to two columns.  Its (members, pairs,
+# nodes) reduction adds member by member, pairs x nodes wide, as the whole
+# array's does, but one pair's lone column reduces pairwise: two keep the bits,
+# and the held array is then no larger than the padded one (holding 3 or 4
+# raised acceptance's peak RSS by about 1.2 MB, measured with
+# bench/repetition.py on an x86-64 Xeon).
 _HELD_NODES = 2
 
 
@@ -157,13 +159,13 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
     B, G).  This and ``members >= 1`` are checked at the call; nothing is
     sampled until the returned function is called.  It draws one batch of
     ``members`` paths with ``frame``.  A reducer holds the gaps of completed
-    blocks of nodes, (pairs, members, columns), until it holds _HELD_NODES
-    nodes or the last one, and then reduces them with _mean_stderr: two or
-    more columns keep the bits of the moments of the whole (members, nodes)
-    array, a bare column would not, so the held array has at least two
-    columns.  No trajectory or gap array exists.  Within a run each pair's
-    moments are kept in the run memo, keyed on the two spec payloads, grid,
-    dt, seed and members, and a call whose pairs are all held steps nothing.
+    blocks of nodes member-major, (members, pairs, columns), until it holds
+    _HELD_NODES nodes or the last one, and then reduces them over members with
+    _mean_stderr: two or more columns keep the bits of the moments of the whole
+    (members, nodes) array, one pair's bare column would not.  No trajectory
+    or gap array exists.  Within a run each pair's moments are kept in the run
+    memo, keyed on the two spec payloads, grid, dt, seed and members, and a
+    call whose pairs are all held steps nothing.
     """
     if members < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
@@ -179,24 +181,24 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
             return tuple(np.array(rows) for rows in zip(*(memo[key] for key in keys)))
         paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
         mean, se = np.empty((2, len(keys), grid.steps + 1))
-        held, filled, gaps = np.zeros((len(keys), members, 2)), 0, np.empty(0)
+        held, filled, gaps = np.zeros((members, len(keys), 2)), 0, np.empty(0)
 
         def reduce(node, cols, states):
             nonlocal held, filled, gaps
             K = len(states)
             if held.shape[2] < filled + K:      # room for the block after the held nodes
                 held = np.concatenate(
-                    (held[:, :, :filled], np.zeros((len(keys), members, K))), axis=2)
+                    (held[:, :, :filled], np.zeros((members, len(keys), K))), axis=2)
             # the gaps (pairs, w, K, n), contiguous so that sq_norms sums as over a trajectory
             # array, in one buffer that grows to the largest block
             t = states.transpose(1, 3, 0, 2)
             gaps = gaps if gaps.size >= t[1:].size else np.empty(t[1:].size)
             gap = np.subtract(t[:-1], t[1:], out=gaps[:t[1:].size].reshape(t[1:].shape))
-            held[:, cols, filled:filled + K] = frame.space.sq_norms(gap)
+            held[cols, :, filled:filled + K] = frame.space.sq_norms(gap).transpose(1, 0, 2)
             if cols.stop == members:            # the block's last slice
                 filled += K
                 if filled >= _HELD_NODES or node + K > grid.steps:
-                    m, s = _mean_stderr(held, axis=1)
+                    m, s = _mean_stderr(held, axis=0)
                     done = slice(node + K - filled, node + K)
                     mean[:, done], se[:, done] = m[:, :filled], s[:, :filled]
                     filled = 0

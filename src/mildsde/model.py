@@ -67,26 +67,37 @@ class Nonlinearity:
     def linear(cls, slope: float) -> "Nonlinearity":
         return cls((0.0, float(slope)))
 
+    @cached_property
+    def _horner(self) -> tuple:   # __call__'s lead (None if c_N = 1) and (ufunc, operand) steps
+        coeffs = self.coefficients
+        keep_zeros = coeffs[0] == 0.0 and math.copysign(1.0, coeffs[0]) < 0.0   # c_0 = -0.0
+        steps = []
+        for p in range(len(coeffs) - 2, -1, -1):
+            if coeffs[p] != 0.0 or p == 0 or keep_zeros:
+                steps.append((np.add, np.array(coeffs[p])))
+            if p:
+                steps.append((np.multiply, None))   # None: the operand is u
+        return None if coeffs[-1] == 1.0 else np.array(coeffs[-1]), tuple(steps)
+
     def __call__(self, u, out=None):
-        """f(u), into ``out`` if given (an array of u's shape, not u itself), with the bits
-        of textbook Horner x = c_N, x = x u + c_p for p = N-1, ..., 0.  It skips the
-        multiply by a leading c_N of exactly 1 (1 u is u) and, unless c_0 is -0.0, the add
-        of a zero c_p above c_0: x + (-0.0) is x, x + 0.0 only turns -0.0 into +0.0, a
-        zero's sign reaches f only through zeros (0 inf is one nan for either sign), and
-        the add of a c_0 other than -0.0 gives both zeros one result."""
+        """f(u), into ``out`` if given (an array of u's shape, not u itself: ValueError), with
+        the bits of textbook Horner x = c_N, x = x u + c_p for p = N-1, ..., 0, in operations
+        worked out once.  They skip the multiply by a leading c_N of exactly 1 (1 u is u) and,
+        unless c_0 is -0.0, the add of a zero c_p above c_0: x + (-0.0) is x, x + 0.0 only
+        turns -0.0 into +0.0, a zero's sign reaches f only through zeros (0 inf is one nan for
+        either sign), and the add of a c_0 other than -0.0 gives both zeros one result."""
+        if out is not None and out is u:
+            raise ValueError("f(u, out=u) would overwrite u while Horner still reads it")
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u) if out is None else out
         coeffs = self.coefficients
         if len(coeffs) < 2:
             out[...] = coeffs[0] if coeffs else 0.0
             return out
-        keep_zeros = coeffs[0] == 0.0 and math.copysign(1.0, coeffs[0]) < 0.0   # c_0 = -0.0
-        x = u if coeffs[-1] == 1.0 else np.multiply(u, coeffs[-1], out=out)
-        for p in range(len(coeffs) - 2, -1, -1):
-            if coeffs[p] != 0.0 or p == 0 or keep_zeros:
-                x = np.add(x, coeffs[p], out=out)
-            if p:
-                x = np.multiply(x, u, out=out)
+        lead, steps = self._horner
+        x = u if lead is None else np.multiply(u, lead, out)
+        for op, c in steps:
+            x = op(x, u if c is None else c, out)
         return x
 
     def derivative_coefficients(self) -> tuple:

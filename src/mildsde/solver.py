@@ -218,8 +218,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     that bound stays below 1/2 on the group's left states before its blow-up
     is clean (the factor 2 absorbs rounding; an overflow reads as inf); on
     any other, dt * max|f'(u)| is evaluated exactly on all those states.  The
-    first of them, which the steps overwrite, is evaluated before the block
-    steps wherever its own bound reaches 1/2 (below that its value is below 1).
+    bound is evaluated once per block, on r[0] and on (K, G), for all groups.
+    The first left state, which the steps overwrite, is evaluated before the
+    block steps wherever its own bound reaches 1/2 (below that it is below 1).
     yosida_explicit raises ConfigurationError unless
     dt * lam_max / (1 + eps * lam_max) < 2.
     """
@@ -232,7 +233,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
         _require_shared_frame(spec, other)
     members, steps = dW.shape[:2]
     n_groups, n = len(groups), spec.A.dim
-    dt = configs[0].dt
+    dt, dt0 = configs[0].dt, np.array(configs[0].dt)   # dt0: a cheaper ufunc operand
 
     def shared(mats):   # a coefficient that every spec shares is projected once
         return mats[:1] if all(np.array_equal(m, mats[0]) for m in mats) else mats
@@ -249,7 +250,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     fprime = Nonlinearity(F.derivative_coefficients())
     f_bound = Nonlinearity(tuple(abs(c) for c in fprime.coefficients))   # of |f'| on |u| <= r
     # until the group's warning; a constant f' only if it warns at step 0
-    checking = [len(fprime.coefficients) > 1 or dt * f_bound(0.0) >= 1.0] * n_groups
+    checking = np.full(n_groups, len(fprime.coefficients) > 1 or dt * f_bound(0.0) >= 1.0)
     additive = all(s.B.additive and s.G.additive for s in specs)
     b_base, g_base = shared([s.B.base for s in specs]), shared([s.G.base for s in specs])
     b_scale = shared([s.B.state_scale[None] for s in specs])
@@ -305,13 +306,13 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
                 np.matmul(prop, Ui, out=Si)
                 if F.coefficients:
                     F(Ui, out=fu)
-                    fu *= dt
+                    np.multiply(fu, dt0, fu)
                     Si -= fu
                 np.add(Si, inc, out=V)
             else:
                 if F.coefficients:
                     F(Ui, out=Si)
-                    Si *= dt
+                    np.multiply(Si, dt0, Si)
                     np.subtract(Ui, Si, out=Si)
                     Si += inc
                 else:
@@ -340,7 +341,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
             # dt max|f'| on the block's first left state, which its steps overwrite, for
             # each checking group whose bound there reaches 1/2
             first_exact = {g: dt * np.max([np.abs(fprime(buf[-1, g])).max() for buf in bufs])
-                           for g in np.flatnonzero(checking) if not dt * f_bound(r[0, g]) < 0.5}
+                           for g in np.flatnonzero(checking & ~(dt * f_bound(r[0]) < 0.5))}
             for cols, buf in zip(slices, bufs):
                 for run, prop, explicit in runs:
                     step_run(prop, explicit, buf[:, run],
@@ -349,10 +350,11 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
             r[1:K + 1] = np.max([np.maximum(new.max(axis=(2, 3)), -new.min(axis=(2, 3)))
                                  for new in news], axis=0)
             finite = np.isfinite(r[1:K + 1])
-            for g in np.flatnonzero(checking):
+            bound = dt * f_bound(r[:K])   # (K, G), inf where the bound overflows
+            for g in np.flatnonzero(checking & ~(finite & (bound < 0.5)).all(axis=0)):
                 # the left states group g checks: those of the steps before its blow-up
                 m = K if finite[:, g].all() else int(finite[:, g].argmin()) + 1
-                if dt * f_bound(r[:m, g]).max() < 0.5:   # inf where the bound overflows
+                if bound[:m, g].max() < 0.5:
                     continue
                 # the first reads 0 if not evaluated before the steps: it is below 1 then
                 rest = [np.abs(fprime(new[:m - 1, g])).max(axis=(1, 2)) for new in news]

@@ -576,6 +576,66 @@ class TestCoupledMoments:
         assert np.array_equal(se.view(np.int64), want_se.view(np.int64))
         assert (members == 1) == (not se.any())
 
+    @pytest.mark.parametrize("pairs", [1, 2, 5])
+    @pytest.mark.parametrize("filled", [1, 2])
+    @pytest.mark.parametrize("members", [1, 2, 1000])
+    def test_member_major_flush_keeps_the_bits_of_the_pair_major_one(self, pairs, filled,
+                                                                        members):
+        # the held gaps (members, pairs, 2) reduced over members, against the same gaps held
+        # pair-major, (pairs, members, 2), reduced over members: the first ``filled`` columns
+        rng = np.random.default_rng(100 * pairs + 10 * filled + members)
+        for _ in range(20):
+            gaps = rng.standard_normal((members, pairs, 2))**2 * 10.0**rng.integers(-8, 3)
+            held = np.zeros((members, pairs, 2))
+            held[..., :filled] = gaps[..., :filled]
+            got = analysis._mean_stderr(held, axis=0)
+            want = analysis._mean_stderr(np.ascontiguousarray(held.transpose(1, 0, 2)), axis=1)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (pairs, 2)
+                assert g[:, :filled].tobytes() == w[:, :filled].tobytes()
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_moments_keep_the_bits_of_a_pair_major_reducer(self, K, monkeypatch):
+        # blocks of K steps, in slices of 64 and 36 members for K = 1
+        specs = short_pair(1.0)
+        specs.append(specs[0].with_data(u0=specs[0].u0 + 0.1))
+        dt, members = 2.0**-6, 100
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", K * len(specs) * members * 9)
+        mean, se = analysis._coupled_moments(specs[0], specs, dt, 5, members)()
+        want_mean, want_se = pair_major_moments(specs, dt, 5, members)
+        assert mean.shape == (2, 65)
+        assert mean.tobytes() == want_mean.tobytes() and se.tobytes() == want_se.tobytes()
+
+
+def pair_major_moments(specs, dt, seed, members):
+    """The moments of _coupled_moments from its reducer as it held the gaps before,
+    pair-major (pairs, members, columns), reduced over axis 1."""
+    frame, pairs = specs[0], len(specs) - 1
+    grid = TimeGrid(frame.T, round(frame.T / dt))
+    paths = sample_noise_batch(frame.B.q, frame.marks, grid, seed, members)
+    mean, se = np.empty((2, pairs, grid.steps + 1))
+    held, filled = np.zeros((pairs, members, 2)), 0
+
+    def reduce(node, cols, states):
+        nonlocal held, filled
+        K = len(states)
+        if held.shape[2] < filled + K:
+            held = np.concatenate((held[:, :, :filled], np.zeros((pairs, members, K))), axis=2)
+        t = states.transpose(1, 3, 0, 2)   # the gaps (pairs, w, K, n), C-contiguous
+        gap = np.subtract(t[:-1], t[1:], out=np.empty(t[1:].shape))
+        held[:, cols, filled:filled + K] = frame.space.sq_norms(gap)
+        if cols.stop == members:
+            filled += K
+            if filled >= 2 or node + K > grid.steps:
+                m, s = analysis._mean_stderr(held, axis=1)
+                done = slice(node + K - filled, node + K)
+                mean[:, done], se[:, done] = m[:, :filled], s[:, :filled]
+                filled = 0
+
+    step_ensemble(paths.wiener.increments, paths.cell_counts,
+                  tuple((spec, SchemeConfig("exp_euler", dt)) for spec in specs), reduce)
+    return mean, se
+
 
 class TestH2Norm:
     """The H^2 norm sup_t E|u(t)|^2 of an ensemble, as the ensemble mean of |u|^2."""

@@ -38,6 +38,37 @@ class TestNonlinearity:
         F = Nonlinearity((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
         assert F.min_derivative() == pytest.approx(-4.0 / 7.0, abs=1e-14)
 
+    def test_out_may_not_be_the_input(self):
+        # Horner reads u after its first write to out, so f(x, out=x) would give 9, not 6
+        F = Nonlinearity((0.0, -1.0, 0.0, 1.0))
+        x = np.array([2.0])
+        with pytest.raises(ValueError, match="out=u"):
+            F(x, out=x)
+        assert x.tolist() == [2.0] and F(x).tolist() == [6.0]
+
+    @pytest.mark.parametrize("coefficients", [(), (1.5,), (0.0, -1.0, 0.0, 1.0),
+                                              (0.5, 0.0, -2.0)])
+    def test_a_distinct_out_is_returned_with_the_bytes_of_f(self, coefficients):
+        F = Nonlinearity(coefficients)
+        x = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        out = np.full_like(x, np.nan)
+        assert F(x, out=out) is out
+        assert out.tobytes() == F(x).tobytes()
+
+    def test_the_cached_plan_stays_out_of_the_spec_identity(self):
+        # calling F builds its Horner plan once; payload, fingerprint and == do not see it
+        spec, fresh = make_cubic_spec(n=7), make_cubic_spec(n=7)
+        payload, fingerprint = spec.payload(), spec.fingerprint()
+        F = spec.F
+        F(spec.u0)
+        plan = vars(F)["_horner"]
+        F(spec.u0, out=np.empty(7))
+        assert vars(F)["_horner"] is plan and "_horner" not in vars(fresh.F)
+        assert spec.payload() == payload == fresh.payload()
+        assert spec.fingerprint() == fingerprint == fresh.fingerprint()
+        assert F == fresh.F and hash(F) == hash(fresh.F) and repr(F) == repr(fresh.F)
+        assert spec == spec and spec != fresh   # EquationSpec compares by identity
+
 
 def scalar_multiplicative_spec(alpha):
     A = SpectralOperator.diagonal([0.0])

@@ -363,7 +363,8 @@ class TestStepperBitIdentity:
         # every coefficient tuple of degree 1 to 4 over six values, signed zeros among
         # them, on inputs with signed zeros, infinities, nan and 1e+-300, each also
         # negated: skipping the multiply by a leading 1 and the adds of zeros above the
-        # constant term keeps every bit (18,648 cases)
+        # constant term keeps every bit (18,648 cases).  Each instance is called four
+        # times, both ways on u and on -u, so three calls run the plan the first built
         values = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-3)
         u = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 1.0, -1.0,
                       0.5, 2.5, 3.0, -1e-3])
@@ -375,7 +376,9 @@ class TestStepperBitIdentity:
                     for x in (u, -u):
                         want = reference_polynomial(f.coefficients, x).tobytes()
                         assert f(x).tobytes() == want, (coefficients, x)
+                        plan = vars(f)["_horner"]
                         assert f(x, out=buf) is buf and buf.tobytes() == want, (coefficients, x)
+                        assert vars(f)["_horner"] is plan
 
 
 GROUPS = {
@@ -799,6 +802,35 @@ class TestInPlaceBlocks:
     def test_an_explicit_blow_up_in_one_step_blocks(self, order, monkeypatch):
         self.blocks_of(monkeypatch, 1, members=3, n=1)
         TestDataGroups().test_an_explicit_blow_up_beside_an_implicit_group(order)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "yosida_explicit", "mixed"],
+                             ids=["implicit", "explicit", "mixed"])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("kick", [8, 9], ids=["node_9", "node_10"])
+    def test_one_screen_checks_each_group_by_its_own_bound(self, scheme, K, kick, monkeypatch):
+        # four groups under f = -8 u**3 at dt = 1/8, where dt * |f'(u)| = 3 u**2: group 1 alone
+        # is kicked past the 1/2 bound at node kick + 1 (a K = 3 block's first left state
+        # for node 9, its second for node 10) and warns there, while an infinite increment
+        # in the same step blows group 2 up from clean left states; groups 0 and 3 stay clean
+        self.blocks_of(monkeypatch, K, groups=4, members=3, n=1)
+        dt, steps = 0.125, 24
+        spec = EquationSpec(A=SpectralOperator.diagonal([2.0]),
+                            F=Nonlinearity((0.0, 0.0, 0.0, -8.0)),
+                            B=DiffusionCoefficient.constant(np.zeros((1, 3)), np.ones(3)),
+                            G=JumpCoefficient.zero(1), u0=np.array([0.1]), T=steps * dt)
+        bases = ([0.05, 0.0, 0.0], [0.05, 1.0, 0.0], [0.05, 0.0, 1e10], [0.02, 0.0, 0.0])
+        specs = tuple(spec.with_data(B=DiffusionCoefficient.constant(np.array([b]), np.ones(3)),
+                                     u0=np.array([u0]))
+                      for b, u0 in zip(bases, (0.1, 0.12, 0.08, -0.1)))
+        dW = np.zeros((3, steps, 3))
+        dW[..., 0] = np.sqrt(dt) * np.random.default_rng(2).standard_normal((3, steps))
+        dW[1, kick, 1], dW[1, kick + 1, 2] = 0.8, 1e300
+        counts, configs = np.zeros((3, steps, 1)), scheme_configs(scheme, 4, dt)
+        caught, separate = assert_groups_match_reference(spec, specs, dW, counts, configs)
+        assert caught == separate[1] and not separate[0] + separate[2] + separate[3]
+        assert len(caught) == 1 and f"at step {kick + 1}:" in caught[0][1]
+        error = stepper_outcome(reference_step_ensemble, specs[2], dW, counts, configs[2])[0]
+        assert error[0] == kick + 2   # the error the grouped call raised
 
 
 @pytest.mark.parametrize("b_scale,g_scale", [((0.05, -0.02), (0.02, 0.03)),
