@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import EquationSpec, MarkSpace, check_dissipativity_triplet, weighted_norm
-from .noise import (NoiseBatch, TimeGrid, data_rng, poisson_integral, quadratic_mark_sum,
-                    run_memo, sample_jump_table, sample_noise_batch, sample_wiener_rows,
-                    shared_draws, step_sq_integral)
-from .solver import (_BLOCK_VALUES, SchemeConfig, Trajectory, _require_shared_frame,
-                     ito_energy_residual, regularized_coupling_identity, step_ensemble)
+from .noise import (_REL_TOL, NoiseBatch, TimeGrid, data_rng, poisson_integral,
+                    quadratic_mark_sum, run_memo, sample_jump_table, sample_noise_batch,
+                    sample_wiener_rows, shared_draws, step_sq_integral)
+from .solver import (SchemeConfig, Trajectory, _PathSums, ito_energy_residual,
+                     regularized_coupling_identity, step_ensemble)
 from .space import HilbertSpace, SpectralOperator, resolvent_apply, yosida_apply
 from .textio import Record, fmt
 
@@ -170,7 +170,7 @@ def _coupled_moments(frame: EquationSpec, specs, dt: float, seed: int, members: 
     if members < 1:
         raise ConfigurationError(f"ensemble size must be >= 1, got {members}")
     for spec in specs:
-        _require_shared_frame(frame, spec)
+        frame.require_shared_frame(spec)
     grid = _grid(frame.T, dt)
     keys = [("coupled_moments", a.payload(), b.payload(), grid.horizon, grid.steps, dt, seed,
              members) for a, b in zip(specs, specs[1:])]
@@ -228,7 +228,7 @@ def step_sizes(dts, T: float | None = None, minimum: int = 1) -> list:
             raise ConfigurationError(f"dt={d} takes {T / d:.6g} steps over the horizon "
                                      f"T={T}, more than MAX_STEPS = {MAX_STEPS}")
         steps = round(T / d)
-        if steps < 1 or abs(steps * d - T) > 1e-9 * max(T, 1.0):
+        if steps < 1 or abs(steps * d - T) > _REL_TOL * max(T, 1.0):   # step_ensemble's rule
             raise ConfigurationError(f"dt={d} does not divide the horizon T={T} evenly")
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
@@ -245,92 +245,6 @@ def _grid(T: float, dt: float) -> TimeGrid:
 # ---------------------------------------------------------------------------
 # Coupling / uniqueness
 # ---------------------------------------------------------------------------
-
-
-class _PathSums:
-    """The per-path reductions of coupling and weak_residual, collected as the
-    ``reduce`` of one step_ensemble call on ``noise`` (a NoiseBatch of one) in
-    ``groups`` groups of ``spec``: no trajectory is kept.
-
-    Per group g: ``integrability[g]``, the pathwise integral dt * sum over the
-    left states of |F(u)| + |B(u)|_Q^2 + |G(u)|_m^2, and ``weak_terms(g)``,
-    _weak_residual's reductions.  Over groups 0 and 1: ``sq_gap``, the largest
-    |u - v|^2 over the nodes.  A call takes states (K, G, n, 1) of nodes node to
-    node + K - 1 (a block of step_ensemble, or a whole trajectory as one block)
-    and reduces them about _BLOCK_VALUES values at a time.  Every sum runs node
-    by node: np.add.reduce over the rows [carry; block] of one contiguous array
-    of two or more columns adds them in order, so any split of the nodes into
-    blocks gives the same bits.
-
-    For column weights c_k, sum_k c_k |base_k + s_k u|^2 expands to
-    sum_k c_k |base_k|^2 + 2 <u, base (c s)> + |u|^2 sum_k c_k s_k^2.
-    """
-
-    def __init__(self, spec: EquationSpec, noise: NoiseBatch, groups: int = 1):
-        self.spec, self.groups, self.dt, self.steps = spec, groups, noise.grid.dt, noise.grid.steps
-        self.dW, self.counts = noise.wiener.increments[0], noise.cell_counts[0]
-        coeffs, w = (spec.B, spec.G), spec.space.weight
-        cs = [c.weights * c.state_scale for c in coeffs]
-        self.const = w * sum(float((c.base * c.base).sum(axis=0) @ c.weights) for c in coeffs)
-        self.linear = 2.0 * w * sum(c.base @ x for c, x in zip(coeffs, cs))
-        self.square = sum(float(x @ c.state_scale) for c, x in zip(coeffs, cs))
-        # the sums of u, F(u), u (s_B . dW) and u (s_G . dN), each (G, n), of the integrand
-        # (G) and of dW and dN.  Row 0 of the reused block is the carry.
-        n, d, J = spec.A.dim, self.dW.shape[1], self.counts.shape[1]
-        size = groups * (4 * n + 1) + d + J
-        self.block = np.zeros((max(1, _BLOCK_VALUES // size) + 1, size))
-        self.sums = self.block[0]
-        self.ends = np.zeros((2, groups, n))    # u_0 and u_N of each group
-        self.sq_gap = 0.0
-
-    def __call__(self, node, cols, states):
-        spec, space, G, n = self.spec, self.spec.space, self.groups, self.spec.A.dim
-        for first in range(node, node + len(states), len(self.block) - 1):
-            u = states[first - node:first - node + len(self.block) - 1, :, :, 0]
-            if first == 0:
-                self.ends[0] = u[0]
-            if first + len(u) > self.steps:
-                self.ends[1] = u[-1]
-            if G > 1:
-                self.sq_gap = max(self.sq_gap, float(space.sq_norms(u[:, 0] - u[:, 1]).max()))
-            cells = slice(first, min(first + len(u), self.steps))   # those of the left states
-            dW, dN = self.dW[cells], self.counts[cells] - self.dt * spec.marks.weight_array
-            # contiguous (K, G, n): each row's dot products keep their bits in any block
-            x = np.ascontiguousarray(u[:len(dW)])
-            fx = spec.F(x)
-            rows = self.block[1:len(x) + 1]
-            terms = rows[:, :4 * G * n].reshape(len(x), 4, G, n)
-            terms[:, 0], terms[:, 1] = x, fx
-            np.multiply(x, np.einsum("kj,j->k", dW, spec.B.state_scale)[:, None, None],
-                        out=terms[:, 2])
-            np.multiply(x, np.einsum("kj,j->k", dN, spec.G.state_scale)[:, None, None],
-                        out=terms[:, 3])
-            rows[:, 4 * G * n:(4 * n + 1) * G] = (
-                np.sqrt(space.sq_norms(fx)) + self.const + np.einsum("kgi,i->kg", x, self.linear)
-                + self.square * space.sq_norms(x))
-            rows[:, (4 * n + 1) * G:] = np.concatenate((dW, dN), axis=1)
-            self.sums[...] = np.add.reduce(self.block[:len(x) + 1], axis=0)
-
-    @property
-    def integrability(self) -> np.ndarray:
-        """Per group, dt * the sum of the integrand over the left states taken so far."""
-        G, n = self.groups, self.spec.A.dim
-        return self.dt * self.sums[4 * G * n:(4 * n + 1) * G]
-
-    def weak_terms(self, g: int) -> tuple:
-        """The reductions of the weak residual that depend on neither eps nor k_max: dt
-        and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
-        states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n of group g
-        (ValueError unless its integrability is finite)."""
-        if not np.isfinite(self.integrability[g]):
-            raise ValueError("trajectory fails the pathwise integrability check")
-        spec, A, G = self.spec, self.spec.A, self.groups
-        u_sum, f_sum, u_w, u_j = self.sums[:4 * G * A.dim].reshape(4, G, A.dim)[:, g]
-        dW_sum, dN_sum = np.split(self.sums[(4 * A.dim + 1) * G:], [self.dW.shape[1]])
-        # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
-        return (self.dt, A.coords(self.ends[0, g]), A.coords(self.ends[1, g]), A.coords(u_sum),
-                A.coords(f_sum), A.coords(spec.B.base @ dW_sum + u_w),
-                A.coords(spec.G.base @ dN_sum + u_j))
 
 
 def coupling_uniqueness_experiment(spec: EquationSpec, seed: int, dt_list,

@@ -27,7 +27,6 @@ from .errors import BlowUpError, ConfigurationError, HypothesisError
 from .model import (DiffusionCoefficient, EquationSpec, JumpCoefficient, MarkSpace,
                     Nonlinearity, check_dissipativity_triplet)
 from .noise import TimeGrid, data_rng, shared_draws
-from .solver import _explicit_rates
 from .space import SpectralOperator, dirichlet_laplacian
 from .textio import Record, fmt, write_manifest, write_plot_data, write_report
 
@@ -508,12 +507,12 @@ def parse_config(path, only=None) -> RunConfig:
     try:
         if "trotter_kato" in names:
             label, opt = "[experiment.trotter_kato] dt", options["trotter_kato"]
-            _explicit_rates(_trotter_kato_operator(A, opt), opt["dt"], min(opt["epsilons"]))
+            _trotter_kato_operator(A, opt).explicit_rates(opt["dt"], min(opt["epsilons"]))
         if "energy_identity" in names:
             section = "experiment.energy_identity"
             label = _label(section, "dts", sections.get(section, {}))
             opt = options["energy_identity"]
-            _explicit_rates(dirichlet_laplacian(opt["n"]), max(opt["dts"]), 0.0)
+            dirichlet_laplacian(opt["n"]).explicit_rates(max(opt["dts"]), 0.0)
     except ConfigurationError as exc:
         raise ConfigurationError(_message(label, exc)) from None
     output = _read_section("output", sections.get("output", {}), exp_text)

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .space import HilbertSpace, SpectralOperator
 
 __all__ = [
@@ -309,6 +310,20 @@ class EquationSpec:
             T=self.T if T is None else T,
             alpha=self.alpha if alpha is None else alpha,
         )
+
+    def require_shared_frame(self, other: "EquationSpec"):
+        """ConfigurationError unless ``other`` shares A, F, T, the weights q and the marks."""
+        if not (np.array_equal(self.A.eigenvalues, other.A.eigenvalues)
+                and np.array_equal(self.A.eigenvectors, other.A.eigenvectors)):
+            raise ConfigurationError("coupled solutions require a shared operator")
+        if self.F.coefficients != other.F.coefficients or self.F.shift != other.F.shift:
+            raise ConfigurationError("coupled solutions require a shared drift")
+        if self.T != other.T:
+            raise ConfigurationError("coupled solutions require a shared horizon")
+        if not np.array_equal(self.B.q, other.B.q):
+            raise ConfigurationError("coupled solutions require shared covariance weights")
+        if self.marks.atoms != other.marks.atoms or self.marks.weights != other.marks.weights:
+            raise ConfigurationError("coupled solutions require a shared mark space")
 
     def payload(self) -> tuple:
         """The numeric payload, one byte string per array: an exact key of the spec."""

@@ -54,8 +54,8 @@ __all__ = [
 
 SCHEMES = ("exp_euler", "resolvent_implicit", "yosida_explicit")
 
-# values per (K, n, M) block array in step_ensemble and per time chunk of the linear-data drive
-_BLOCK_VALUES = 1 << 15
+# values per step_ensemble (K, n, M) block array, linear-data time chunk and _PathSums reduction
+_BLOCK_VALUES = _SUM_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,48 +122,12 @@ def _validate_noise(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> Ti
     return grid
 
 
-def _explicit_rates(A: SpectralOperator, dt: float, epsilon: float) -> np.ndarray:
-    """The eigenvalues of A_eps (of A itself at epsilon = 0) if an explicit Euler
-    step of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
-    rates = A.yosida_factors(epsilon)
-    peak = dt * float(rates.max())
-    if peak >= 2.0:
-        bound, given = ("dt*lam_max", f"dt={dt}") if epsilon == 0 else (
-            "dt*lam_max/(1+eps*lam_max)", f"dt={dt}, eps={epsilon}")
-        raise ConfigurationError(f"explicit Euler unstable: {bound} = {peak:.3g} >= 2 ({given})")
-    return rates
-
-
-def _propagator(A: SpectralOperator, config: SchemeConfig) -> np.ndarray:
-    """Dense matrix of the scheme's linear one-step map in state coordinates:
-    exp(-dt A), (I + dt A)^{-1} or I - dt A_eps."""
-    V, w, dt = A.eigenvectors, A.space.weight, config.dt
-    if config.scheme == "yosida_explicit":
-        return np.eye(A.dim) - dt * (V * _explicit_rates(A, dt, config.epsilon)) @ (w * V.T)
-    factors = A.semigroup_factors(dt) if config.scheme == "exp_euler" else A.resolvent_factors(dt)
-    return (V * factors) @ (w * V.T)
-
-
-def _require_shared_frame(frame: EquationSpec, spec: EquationSpec):
-    if not (np.array_equal(frame.A.eigenvalues, spec.A.eigenvalues)
-            and np.array_equal(frame.A.eigenvectors, spec.A.eigenvectors)):
-        raise ConfigurationError("coupled solutions require a shared operator")
-    if frame.F.coefficients != spec.F.coefficients or frame.F.shift != spec.F.shift:
-        raise ConfigurationError("coupled solutions require a shared drift")
-    if frame.T != spec.T:
-        raise ConfigurationError("coupled solutions require a shared horizon")
-    if not np.array_equal(frame.B.q, spec.B.q):
-        raise ConfigurationError("coupled solutions require shared covariance weights")
-    if frame.marks.atoms != spec.marks.atoms or frame.marks.weights != spec.marks.weights:
-        raise ConfigurationError("coupled solutions require a shared mark space")
-
-
 def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None):
     """Step M members of the mild form in G (EquationSpec, SchemeConfig) groups at
     once, whose specs share the first one's operator, drift, horizon, covariance
-    weights and mark space and whose configs share one dt (else
-    ConfigurationError; so does a call of no group).  Returns states
-    (G, M, N+1, n), unless ``reduce``.
+    weights and mark space and whose configs share one dt that spans the horizon
+    in the steps of ``dW`` (else ConfigurationError, as for a call of no group or
+    an unstable yosida_explicit step).  Returns states (G, M, N+1, n), unless ``reduce``.
 
     ``dW`` holds the Wiener increments (M, N, d) and ``counts`` the per-cell
     jump counts (M, N, J) of each member, float64 or exact whole numbers in
@@ -221,19 +185,19 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     bound is evaluated once per block, on r[0] and on (K, G), for all groups.
     The first left state, which the steps overwrite, is evaluated before the
     block steps wherever its own bound reaches 1/2 (below that it is below 1).
-    yosida_explicit raises ConfigurationError unless
-    dt * lam_max / (1 + eps * lam_max) < 2.
     """
     specs, configs = tuple(s for s, _ in groups), tuple(c for _, c in groups)
     if len({c.dt for c in configs}) != 1:
         raise ConfigurationError(f"one step_ensemble call takes one or more groups of one dt, "
                                  f"got {configs}")
-    spec = specs[0]
+    spec, A = specs[0], specs[0].A
     for other in specs[1:]:
-        _require_shared_frame(spec, other)
+        spec.require_shared_frame(other)
     members, steps = dW.shape[:2]
-    n_groups, n = len(groups), spec.A.dim
+    n_groups, n = len(groups), A.dim
     dt, dt0 = configs[0].dt, np.array(configs[0].dt)   # dt0: a cheaper ufunc operand
+    if abs(steps * dt - spec.T) > _REL_TOL * max(spec.T, 1.0):
+        raise ConfigurationError(f"{steps} steps of dt={dt} span {steps * dt:.6g}, not T={spec.T}")
 
     def shared(mats):   # a coefficient that every spec shares is projected once
         return mats[:1] if all(np.array_equal(m, mats[0]) for m in mats) else mats
@@ -258,7 +222,9 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
     mark_w = spec.marks.weight_array
     g_comp = np.stack([dt * (base @ mark_w)[:, None] for base in g_base])
     s_comp = np.stack([np.full((1, 1), dt * float(scale[0] @ mark_w)) for scale in g_scale])
-    props = np.stack([_propagator(spec.A, config) for config in configs])
+    props = np.stack([A.explicit_matrix(dt, c.epsilon) if c.scheme == "yosida_explicit" else
+                      (A.semigroup_matrix if c.scheme == "exp_euler" else A.resolvent_matrix)(dt)
+                      for c in configs])
     forms = [c.scheme == "yosida_explicit" for c in configs]   # explicit or not
     edges = [0] + [g for g in range(1, n_groups) if forms[g] != forms[g - 1]] + [n_groups]
     # each run of consecutive groups of one step form: its groups, propagators, explicit or not
@@ -381,8 +347,7 @@ def step_ensemble(dW: np.ndarray, counts: np.ndarray, groups: tuple, reduce=None
 def solve(spec: EquationSpec, noise: NoiseBatch, configs: tuple) -> tuple:
     """One noise path (a NoiseBatch of one) stepped under each config (of one dt,
     in any schemes) by one step_ensemble call; a Trajectory per config, its
-    integrability that of ``analysis._PathSums`` fed the states as one block."""
-    from .analysis import _PathSums   # analysis imports this module
+    integrability that of ``_PathSums`` fed the states as one block."""
     grid = _validate_noise(spec, noise, configs)
     states = step_ensemble(noise.wiener.increments, noise.cell_counts,
                            tuple((spec, config) for config in configs))[:, 0]
@@ -540,3 +505,89 @@ def ito_energy_residual(A: SpectralOperator, g, C, D, noise: NoiseBatch,
     """|lhs - rhs| of ito_energy_terms: the energy identity's defect per member of ``noise``."""
     terms = ito_energy_terms(A, g, C, D, noise, marks)
     return np.abs(terms["lhs"] - terms["rhs"])
+
+
+class _PathSums:
+    """The per-path reductions of coupling and weak_residual, collected as the
+    ``reduce`` of one step_ensemble call on ``noise`` (a NoiseBatch of one) in
+    ``groups`` groups of ``spec``: no trajectory is kept.
+
+    Per group g: ``integrability[g]``, the pathwise integral dt * sum over the
+    left states of |F(u)| + |B(u)|_Q^2 + |G(u)|_m^2, and ``weak_terms(g)``,
+    _weak_residual's reductions.  Over groups 0 and 1: ``sq_gap``, the largest
+    |u - v|^2 over the nodes.  A call takes states (K, G, n, 1) of nodes node to
+    node + K - 1 (a block of step_ensemble, or a whole trajectory as one block)
+    and reduces them about _SUM_VALUES values at a time.  Every sum runs node
+    by node: np.add.reduce over the rows [carry; block] of one contiguous array
+    of two or more columns adds them in order, so any split of the nodes into
+    blocks gives the same bits.
+
+    For column weights c_k, sum_k c_k |base_k + s_k u|^2 expands to
+    sum_k c_k |base_k|^2 + 2 <u, base (c s)> + |u|^2 sum_k c_k s_k^2.
+    """
+
+    def __init__(self, spec: EquationSpec, noise: NoiseBatch, groups: int = 1):
+        self.spec, self.groups, self.dt, self.steps = spec, groups, noise.grid.dt, noise.grid.steps
+        self.dW, self.counts = noise.wiener.increments[0], noise.cell_counts[0]
+        coeffs, w = (spec.B, spec.G), spec.space.weight
+        cs = [c.weights * c.state_scale for c in coeffs]
+        self.const = w * sum(float((c.base * c.base).sum(axis=0) @ c.weights) for c in coeffs)
+        self.linear = 2.0 * w * sum(c.base @ x for c, x in zip(coeffs, cs))
+        self.square = sum(float(x @ c.state_scale) for c, x in zip(coeffs, cs))
+        # the sums of u, F(u), u (s_B . dW) and u (s_G . dN), each (G, n), of the integrand
+        # (G) and of dW and dN.  Row 0 of the reused block is the carry.
+        n, d, J = spec.A.dim, self.dW.shape[1], self.counts.shape[1]
+        size = groups * (4 * n + 1) + d + J
+        self.block = np.zeros((max(1, _SUM_VALUES // size) + 1, size))
+        self.sums = self.block[0]
+        self.ends = np.zeros((2, groups, n))    # u_0 and u_N of each group
+        self.sq_gap = 0.0
+
+    def __call__(self, node, cols, states):
+        spec, space, G, n = self.spec, self.spec.space, self.groups, self.spec.A.dim
+        for first in range(node, node + len(states), len(self.block) - 1):
+            u = states[first - node:first - node + len(self.block) - 1, :, :, 0]
+            if first == 0:
+                self.ends[0] = u[0]
+            if first + len(u) > self.steps:
+                self.ends[1] = u[-1]
+            if G > 1:
+                self.sq_gap = max(self.sq_gap, float(space.sq_norms(u[:, 0] - u[:, 1]).max()))
+            cells = slice(first, min(first + len(u), self.steps))   # those of the left states
+            dW, dN = self.dW[cells], self.counts[cells] - self.dt * spec.marks.weight_array
+            # contiguous (K, G, n): each row's dot products keep their bits in any block
+            x = np.ascontiguousarray(u[:len(dW)])
+            fx = spec.F(x)
+            rows = self.block[1:len(x) + 1]
+            terms = rows[:, :4 * G * n].reshape(len(x), 4, G, n)
+            terms[:, 0], terms[:, 1] = x, fx
+            np.multiply(x, np.einsum("kj,j->k", dW, spec.B.state_scale)[:, None, None],
+                        out=terms[:, 2])
+            np.multiply(x, np.einsum("kj,j->k", dN, spec.G.state_scale)[:, None, None],
+                        out=terms[:, 3])
+            rows[:, 4 * G * n:(4 * n + 1) * G] = (
+                np.sqrt(space.sq_norms(fx)) + self.const + np.einsum("kgi,i->kg", x, self.linear)
+                + self.square * space.sq_norms(x))
+            rows[:, (4 * n + 1) * G:] = np.concatenate((dW, dN), axis=1)
+            self.sums[...] = np.add.reduce(self.block[:len(x) + 1], axis=0)
+
+    @property
+    def integrability(self) -> np.ndarray:
+        """Per group, dt * the sum of the integrand over the left states taken so far."""
+        G, n = self.groups, self.spec.A.dim
+        return self.dt * self.sums[4 * G * n:(4 * n + 1) * G]
+
+    def weak_terms(self, g: int) -> tuple:
+        """The reductions of the weak residual that depend on neither eps nor k_max: dt
+        and, in eigen-coordinates, u_0, u_N, the sums of u_n and F(u_n) over the left
+        states and the noise totals sum_n B(u_n) dW_n and sum_n G(u_n) dN_n of group g
+        (ValueError unless its integrability is finite)."""
+        if not np.isfinite(self.integrability[g]):
+            raise ValueError("trajectory fails the pathwise integrability check")
+        spec, A, G = self.spec, self.spec.A, self.groups
+        u_sum, f_sum, u_w, u_j = self.sums[:4 * G * A.dim].reshape(4, G, A.dim)[:, g]
+        dW_sum, dN_sum = np.split(self.sums[(4 * A.dim + 1) * G:], [self.dW.shape[1]])
+        # sum_n (base + u_n (x) scale) dX_n = base sum_n dX_n + sum_n u_n (scale . dX_n)
+        return (self.dt, A.coords(self.ends[0, g]), A.coords(self.ends[1, g]), A.coords(u_sum),
+                A.coords(f_sum), A.coords(spec.B.base @ dW_sum + u_w),
+                A.coords(spec.G.base @ dN_sum + u_j))

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "HilbertSpace",
     "SpectralOperator",
@@ -121,10 +123,13 @@ class SpectralOperator:
     def dim(self) -> int:
         return self.space.dim
 
+    def _synthesis(self, factors) -> np.ndarray:   # dense V diag(factors) (weight V^T)
+        return (self.eigenvectors * factors) @ (self.space.weight * self.eigenvectors.T)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense coordinate representation V diag(lam) (weight V^T)."""
-        return (self.eigenvectors * self.eigenvalues) @ (self.space.weight * self.eigenvectors.T)
+        return self._synthesis(self.eigenvalues)
 
     def coords(self, x) -> np.ndarray:
         """Eigenbasis coordinates <x, e_k>; batched over leading axes."""
@@ -154,9 +159,27 @@ class SpectralOperator:
     def resolvent_matrix(self, epsilon: float) -> np.ndarray:
         """Dense (I + eps A)^(-1); symmetric, handy for mollifying stacked data."""
         _check_epsilon(epsilon)
-        return (self.eigenvectors * self.resolvent_factors(epsilon)) @ (
-            self.space.weight * self.eigenvectors.T
-        )
+        return self._synthesis(self.resolvent_factors(epsilon))
+
+    def semigroup_matrix(self, t: float) -> np.ndarray:
+        """Dense exp(-t A)."""
+        return self._synthesis(self.semigroup_factors(t))
+
+    def explicit_rates(self, dt: float, epsilon: float) -> np.ndarray:
+        """The eigenvalues of A_eps (of A itself at epsilon = 0) if an explicit Euler
+        step of size dt is stable for them (dt * lam_max < 2), else ConfigurationError."""
+        rates = self.yosida_factors(epsilon)
+        peak = dt * float(rates.max())
+        if peak >= 2.0:
+            expr, given = ("dt*lam_max", f"dt={dt}") if epsilon == 0 else (
+                "dt*lam_max/(1+eps*lam_max)", f"dt={dt}, eps={epsilon}")
+            raise ConfigurationError(f"explicit Euler unstable: {expr} = {peak:.3g} >= 2 ({given})")
+        return rates
+
+    def explicit_matrix(self, dt: float, epsilon: float) -> np.ndarray:
+        """Dense I - dt A_eps, the explicit Euler step map (explicit_rates checks it)."""
+        V, w = self.eigenvectors, self.space.weight
+        return np.eye(self.dim) - dt * (V * self.explicit_rates(dt, epsilon)) @ (w * V.T)
 
     def __repr__(self):
         return (

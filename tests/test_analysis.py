@@ -701,7 +701,7 @@ def whole_path_reductions(spec, left, dW, dN, dt):
 def stepped_path_sums(spec, noise, configs):
     """_PathSums of one step_ensemble call in the groups ``configs``, the states
     (nodes, G, n) it took and the step of a BlowUpError (None without one)."""
-    sums, fed = analysis._PathSums(spec, noise, len(configs)), []
+    sums, fed = solver._PathSums(spec, noise, len(configs)), []
 
     def reduce(node, cols, states):
         fed.append(states[..., 0].copy())
@@ -720,10 +720,10 @@ def assert_same_bits(a, b):
 
 
 class TestPathSums:
-    # (solver._BLOCK_VALUES, analysis._BLOCK_VALUES): one-step blocks and one-row
+    # (solver._BLOCK_VALUES, solver._SUM_VALUES): one-step blocks and one-row
     # sums; blocks of 5 steps (37 = 7 x 5 + 2, an uneven tail) summed 3 rows at a
     # time; the shipped sizes
-    BLOCKS = [(1, 1), (5 * 2 * 7, 3 * 62), (solver._BLOCK_VALUES, solver._BLOCK_VALUES)]
+    BLOCKS = [(1, 1), (5 * 2 * 7, 3 * 62), (solver._BLOCK_VALUES, solver._SUM_VALUES)]
 
     def test_agrees_with_the_whole_path_formulas_on_any_blocks(self, monkeypatch):
         spec = make_cubic_spec(n=7, multiplicative=True)
@@ -736,7 +736,7 @@ class TestPathSums:
         runs = []
         for stepped, summed in self.BLOCKS:
             monkeypatch.setattr(solver, "_BLOCK_VALUES", stepped)
-            monkeypatch.setattr(analysis, "_BLOCK_VALUES", summed)
+            monkeypatch.setattr(solver, "_SUM_VALUES", summed)
             sums, states, blow_up = stepped_path_sums(spec, noise, configs)
             assert blow_up is None and len(states) == grid.steps + 1
             for g in range(2):
@@ -784,7 +784,7 @@ class TestPathSums:
         steps, reduced = set(), []
         for stepped, summed in [(1, 1), (6 * 2, 3 * 13), self.BLOCKS[-1]]:
             monkeypatch.setattr(solver, "_BLOCK_VALUES", stepped)
-            monkeypatch.setattr(analysis, "_BLOCK_VALUES", summed)
+            monkeypatch.setattr(solver, "_SUM_VALUES", summed)
             sums, states, blow_up = stepped_path_sums(spec, noise, configs)
             steps.add(blow_up)
             assert len(states) <= blow_up    # every reduced node is a left state
@@ -794,7 +794,7 @@ class TestPathSums:
                 integrability = [whole_path_reductions(spec, states[:, g], dW[cells], dN[cells],
                                                        grid.dt)[1] for g in range(2)]
                 np.testing.assert_allclose(sums.integrability, integrability, rtol=1e-13)
-                again = analysis._PathSums(spec, noise, 2)
+                again = solver._PathSums(spec, noise, 2)
                 again(0, slice(0, 1), states[..., None])
             assert_same_bits(sums, again)
         assert steps == {16} and reduced == [16, 13, 1]
@@ -1133,3 +1133,15 @@ class TestReportSerialization:
         rows = [rec for rec in report.rows if rec.label == "mean_sq_gap"]
         assert len(rows) == report.summary["times"].size
         assert all(rec.verdict in (PASS, "FAIL") for rec in rows)
+
+
+def test_step_sizes_divide_the_horizon_by_the_rule_of_step_ensemble():
+    # the parse-time rule is step_ensemble's, 1e-12 * max(T, 1): a horizon 2e-11 off
+    # the grid is refused when the config is read, not when the experiment steps it
+    assert analysis.step_sizes([2.0**-7], 0.25) == [2.0**-7]
+    with pytest.raises(ConfigurationError, match="does not divide the horizon"):
+        analysis.step_sizes([2.0**-7], 0.25 + 2e-11)
+    spec = make_cubic_spec(n=3).with_data(T=0.25 + 2e-11)
+    zeros = np.zeros((1, 32, 2))   # d = J = 2
+    with pytest.raises(ConfigurationError, match="span 0.25, not T=0.25000000002"):
+        step_ensemble(zeros, zeros, ((spec, SchemeConfig("exp_euler", 2.0**-7)),))

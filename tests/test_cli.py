@@ -1,4 +1,6 @@
 import configparser
+import ctypes
+import glob
 import hashlib
 import importlib
 import importlib.util
@@ -336,8 +338,8 @@ def _bench_spans(monkeypatch):
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):
-    # the tracer wraps these names from outside the package, so deleting or
-    # renaming one breaks every traced benchmark run
+    # the tracer wraps these names from outside the package; it records a deleted or
+    # renamed one as missing, and that layer silently drops out of the traced metrics
     for target in _bench_spans(monkeypatch).TARGETS:
         module = importlib.import_module(target.module)
         assert hasattr(module, target.attr), f"{target.module}.{target.attr}"
@@ -350,6 +352,19 @@ def test_benchmark_margin_key_reads_the_shipped_equation(monkeypatch, source):
     assert key[0] == spec.fingerprint()
 
 
+def blas_kernel() -> str:
+    """numpy's version and the core name of its bundled scipy-openblas library (read
+    as the tier-1 CI step reads it; "unknown" without that library): the digests hold
+    for one numpy build and one BLAS kernel class."""
+    libs = glob.glob(np.__path__[0] + ".libs/libscipy_openblas64_*.so")
+    core = "unknown"
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return f"numpy {np.__version__}, OpenBLAS core {core}"
+
+
 def assert_recorded_digests(config_path, digests_name, output_dir):
     """Run a config at its seed into ``output_dir``; every artifact's SHA-256 must equal
     the list recorded in ``tests/<digests_name>`` (sha256sum format), and each report's
@@ -360,7 +375,7 @@ def assert_recorded_digests(config_path, digests_name, output_dir):
     assert cfg.seed == 20260809
     assert run(cfg) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in output_dir.iterdir()}
-    assert written == recorded
+    assert written == recorded, f"artifact digests differ under {blas_kernel()}"
     manifest = dict(line.split(" = ", 1)
                     for line in (output_dir / "manifest.txt").read_text().splitlines()[1:])
     for path in output_dir.glob("*.report.txt"):

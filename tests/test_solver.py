@@ -14,10 +14,10 @@ from mildsde.noise import (POISSON_SEED_OFFSET, NoiseBatch, PoissonPath, TimeGri
                            coarsen_wiener, quadratic_mark_sum, sample_noise_batch, sample_poisson,
                            sample_wiener)
 from mildsde import solver
-from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, _propagator, ito_energy_residual,
-                            ito_energy_terms, regularized_coupling_identity, solve,
-                            solve_exp_euler, solve_linear_data, solve_resolvent_implicit,
-                            solve_yosida_explicit, step_ensemble)
+from mildsde.solver import (_BLOCK_VALUES, SchemeConfig, ito_energy_residual, ito_energy_terms,
+                            regularized_coupling_identity, solve, solve_exp_euler,
+                            solve_linear_data, solve_resolvent_implicit, solve_yosida_explicit,
+                            step_ensemble)
 from mildsde.space import SpectralOperator, dirichlet_laplacian, resolvent_apply
 
 from conftest import make_cubic_spec, make_linear_spec
@@ -56,11 +56,21 @@ def reference_polynomial(coefficients, u):
     return out
 
 
+def reference_step_map(A, config):
+    """The scheme's linear one-step map written out from A's eigenpairs, apart from
+    the operator's own maps: exp(-dt A), (I + dt A)^{-1} or I - dt A_eps."""
+    V, w, lam, dt = A.eigenvectors, A.space.weight, A.eigenvalues, config.dt
+    if config.scheme == "yosida_explicit":
+        return np.eye(A.dim) - dt * (V * (lam / (1.0 + config.epsilon * lam))) @ (w * V.T)
+    factors = np.exp(-dt * lam) if config.scheme == "exp_euler" else 1.0 / (1.0 + dt * lam)
+    return (V * factors) @ (w * V.T)
+
+
 def reference_step_ensemble(spec, dW, counts, config):
     members, steps = dW.shape[:2]
     dt = config.dt
     explicit = config.scheme == "yosida_explicit"
-    prop = _propagator(spec.A, config)
+    prop = reference_step_map(spec.A, config)
     f = spec.F.coefficients
     fprime = spec.F.derivative_coefficients()
     drift_varies = len(fprime) > 1
@@ -121,7 +131,7 @@ def old_association_oracle(spec, dW, counts, config):
     members, steps = dW.shape[:2]
     dt, eps, n = config.dt, np.finfo(float).eps, spec.A.dim
     explicit = config.scheme == "yosida_explicit"
-    prop = _propagator(spec.A, config)
+    prop = reference_step_map(spec.A, config)
     norm_p, norm_abs_p = np.linalg.norm(prop, 2), np.linalg.norm(np.abs(prop), 2)
     norm_rest = np.linalg.norm(np.eye(n) - prop, 2)
     f, fprime = spec.F.coefficients, spec.F.derivative_coefficients()
@@ -998,9 +1008,9 @@ class TestYosidaExplicit:
     def test_epsilon_zero_refuses_dt_lam_max_of_two(self):
         A = SpectralOperator.diagonal([1.0, 4.0])
         with pytest.raises(ConfigurationError) as refused:
-            solver._explicit_rates(A, 0.5, 0.0)
+            A.explicit_rates(0.5, 0.0)
         assert str(refused.value) == "explicit Euler unstable: dt*lam_max = 2 >= 2 (dt=0.5)"
-        assert np.array_equal(solver._explicit_rates(A, np.nextafter(0.5, 0.0), 0.0),
+        assert np.array_equal(A.explicit_rates(np.nextafter(0.5, 0.0), 0.0),
                               A.eigenvalues)
         spec = noise_free_spec(A, np.ones(2), T=1.0)
         with pytest.raises(ConfigurationError, match=r"dt\*lam_max = 2 >= 2"):
@@ -1043,6 +1053,20 @@ class TestTrajectoryContracts:
             with pytest.raises(BlowUpError) as err:
                 solve_exp_euler(spec, noise_for(spec, 2.0**-3), 2.0**-3)
         assert err.value.step >= 1
+
+    def test_refuses_steps_that_do_not_span_the_horizon(self):
+        # 40 steps of dt = 0.5 span 20, not T = 1: stepped, this cubic blew up at step 6,
+        # which the spec.T / steps formula put at t = 0.15 instead of 3.0
+        spec = EquationSpec(A=dirichlet_laplacian(3), F=Nonlinearity((0.0, 0.0, 0.0, 50.0)),
+                            B=DiffusionCoefficient.zero(3), G=JumpCoefficient.zero(3),
+                            u0=np.full(3, 3.0), T=1.0)
+        zeros = np.zeros((1, 40, 1))
+        with pytest.raises(ConfigurationError,
+                           match=r"^40 steps of dt=0\.5 span 20, not T=1\.0$"):
+            step_ensemble(zeros, zeros, ((spec, SchemeConfig("exp_euler", 0.5)),))
+        linear = spec.with_data(F=Nonlinearity.zero())   # two steps span T
+        config = SchemeConfig("exp_euler", 0.5)
+        assert step_ensemble(zeros[:, :2], zeros[:, :2], ((linear, config),)).shape == (1, 1, 3, 3)
 
     def test_stiffness_warning_on_marginal_step(self):
         A = SpectralOperator.diagonal([0.0])
@@ -1443,6 +1467,34 @@ class TestSchemeDispatch:
             solve(spec, noise, (SchemeConfig("unknown", dt),))
         with pytest.raises(ConfigurationError):
             solve(spec, noise, (SchemeConfig("yosida_explicit", dt),))  # needs an epsilon
+
+
+STEP_MAP_OPERATORS = {"laplacian": dirichlet_laplacian(31),
+                      "diagonal": SpectralOperator.diagonal([0.0, 1.5, 40.0], weight=0.25)}
+
+
+class TestStepMaps:
+    """Each operator map keeps the bits of reference_step_map, written from the eigenpairs."""
+
+    @pytest.mark.parametrize("operator", STEP_MAP_OPERATORS)
+    # dt is no power of two, so that a product taken in another order shows in the bits
+    @pytest.mark.parametrize("config", [SchemeConfig("exp_euler", 3e-4),
+                                        SchemeConfig("resolvent_implicit", 3e-4),
+                                        SchemeConfig("yosida_explicit", 3e-4, 0.0),
+                                        SchemeConfig("yosida_explicit", 3e-4, 1e-3)],
+                             ids=["exp_euler", "resolvent_implicit", "explicit_eps0", "yosida"])
+    def test_maps_keep_the_bits_of_the_eigenpair_expressions(self, operator, config):
+        A, dt = STEP_MAP_OPERATORS[operator], config.dt
+        got = {"exp_euler": lambda: A.semigroup_matrix(dt),
+               "resolvent_implicit": lambda: A.resolvent_matrix(dt),
+               "yosida_explicit": lambda: A.explicit_matrix(dt, config.epsilon)}[config.scheme]()
+        want = reference_step_map(A, config)
+        assert got.tobytes() == want.tobytes()
+        # one noise-free step of step_ensemble from u0 is the map applied to u0
+        u0 = np.linspace(-1.0, 1.0, A.dim)
+        states = step_ensemble(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+                               ((noise_free_spec(A, u0, T=dt), config),))
+        assert states[0, 0, 1].tobytes() == (want @ u0[:, None])[:, 0].tobytes()
 
 
 class TestLinearDataValidation:
