@@ -57,6 +57,7 @@ _ISOMETRY_REL_TOL = 0.05        # isometry checks: relative error of the second 
 _CONTINUITY_FACTOR = 5.0        # stability: largest change of N between adjacent times
 _COUPLED_SCHEME = "exp_euler"   # the scheme of the contraction, stability, cauchy ensembles
 _BOUND_SLACK = 1e-9             # yosida_coupling_bound: relative and absolute slack
+_IDENTITY_TOL = 1e-9            # exact identities: largest deviation that PASSes
 
 # The most steps a grid may take over its horizon: 256 times the finest shipped grid.
 MAX_STEPS = 2**20
@@ -638,13 +639,12 @@ def yosida_coupling_bound(spec: EquationSpec, u0_b, seed: int, *,
 # ---------------------------------------------------------------------------
 
 
-def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
-                            tol: float = 1e-9) -> ExperimentReport:
+def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int) -> ExperimentReport:
     """Randomized check of the resolvent/Yosida algebra on one operator.
 
     Verifies, over random (eps, x): the Yosida difference-quotient identity,
-    the resolvent identity, the resolvent contraction, and the monotonicity
-    of the regularized operator.
+    the resolvent identity and the resolvent contraction, each within
+    _IDENTITY_TOL, and the monotonicity of the regularized operator.
     """
     if trials < 1:
         raise ConfigurationError(f"resolvent algebra check needs trials >= 1, got {trials}")
@@ -666,11 +666,12 @@ def resolvent_algebra_check(A: SpectralOperator, trials: int, seed: int,
         dev_contraction = max(dev_contraction, space.norm(jx) - space.norm(x))
         min_inner = min(min_inner, space.inner(ax, x))
     rows = (
-        Record("yosida_identity_dev", "-", dev_yosida, 0.0, PASS if dev_yosida <= tol else FAIL),
+        Record("yosida_identity_dev", "-", dev_yosida, 0.0,
+               PASS if dev_yosida <= _IDENTITY_TOL else FAIL),
         Record("resolvent_identity_dev", "-", dev_resolvent, 0.0,
-               PASS if dev_resolvent <= tol else FAIL),
+               PASS if dev_resolvent <= _IDENTITY_TOL else FAIL),
         Record("contraction_excess", "-", dev_contraction, 0.0,
-               PASS if dev_contraction <= tol else FAIL),
+               PASS if dev_contraction <= _IDENTITY_TOL else FAIL),
         Record("min_monotonicity_inner", "-", min_inner, 0.0,
                PASS if min_inner >= -1e-12 else FAIL),
     )
@@ -755,10 +756,10 @@ def compensator_experiment(D, marks: MarkSpace, grid: TimeGrid, paths: int, seed
 
 def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
                                        instances: int, seed: int, *, dt: float, T: float,
-                                       epsilon: float, tol: float = 1e-9) -> ExperimentReport:
+                                       epsilon: float) -> ExperimentReport:
     """Max residual of the exact regularization identity over random data
-    (standard normal g, C and D); instance i is solved on member i of one
-    NoiseBatch; the data draw from ``data_rng(seed)``."""
+    (standard normal g, C and D), PASS within _IDENTITY_TOL; instance i is
+    solved on member i of one NoiseBatch; the data draw from ``data_rng(seed)``."""
     grid = _grid(T, dt)
     rng, shape = data_rng(seed), (grid.steps, A.dim)
     q = np.asarray(q, dtype=float)
@@ -771,7 +772,7 @@ def regularization_identity_experiment(A: SpectralOperator, marks: MarkSpace, q,
         for scheme in worst:
             worst[scheme] = max(worst[scheme], regularized_coupling_identity(
                 A, g, C, D, batch.rows(i, i + 1), marks, epsilon, scheme))
-    rows = tuple(Record("max_residual", f"scheme={s}", v, 0.0, PASS if v <= tol else FAIL)
+    rows = tuple(Record("max_residual", f"scheme={s}", v, 0.0, PASS if v <= _IDENTITY_TOL else FAIL)
                  for s, v in worst.items())
     return ExperimentReport("regularization_identity", rows, summary=dict(worst))
 

@@ -186,9 +186,13 @@ def _equation(values: dict, A: SpectralOperator) -> EquationSpec:
 # ---------------------------------------------------------------------------
 
 
+_ISOMETRY_AMPLITUDE = 0.5  # scale of the standard normal isometry integrands
+_DB_AMP = 0.05             # stability and cauchy: scale of the level-0 change to B
+
+
 def _exp_resolvent_algebra(cfg: RunConfig):
-    opt = cfg.options["resolvent_algebra"]
-    return analysis.resolvent_algebra_check(cfg.equation.A, opt["trials"], cfg.seed, opt["tol"])
+    return analysis.resolvent_algebra_check(cfg.equation.A,
+                                            cfg.options["resolvent_algebra"]["trials"], cfg.seed)
 
 
 def _trotter_kato_operator(A: SpectralOperator, opt: dict) -> SpectralOperator:
@@ -215,7 +219,7 @@ def _isometry(name: str, experiment, coefficient: str):
         grid = TimeGrid(opt["t"], opt["steps"])
         # member 0's Wiener path draws from default_rng(seed), its jump path does not
         rng = data_rng(cfg.seed) if coefficient == "B" else np.random.default_rng(cfg.seed)
-        integrand = opt["amplitude"] * rng.standard_normal(
+        integrand = _ISOMETRY_AMPLITUDE * rng.standard_normal(
             (grid.steps, eq.A.dim, getattr(eq, coefficient).shape[1]))
         noise = eq.B.q if coefficient == "B" else eq.marks
         return experiment(integrand, noise, grid, opt["paths"], cfg.seed, eq.space)
@@ -226,15 +230,14 @@ def _exp_regularization_identity(cfg: RunConfig):
     opt = cfg.options["regularization_identity"]
     return analysis.regularization_identity_experiment(
         cfg.equation.A, cfg.equation.marks, cfg.equation.B.q, opt["instances"], cfg.seed,
-        dt=opt["dt"], T=opt["t"], epsilon=opt["epsilon"], tol=opt["tol"])
+        dt=opt["dt"], T=opt["t"], epsilon=opt["epsilon"])
 
 
 def _exp_energy_identity(cfg: RunConfig):
     opt = cfg.options["energy_identity"]
     return analysis.energy_identity_experiment(
         dirichlet_laplacian(opt["n"]), cfg.equation.marks, cfg.equation.B.q, opt["dts"],
-        opt["t"], opt["paths"], cfg.seed,
-        g_amp=opt["g_amp"], c_amp=opt["c_amp"], d_amp=opt["d_amp"])
+        opt["t"], opt["paths"], cfg.seed)
 
 
 def _exp_coupling(cfg: RunConfig):
@@ -251,11 +254,11 @@ def _exp_contraction(cfg: RunConfig):
 
 
 def _perturbed(cfg: RunConfig, name: str):
-    """The section's equation, and k -> its B with 2**-k * db_amp times the first
+    """The section's equation, and k -> its B with 2**-k * _DB_AMP times the first
     eigenvector added to the first noise column."""
     spec = cfg.equation_for(name)
     delta = np.zeros(spec.B.base.shape)
-    delta[:, 0] = cfg.options[name]["db_amp"] * spec.A.eigenvectors[:, 0]
+    delta[:, 0] = _DB_AMP * spec.A.eigenvectors[:, 0]
     return spec, lambda k: DiffusionCoefficient(spec.B.base + 2.0 ** -k * delta,
                                                 spec.B.state_scale, spec.B.q)
 
@@ -270,7 +273,7 @@ def _shared_coupled_solve(cfg: RunConfig):
     opt = cfg.options["cauchy"]
     spec, moved = _perturbed(cfg, "cauchy")
     if (cfg.equation_for("stability").payload() != spec.payload()
-            or any(cfg.options["stability"][k] != opt[k] for k in ("dt", "ensemble", "db_amp"))):
+            or any(cfg.options["stability"][k] != opt[k] for k in ("dt", "ensemble"))):
         return
     chain = [spec] + [spec.with_data(B=moved(k)) for k in range(opt["levels"])]
     try:
@@ -347,26 +350,24 @@ _OVERRIDABLE = {key: row for key, row in _EQUATION.items()
                 if key not in ("n", "operator", "eigenvalues", "weight")}
 
 _ISOMETRY = {"steps": (_number(int, 1, high=analysis.MAX_STEPS), "16"), "t": (_POSITIVE, "1.0"),
-             "paths": (_COUNT, "[experiment] ensemble_paths"), "amplitude": (_NUMBER, "0.5")}
+             "paths": (_COUNT, "10000")}
 _COUPLED = {"ensemble": (_COUNT, "[experiment] ensemble_coupled"),
             "dt": (_positives(one=True, steps=True, horizon="T"), "0.0078125")}
-_PERTURBED = {**_COUPLED, "db_amp": (_NUMBER, "0.05")}
 
 OPTIONS = {
     "equation": _EQUATION,
     "experiment": {
         "seed": (_seed, None), "experiments": (_choice(*EXPERIMENTS, many=True), ""),
         "dt_list": (_positives(steps=True), "0.0078125 0.00390625 0.001953125 0.0009765625"),
-        "epsilons": (_positives(), "0.5 0.25 0.125 0.0625 0.03125 0.015625"),
-        "ensemble_coupled": (_COUNT, "1000"), "ensemble_paths": (_COUNT, "10000"),
+        "ensemble_coupled": (_COUNT, "1000"),
     },
     "output": {"directory": (lambda text, values: Path(text), "out"),
                "formats": (_choice("report", "plotdata", many=True), "report plotdata")},
-    "experiment.resolvent_algebra": {"trials": (_COUNT, "100"), "tol": (_NUMBER, "1e-9")},
+    "experiment.resolvent_algebra": {"trials": (_COUNT, "100")},
     "experiment.trotter_kato": {
         "lambda1": (_POSITIVE, "0.5"), "noise_amp": (_NUMBER, "0.2"), "t": (_POSITIVE, "1.0"),
         "dt": (_positives(one=True, steps=True, horizon="t"), "0.0009765625"),
-        "epsilons": (_positives(minimum=1), "[experiment] epsilons"),
+        "epsilons": (_positives(minimum=1), "0.5 0.25 0.125 0.0625 0.03125 0.015625"),
     },
     "experiment.wiener_isometry": _ISOMETRY,
     "experiment.poisson_isometry": _ISOMETRY,
@@ -374,19 +375,18 @@ OPTIONS = {
     "experiment.regularization_identity": {
         "instances": (_COUNT, "20"), "t": (_POSITIVE, "0.25"),
         "dt": (_positives(one=True, steps=True, horizon="t"), "0.015625"),
-        "epsilon": (_positives(one=True), "0.3"), "tol": (_NUMBER, "1e-9"),
+        "epsilon": (_positives(one=True), "0.3"),
     },
     "experiment.energy_identity": {
         "n": (_COUNT, "5"), "t": (_POSITIVE, "0.5"),
         "dts": (_positives(steps=True, horizon="t", minimum=3), "[experiment] dt_list"),
         "paths": (_COUNT, "100"),
-        "g_amp": (_NUMBER, "1.0"), "c_amp": (_NUMBER, "0.3"), "d_amp": (_NUMBER, "0.3"),
     },
     "experiment.coupling": {"dts": _DTS, "scheme_a": (_SCHEME, "exp_euler"),
                             "scheme_b": (_SCHEME, "resolvent_implicit")},
     "experiment.contraction": {**_COUPLED, "u0_b": (_vector("n"), None)},
-    "experiment.stability": _PERTURBED,
-    "experiment.cauchy": {**_PERTURBED, "levels": (_number(int, 2), "5")},
+    "experiment.stability": _COUPLED,
+    "experiment.cauchy": {**_COUPLED, "levels": (_number(int, 2), "5")},
     "experiment.weak_residual": {
         "dts": _DTS, "epsilon": (_positives(one=True), "0.1"),
         "k_max": (_number(int, 1, high="n"), "8"), "scheme": (_SCHEME, "resolvent_implicit"),
@@ -502,6 +502,11 @@ def parse_config(path, only=None) -> RunConfig:
             label = _label(section, "b_scale", sections.get(section, {}))
             raise ConfigurationError(f"{label} must be zeros, since data distances need additive "
                                      f"Wiener coefficients; got {options[name]['b_scale']}")
+    # a pair equal by construction has every gap 0, a PASS on no evidence
+    for name, key, other in (("coupling", "scheme_b", "scheme_a"), ("contraction", "u0_b", "u0")):
+        if name in names and options[name][key] == options[name][other]:
+            raise ConfigurationError(f"[experiment.{name}] {key} must differ from {other}, "
+                                     "since an equal pair has zero gaps")
     # the explicit Euler steps: trotter_kato's of A_eps at its smallest eps (the
     # stiffest), energy_identity's of the Laplacian at its largest dt
     try:

@@ -105,6 +105,7 @@ class TimeGrid:
         return t
 
     def coarsen(self, factor: int) -> "TimeGrid":
+        factor = operator.index(factor)
         if factor < 1 or self.steps % factor != 0:
             raise ValueError(f"cannot coarsen {self.steps} steps by factor {factor}")
         return TimeGrid(self.horizon, self.steps // factor)
@@ -149,7 +150,6 @@ def coarsen_wiener(path: WienerPath, factor: int) -> WienerPath:
     coupled-resolution experiments share one underlying path.  All paths are
     coarsened in one reshape-sum.  The parent seed is retained.
     """
-    factor = int(factor)
     coarse = path.grid.coarsen(factor)
     inc = path.increments.reshape(-1, coarse.steps, factor, path.q.shape[0]).sum(axis=2)
     inc.setflags(write=False)

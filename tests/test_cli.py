@@ -284,15 +284,16 @@ def _defaults(function):
             if p.default is not inspect.Parameter.empty}
 
 
-# The 17 parameters that neither a config key nor a test set, gone from these signatures.
+# The 19 parameters gone from these signatures; no config key or test sets one.
 RETIRED = (
+    (analysis.resolvent_algebra_check, ("tol",)),
     (analysis.contraction_experiment, ("u0_a", "scheme")),
     (analysis.stability_estimate_experiment, ("scheme", "noise_floor", "continuity_factor")),
     (analysis.generalized_solution_cauchy, ("scheme", "n_bound")),
     (analysis.wiener_isometry_experiment, ("rel_tol",)),
     (analysis.poisson_isometry_experiment, ("rel_tol",)),
     (analysis.yosida_coupling_bound, ("u0_a", "slack")),
-    (analysis.regularization_identity_experiment, ("amplitude",)),
+    (analysis.regularization_identity_experiment, ("amplitude", "tol")),
     (analysis.fit_order, ("floor",)),
     (analysis.coupling_uniqueness_experiment, ("epsilon",)),
     (solver.solve, ("epsilon",)),
@@ -308,17 +309,13 @@ def test_library_defaults_match_the_option_table():
     assert _defaults(analysis.weak_solution_residual) == weak
     assert _defaults(analysis.weak_residual_experiment) == {
         **weak, "scheme": _table_default("experiment.weak_residual", "scheme")}
-    for function, section in ((analysis.resolvent_algebra_check, "resolvent_algebra"),
-                              (analysis.regularization_identity_experiment,
-                               "regularization_identity")):
-        assert _defaults(function) == {"tol": _table_default(f"experiment.{section}", "tol")}
+    # the runner passes no data scale, so these defaults are the ones the digests pin
     assert _defaults(analysis.energy_identity_experiment) == {
-        key: _table_default("experiment.energy_identity", key)
-        for key in ("g_amp", "c_amp", "d_amp")}
+        "g_amp": 1.0, "c_amp": 0.3, "d_amp": 0.3}
     assert _defaults(analysis.coupling_uniqueness_experiment) == {"scheme_pair": tuple(
         _table_default("experiment.coupling", key) for key in ("scheme_a", "scheme_b"))}
     # and no parameter that only a library caller could set is back
-    assert sum(len(names) for _, names in RETIRED) == 17
+    assert sum(len(names) for _, names in RETIRED) == 19
     for function, names in RETIRED:
         assert not set(names) & set(inspect.signature(function).parameters), function
     everywhere = {name for _, names in RETIRED for name in names} - {"scheme", "epsilon"}
@@ -615,9 +612,9 @@ class TestRun:
 
 
 @pytest.mark.parametrize("name, target, pick", [
-    ("wiener_isometry", "step_sq_integral", lambda args: args[0] / 0.5),  # amplitude 0.5
+    ("wiener_isometry", "step_sq_integral", lambda args: args[0] / cli._ISOMETRY_AMPLITUDE),
     ("regularization_identity", "regularized_coupling_identity", lambda args: args[1]),
-    ("energy_identity", "ito_energy_residual", lambda args: args[1]),      # g_amp 1.0
+    ("energy_identity", "ito_energy_residual", lambda args: args[1]),  # the default g_amp, 1
 ])
 def test_member_zero_increments_are_not_the_data_normals(tmp_path, monkeypatch, name, target,
                                                          pick):
@@ -822,7 +819,6 @@ class TestMainEntry:
         pytest.param("experiment.compensator", "paths", id="compensator"),
         pytest.param("experiment.regularization_identity", "instances",
                      id="regularization_identity"),
-        pytest.param("experiment", "ensemble_paths", id="ensemble_paths"),
         pytest.param("experiment", "ensemble_coupled", id="ensemble_coupled"),
     ])
     def test_empty_ensemble_exits_2(self, tmp_path, capsys, section, key):
@@ -861,7 +857,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("section, key, value, only", [
         ("experiment.weak_residual", "epsilon", "0", "trotter_kato,weak_residual"),
         ("experiment.trotter_kato", "epsilons", "0.5 0.25 0", "resolvent_algebra"),
-        ("experiment", "epsilons", "0.5 inf", "resolvent_algebra"),
+        ("experiment.trotter_kato", "epsilons", "0.5 inf", "resolvent_algebra"),
         ("experiment.regularization_identity", "epsilon", "nan", "regularization_identity"),
     ])
     def test_nonpositive_or_nonfinite_regularization_exits_2(self, tmp_path, capsys, section,
@@ -989,6 +985,51 @@ class TestMainEntry:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "epsilons", "0.5 0.25 0.125 0.0625 0.03125 0.015625"),
+        ("experiment", "ensemble_paths", "10000"),
+        ("experiment.resolvent_algebra", "tol", "1e-9"),
+        ("experiment.regularization_identity", "tol", "1e-9"),
+        ("experiment.wiener_isometry", "amplitude", "0.5"),
+        ("experiment.poisson_isometry", "amplitude", "0.5"),
+        ("experiment.compensator", "amplitude", "0.5"),
+        ("experiment.energy_identity", "g_amp", "1.0"),
+        ("experiment.energy_identity", "c_amp", "0.3"),
+        ("experiment.energy_identity", "d_amp", "0.3"),
+        ("experiment.stability", "db_amp", "0.05"),
+        ("experiment.cauchy", "db_amp", "0.05"),
+    ])
+    def test_retired_key_exits_2(self, tmp_path, capsys, section, key, value):
+        # synthetic-data scales and identity tolerances are constants of the code:
+        # 0 would PASS an isometry or cauchy on zero values, 1e300 any identity
+        text = set_key((CONFIG_DIR / "acceptance.cfg").read_text(), section, key, value)
+        with pytest.raises(SystemExit) as status:
+            main([str(write_cfg(tmp_path, text)), "--only", "resolvent_algebra",
+                  "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}: unknown key" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, key", [("coupling", "scheme_b"), ("contraction", "u0_b")])
+    def test_pair_equal_by_construction_exits_2(self, tmp_path, capsys, name, key):
+        # scheme_b = cubic-rd's scheme_a, or u0_b = the u0 that contraction inherits:
+        # every gap is 0, a PASS on no evidence
+        value = {"scheme_b": "exp_euler", "u0_b": FUZZ_BASE[CONFIG_DIR / "cubic-rd.cfg"]
+                 ["equation"]["u0"]}[key]
+        path = write_cfg(tmp_path, set_key((CONFIG_DIR / "cubic-rd.cfg").read_text(),
+                                           f"experiment.{name}", key, value))
+        with pytest.raises(SystemExit) as status:
+            main([str(path), "--only", name, "--output-dir", str(tmp_path / "out")])
+        assert status.value.code == 2
+        err = capsys.readouterr().err
+        assert f"[experiment.{name}] {key} must differ from" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # refused only when the experiment runs
+        parse_config(path, only=("weak_residual",))
+
     def test_required_key_of_a_selected_experiment_exits_2(self, tmp_path, capsys):
         # MINIMAL has no [experiment.contraction] section, so u0_b is missing
         # only once --only selects contraction
@@ -1040,21 +1081,17 @@ class TestMainEntry:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("source, section, label", [
-        ("acceptance.cfg", "experiment.trotter_kato", "[experiment.trotter_kato] epsilons"),
-        (MINIMAL, "experiment",
-         "[experiment.trotter_kato] epsilons (from [experiment] epsilons)"),
-    ], ids=["set", "inherited"])
-    def test_empty_epsilons_exit_2(self, tmp_path, capsys, source, section, label):
+    def test_empty_epsilons_exit_2(self, tmp_path, capsys):
         # the sweep needs an eps to step, and its smallest to check the step against
-        text = source if source == MINIMAL else (CONFIG_DIR / source).read_text()
-        text = set_key(set_key(text, "experiment", "experiments", "trotter_kato"),
-                       section, "epsilons", "")
+        text = set_key(set_key((CONFIG_DIR / "acceptance.cfg").read_text(), "experiment",
+                               "experiments", "trotter_kato"),
+                       "experiment.trotter_kato", "epsilons", "")
         with pytest.raises(SystemExit) as status:
             main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
         assert status.value.code == 2
         err = capsys.readouterr().err
-        assert err == f"configuration error: {label} must list at least 1, got 0\n"
+        assert err == ("configuration error: [experiment.trotter_kato] epsilons "
+                       "must list at least 1, got 0\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, at_bound, message", [
@@ -1081,7 +1118,6 @@ class TestMainEntry:
     @pytest.mark.parametrize("section, key, value", [
         ("experiment", "seed", "abc"),
         ("experiment", "ensemble_coupled", "1.5"),
-        ("experiment", "ensemble_paths", "many"),
         ("equation", "n", "31.0"),
         ("equation", "T", "one"),
         ("equation", "eta", "1,0"),
@@ -1128,16 +1164,6 @@ class TestMainEntry:
                   "--output-dir", str(tmp_path / "out")])
         assert status.value.code == 0
         assert "seed = 18446744073709551615" in (tmp_path / "out" / "manifest.txt").read_text()
-
-    def test_energy_identity_with_zero_data_writes_no_infinite_rows(self, tmp_path):
-        text = MINIMAL.replace("experiments =", "experiments = energy_identity")
-        text += "\n[experiment.energy_identity]\ng_amp = 0\nc_amp = 0\nd_amp = 0\n"
-        with pytest.raises(SystemExit) as status:
-            main([str(write_cfg(tmp_path, text)), "--output-dir", str(tmp_path / "out")])
-        assert status.value.code == 0
-        out = tmp_path / "out"
-        assert "# verdict: PASS" in (out / "energy_identity.report.txt").read_text()
-        assert not (out / "energy_identity.residual_vs_dt.dat").exists()
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         text = MINIMAL.replace("experiments =", "experiments = resolvent_algebra")

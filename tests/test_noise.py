@@ -100,6 +100,19 @@ class TestWienerSampling:
         with pytest.raises(ValueError):
             coarsen_wiener(fine, 5)
 
+    def test_coarsen_takes_an_integer_factor_only(self):
+        # a fractional factor is refused, not truncated to 2 steps of 4
+        fine = sample_wiener(np.array([1.0, 0.5]), TimeGrid(1.0, 8), seed=5)
+        with pytest.raises(TypeError):
+            coarsen_wiener(fine, 2.9)
+        with pytest.raises(TypeError):
+            fine.grid.coarsen(2.0)
+        manual = fine.increments.reshape(1, 2, 4, 2).sum(axis=2)
+        for factor in (4, np.int64(4)):
+            coarse = coarsen_wiener(fine, factor)
+            assert coarse.grid == TimeGrid(1.0, 2) and type(coarse.grid.steps) is int
+            assert np.array_equal(coarse.increments, manual)
+
     def test_batch_coarsens_and_accumulates_like_its_members(self):
         grid = TimeGrid(1.0, 32)
         members = [sample_wiener(np.array([1.0, 0.5]), grid, seed=s) for s in (5, 6, 7)]
@@ -443,6 +456,8 @@ class TestNoiseBatch:
         coarse = batch.coarsen(4)
         assert coarse.grid.steps == 4 and coarse.jumps is batch.jumps
         assert np.array_equal(coarse.cell_counts, batch.cell_counts.reshape(4, 4, 4, 2).sum(axis=2))
+        with pytest.raises(TypeError):
+            batch.rows(0, 2).coarsen(2.5)
 
     def test_refuses_unequal_member_counts(self):
         batch = sample_noise_batch(self.q, self.marks, self.grid, 3, 4)
